@@ -535,6 +535,54 @@ def det(M):
     return -result if sign < 0 else result
 
 
+def _int_det(A):
+    """Determinant of a square integer matrix, given as a list of int lists
+    that is overwritten, by fraction-free (Bareiss) elimination."""
+    n = len(A)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not A[k][k]:
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = A[k][k]
+        row_k = A[k]
+        for i in range(k + 1, n):
+            row_i = A[i]
+            a = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - a * row_k[j]) // prev
+        prev = pivot
+    return sign * A[n - 1][n - 1]
+
+
+def _int_interpolate(xs, ys):
+    """Coefficients, lowest first, of the polynomial of degree < len(xs)
+    through the points (xs[i], ys[i]), at least one (Newton divided
+    differences over Q); raises unless every coefficient is an integer."""
+    n = len(xs)
+    dd = [Fraction(y) for y in ys]
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+    coeffs = [dd[n - 1]]
+    for k in range(n - 2, -1, -1):
+        # coeffs := coeffs * (t - xs[k]) + dd[k]
+        coeffs = ([dd[k] - xs[k] * coeffs[0]] +
+                  [coeffs[i - 1] - xs[k] * coeffs[i]
+                   for i in range(1, len(coeffs))] + [coeffs[-1]])
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError("interpolated polynomial is not integral")
+    return [c.numerator for c in coeffs]
+
+
 # ---------------------------------------------------------------------------
 # text syntax:  terms `c*t^k` joined by + / -, e.g.  2*t^-1 - 5 + 2*t
 

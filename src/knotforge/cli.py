@@ -30,10 +30,10 @@ from .presentation import (build_symun_presentation, deficiency_one,
                            format_presentation, wirtinger)
 from .reps import (RepSearchConfig, SearchBudgetExceeded, enumerate_sl2,
                    rep_from_json)
-from .twisted import (classical_alexander, even_symun_obstruction,
-                      even_symun_quick_obstructions, format_fraction,
-                      higher_alexander, knot_determinant, trivial_rep,
-                      twisted_alexander, verify_theorem)
+from .twisted import (_rep_polynomials, classical_alexander,
+                      even_symun_obstruction, even_symun_quick_obstructions,
+                      format_fraction, higher_alexander, knot_determinant,
+                      trivial_rep, twisted_alexander, verify_theorem)
 from .algebra import format_poly
 
 
@@ -264,12 +264,11 @@ def cmd_talex(args, table):
     inputs = {"knot": args.knot, "p": args.p, "crossings": pd.n}
     if args.enumerate:
         reps = enumerate_sl2(pres, _search_config(args))
-        polys = []
-        for rho in reps:
-            tw = twisted_alexander(pres, rho)
-            polys.append({"trace": rho.trace(),
-                          "polynomial": format_fraction(tw.value),
-                          "degree": tw.degree})
+        polys = [{"trace": rho.trace(),
+                  "polynomial": format_fraction(tw.value),
+                  "degree": tw.degree}
+                 for rho, tw in zip(reps, _rep_polynomials(pres, reps,
+                                                           args.jobs))]
         return inputs, {"num_reps": len(reps), "polynomials": polys}
     if not args.rep:
         raise DomainError("talex needs --rep FILE|trivial or --enumerate")
@@ -318,6 +317,9 @@ def cmd_symun(args, table):
                           % (list(spec.twists),))
     if args.p is None:
         raise DomainError("verify needs --p")
+    if args.trials < 1:
+        raise DomainError("--trials must be at least 1, got %d"
+                          % args.trials)
     inputs["p"] = args.p
     inputs["trials"] = args.trials
     _, partial_pres, _ = build_symun_presentation(spec)

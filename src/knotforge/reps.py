@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .algebra import _is_prime
 from .presentation import GroupPresentation
 
 
@@ -30,8 +31,7 @@ class RepSearchConfig:
     max_nodes: int = 2_000_000
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % k == 0
-                             for k in range(2, int(self.p ** 0.5) + 1)):
+        if not _is_prime(self.p):
             raise ValueError("p must be prime")
         if self.max_nodes < 1:
             raise ValueError("budget must be at least 1")

@@ -5,20 +5,20 @@ The map Phi sends a free-group generator x_i to rho(x_i)*t and extends to the
 group ring; the Wada invariant of a deficiency-1 presentation is
 det A_{x_j} / det Phi(x_j - 1), where A is the Fox Jacobian of the relators
 with the j-th generator column removed.  Classical and higher Alexander
-polynomials come from the abelianized (d = 1, trivial rho) Fox matrix: the
-GCD of its maximal minors over Z[t, t^-1], and of its (N-k)-minors over
-Q[t, t^-1] via the Smith normal form.
+polynomials come from the abelianized (d = 1, trivial rho) Fox matrix.  The
+classical one is a single maximal minor over Z[t, t^-1], an integer pencil
+evaluated at integer points and interpolated; the higher ones are the GCD of
+its (N-k)-minors over Q[t, t^-1], via the Smith normal form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .algebra import (GF, QQ, ZZ, LaurentPoly, PolyMatrix, RationalFn,
-                      canonicalize, det, divmod_poly, exact_div, format_poly,
-                      gcd_polys, rational_unit_equal, reduce_fraction,
-                      unit_equal)
+                      _int_det, _int_interpolate, canonicalize, det,
+                      divmod_poly, exact_div, format_poly,
+                      rational_unit_equal, reduce_fraction, unit_equal)
 from .diagram import InvalidDiagram
 from .presentation import (GroupPresentation, build_symun_presentation,
                            deficiency_one, fox_derivative, lamm_pullback,
@@ -168,23 +168,55 @@ def _abelian_fox_matrix(pres, domain):
     return PolyMatrix(domain, rows)
 
 
-def classical_alexander(pd):
-    """Classical Alexander polynomial over Z: GCD of the maximal minors of
-    the abelianized Wirtinger Fox matrix, in canonical unit form; checked
-    against Delta(1) = +-1."""
+def _alexander_pencil(pd):
+    """Integer matrices (A0, A1) with det(A0 + t*A1) = Delta_K up to a unit:
+    the first N-1 relator rows of the abelianized Wirtinger Fox matrix with
+    column 0 dropped, each row shifted by t^-lo to be linear in t.
+
+    Every Wirtinger relator r has exponent sum 0, so the fundamental formula
+    sum_j (dr/dx_j)(x_j - 1) = r - 1 makes every row sum to 0; the N maximal
+    minors of the (N-1) x N relator block are then equal up to sign, and
+    this one is their GCD."""
     pres = wirtinger(pd)
-    N = pres.num_generators
     M = _abelian_fox_matrix(pres, ZZ)
-    rows = list(range(N - 1))
-    minors = []
-    for cols in combinations(range(N), N - 1):
-        minors.append(det(M.submatrix(rows, list(cols))))
-    delta = gcd_polys(minors) if minors else LaurentPoly.one(ZZ)
-    at_one = delta.evaluate(1)
+    A0, A1 = [], []
+    for i in range(pres.num_generators - 1):
+        row = M.entries[i][1:]
+        exps = [e for f in row for e in f.coeffs]
+        lo = min(exps, default=0)
+        if exps and max(exps) - lo > 1:
+            raise AssertionError("Fox row %d is not linear in t" % i)
+        A0.append([f.coeff(lo) for f in row])
+        A1.append([f.coeff(lo + 1) for f in row])
+    return A0, A1
+
+
+def _pencil_value(pencil, x):
+    """det(A0 + x*A1) at an integer x."""
+    A0, A1 = pencil
+    return _int_det([[a + x * b for a, b in zip(r0, r1)]
+                     for r0, r1 in zip(A0, A1)])
+
+
+def _check_at_one(at_one):
     if at_one not in (1, -1):
         raise AssertionError("Alexander polynomial fails Delta(1) = +-1 "
                              "(got %s)" % at_one)
-    return canonicalize(delta)
+
+
+def classical_alexander(pd):
+    """Classical Alexander polynomial over Z, in canonical unit form: one
+    maximal minor of the abelianized Wirtinger Fox matrix, a polynomial of
+    degree <= N-1 interpolated from its values at N integer points; checked
+    against Delta(1) = +-1."""
+    pencil = _alexander_pencil(pd)
+    # 0, 1, -1, 2, -2, ... keeps the evaluated entries small
+    xs = [(i + 1) // 2 * (1 if i % 2 else -1)
+          for i in range(len(pencil[0]) + 1)]
+    coeffs = _int_interpolate(xs, [_pencil_value(pencil, x) for x in xs])
+    delta = canonicalize(LaurentPoly(ZZ, dict(enumerate(coeffs))))
+    _check_at_one(delta.evaluate(1))
+    return delta
 
 
 def _smith_invariants(M):
@@ -297,8 +329,11 @@ def higher_alexander(pd, k):
 
 def knot_determinant(pd):
     """|Delta_K(-1)|, the order of the first homology of the double branched
-    cover."""
-    return abs(classical_alexander(pd).evaluate(-1))
+    cover, read off the Alexander pencil at t = -1; checked against
+    Delta(1) = +-1."""
+    pencil = _alexander_pencil(pd)
+    _check_at_one(_pencil_value(pencil, 1))
+    return abs(_pencil_value(pencil, -1))
 
 
 def _fraction_mul(a, b):

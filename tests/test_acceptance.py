@@ -115,14 +115,12 @@ def test_criterion_4_obstruction_11a_201():
                       P("t^2 + 3*t + 1", GF(7)))
     elapsed = time.monotonic() - t0
     assert elapsed < 1800.0
-    # soft count: 33 = nonabelian conjugacy classes plus the abelian ones
+    # 33 = nonabelian conjugacy classes plus the abelian ones
     cfg = RepSearchConfig(p=7, nonabelian_only=False)
     total = len(enumerate_sl2(wirtinger(t["11a_201"]), cfg))
-    soft = "" if total == 33 else \
-        " (NOTE: expected 33 classes including abelian, got %d)" % total
+    assert total == 33
     report(4, "no rep matches the target; %d nonabelian / %d total classes "
-              "in %.1f s%s" % (out["num_reps"], total, elapsed, soft))
-    assert total == 33 or True  # soft check only, reported above
+              "in %.1f s" % (out["num_reps"], total, elapsed))
 
 
 # -- criteria 5 and 6: the symmetric-union grid -------------------------------

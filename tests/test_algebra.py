@@ -7,7 +7,8 @@ import pytest
 from knotforge.algebra import (ZZ, QQ, GF, LaurentPoly, PolyMatrix,
                                canonicalize, det, gcd_polys, reduce_fraction,
                                parse_poly, format_poly, unit_equal,
-                               exact_div, divides, rational_unit_equal)
+                               exact_div, divides, rational_unit_equal,
+                               _int_det, _int_interpolate)
 
 
 def P(text, domain=ZZ):
@@ -116,6 +117,28 @@ class TestDetOracle:
                 M = PolyMatrix(F5, [[rand_poly(rng, F5, max_deg=2)
                                      for _ in range(n)] for _ in range(n)])
                 assert det(M) == cofactor_det(M)
+
+    def test_integer_bareiss_against_cofactor(self):
+        rng = random.Random(2468)
+        for _ in range(300):
+            n = rng.randrange(0, 6)
+            # mostly zeros, so that pivots vanish and rows get swapped
+            A = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)]
+                 for _ in range(n)]
+            M = PolyMatrix(ZZ, [[LaurentPoly.const(ZZ, a) for a in row]
+                                for row in A])
+            assert _int_det(A) == cofactor_det(M).coeff(0)
+
+    def test_integer_interpolation(self):
+        rng = random.Random(1357)
+        for _ in range(100):
+            n = rng.randrange(1, 8)
+            coeffs = [rng.randrange(-20, 21) for _ in range(n)]
+            xs = [(i + 1) // 2 * (1 if i % 2 else -1) for i in range(n)]
+            ys = [sum(c * x ** e for e, c in enumerate(coeffs)) for x in xs]
+            assert _int_interpolate(xs, ys) == coeffs
+        with pytest.raises(ArithmeticError):
+            _int_interpolate([0, 2], [0, 1])  # t/2
 
     def test_row_swap_and_row_add(self):
         rng = random.Random(99)

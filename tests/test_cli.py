@@ -168,6 +168,12 @@ class TestCommands:
         res = data["results"]
         assert res["num_reps"] == len(res["polynomials"]) > 0
 
+    def test_talex_enumerate_jobs_matches_serial(self, capsys, isolated_home):
+        argv = ["talex", "3_1", "--p", "5", "--enumerate"]
+        serial = self.run_json(capsys, argv)["results"]
+        parallel = self.run_json(capsys, argv + ["--jobs", "2"])["results"]
+        assert parallel == serial
+
     def test_talex_bundled_rep(self, capsys, isolated_home):
         data = self.run_json(capsys, ["talex", "6_1", "--p", "7",
                                       "--rep", "rho0.json"])
@@ -188,6 +194,13 @@ class TestCommands:
         res = data["results"]
         assert res["all_identities_hold"]
         assert res["num_reps_checked"] == 3
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_symun_verify_rejects_nonpositive_trials(self, capsys,
+                                                     isolated_home, trials):
+        assert main(["symun", "verify", "--partial", "3_1", "--marks", "1,3",
+                     "--twists", "2", "--p", "5", "--trials", trials]) == 1
+        assert "--trials" in capsys.readouterr().err
 
     def test_symun_verify_rejects_odd(self, capsys, isolated_home):
         assert main(["symun", "verify", "--partial", "3_1", "--marks", "1,3",

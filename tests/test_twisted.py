@@ -6,6 +6,7 @@ import pytest
 from knotforge.algebra import (QQ, ZZ, LaurentPoly, RationalFn, canonicalize,
                                det, gcd_polys, parse_poly, rational_unit_equal,
                                unit_equal)
+from knotforge.cli import KnotTable, bundled_table_path
 from knotforge.diagram import (MarkedDiagram, PDCode, SymUnionSpec, parse_pd,
                                symmetric_union_pd)
 from knotforge.presentation import deficiency_one, wirtinger
@@ -26,6 +27,27 @@ def P(text, domain=ZZ):
     return parse_poly(text, domain)
 
 
+def oracle_diagrams():
+    """The bundled knots and the k = 1 grid unions of 3_1 and 4_1."""
+    table = KnotTable.parse(bundled_table_path().read_text())
+    out = [(name, table[name]) for name in sorted(table.entries)]
+    for name in ("3_1", "4_1"):
+        pd = table[name]
+        edges = sorted(pd.edges)
+        marks = (edges[0], edges[len(edges) // 2])
+        for m in (-2, -1, 0, 1, 2):
+            spec = SymUnionSpec(MarkedDiagram(pd, marks), (2 * m,))
+            out.append(("%s twists=%d" % (name, 2 * m),
+                        symmetric_union_pd(spec)))
+    return out
+
+
+ORACLE_DIAGRAMS = oracle_diagrams()
+over_oracle_diagrams = pytest.mark.parametrize(
+    "pd", [pd for _, pd in ORACLE_DIAGRAMS],
+    ids=[name for name, _ in ORACLE_DIAGRAMS])
+
+
 class TestClassicalAlexander:
     def test_unknot(self):
         assert classical_alexander(PDCode([])) == P("1")
@@ -44,6 +66,30 @@ class TestClassicalAlexander:
         assert knot_determinant(parse_pd(TREFOIL)) == 3
         assert knot_determinant(parse_pd(FIG8)) == 5
         assert knot_determinant(parse_pd(SIX_ONE)) == 9
+
+    @over_oracle_diagrams
+    def test_matches_minor_gcd_oracle(self, pd):
+        # the definition: GCD of all N maximal minors of the relator block
+        pres = wirtinger(pd)
+        N = pres.num_generators
+        M = _abelian_fox_matrix(pres, ZZ)
+        minors = [det(M.submatrix(list(range(N - 1)), list(cols)))
+                  for cols in combinations(range(N), N - 1)]
+        delta = classical_alexander(pd)
+        assert delta == canonicalize(gcd_polys(minors))
+        assert knot_determinant(pd) == abs(delta.evaluate(-1))
+
+    @over_oracle_diagrams
+    def test_fox_rows_sum_to_zero(self, pd):
+        # the fundamental formula for exponent-sum-0 relators; it makes all
+        # maximal minors agree up to sign, so one of them is Delta
+        M = _abelian_fox_matrix(wirtinger(pd), ZZ)
+        zero = LaurentPoly.zero(ZZ)
+        for row in M.entries:
+            total = zero
+            for f in row:
+                total = total + f
+            assert total == zero
 
 
 class TestHigherAlexander:
