@@ -1,18 +1,24 @@
 """
-Fast exact determinants of linear pencils A0 + A1*t over F_p.
+Fast exact determinants of linear pencils A0 + t*A1 over F_p.
 
 Fox matrices of Wirtinger-type relators become linear in t after scaling
-each row by a power of t, so their determinants are computed here via one
-characteristic polynomial instead of a full symbolic elimination: pick c in
-an extension field F_q (q > matrix size) with M = A0 + c*A1 invertible, then
+each row by a power of t.  Their determinants are computed here by deflating
+the pencil over F_p itself, which is exact for every square pencil:
 
-    det(A0 + t*A1) = det(M) * sum_i (-1)^i a_i (t - c)^i,
+1. Row-reduce A1, applying the same row operations to A0.
+2. If A1 is now nonsingular, det(A0 + t*A1) = det(A1) * det(tI + A1^-1 A0).
+   A1^-1 A0 comes from back substitution, and the second factor is the
+   characteristic polynomial of -A1^-1 A0, by reduction to Hessenberg form.
+3. Otherwise every zero row of A1 is a constant row of the pencil.  Scalar
+   column operations on A0 and A1, which keep the matrix a pencil, clear
+   each constant row but for one pivot, and the determinant is expanded
+   along it.  A constant row that is all zero makes the determinant 0.  The
+   smaller pencil that is left goes back to step 1.
 
-where x^n + a_1 x^{n-1} + ... + a_n is the characteristic polynomial of
-M^{-1}*A1.  If A0 + c*A1 is singular for n+1 distinct c the determinant is
-the zero polynomial.  Coefficients of the result always land back in F_p.
-Matrices that are not unit-multiples of pencils fall back to fraction-free
-Gaussian elimination.
+Fox pencils are very degenerate (many constant rows, a small rank of A1),
+so step 3 removes most of the matrix before any characteristic polynomial
+is formed.  Matrices that are not unit multiples of pencils, and matrices
+over Z or Q, fall back to fraction-free Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -20,348 +26,187 @@ from __future__ import annotations
 from .algebra import LaurentPoly, det
 
 
-# -- extension field arithmetic ---------------------------------------------
-
-class _GFExt:
-    """F_{p^k} with dense multiplication/addition tables; elements are ints
-    0..q-1 encoding polynomial coefficients in base p (low digit first)."""
-
-    def __init__(self, p, k):
-        self.p = p
-        self.k = k
-        self.q = q = p ** k
-        if k == 1:
-            self.add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self.mul = [[a * b % p for b in range(p)] for a in range(p)]
-            self.neg = [(-a) % p for a in range(p)]
-            self.inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-            return
-        f = _find_irreducible(p, k)
-        digits = [self._digits(a) for a in range(q)]
-        self.add = [[self._undigits([(x + y) % p for x, y in zip(da, db)])
-                     for db in digits] for da in digits]
-        self.neg = [self._undigits([(-x) % p for x in da]) for da in digits]
-        g = _find_generator(p, k, f)
-        exp = [1] * (q - 1)
-        log = [0] * q
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._undigits(_polymulmod(digits[cur], digits[g], f, p))
-        self.exp, self.log = exp, log
-        mul = [[0] * q for _ in range(q)]
-        for a in range(1, q):
-            la = log[a]
-            row = mul[a]
-            for b in range(1, q):
-                row[b] = exp[(la + log[b]) % (q - 1)]
-        self.mul = mul
-        self.inv = [0] + [exp[(q - 1 - log[a]) % (q - 1)]
-                          for a in range(1, q)]
-
-    def _digits(self, a):
-        p, k = self.p, self.k
-        out = []
-        for _ in range(k):
-            out.append(a % p)
-            a //= p
-        return out
-
-    def _undigits(self, ds):
-        a = 0
-        for d in reversed(ds):
-            a = a * self.p + d
-        return a
-
-
-def _polymulmod(a, b, f, p):
-    """(a * b) mod f over F_p; a, b low-first coefficient lists, f monic of
-    degree k given by its k low coefficients."""
-    k = len(f)
-    prod = [0] * (2 * k - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    for d in range(2 * k - 2, k - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for j in range(k):
-                prod[d - k + j] = (prod[d - k + j] - c * f[j]) % p
-    return prod[:k]
-
-
-def _poly_pow_x(e, f, p):
-    """x^e mod f."""
-    k = len(f)
-    result = [1] + [0] * (k - 1)
-    base = ([0, 1] + [0] * (k - 2)) if k > 1 else [0]
-    if k == 1:
-        return [pow(0, e, p)]
-    while e:
-        if e & 1:
-            result = _polymulmod(result, base, f, p)
-        base = _polymulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _find_irreducible(p, k):
-    """Low coefficients f_0..f_{k-1} of a monic irreducible of degree k."""
-    x = [0, 1] + [0] * (k - 2)
-    for code in range(p ** k):
-        f = []
-        c = code
-        for _ in range(k):
-            f.append(c % p)
-            c //= p
-        if f[0] == 0:
+def _perm_sign(perm):
+    """Sign of a permutation of 0..n-1: each cycle of length L gives
+    (-1)^(L-1)."""
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
             continue
-        # irreducible iff x^(p^k) = x mod f and gcd-degree checks for the
-        # prime divisors of k reduce to x^(p^(k/l)) != x
-        if _poly_pow_x(p ** k, f, p) != x:
-            continue
-        ok = True
-        for l in _prime_divisors(k):
-            if _poly_pow_x(p ** (k // l), f, p) == x:
-                ok = False
-                break
-        if ok:
-            return f
-    raise RuntimeError("no irreducible polynomial found")
+        seen[i] = True
+        j = perm[i]
+        while j != i:
+            seen[j] = True
+            sign = -sign
+            j = perm[j]
+    return sign
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _find_generator(p, k, f):
-    q = p ** k
-    facs = _prime_divisors(q - 1)
-
-    def topoly(a):
-        out = []
-        for _ in range(k):
-            out.append(a % p)
-            a //= p
-        return out
-
-    def frompoly(ds):
-        a = 0
-        for d in reversed(ds):
-            a = a * p + d
-        return a
-
-    one = [1] + [0] * (k - 1)
-    for g in range(2, q):
-        gp = topoly(g)
-        good = True
-        for l in facs:
-            e = (q - 1) // l
-            acc = one
-            base = gp
-            ee = e
-            while ee:
-                if ee & 1:
-                    acc = _polymulmod(acc, base, f, p)
-                base = _polymulmod(base, base, f, p)
-                ee >>= 1
-            if acc == one:
-                good = False
-                break
-        if good:
-            return g
-    raise RuntimeError("no generator found")
-
-
-_FIELDS = {}
-
-
-def _field(p, k):
-    key = (p, k)
-    if key not in _FIELDS:
-        _FIELDS[key] = _GFExt(p, k)
-    return _FIELDS[key]
-
-
-# -- linear algebra over the extension field --------------------------------
-
-def _gauss_det_inv(M, F, want_inv):
-    """Determinant (and optionally inverse) of a matrix of field elements."""
-    n = len(M)
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-    A = [list(r) + ([1 if i == j else 0 for j in range(n)] if want_inv else [])
-         for i, r in enumerate(M)]
-    d = 1
-    width = len(A[0]) if A else 0
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col]), None)
+def _reduce_rows(A0, A1, p):
+    """Forward elimination on A1 without row swaps, mirrored on A0 (so the
+    pencil's determinant is unchanged).  Returns the pivot row of each column
+    in column order, None for a column with no pivot, and the rows left
+    without a pivot, which end with A1 zero."""
+    free = list(range(len(A1)))
+    pivots = []
+    for c in range(len(A1)):
+        piv = next((r for r in free if A1[r][c]), None)
+        pivots.append(piv)
         if piv is None:
-            return 0, None
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            d = neg[d]
-        pv = A[col][col]
-        d = mul[d][pv]
-        pinv = inv[pv]
-        row = A[col]
-        for j in range(col, width):
-            row[j] = mul[pinv][row[j]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                fmul = mul[A[r][col]]
-                rr = A[r]
-                for j in range(col, width):
-                    rr[j] = add[rr[j]][neg[fmul[row[j]]]]
-    if want_inv:
-        return d, [r[n:] for r in A]
-    return d, None
+            continue
+        free.remove(piv)
+        inv = pow(A1[piv][c], p - 2, p)
+        P0, P1 = A0[piv], A1[piv]
+        for r in free:
+            f = A1[r][c]
+            if f:
+                f = f * inv % p
+                A1[r] = [(a - f * b) % p for a, b in zip(A1[r], P1)]
+                A0[r] = [(a - f * b) % p for a, b in zip(A0[r], P0)]
+    return pivots, free
 
 
-def _charpoly(B, F):
-    """Coefficients [1, a_1, ..., a_n] of det(xI - B) via the Hessenberg
-    recurrence."""
-    n = len(B)
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-    H = [list(r) for r in B]
-    # reduce to upper Hessenberg by similarity transformations
+def _expand_constant_rows(A0, A1, rows, p):
+    """Clear each constant row (A1 zero) but for one pivot by scalar column
+    operations and expand the determinant along it.  Returns (factor, rest
+    rows, rest columns) with det(A0 + t*A1) = factor * det of the pencil on
+    the rest, or (0, None, None) when a constant row vanishes."""
+    n = len(A0)
+    alive = [True] * n
+    factor = 1
+    cols = []
+    for r in rows:
+        row = A0[r]
+        j = next((k for k in range(n) if alive[k] and row[k]), None)
+        if j is None:
+            return 0, None, None
+        inv = pow(row[j], p - 2, p)
+        ops = [(k, row[k] * inv % p) for k in range(n)
+               if k != j and alive[k] and row[k]]
+        factor = factor * row[j] % p
+        if ops:
+            for M in (A0, A1):
+                for R in M:
+                    x = R[j]
+                    if x:
+                        for k, f in ops:
+                            R[k] = (R[k] - f * x) % p
+        alive[j] = False
+        cols.append(j)
+    # the expanded rows and columns, moved to the front in expansion order,
+    # form a lower triangular block above a zero block
+    expanded = set(rows)
+    keep_rows = [i for i in range(n) if i not in expanded]
+    keep_cols = [k for k in range(n) if alive[k]]
+    sign = _perm_sign(rows + keep_rows) * _perm_sign(cols + keep_cols)
+    return factor * sign % p, keep_rows, keep_cols
+
+
+def _charpoly(C, p):
+    """Coefficients, low degree first, of det(xI - C) over F_p: reduction to
+    upper Hessenberg form by similarity, then the Hessenberg recurrence."""
+    n = len(C)
+    H = [list(r) for r in C]
     for col in range(n - 2):
         piv = next((r for r in range(col + 1, n) if H[r][col]), None)
         if piv is None:
             continue
         if piv != col + 1:
             H[col + 1], H[piv] = H[piv], H[col + 1]
-            for r in range(n):
-                H[r][col + 1], H[r][piv] = H[r][piv], H[r][col + 1]
-        pinv = inv[H[col + 1][col]]
+            for row in H:
+                row[col + 1], row[piv] = row[piv], row[col + 1]
+        inv = pow(H[col + 1][col], p - 2, p)
         for r in range(col + 2, n):
-            if H[r][col]:
-                f = mul[H[r][col]][pinv]
-                fm = mul[f]
-                for j in range(n):
-                    H[r][j] = add[H[r][j]][neg[fm[H[col + 1][j]]]]
-                for i in range(n):
-                    H[i][col + 1] = add[H[i][col + 1]][fm[H[i][r]]]
+            f = H[r][col] * inv % p
+            if f:
+                H[r] = [(a - f * b) % p for a, b in zip(H[r], H[col + 1])]
+                for row in H:
+                    row[col + 1] = (row[col + 1] + f * row[r]) % p
     # p_m(x) = (x - H[m-1][m-1]) p_{m-1}(x)
     #          - sum_i H[i][m-1] (prod of subdiagonals) p_i(x)
     polys = [[1]]
     for m in range(1, n + 1):
         prev = polys[m - 1]
-        cur = [0] * (m + 1)
         hm = H[m - 1][m - 1]
+        cur = [0] + prev
         for i, c in enumerate(prev):
-            cur[i + 1] = add[cur[i + 1]][c]
-            cur[i] = add[cur[i]][neg[mul[hm][c]]]
+            cur[i] = (cur[i] - hm * c) % p
         beta = 1
         for i in range(m - 2, -1, -1):
-            beta = mul[beta][H[i + 1][i]]
-            coef = mul[H[i][m - 1]][beta]
+            beta = beta * H[i + 1][i] % p
+            coef = H[i][m - 1] * beta % p
             if coef:
                 for j, c in enumerate(polys[i]):
-                    cur[j] = add[cur[j]][neg[mul[coef][c]]]
+                    cur[j] = (cur[j] - coef * c) % p
         polys.append(cur)
-    # polys[n] is x^n + a_1 x^(n-1) + ... listed low-degree-first; flip
-    pn = polys[n]
-    return list(reversed(pn))
+    return polys[n]
 
 
 def _pencil_det_gf(A0, A1, p):
-    """det(A0 + t*A1) over F_p for integer matrices mod p."""
-    n = len(A0)
-    k = 1
-    while p ** k <= n + 1:
-        k += 1
-    F = _field(p, k)
-    add, mul = F.add, F.mul
-    tried = 0
-    for c in range(F.q):
-        M = [[add[A0[i][j]][mul[c][A1[i][j]]] for j in range(n)]
-             for i in range(n)]
-        dM, Minv = _gauss_det_inv(M, F, True)
-        if dM:
+    """Coefficients, low degree first, of det(A0 + t*A1) over F_p, for
+    integer matrices mod p given as lists of rows (overwritten)."""
+    scale = 1
+    while A0:
+        pivots, free = _reduce_rows(A0, A1, p)
+        if not free:
             break
-        tried += 1
-        if tried > n:
-            return {}
-    else:
-        return {}
-    B = [[0] * n for _ in range(n)]
-    for i in range(n):
-        Mi = Minv[i]
-        for j in range(n):
-            acc = 0
-            for l in range(n):
-                acc = add[acc][mul[Mi[l]][A1[l][j]]]
-            B[i][j] = acc
-    coeffs = _charpoly(B, F)  # [1, a_1, ..., a_n]
-    # det = det(M) * sum_i (-1)^i a_i (t - c)^i
-    neg = F.neg
-    acc = [0] * (n + 1)
-    power = [1]  # (t - c)^i, low-degree-first
-    negc = neg[c]
-    for i in range(n + 1):
-        a = coeffs[i] if i % 2 == 0 else neg[coeffs[i]]
-        if a:
-            am = mul[a]
-            for j, pc in enumerate(power):
-                acc[j] = add[acc[j]][am[pc]]
-        if i < n:
-            nxt = [0] * (len(power) + 1)
-            for j, pc in enumerate(power):
-                nxt[j + 1] = add[nxt[j + 1]][pc]
-                nxt[j] = add[nxt[j]][mul[negc][pc]]
-            power = nxt
-    out = {}
-    for e, v in enumerate(acc):
-        v = mul[dM][v]
-        if v:
-            if v >= p:
-                raise AssertionError("pencil determinant left the base field")
-            out[e] = v
-    return out
+        factor, keep_rows, keep_cols = _expand_constant_rows(A0, A1, free, p)
+        if not factor:
+            return [0]
+        scale = scale * factor % p
+        A0 = [[A0[i][k] for k in keep_cols] for i in keep_rows]
+        A1 = [[A1[i][k] for k in keep_cols] for i in keep_rows]
+    n = len(A0)
+    if not n:
+        return [scale]
+    # A1 nonsingular: its rows in pivot order form an upper triangular U
+    scale = scale * _perm_sign(pivots) % p
+    U = [A1[r] for r in pivots]
+    B0 = [A0[r] for r in pivots]
+    # back substitution for C = -U^-1 B0, whose characteristic polynomial is
+    # det(tI + U^-1 B0)
+    C = [None] * n
+    for c in range(n - 1, -1, -1):
+        Uc = U[c]
+        acc = B0[c]
+        for k in range(c + 1, n):
+            f = Uc[k]
+            if f:
+                acc = [a + f * b for a, b in zip(acc, C[k])]
+        scale = scale * Uc[c] % p
+        ninv = -pow(Uc[c], p - 2, p)
+        C[c] = [a * ninv % p for a in acc]
+    return [v * scale % p for v in _charpoly(C, p)]
 
 
 # -- public entry ------------------------------------------------------------
 
 def pencil_det(M):
     """Exact determinant of a square Laurent-polynomial matrix; uses the
-    pencil/charpoly path when every row is a unit multiple of a row linear
-    in t and the domain is a prime field, otherwise falls back to
-    fraction-free elimination."""
+    pencil deflation when every row is a unit multiple of a row linear in t
+    and the domain is a prime field, otherwise falls back to fraction-free
+    elimination."""
     dom = M.domain
     if M.rows != M.cols:
         raise ValueError("determinant of a non-square matrix")
     n = M.rows
     if n == 0:
         return LaurentPoly.one(dom)
-    if dom.kind != "GF" or dom.p == 2:
+    if dom.kind != "GF":
         return det(M)
     shift_total = 0
     A0 = []
     A1 = []
-    for i in range(n):
-        entries = [M[i, j] for j in range(n)]
-        exps = {e for f in entries for e in f.coeffs}
+    for row in M.entries:
+        exps = set().union(*[f.coeffs for f in row])
         if not exps:
             return LaurentPoly.zero(dom)
-        lo, hi = min(exps), max(exps)
-        if hi - lo > 1:
+        lo = min(exps)
+        if max(exps) - lo > 1:
             return det(M)
-        sh = -lo
-        shift_total += sh
-        A0.append([f.coeffs.get(-sh, 0) for f in entries])
-        A1.append([f.coeffs.get(1 - sh, 0) for f in entries])
+        shift_total += lo
+        A0.append([f.coeffs.get(lo, 0) for f in row])
+        A1.append([f.coeffs.get(lo + 1, 0) for f in row])
     coeffs = _pencil_det_gf(A0, A1, dom.p)
-    return LaurentPoly(dom, coeffs).shift(-shift_total)
+    return LaurentPoly(dom, dict(enumerate(coeffs))).shift(shift_total)

@@ -470,7 +470,7 @@ class PolyMatrix:
             if len(row) != cols:
                 raise ValueError("ragged matrix")
             for e in row:
-                if e.domain != domain:
+                if e.domain is not domain and e.domain != domain:
                     raise ValueError("mixed coefficient domains")
         self.domain = domain
         self.rows = rows

@@ -111,14 +111,6 @@ class GroupRingElt:
     def left_mul_word(self, u):
         return GroupRingElt({concat(u, w): c for w, c in self.terms.items()})
 
-    def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = concat(w1, w2)
-                out[w] = out.get(w, 0) + c1 * c2
-        return GroupRingElt(out)
-
     def __eq__(self, other):
         return isinstance(other, GroupRingElt) and self.terms == other.terms
 
@@ -186,16 +178,6 @@ def format_presentation(pres):
     for r in pres.relators:
         lines.append(format_word(r, pos))
     return "\n".join(lines) + "\n"
-
-
-def parse_presentation(text):
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("gens:"):
-        raise ValueError("presentation text must start with 'gens: n'")
-    n = int(lines[0].split(":", 1)[1])
-    names = tuple("x%d" % (i + 1) for i in range(n))
-    relators = tuple(parse_word(ln, names) for ln in lines[1:])
-    return GroupPresentation(names, relators)
 
 
 @dataclass(frozen=True)

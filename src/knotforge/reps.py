@@ -48,6 +48,11 @@ def _red(v, p):
 
 
 def mat_mul(A, B, p):
+    if p is not None and len(A) == 2:
+        (a, b), (c, d) = A
+        (e, f), (g, h) = B
+        return (((a * e + b * g) % p, (a * f + b * h) % p),
+                ((c * e + d * g) % p, (c * f + d * h) % p))
     d = len(A)
     return tuple(tuple(_red(sum(A[i][k] * B[k][j] for k in range(d)), p)
                        for j in range(d)) for i in range(d))

@@ -24,7 +24,7 @@ from .presentation import (GroupPresentation, build_symun_presentation,
                            deficiency_one, fox_derivative, lamm_pullback,
                            wirtinger, word_exponent_sum)
 from .reps import (Representation, RepSearchConfig, enumerate_sl2,
-                   identity_matrix, mat_inv, verify_representation)
+                   identity_matrix, mat_inv, mat_mul, verify_representation)
 from ._fastdet import pencil_det
 
 
@@ -45,33 +45,6 @@ class PhiMap:
         self.rho = rho
         self.d = rho.d
         self.domain = GF(rho.p) if rho.p is not None else QQ
-
-    def _gen_block(self, g, e):
-        M = self.rho.matrices[g] if e == 1 else mat_inv(self.rho.matrices[g],
-                                                        self.rho.p)
-        dom = self.domain
-        return [[LaurentPoly(dom, {e: M[i][j]}) for j in range(self.d)]
-                for i in range(self.d)]
-
-    def word(self, w):
-        """Phi of a group element: rho(w) * t^(exponent sum)."""
-        M = self.rho(w)
-        e = word_exponent_sum(w)
-        dom = self.domain
-        return [[LaurentPoly(dom, {e: M[i][j]}) for j in range(self.d)]
-                for i in range(self.d)]
-
-    def ring_elt(self, elt):
-        """Phi of a free-group-ring element, as a d x d polynomial block."""
-        dom = self.domain
-        zero = LaurentPoly.zero(dom)
-        out = [[zero] * self.d for _ in range(self.d)]
-        for w, c in elt.terms.items():
-            blk = self.word(w)
-            for i in range(self.d):
-                for j in range(self.d):
-                    out[i][j] = out[i][j] + blk[i][j].scale(c)
-        return out
 
     def gen_minus_one(self, g):
         """Phi(x_g - 1) = rho(x_g)*t - I."""
@@ -118,14 +91,45 @@ def format_fraction(fr):
 
 def fox_matrix(pres, phi, drop=None):
     """Block matrix with (i, j) block Phi(d r_i / d x_j), optionally with one
-    generator column removed."""
+    generator column removed.
+
+    Each relator is read once, left to right, with the running prefix
+    product P = rho(prefix) and its exponent sum e (the fundamental formula):
+    a letter x_g adds +P*t^e to column g and then advances P, a letter
+    x_g^-1 first advances P by rho(x_g)^-1 and then adds -P*t^e."""
+    rho, d, dom = phi.rho, phi.d, phi.domain
+    p = rho.p
+    inverses = {}
+    zero = LaurentPoly.zero(dom)
     cols = [j for j in range(pres.num_generators) if j != drop]
     rows = []
     for r in pres.relators:
-        blocks = [phi.ring_elt(fox_derivative(r, j)) for j in cols]
-        for bi in range(phi.d):
-            rows.append([blk[bi][bj] for blk in blocks for bj in range(phi.d)])
-    return PolyMatrix(phi.domain, rows)
+        cells = {}
+        P = identity_matrix(d)
+        e = 0
+        for g, s in r:
+            if s == -1:
+                if g not in inverses:
+                    inverses[g] = mat_inv(rho.matrices[g], p)
+                P = mat_mul(P, inverses[g], p)
+                e -= 1
+            if g != drop:
+                for i in range(d):
+                    for j in range(d):
+                        if P[i][j]:
+                            c = cells.setdefault((g, i, j), {})
+                            c[e] = c.get(e, 0) + s * P[i][j]
+            if s == 1:
+                P = mat_mul(P, rho.matrices[g], p)
+                e += 1
+        for bi in range(d):
+            row = []
+            for g in cols:
+                for bj in range(d):
+                    c = cells.get((g, bi, bj))
+                    row.append(LaurentPoly(dom, c) if c else zero)
+            rows.append(row)
+    return PolyMatrix(dom, rows)
 
 
 def _block_det(blk, domain):

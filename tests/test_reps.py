@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -51,7 +52,31 @@ def brute_force_classes(pres, p):
     return canon, sols
 
 
+def sum_product(A, B, p):
+    """Matrix product from the definition, sum_k A[i][k] * B[k][j] mod p."""
+    d = len(A)
+    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(d)) % p
+                       for j in range(d)) for i in range(d))
+
+
 class TestMatrixOps:
+    def test_mat_mul_every_pair_in_sl2_f3(self):
+        G = all_sl2(3)
+        assert len(G) == 24
+        for A in G:
+            for B in G:
+                assert mat_mul(A, B, 3) == sum_product(A, B, 3)
+
+    @pytest.mark.parametrize("p", [2, 5, 7, 101])
+    def test_mat_mul_unreduced_integer_entries(self, p):
+        # negative entries and entries >= p are reduced like the sum
+        rng = random.Random(p)
+        for _ in range(300):
+            A, B = [tuple(tuple(rng.randrange(-3 * p, 3 * p)
+                                for _ in range(2)) for _ in range(2))
+                    for _ in range(2)]
+            assert mat_mul(A, B, p) == sum_product(A, B, p)
+
     def test_inverse(self):
         p = 7
         for M in all_sl2(p)[:200]:

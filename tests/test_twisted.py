@@ -3,18 +3,22 @@ from itertools import combinations
 
 import pytest
 
-from knotforge.algebra import (QQ, ZZ, LaurentPoly, RationalFn, canonicalize,
-                               det, gcd_polys, parse_poly, rational_unit_equal,
-                               unit_equal)
+from knotforge.algebra import (GF, QQ, ZZ, LaurentPoly, PolyMatrix,
+                               RationalFn, canonicalize, det, gcd_polys,
+                               parse_poly, rational_unit_equal, unit_equal)
 from knotforge.cli import KnotTable, bundled_table_path
 from knotforge.diagram import (MarkedDiagram, PDCode, SymUnionSpec, parse_pd,
                                symmetric_union_pd)
-from knotforge.presentation import deficiency_one, wirtinger
+from knotforge.presentation import (build_symun_presentation, deficiency_one,
+                                    fox_derivative, lamm_pullback,
+                                    two_bridge_presentation, wirtinger,
+                                    word_exponent_sum)
 from knotforge.reps import RepSearchConfig, enumerate_sl2
-from knotforge.twisted import (_abelian_fox_matrix, classical_alexander,
-                               even_symun_obstruction,
-                               even_symun_quick_obstructions, genus_lower_bound,
-                               higher_alexander, knot_determinant, trivial_rep,
+from knotforge.twisted import (PhiMap, _abelian_fox_matrix,
+                               classical_alexander, even_symun_obstruction,
+                               even_symun_quick_obstructions, fox_matrix,
+                               genus_lower_bound, higher_alexander,
+                               knot_determinant, trivial_rep,
                                twisted_alexander, verify_theorem)
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
@@ -129,6 +133,83 @@ class TestHigherAlexander:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             higher_alexander(parse_pd(TREFOIL), 0)
+
+
+def reference_fox_matrix(pres, rho, drop=None):
+    """Fox matrix from the definition: the (i, j) block is
+    sum c * rho(w) * t^(exponent sum of w) over the terms c*w of
+    fox_derivative(r_i, x_j)."""
+    dom = GF(rho.p) if rho.p is not None else QQ
+    d = rho.d
+    rows = []
+    for r in pres.relators:
+        blocks = []
+        for j in range(pres.num_generators):
+            if j == drop:
+                continue
+            blk = [[LaurentPoly.zero(dom)] * d for _ in range(d)]
+            for w, c in fox_derivative(r, j).terms.items():
+                M, e = rho(w), word_exponent_sum(w)
+                for a in range(d):
+                    for b in range(d):
+                        blk[a][b] = blk[a][b] + LaurentPoly(dom,
+                                                            {e: c * M[a][b]})
+            blocks.append(blk)
+        for a in range(d):
+            rows.append([blk[a][b] for blk in blocks for b in range(d)])
+    return PolyMatrix(dom, rows)
+
+
+def fox_oracle_cases():
+    """(name, presentation, representation) triples for the Fox oracle."""
+    table = KnotTable.parse(bundled_table_path().read_text())
+    cases = []
+    # the bundled knots over F_5 (10_99 has no cheap enumeration there),
+    # the small ones over F_7 too
+    for name in sorted(table.entries):
+        primes = (5, 7) if name in ("3_1", "4_1", "6_1") else (5,)
+        if name == "10_99":
+            continue
+        pres = deficiency_one(wirtinger(table[name]))
+        for p in primes:
+            for i, rho in enumerate(enumerate_sl2(pres,
+                                                  RepSearchConfig(p=p))[:2]):
+                cases.append(("%s F_%d rep %d" % (name, p, i), pres, rho))
+    pd = table["3_1"]
+    edges = sorted(pd.edges)
+    spec = SymUnionSpec(MarkedDiagram(pd, (edges[0], edges[len(edges) // 2])),
+                        (-4,))
+    union, partial, phi = build_symun_presentation(spec)
+    rho = enumerate_sl2(partial, RepSearchConfig(p=7))[0]
+    cases.append(("3_1 union twists=-4 F_7", union, lamm_pullback(phi, rho)))
+    bridge = two_bridge_presentation(7, 3)
+    for i, rho in enumerate(enumerate_sl2(bridge, RepSearchConfig(p=7))[:2]):
+        cases.append(("b(7,3) F_7 rep %d" % i, bridge, rho))
+    pres = deficiency_one(wirtinger(table["4_1"]))
+    cases.append(("4_1 trivial Q", pres, trivial_rep(pres)))
+    return cases
+
+
+FOX_CASES = fox_oracle_cases()
+
+
+class TestFoxMatrix:
+    @pytest.mark.parametrize("pres, rho", [c[1:] for c in FOX_CASES],
+                             ids=[c[0] for c in FOX_CASES])
+    @pytest.mark.parametrize("drop", [None, 0, 1])
+    def test_one_pass_matches_definition(self, pres, rho, drop):
+        A = fox_matrix(pres, PhiMap(pres, rho), drop=drop)
+        ref = reference_fox_matrix(pres, rho, drop=drop)
+        assert A.domain == ref.domain
+        assert A.entries == ref.entries
+
+    def test_cases_cover_the_presentations(self):
+        # a relator that is not a 4-letter Wirtinger word, a d = 1 case over
+        # Q and representations over both primes
+        assert any(len(r) > 4 for _, pres, _ in FOX_CASES
+                   for r in pres.relators)
+        assert any(rho.p is None and rho.d == 1 for _, _, rho in FOX_CASES)
+        assert {rho.p for _, _, rho in FOX_CASES} == {None, 5, 7}
 
 
 class TestWadaInvariant:
