@@ -8,7 +8,7 @@ from .algebra import (ZZ, QQ, GF, LaurentPoly, RationalFn, PolyMatrix,
                       parse_poly, format_poly, unit_equal,
                       rational_unit_equal)
 from .diagram import (InvalidDiagram, PDCode, MarkedDiagram, SymUnionSpec,
-                      parse_pd, format_pd, partial_knot, symmetric_union_pd)
+                      parse_pd, format_pd, symmetric_union_pd)
 from .presentation import (GroupPresentation, GroupRingElt, GeneratorMap,
                            fox_derivative, wirtinger, deficiency_one,
                            build_symun_presentation, lamm_pullback,
@@ -27,7 +27,7 @@ __all__ = [
     "canonicalize", "det", "gcd_polys", "reduce_fraction",
     "parse_poly", "format_poly", "unit_equal", "rational_unit_equal",
     "InvalidDiagram", "PDCode", "MarkedDiagram", "SymUnionSpec",
-    "parse_pd", "format_pd", "partial_knot", "symmetric_union_pd",
+    "parse_pd", "format_pd", "symmetric_union_pd",
     "GroupPresentation", "GroupRingElt", "GeneratorMap",
     "fox_derivative", "wirtinger", "deficiency_one",
     "build_symun_presentation", "lamm_pullback", "two_bridge_presentation",

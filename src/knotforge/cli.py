@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -467,7 +468,22 @@ def build_parser():
     return ap
 
 
+def _attach_list_values(argv):
+    """Write `--twists -2,2` as `--twists=-2,2` (likewise --marks): argparse
+    takes a separate value that starts with '-' and is not one number for
+    an option, and would reject the command."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in ("--twists", "--marks")
+                and re.match(r"-\d+,", arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv):
+    argv = _attach_list_values(argv)
     ap = build_parser()
     args = ap.parse_args(argv)
     table = (None if args.cmd == "table"

@@ -126,10 +126,6 @@ class PDCode:
     def target_slot(self, e):
         return self._slots[e][1]
 
-    def over_in_pos(self, ci):
-        """Position (1 or 3) at which the over-strand enters crossing ci."""
-        return self._over_entry[ci]
-
     def sign(self, ci):
         """+1 when the over-strand runs d -> b, else -1."""
         return 1 if self._over_entry[ci] == 3 else -1
@@ -329,11 +325,6 @@ class SymUnionSpec:
     @property
     def is_even(self):
         return all(n % 2 == 0 for n in self.twists)
-
-
-def partial_knot(spec):
-    """The closed partial diagram D whose closure is K_D."""
-    return spec.partial.base
 
 
 def _twist_tuples(n, d_edges, b_edges):

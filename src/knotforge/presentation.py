@@ -216,10 +216,12 @@ class GeneratorMap:
 
 # -- Wirtinger presentation --------------------------------------------------
 
-def _crossing_relator(in_arc, out_arc, over_arc, sign):
-    # trivial exactly when out = o^sign . in . o^-sign
-    return reduce_word(((in_arc, 1), (over_arc, -sign),
-                        (out_arc, -1), (over_arc, sign)))
+def _crossing_relators(roles):
+    """One relator per crossing role (in, out, over, sign) of
+    PDCode.crossing_roles; each is trivial exactly when
+    out = over^sign . in . over^-sign."""
+    return [reduce_word(((i, 1), (o, -sign), (out, -1), (o, sign)))
+            for i, out, o, sign in roles]
 
 
 def wirtinger(pd):
@@ -231,16 +233,9 @@ def wirtinger(pd):
         return GroupPresentation(("x1",), (), meridian=0, longitude=())
     arcs, arc_of, events = pd.subarcs()
     names = tuple("x%d" % (i + 1) for i in range(len(arcs)))
-    relators = []
-    for ci, (a, b, c, d) in enumerate(pd.crossings):
-        over_in = pd.crossings[ci][pd.over_in_pos(ci)]
-        relators.append(_crossing_relator(
-            arc_of[(a, "head")], arc_of[(c, "tail")],
-            arc_of[(over_in, "head")], pd.sign(ci)))
-    lam = []
-    for _, ci in events:
-        over_in = pd.crossings[ci][pd.over_in_pos(ci)]
-        lam.append((arc_of[(over_in, "head")], pd.sign(ci)))
+    roles = pd.crossing_roles(arc_of)
+    relators = _crossing_relators(roles)
+    lam = [roles[ci][2:] for _, ci in events]
     # the conjugators q_i moving the basepoint meridian along the strand
     # compose as q_n ... q_1, so the walk-order letters are reversed
     lam.reverse()
@@ -294,16 +289,6 @@ def _role_names(base, marks):
     return arcs, arc_of, events, names, z1, z2, y1, y2
 
 
-def _cut_crossing_relators(base, arc_of, offset=0):
-    rels = []
-    for ci, (a, b, c, d) in enumerate(base.crossings):
-        over_in = base.crossings[ci][base.over_in_pos(ci)]
-        rels.append(_crossing_relator(
-            arc_of[(a, "head")] + offset, arc_of[(c, "tail")] + offset,
-            arc_of[(over_in, "head")] + offset, base.sign(ci)))
-    return rels
-
-
 def build_symun_presentation(spec):
     """The three outputs of the symmetric-union template: the union group
     presentation (deficiency 1, final v2 z2*^-1 relator dropped), the partial
@@ -318,10 +303,11 @@ def build_symun_presentation(spec):
     ms = [n // 2 for n in spec.twists]
     arcs, arc_of, events, arc_names, z1, z2, y1, y2 = _role_names(base, marks)
     A = len(arcs)
+    roles = base.crossing_roles(arc_of)
 
     # partial-knot presentation: all sub-arcs, crossing relators,
     # y_{l,1} = y_{l,2} identifications; the z1 = z2 relator is dropped
-    p_rels = _cut_crossing_relators(base, arc_of)
+    p_rels = _crossing_relators(roles)
     for l in range(1, k + 1):
         p_rels.append(reduce_word(((y1[l], 1), (y2[l], -1))))
     partial_pres = GroupPresentation(tuple(arc_names), tuple(p_rels),
@@ -344,8 +330,9 @@ def build_symun_presentation(spec):
             xs[l, j] = len(names)
             names.append("x%d_%d*" % (l, j))
 
-    rels = list(_cut_crossing_relators(base, arc_of))
-    rels += _cut_crossing_relators(base, {h: star[i] for h, i in arc_of.items()})
+    rels = _crossing_relators(roles)
+    rels += _crossing_relators((star[i], star[out], star[o], sign)
+                               for i, out, o, sign in roles)
     for l in range(1, k + 1):
         m = ms[l - 1]
         M = abs(m)
@@ -378,9 +365,7 @@ def build_symun_presentation(spec):
     lam = []
 
     def under_letter(ci, starred):
-        over_in = base.crossings[ci][base.over_in_pos(ci)]
-        g = arc_of[(over_in, "head")]
-        s = base.sign(ci)
+        g, s = roles[ci][2:]
         if starred:
             return (star[g], -s)
         return (g, s)

@@ -7,7 +7,15 @@ Enumeration exploits the Wirtinger structure: in any irreducible (hence any
 nonabelian) representation every meridional generator is non-central and all
 generators share one trace, so the first generator can be pinned to the
 companion matrix of t^2 - s*t + 1 and the residual conjugation freedom is
-exactly the centralizer of that companion matrix.
+exactly the centralizer Z of that companion matrix (for traces +-2, of a
+unipotent class representative).  That freedom prunes the search, as in
+Riley's normal form for a pair of meridians: the first branched generator
+ranges over one matrix per Z-conjugation orbit of the trace slice, about p
+candidates instead of about p^2, and leaves are deduplicated under Z.  Each
+class is listed by the member the unpruned search would keep, the last one
+it visits: the Z-conjugate whose tuple of branched-generator values is
+largest.  Relators force generators by one product over a cyclic rotation,
+with 2x2 arithmetic mod p written out.
 """
 
 from __future__ import annotations
@@ -235,21 +243,6 @@ def _pinned_class_reps(s, p):
             for c in (1, least_nonsquare(p))]
 
 
-def _solve_single_occurrence(r, assign, p):
-    """If relator r contains exactly one unassigned generator, occurring once,
-    return (gen, forced matrix); otherwise None."""
-    missing = [(i, g, e) for i, (g, e) in enumerate(r) if assign[g] is None]
-    if len(missing) != 1:
-        return None
-    i, g, e = missing[0]
-    # u X^e v = 1  =>  X^e = u^-1 v^-1; all other letters are assigned
-    u = evaluate_word(r[:i], assign, p)
-    v = evaluate_word(r[i + 1:], assign, p)
-    rhs = mat_mul(mat_inv2(u, p), mat_inv2(v, p), p)
-    X = rhs if e == 1 else mat_inv2(rhs, p)
-    return g, X
-
-
 def _commuting(mats, p):
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
@@ -258,32 +251,45 @@ def _commuting(mats, p):
     return True
 
 
-def _propagate(pres, assign, s, p, allow_any_trace=False):
-    """Forced deductions from relators with one unassigned occurrence.
-    Returns False when a contradiction is found."""
+def _propagate(relators, work, s, p):
+    """Assign, in place, every generator that a relator forces.  A relator
+    whose only unassigned letter is one occurrence of x^e, rotated to start
+    just after it, reads x^e . P = 1 with P the product of its other letters,
+    so x = P^-1 for e = 1 and x = P for e = -1.  Returns False on a
+    contradiction: a fully assigned relator that is not I, or a forced
+    matrix with det != 1 or, unless s is None, with trace != s or scalar."""
     changed = True
-    ident = identity_matrix(2)
     while changed:
         changed = False
-        for r in pres.relators:
-            missing = {g for g, _ in r if assign[g] is None}
-            if not missing:
-                if evaluate_word(r, assign, p) != ident:
+        for r in relators:
+            pos = -1
+            for i, (g, _) in enumerate(r):
+                if work[g] is None:
+                    if pos >= 0:
+                        break  # a second unassigned letter: nothing forced
+                    pos = i
+            else:  # at most one unassigned letter, at pos
+                a, b, c, d = 1, 0, 0, 1
+                for g, e in (r if pos < 0 else r[pos + 1:] + r[:pos]):
+                    (x, y), (z, w) = work[g]
+                    if e < 0:
+                        x, y, z, w = w, -y, -z, x
+                    a, b, c, d = ((a * x + b * z) % p, (a * y + b * w) % p,
+                                  (c * x + d * z) % p, (c * y + d * w) % p)
+                if pos < 0:
+                    if (a, b, c, d) != (1, 0, 0, 1):
+                        return False
+                    continue
+                g, e = r[pos]
+                if e > 0:
+                    a, b, c, d = d, -b % p, -c % p, a
+                if (a * d - b * c) % p != 1:
                     return False
-                continue
-            if len(missing) != 1:
-                continue
-            got = _solve_single_occurrence(r, assign, p)
-            if got is None:
-                continue
-            g, X = got
-            if mat_det2(X, p) != 1:
-                return False
-            if not allow_any_trace:
-                if (X[0][0] + X[1][1]) % p != s % p or is_scalar(X, p):
+                if s is not None and ((a + d) % p != s
+                                      or (b == c == 0 and a == d)):
                     return False
-            assign[g] = X
-            changed = True
+                work[g] = ((a, b), (c, d))
+                changed = True
     return True
 
 
@@ -308,14 +314,20 @@ def _next_branch_gen(pres, work):
         return None
 
 
-def _canonical_under(mats, zs, p):
-    best = None
-    for z in zs:
-        zi = mat_inv2(z, p)
-        cand = tuple(mat_mul(mat_mul(z, M, p), zi, p) for M in mats)
-        if best is None or cand < best:
-            best = cand
-    return best
+def _conjugate(z, zi, M, p):
+    return mat_mul(mat_mul(z, M, p), zi, p)
+
+
+def _orbit_reps(cands, zpairs, p):
+    """The least member of each orbit of the sorted list cands under
+    conjugation by the pairs (z, z^-1): one pass that marks each orbit."""
+    seen = set()
+    out = []
+    for M in cands:
+        if M not in seen:
+            out.append(M)
+            seen.update(_conjugate(z, zi, M, p) for z, zi in zpairs)
+    return out
 
 
 def enumerate_sl2(pres, cfg):
@@ -327,7 +339,11 @@ def enumerate_sl2(pres, cfg):
     companion matrix; for traces +-2 both unipotent classes), propagating
     forced values through the relators, branching over the remaining trace
     slice, and, when up_to_conjugacy is set, deduplicating under the pinned
-    matrix's centralizer.  With nonabelian_only=False abelian representations
+    matrix's centralizer Z.  In that mode the first branch tries one matrix
+    per Z-orbit of the slice (its least member), since every class has a
+    member there; each class is listed by the member the unpruned search
+    would visit last, the Z-conjugate whose tuple of branched-generator
+    values is largest.  With nonabelian_only=False abelian representations
     are included: one per SL2 conjugacy class (all generators equal) in
     conjugacy mode, or the scalar-pinned completions in raw-slice mode.
     """
@@ -335,8 +351,17 @@ def enumerate_sl2(pres, cfg):
     if not pres.is_wirtinger:
         raise ValueError("enumeration needs a Wirtinger-type presentation")
     ng = pres.num_generators
+    rels = pres.relators
     reps = []
-    nodes = [0]
+    nodes = 0
+    at = None  # trace value being searched, None in the scalar-pinned pass
+    # order[k] is the generator branched on at depth k (None at a leaf).
+    # Propagation assigns a set of generators that depends only on the set
+    # assigned before it, so every node of one depth branches on the same
+    # generator, and the search meets leaves in lexicographic order of
+    # their branched-generator values.
+    order = []
+    slices = {}
 
     def mk(mats):
         return Representation(presentation=pres, p=p, d=2, matrices=mats)
@@ -345,52 +370,70 @@ def enumerate_sl2(pres, cfg):
         for M in _abelian_class_reps(p):
             reps.append(mk((M,) * ng))
 
-    full_sl2 = None
-
-    def branch(work, s, sink):
-        nodes[0] += 1
-        if nodes[0] > cfg.max_nodes:
+    def branch(work, s, cands, depth, sink):
+        nonlocal nodes
+        nodes += 1
+        if nodes > cfg.max_nodes:
+            where = ("the scalar-pinned pass before trace 0" if at is None
+                     else "trace %d of 0..%d" % (at, p - 1))
             raise SearchBudgetExceeded(
-                "representation search exceeded %d nodes" % cfg.max_nodes)
-        if not _propagate(pres, work, s, p, allow_any_trace=(s is None)):
+                "representation search exceeded its budget: %d nodes used, "
+                "reached %s" % (cfg.max_nodes, where))
+        if not _propagate(rels, work, s, p):
             return
-        g = _next_branch_gen(pres, work)
+        if depth == len(order):
+            order.append(_next_branch_gen(pres, work))
+        g = order[depth]
         if g is None:
-            sink(tuple(work))
+            sink(tuple(work), depth)
             return
-        cands = _trace_slice(s, p) if s is not None else full_sl2
         for M in cands:
             work2 = list(work)
             work2[g] = M
-            branch(work2, s, sink)
+            branch(work2, s, slices[s], depth + 1, sink)
 
     if not cfg.nonabelian_only and not cfg.up_to_conjugacy:
         # raw-slice abelian/scalar pins: first generator +-I
-        full_sl2 = _all_sl2(p)
+        slices[None] = _all_sl2(p)
         for eta in (1, (-1) % p):
             init = [None] * ng
             init[0] = ((eta, 0), (0, eta))
-            branch(init, None, lambda mats: reps.append(mk(mats)))
+            branch(init, None, slices[None], 0,
+                   lambda mats, depth: reps.append(mk(mats)))
 
     for s in range(p):
+        at = s
+        slices[s] = _trace_slice(s, p)
         found = {}
         raw = []
         for M0, zs in _pinned_class_reps(s, p):
+            zpairs = [(z, mat_inv2(z, p)) for z in zs]
             init = [None] * ng
             init[0] = M0
 
-            def sink(mats, zs=zs):
+            def sink(mats, depth, zpairs=zpairs):
                 if _commuting(mats, p):
                     if cfg.nonabelian_only:
                         return
                     if cfg.up_to_conjugacy:
                         return  # abelian classes already listed
-                if cfg.up_to_conjugacy:
-                    found[_canonical_under(mats, zs, p)] = mats
-                else:
+                if not cfg.up_to_conjugacy:
                     raw.append(mats)
+                    return
+                branched = order[:depth]
+                canon = keep = top = None
+                for z, zi in zpairs:
+                    conj = tuple(_conjugate(z, zi, M, p) for M in mats)
+                    if canon is None or conj < canon:
+                        canon = conj
+                    key = [conj[g] for g in branched]
+                    if keep is None or key > top:
+                        keep, top = conj, key
+                found[canon] = keep
 
-            branch(init, s, sink)
+            first = (_orbit_reps(slices[s], zpairs, p)
+                     if cfg.up_to_conjugacy else slices[s])
+            branch(init, s, first, 0, sink)
         if cfg.up_to_conjugacy:
             for canon in sorted(found):
                 reps.append(mk(found[canon]))

@@ -131,7 +131,11 @@ class TestExitCodes:
     def test_budget_error(self, capsys, isolated_home):
         assert main(["talex", "4_1", "--p", "5", "--enumerate",
                      "--max-nodes", "1"]) == 3
-        assert "budget" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "budget" in err
+        # the progress made: nodes used and the trace value reached
+        assert "1 nodes used" in err
+        assert "reached trace 0 of 0..4" in err
 
     def test_obstructed_verdict_is_success(self, capsys, isolated_home):
         assert main(["--json", "obstruct", "4_1", "--candidate", "3_1"]) == 0
@@ -194,6 +198,16 @@ class TestCommands:
         res = data["results"]
         assert res["all_identities_hold"]
         assert res["num_reps_checked"] == 3
+
+    def test_symun_twists_with_leading_minus(self, capsys, isolated_home):
+        # argparse alone reads "-2,2" as an option and exits 2
+        argv = ["symun", "verify", "--partial", "4_1", "--marks", "1,3,5",
+                "--p", "7", "--trials", "2"]
+        spaced = self.run_json(capsys, argv + ["--twists", "-2,2"])
+        joined = self.run_json(capsys, argv + ["--twists=-2,2"])
+        assert spaced["inputs"]["twists"] == [-2, 2]
+        del spaced["timing_ms"], joined["timing_ms"]
+        assert spaced == joined
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_symun_verify_rejects_nonpositive_trials(self, capsys,

@@ -4,8 +4,8 @@ import pytest
 
 from knotforge.algebra import unit_equal
 from knotforge.diagram import (InvalidDiagram, MarkedDiagram, PDCode,
-                               SymUnionSpec, format_pd, parse_pd, partial_knot,
-                               pd_from_json, pd_to_json, symmetric_union_pd)
+                               SymUnionSpec, format_pd, parse_pd, pd_from_json,
+                               pd_to_json, symmetric_union_pd)
 from knotforge.twisted import classical_alexander, knot_determinant
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
@@ -150,7 +150,7 @@ class TestMarkedDiagram:
 class TestSymmetricUnion:
     def test_partial_knot_is_base(self):
         spec = SymUnionSpec(MarkedDiagram(trefoil(), (1, 3)), (0,))
-        assert partial_knot(spec) == trefoil().relabeled()
+        assert spec.partial.base == trefoil().relabeled()
 
     def test_crossing_count(self):
         # two copies of the base diagram plus the twist crossings

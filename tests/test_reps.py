@@ -3,16 +3,22 @@ import random
 
 import pytest
 
-from knotforge.diagram import parse_pd
-from knotforge.presentation import two_bridge_presentation, wirtinger
+from knotforge.diagram import MarkedDiagram, SymUnionSpec, parse_pd
+from knotforge.presentation import (build_symun_presentation,
+                                    two_bridge_presentation, wirtinger)
 from knotforge.reps import (RepSearchConfig, Representation,
-                            SearchBudgetExceeded, enumerate_sl2,
+                            SearchBudgetExceeded, _abelian_class_reps,
+                            _pinned_class_reps, enumerate_sl2,
                             evaluate_word, identity_matrix, is_scalar,
                             mat_det2, mat_inv, mat_mul, rep_from_json,
                             rep_to_json, verify_representation)
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
+KNOT_6_1 = ("X[12,6,1,5] X[6,12,7,11] X[10,1,11,2] X[2,9,3,10] X[8,3,9,4] "
+            "X[4,7,5,8]")
+KNOT_8_20 = ("X[16,10,1,9] X[10,2,11,1] X[13,8,14,9] X[7,12,8,13] "
+             "X[11,6,12,7] X[3,15,4,14] X[15,5,16,4] X[5,3,6,2]")
 
 
 def all_sl2(p):
@@ -50,6 +56,117 @@ def brute_force_classes(pres, p):
                 best = cand
         canon.add(best)
     return canon, sols
+
+
+def reference_enumerate(pres, cfg):
+    """The search without orbit pruning, as a reference for enumerate_sl2's
+    output: every branch ranges over the whole trace slice, relators are
+    solved with evaluate_word, and each conjugacy class keeps the last
+    member the search visits."""
+    p = cfg.p
+    ng = pres.num_generators
+    ident = identity_matrix(2)
+    group = all_sl2(p)
+    reps = []
+
+    def propagate(work, s):
+        changed = True
+        while changed:
+            changed = False
+            for r in pres.relators:
+                at = [i for i, (g, _) in enumerate(r) if work[g] is None]
+                if not at:
+                    if evaluate_word(r, work, p) != ident:
+                        return False
+                    continue
+                if len(at) != 1:
+                    continue
+                i = at[0]
+                g, e = r[i]
+                # u X^e v = 1, so X^e = u^-1 v^-1
+                u = evaluate_word(r[:i], work, p)
+                v = evaluate_word(r[i + 1:], work, p)
+                rhs = mat_mul(mat_inv(u, p), mat_inv(v, p), p)
+                X = rhs if e == 1 else mat_inv(rhs, p)
+                if mat_det2(X, p) != 1:
+                    return False
+                if s is not None and ((X[0][0] + X[1][1]) % p != s
+                                      or is_scalar(X, p)):
+                    return False
+                work[g] = X
+                changed = True
+        return True
+
+    def next_gen(work):
+        best = None
+        for ri, r in enumerate(pres.relators):
+            missing = sorted({g for g, _ in r if work[g] is None})
+            if missing and (best is None or (len(missing), ri) < best[0]):
+                best = ((len(missing), ri), missing[0])
+        if best is not None:
+            return best[1]
+        return work.index(None) if None in work else None
+
+    def branch(work, s, cands, sink):
+        if not propagate(work, s):
+            return
+        g = next_gen(work)
+        if g is None:
+            sink(tuple(work))
+            return
+        for M in cands:
+            work2 = list(work)
+            work2[g] = M
+            branch(work2, s, cands, sink)
+
+    def commuting(mats):
+        return all(mat_mul(A, B, p) == mat_mul(B, A, p)
+                   for A in mats for B in mats)
+
+    if not cfg.nonabelian_only and cfg.up_to_conjugacy:
+        reps += [(M,) * ng for M in _abelian_class_reps(p)]
+    if not cfg.nonabelian_only and not cfg.up_to_conjugacy:
+        for eta in (1, p - 1):
+            init = [((eta, 0), (0, eta))] + [None] * (ng - 1)
+            branch(init, None, group, reps.append)
+    for s in range(p):
+        trace_slice = [M for M in group
+                       if (M[0][0] + M[1][1]) % p == s and not is_scalar(M, p)]
+        found = {}
+        raw = []
+        for M0, zs in _pinned_class_reps(s, p):
+
+            def sink(mats, zs=zs):
+                if commuting(mats) and (cfg.nonabelian_only
+                                        or cfg.up_to_conjugacy):
+                    return
+                if not cfg.up_to_conjugacy:
+                    raw.append(mats)
+                    return
+                canon = min(tuple(mat_mul(mat_mul(z, M, p), mat_inv(z, p), p)
+                                  for M in mats) for z in zs)
+                found[canon] = mats
+
+            branch([M0] + [None] * (ng - 1), s, trace_slice, sink)
+        reps += [found[c] for c in sorted(found)] + sorted(raw)
+    return reps
+
+
+def cut_partial_presentation():
+    """The cut partial presentation of 4_1 with marks 1, 3, 5, as the
+    symmetric-union grid enumerates it."""
+    spec = SymUnionSpec(MarkedDiagram(parse_pd(FIG8), (1, 3, 5)), (0, 0))
+    return build_symun_presentation(spec)[1]
+
+
+REFERENCE_PRESENTATIONS = {
+    "3_1": lambda: wirtinger(parse_pd(TREFOIL)),
+    "4_1": lambda: wirtinger(parse_pd(FIG8)),
+    "6_1": lambda: wirtinger(parse_pd(KNOT_6_1)),
+    "8_20": lambda: wirtinger(parse_pd(KNOT_8_20)),
+    "b(5,3)": lambda: two_bridge_presentation(5, 3),
+    "4_1 cut at 1,3,5": cut_partial_presentation,
+}
 
 
 def sum_product(A, B, p):
@@ -141,6 +258,21 @@ class TestEnumerationOracle:
         assert len(raw) >= len(classes)
         for r in raw:
             assert verify_representation(pres, r)
+
+
+class TestReferenceSearch:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PRESENTATIONS))
+    def test_same_list_as_unpruned_search(self, name, p):
+        # byte identity: the same classes, the same representative of each
+        # and the same order, for every combination of the two flags
+        pres = REFERENCE_PRESENTATIONS[name]()
+        for nonabelian_only in (True, False):
+            for up_to_conjugacy in (True, False):
+                cfg = RepSearchConfig(p=p, nonabelian_only=nonabelian_only,
+                                      up_to_conjugacy=up_to_conjugacy)
+                got = [r.matrices for r in enumerate_sl2(pres, cfg)]
+                assert got == reference_enumerate(pres, cfg), cfg
 
 
 class TestDeterminismAndBudget:
