@@ -2,7 +2,11 @@
 Fast exact determinants of linear pencils A0 + t*A1 over F_p.
 
 Fox matrices of Wirtinger-type relators become linear in t after scaling
-each row by a power of t.  Their determinants are computed here by deflating
+each row by a power of t.  `split_pencil` is the one place that does this
+row shift: it turns rows of {exponent: coefficient} cells into integer
+matrices A0, A1 and the total shift.  The twisted path (`pencil_det`) and
+the classical Alexander path (integer evaluation in `twisted`) both read
+their pencils from it.  Pencil determinants are computed here by deflating
 the pencil over F_p itself, which is exact for every square pencil:
 
 1. Row-reduce A1, applying the same row operations to A0.
@@ -24,6 +28,24 @@ over Z or Q, fall back to fraction-free Gaussian elimination.
 from __future__ import annotations
 
 from .algebra import LaurentPoly, det
+
+
+def split_pencil(rows):
+    """(A0, A1, shift) with row i of the matrix equal to
+    t^lo_i * (A0[i] + t*A1[i]) and shift = sum lo_i, for rows of
+    {exponent: coefficient} cells; None when a row is not linear in t.
+    Zero coefficients do not count as exponents, and a row without any
+    nonzero coefficient is a zero row with lo = 0."""
+    A0, A1, shift = [], [], 0
+    for row in rows:
+        exps = [e for c in filter(None, row) for e, v in c.items() if v]
+        lo = min(exps, default=0)
+        if exps and max(exps) - lo > 1:
+            return None
+        shift += lo
+        A0.append([c.get(lo, 0) for c in row])
+        A1.append([c.get(lo + 1, 0) for c in row])
+    return A0, A1, shift
 
 
 def _perm_sign(perm):
@@ -195,18 +217,9 @@ def pencil_det(M):
         return LaurentPoly.one(dom)
     if dom.kind != "GF":
         return det(M)
-    shift_total = 0
-    A0 = []
-    A1 = []
-    for row in M.entries:
-        exps = set().union(*[f.coeffs for f in row])
-        if not exps:
-            return LaurentPoly.zero(dom)
-        lo = min(exps)
-        if max(exps) - lo > 1:
-            return det(M)
-        shift_total += lo
-        A0.append([f.coeffs.get(lo, 0) for f in row])
-        A1.append([f.coeffs.get(lo + 1, 0) for f in row])
+    pencil = split_pencil([f.coeffs for f in row] for row in M.entries)
+    if pencil is None:
+        return det(M)
+    A0, A1, shift = pencil
     coeffs = _pencil_det_gf(A0, A1, dom.p)
-    return LaurentPoly(dom, dict(enumerate(coeffs))).shift(shift_total)
+    return LaurentPoly(dom, dict(enumerate(coeffs))).shift(shift)

@@ -480,12 +480,6 @@ class PolyMatrix:
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
-    def drop_columns(self, js):
-        js = set(js)
-        return PolyMatrix(self.domain, [
-            [e for j, e in enumerate(row) if j not in js]
-            for row in self.entries])
-
     def submatrix(self, rows, cols):
         return PolyMatrix(self.domain, [
             [self.entries[i][j] for j in cols] for i in rows])

@@ -21,7 +21,7 @@ with 2x2 arithmetic mod p written out.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import _is_prime
 from .presentation import GroupPresentation
@@ -35,7 +35,6 @@ class SearchBudgetExceeded(RuntimeError):
 class RepSearchConfig:
     p: int
     nonabelian_only: bool = True
-    up_to_conjugacy: bool = True
     max_nodes: int = 2_000_000
 
     def __post_init__(self):
@@ -236,7 +235,8 @@ def _pinned_class_reps(s, p):
     if (s - 2) % p != 0 and (s + 2) % p != 0:
         return [(companion_sl2(s, p), _centralizer_of_companion(s, p))]
     eta = 1 if (s - 2) % p == 0 else (-1) % p
-    cent = [((e, x), (0, e)) for e in (1, (-1) % p) for x in range(p)]
+    # the signs of +-I, once each: they coincide at p = 2
+    cent = [((e, x), (0, e)) for e in sorted({1, p - 1}) for x in range(p)]
     if p == 2:
         return [(((1, 1), (0, 1)), cent)]
     return [(((eta, c), (0, eta)), cent)
@@ -257,7 +257,7 @@ def _propagate(relators, work, s, p):
     just after it, reads x^e . P = 1 with P the product of its other letters,
     so x = P^-1 for e = 1 and x = P for e = -1.  Returns False on a
     contradiction: a fully assigned relator that is not I, or a forced
-    matrix with det != 1 or, unless s is None, with trace != s or scalar."""
+    matrix with det != 1, with trace != s or scalar."""
     changed = True
     while changed:
         changed = False
@@ -285,8 +285,7 @@ def _propagate(relators, work, s, p):
                     a, b, c, d = d, -b % p, -c % p, a
                 if (a * d - b * c) % p != 1:
                     return False
-                if s is not None and ((a + d) % p != s
-                                      or (b == c == 0 and a == d)):
+                if (a + d) % p != s or (b == c == 0 and a == d):
                     return False
                 work[g] = ((a, b), (c, d))
                 changed = True
@@ -334,18 +333,18 @@ def enumerate_sl2(pres, cfg):
     """All SL(2, F_p) representations of a Wirtinger-type presentation, as a
     deterministically ordered list.
 
-    Nonabelian representations are found per trace value by pinning the first
-    generator to a representative of each non-scalar conjugacy class (the
-    companion matrix; for traces +-2 both unipotent classes), propagating
-    forced values through the relators, branching over the remaining trace
-    slice, and, when up_to_conjugacy is set, deduplicating under the pinned
-    matrix's centralizer Z.  In that mode the first branch tries one matrix
-    per Z-orbit of the slice (its least member), since every class has a
-    member there; each class is listed by the member the unpruned search
-    would visit last, the Z-conjugate whose tuple of branched-generator
-    values is largest.  With nonabelian_only=False abelian representations
-    are included: one per SL2 conjugacy class (all generators equal) in
-    conjugacy mode, or the scalar-pinned completions in raw-slice mode.
+    Representations are listed up to conjugacy.  Nonabelian ones are found
+    per trace value by pinning the first generator to a representative of
+    each non-scalar conjugacy class (the companion matrix; for traces +-2
+    both unipotent classes), propagating forced values through the
+    relators, branching over the remaining trace slice, and deduplicating
+    under the pinned matrix's centralizer Z.  The first branch tries one
+    matrix per Z-orbit of the slice (its least member), since every class
+    has a member there; each class is listed by the member the unpruned
+    search would visit last, the Z-conjugate whose tuple of
+    branched-generator values is largest.  With nonabelian_only=False
+    abelian representations are included first: one per SL2 conjugacy
+    class, all generators equal.
     """
     p = cfg.p
     if not pres.is_wirtinger:
@@ -354,7 +353,6 @@ def enumerate_sl2(pres, cfg):
     rels = pres.relators
     reps = []
     nodes = 0
-    at = None  # trace value being searched, None in the scalar-pinned pass
     # order[k] is the generator branched on at depth k (None at a leaf).
     # Propagation assigns a set of generators that depends only on the set
     # assigned before it, so every node of one depth branches on the same
@@ -366,7 +364,7 @@ def enumerate_sl2(pres, cfg):
     def mk(mats):
         return Representation(presentation=pres, p=p, d=2, matrices=mats)
 
-    if not cfg.nonabelian_only and cfg.up_to_conjugacy:
+    if not cfg.nonabelian_only:
         for M in _abelian_class_reps(p):
             reps.append(mk((M,) * ng))
 
@@ -374,11 +372,9 @@ def enumerate_sl2(pres, cfg):
         nonlocal nodes
         nodes += 1
         if nodes > cfg.max_nodes:
-            where = ("the scalar-pinned pass before trace 0" if at is None
-                     else "trace %d of 0..%d" % (at, p - 1))
             raise SearchBudgetExceeded(
                 "representation search exceeded its budget: %d nodes used, "
-                "reached %s" % (cfg.max_nodes, where))
+                "reached trace %d of 0..%d" % (cfg.max_nodes, s, p - 1))
         if not _propagate(rels, work, s, p):
             return
         if depth == len(order):
@@ -392,20 +388,9 @@ def enumerate_sl2(pres, cfg):
             work2[g] = M
             branch(work2, s, slices[s], depth + 1, sink)
 
-    if not cfg.nonabelian_only and not cfg.up_to_conjugacy:
-        # raw-slice abelian/scalar pins: first generator +-I
-        slices[None] = _all_sl2(p)
-        for eta in (1, (-1) % p):
-            init = [None] * ng
-            init[0] = ((eta, 0), (0, eta))
-            branch(init, None, slices[None], 0,
-                   lambda mats, depth: reps.append(mk(mats)))
-
     for s in range(p):
-        at = s
         slices[s] = _trace_slice(s, p)
         found = {}
-        raw = []
         for M0, zs in _pinned_class_reps(s, p):
             zpairs = [(z, mat_inv2(z, p)) for z in zs]
             init = [None] * ng
@@ -413,13 +398,7 @@ def enumerate_sl2(pres, cfg):
 
             def sink(mats, depth, zpairs=zpairs):
                 if _commuting(mats, p):
-                    if cfg.nonabelian_only:
-                        return
-                    if cfg.up_to_conjugacy:
-                        return  # abelian classes already listed
-                if not cfg.up_to_conjugacy:
-                    raw.append(mats)
-                    return
+                    return  # abelian classes are listed up front
                 branched = order[:depth]
                 canon = keep = top = None
                 for z, zi in zpairs:
@@ -431,27 +410,10 @@ def enumerate_sl2(pres, cfg):
                         keep, top = conj, key
                 found[canon] = keep
 
-            first = (_orbit_reps(slices[s], zpairs, p)
-                     if cfg.up_to_conjugacy else slices[s])
-            branch(init, s, first, 0, sink)
-        if cfg.up_to_conjugacy:
-            for canon in sorted(found):
-                reps.append(mk(found[canon]))
-        else:
-            for mats in sorted(raw):
-                reps.append(mk(mats))
+            branch(init, s, _orbit_reps(slices[s], zpairs, p), 0, sink)
+        for canon in sorted(found):
+            reps.append(mk(found[canon]))
     return reps
-
-
-def _all_sl2(p):
-    out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p == 1:
-                        out.append(((a, b), (c, d)))
-    return out
 
 
 def _abelian_class_reps(p):

@@ -4,28 +4,30 @@ Twisted and classical Alexander polynomials.
 The map Phi sends a free-group generator x_i to rho(x_i)*t and extends to the
 group ring; the Wada invariant of a deficiency-1 presentation is
 det A_{x_j} / det Phi(x_j - 1), where A is the Fox Jacobian of the relators
-with the j-th generator column removed.  Classical and higher Alexander
-polynomials come from the abelianized (d = 1, trivial rho) Fox matrix.  The
-classical one is a single maximal minor over Z[t, t^-1], an integer pencil
-evaluated at integer points and interpolated; the higher ones are the GCD of
-its (N-k)-minors over Q[t, t^-1], via the Smith normal form.
+with the j-th generator column removed.  One left-to-right pass per relator
+(`_fox_cells`) produces every Fox coefficient; without a representation it
+is the abelianization, every generator going to t.  Every determinant of a
+pencil, the Wada numerator and the denominator det(rho(x_j)t - I) alike,
+goes through `pencil_det`.  The classical Alexander polynomial is a single
+maximal minor of the abelianized Fox matrix over Z[t, t^-1], an integer
+pencil evaluated at integer points and interpolated; the higher ones are
+the GCD of its (N-k)-minors over Q[t, t^-1], via the Smith normal form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .algebra import (GF, QQ, ZZ, LaurentPoly, PolyMatrix, RationalFn,
-                      _int_det, _int_interpolate, canonicalize, det,
-                      divmod_poly, exact_div, format_poly,
-                      rational_unit_equal, reduce_fraction, unit_equal)
-from .diagram import InvalidDiagram
-from .presentation import (GroupPresentation, build_symun_presentation,
-                           deficiency_one, fox_derivative, lamm_pullback,
-                           wirtinger, word_exponent_sum)
+                      _int_det, _int_interpolate, canonicalize, divmod_poly,
+                      format_poly, rational_unit_equal, reduce_fraction,
+                      unit_equal)
+from .presentation import (build_symun_presentation, deficiency_one,
+                           lamm_pullback, wirtinger)
 from .reps import (Representation, RepSearchConfig, enumerate_sl2,
                    identity_matrix, mat_inv, mat_mul, verify_representation)
-from ._fastdet import pencil_det
+from ._fastdet import pencil_det, split_pencil
 
 
 def trivial_rep(pres, p=None):
@@ -33,33 +35,6 @@ def trivial_rep(pres, p=None):
     None): every generator maps to the 1x1 identity."""
     return Representation(presentation=pres, p=p, d=1,
                           matrices=((((1,),),) * pres.num_generators))
-
-
-class PhiMap:
-    """Ring homomorphism Z[F_N] -> M(d, F[t, t^-1]) determined by
-    x_i -> rho(x_i) * t; the abelianization exponent of every generator of a
-    knot group is 1."""
-
-    def __init__(self, pres, rho):
-        self.pres = pres
-        self.rho = rho
-        self.d = rho.d
-        self.domain = GF(rho.p) if rho.p is not None else QQ
-
-    def gen_minus_one(self, g):
-        """Phi(x_g - 1) = rho(x_g)*t - I."""
-        dom = self.domain
-        M = self.rho.matrices[g]
-        out = []
-        for i in range(self.d):
-            row = []
-            for j in range(self.d):
-                coeffs = {1: M[i][j]}
-                if i == j:
-                    coeffs[0] = -1
-                row.append(LaurentPoly(dom, coeffs))
-            out.append(row)
-        return out
 
 
 class TwistedPolynomial:
@@ -89,29 +64,30 @@ def format_fraction(fr):
     return "(%s) / (%s)" % (format_poly(fr.num), format_poly(fr.den))
 
 
-def fox_matrix(pres, phi, drop=None):
-    """Block matrix with (i, j) block Phi(d r_i / d x_j), optionally with one
-    generator column removed.
+def _fox_cells(pres, rho=None, drop=None):
+    """Yield, per relator, its Fox derivatives under x_g -> rho(x_g)*t as
+    {(g, i, j): {exponent: coefficient}}, skipping generator column drop.
+    Without rho this is the abelianization: every x_g goes to t, the keys
+    are (g, 0, 0), and no matrix is multiplied.
 
     Each relator is read once, left to right, with the running prefix
     product P = rho(prefix) and its exponent sum e (the fundamental formula):
     a letter x_g adds +P*t^e to column g and then advances P, a letter
     x_g^-1 first advances P by rho(x_g)^-1 and then adds -P*t^e."""
-    rho, d, dom = phi.rho, phi.d, phi.domain
-    p = rho.p
+    d = 1 if rho is None else rho.d
+    p = None if rho is None else rho.p
     inverses = {}
-    zero = LaurentPoly.zero(dom)
-    cols = [j for j in range(pres.num_generators) if j != drop]
-    rows = []
+    one = identity_matrix(d)
     for r in pres.relators:
         cells = {}
-        P = identity_matrix(d)
+        P = one
         e = 0
         for g, s in r:
             if s == -1:
-                if g not in inverses:
-                    inverses[g] = mat_inv(rho.matrices[g], p)
-                P = mat_mul(P, inverses[g], p)
+                if rho is not None:
+                    if g not in inverses:
+                        inverses[g] = mat_inv(rho.matrices[g], p)
+                    P = mat_mul(P, inverses[g], p)
                 e -= 1
             if g != drop:
                 for i in range(d):
@@ -120,8 +96,24 @@ def fox_matrix(pres, phi, drop=None):
                             c = cells.setdefault((g, i, j), {})
                             c[e] = c.get(e, 0) + s * P[i][j]
             if s == 1:
-                P = mat_mul(P, rho.matrices[g], p)
+                if rho is not None:
+                    P = mat_mul(P, rho.matrices[g], p)
                 e += 1
+        yield cells
+
+
+def _domain(rho):
+    return GF(rho.p) if rho.p is not None else QQ
+
+
+def fox_matrix(pres, rho, drop=None):
+    """Block matrix with (i, j) block Phi(d r_i / d x_j), Phi(x_g) =
+    rho(x_g)*t, optionally with one generator column removed."""
+    d, dom = rho.d, _domain(rho)
+    zero = LaurentPoly.zero(dom)
+    cols = [j for j in range(pres.num_generators) if j != drop]
+    rows = []
+    for cells in _fox_cells(pres, rho, drop):
         for bi in range(d):
             row = []
             for g in cols:
@@ -132,8 +124,13 @@ def fox_matrix(pres, phi, drop=None):
     return PolyMatrix(dom, rows)
 
 
-def _block_det(blk, domain):
-    return det(PolyMatrix(domain, blk))
+def _gen_minus_one_det(rho, g):
+    """det Phi(x_g - 1) = det(rho(x_g)*t - I), a pencil determinant."""
+    dom = _domain(rho)
+    M = rho.matrices[g]
+    return pencil_det(PolyMatrix(dom, [
+        [LaurentPoly(dom, {1: M[i][j], 0: -(i == j)}) for j in range(rho.d)]
+        for i in range(rho.d)]))
 
 
 def twisted_alexander(pres, rho, drop_column="auto"):
@@ -149,50 +146,27 @@ def twisted_alexander(pres, rho, drop_column="auto"):
     j = 0 if drop_column == "auto" else drop_column
     if not (0 <= j < pres.num_generators):
         raise ValueError("drop_column out of range")
-    phi = PhiMap(pres, rho)
-    den = _block_det(phi.gen_minus_one(j), phi.domain)
-    A = fox_matrix(pres, phi, drop=j)
-    num = pencil_det(A)
+    num = pencil_det(fox_matrix(pres, rho, drop=j))
+    den = _gen_minus_one_det(rho, j)
     return TwistedPolynomial(reduce_fraction(num, den), rho.d)
-
-
-def _abelian_fox_matrix(pres, domain):
-    """Abelianized Fox matrix (d = 1, all generators to t), all columns."""
-    rows = []
-    for r in pres.relators:
-        row = []
-        for jj in range(pres.num_generators):
-            elt = fox_derivative(r, jj)
-            coeffs = {}
-            for w, c in elt.terms.items():
-                e = word_exponent_sum(w)
-                coeffs[e] = coeffs.get(e, 0) + c
-            row.append(LaurentPoly(domain, coeffs))
-        rows.append(row)
-    return PolyMatrix(domain, rows)
 
 
 def _alexander_pencil(pd):
     """Integer matrices (A0, A1) with det(A0 + t*A1) = Delta_K up to a unit:
     the first N-1 relator rows of the abelianized Wirtinger Fox matrix with
-    column 0 dropped, each row shifted by t^-lo to be linear in t.
+    column 0 dropped, each row shifted to be linear in t.
 
     Every Wirtinger relator r has exponent sum 0, so the fundamental formula
     sum_j (dr/dx_j)(x_j - 1) = r - 1 makes every row sum to 0; the N maximal
     minors of the (N-1) x N relator block are then equal up to sign, and
     this one is their GCD."""
     pres = wirtinger(pd)
-    M = _abelian_fox_matrix(pres, ZZ)
-    A0, A1 = [], []
-    for i in range(pres.num_generators - 1):
-        row = M.entries[i][1:]
-        exps = [e for f in row for e in f.coeffs]
-        lo = min(exps, default=0)
-        if exps and max(exps) - lo > 1:
-            raise AssertionError("Fox row %d is not linear in t" % i)
-        A0.append([f.coeff(lo) for f in row])
-        A1.append([f.coeff(lo + 1) for f in row])
-    return A0, A1
+    n = pres.num_generators
+    pencil = split_pencil([cells.get((g, 0, 0), {}) for g in range(1, n)]
+                          for cells in islice(_fox_cells(pres, drop=0), n - 1))
+    if pencil is None:
+        raise AssertionError("abelianized Fox matrix is not linear in t")
+    return pencil[:2]
 
 
 def _pencil_value(pencil, x):
@@ -321,8 +295,7 @@ def higher_alexander(pd, k):
     size = N - k
     if size <= 0:
         return LaurentPoly.one(QQ)
-    M = _abelian_fox_matrix(pres, QQ)
-    inv = _smith_invariants(M)
+    inv = _smith_invariants(fox_matrix(pres, trivial_rep(pres)))
     if len(inv) < size:
         return LaurentPoly.zero(QQ)
     acc = LaurentPoly.one(QQ)
@@ -344,6 +317,15 @@ def _fraction_mul(a, b):
     return reduce_fraction(a.num * b.num, a.den * b.den)
 
 
+def _factorization_target(pres, rho):
+    """The twisted polynomial Delta_{pres,rho} and the factorization target
+    Delta_{pres,rho}^2 * det(rho(mu)t - I), mu the meridian of pres."""
+    tw = twisted_alexander(pres, rho)
+    mu = _gen_minus_one_det(rho, pres.meridian)
+    return tw, _fraction_mul(_fraction_mul(tw.value, tw.value),
+                             RationalFn(mu, LaurentPoly.one(mu.domain)))
+
+
 def verify_theorem(spec, rho_partial):
     """Check the symmetric-union factorization: the twisted polynomial of the
     union under the pulled-back representation against
@@ -357,11 +339,7 @@ def verify_theorem(spec, rho_partial):
                          "presentation produced by this construction")
     rho = lamm_pullback(phi, rho_partial)
     lhs = twisted_alexander(union_pres, rho)
-    partial_tw = twisted_alexander(partial_pres, rho_partial)
-    pm = PhiMap(partial_pres, rho_partial)
-    mu_factor = _block_det(pm.gen_minus_one(partial_pres.meridian), pm.domain)
-    rhs_fr = _fraction_mul(_fraction_mul(partial_tw.value, partial_tw.value),
-                           RationalFn(mu_factor, LaurentPoly.one(pm.domain)))
+    partial_tw, rhs_fr = _factorization_target(partial_pres, rho_partial)
     equal = rational_unit_equal(lhs.value, rhs_fr)
     deg_rhs = (None if partial_tw.degree is None
                else 2 * partial_tw.degree + rho_partial.d)
@@ -419,12 +397,7 @@ def even_symun_obstruction(K, candidate_partial, p, rho_partial,
     if not verify_representation(cand_pres, rho_partial,
                                  require_sl=(rho_partial.d == 2)):
         raise ValueError("representation fails the candidate's relators")
-    cand_tw = twisted_alexander(deficiency_one(cand_pres), rho_partial)
-    pm = PhiMap(cand_pres, rho_partial)
-    mu_factor = _block_det(pm.gen_minus_one(cand_pres.meridian), pm.domain)
-    target = _fraction_mul(_fraction_mul(cand_tw.value, cand_tw.value),
-                           RationalFn(mu_factor,
-                                      LaurentPoly.one(pm.domain)))
+    _, target = _factorization_target(deficiency_one(cand_pres), rho_partial)
     pres = wirtinger(K)
     cfg = search or RepSearchConfig(p=p)
     if cfg.p != p:

@@ -20,7 +20,7 @@ from knotforge.presentation import (build_symun_presentation, concat,
                                     wirtinger)
 from knotforge.reps import (RepSearchConfig, Representation, enumerate_sl2,
                             rep_from_json, verify_representation)
-from knotforge.twisted import (PhiMap, _block_det, classical_alexander,
+from knotforge.twisted import (_gen_minus_one_det, classical_alexander,
                                even_symun_obstruction, higher_alexander,
                                knot_determinant, twisted_alexander)
 
@@ -88,8 +88,7 @@ def test_criterion_3_rho0_on_6_1():
     tw = twisted_alexander(pres, rho)
     one = RationalFn(LaurentPoly.one(GF(7)), LaurentPoly.one(GF(7)))
     assert rational_unit_equal(tw.value, one)
-    mu = _block_det(PhiMap(pres, rho).gen_minus_one(pres.meridian),
-                    GF(7))
+    mu = _gen_minus_one_det(rho, pres.meridian)
     assert unit_equal(mu, P("t^2 + 3*t + 1", GF(7)))
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0

@@ -3,14 +3,14 @@ import random
 import pytest
 
 from knotforge import _fastdet
-from knotforge._fastdet import pencil_det
+from knotforge._fastdet import pencil_det, split_pencil
 from knotforge.algebra import GF, QQ, ZZ, LaurentPoly, PolyMatrix, det
 from knotforge.cli import KnotTable, bundled_table_path
 from knotforge.diagram import MarkedDiagram, SymUnionSpec, parse_pd
 from knotforge.presentation import (build_symun_presentation, deficiency_one,
                                     lamm_pullback, wirtinger)
 from knotforge.reps import RepSearchConfig, enumerate_sl2
-from knotforge.twisted import PhiMap, fox_matrix
+from knotforge.twisted import fox_matrix
 
 
 def rand_pencil_matrix(rng, dom, n, density=0.85, singular=False):
@@ -68,6 +68,25 @@ def no_fallback(monkeypatch):
     def fail(M):
         raise AssertionError("pencil_det fell back to Bareiss")
     monkeypatch.setattr(_fastdet, "det", fail)
+
+
+class TestSplitPencil:
+    def test_laurent_rows_shift_to_a_pencil(self):
+        rows = [[{-2: 1}, {-1: 4, -2: 3}], [{5: 2}, {}]]
+        assert split_pencil(rows) == ([[1, 3], [2, 0]], [[0, 4], [0, 0]], 3)
+
+    def test_zero_coefficients_are_not_exponents(self):
+        # the zeros at t^0 and t^3 would make the first row look like
+        # t^0 * (0 + t*3) and the second row not linear
+        rows = [[{0: 0, 1: 3}, {}], [{1: 2, 3: 0}, {2: 5}]]
+        assert split_pencil(rows) == ([[3, 0], [2, 0]], [[0, 0], [0, 5]], 2)
+
+    def test_zero_row(self):
+        assert split_pencil([[{}, {4: 0}], [{0: 1}, {1: 1}]]) == (
+            [[0, 0], [1, 0]], [[0, 0], [0, 1]], 0)
+
+    def test_not_linear(self):
+        assert split_pencil([[{0: 1}, {1: 1}], [{0: 1, 2: 1}, {}]]) is None
 
 
 class TestPencilDet:
@@ -138,7 +157,7 @@ class TestPencilDet:
                                                    nonabelian_only=False))
         assert reps
         for rho in reps:
-            A = fox_matrix(pres, PhiMap(pres, rho), drop=0)
+            A = fox_matrix(pres, rho, drop=0)
             want = det(A)
             with monkeypatch.context() as m:
                 no_fallback(m)
@@ -155,7 +174,7 @@ class TestPencilDet:
                 SymUnionSpec(marked, (twist,)))
             for rho in enumerate_sl2(partial, RepSearchConfig(p=5))[:3]:
                 up = lamm_pullback(phi, rho)
-                A = fox_matrix(union, PhiMap(union, up), drop=0)
+                A = fox_matrix(union, up, drop=0)
                 want = det(A)
                 assert not want.is_zero
                 with monkeypatch.context() as m:

@@ -90,8 +90,7 @@ def reference_enumerate(pres, cfg):
                 X = rhs if e == 1 else mat_inv(rhs, p)
                 if mat_det2(X, p) != 1:
                     return False
-                if s is not None and ((X[0][0] + X[1][1]) % p != s
-                                      or is_scalar(X, p)):
+                if (X[0][0] + X[1][1]) % p != s or is_scalar(X, p):
                     return False
                 work[g] = X
                 changed = True
@@ -123,32 +122,23 @@ def reference_enumerate(pres, cfg):
         return all(mat_mul(A, B, p) == mat_mul(B, A, p)
                    for A in mats for B in mats)
 
-    if not cfg.nonabelian_only and cfg.up_to_conjugacy:
+    if not cfg.nonabelian_only:
         reps += [(M,) * ng for M in _abelian_class_reps(p)]
-    if not cfg.nonabelian_only and not cfg.up_to_conjugacy:
-        for eta in (1, p - 1):
-            init = [((eta, 0), (0, eta))] + [None] * (ng - 1)
-            branch(init, None, group, reps.append)
     for s in range(p):
         trace_slice = [M for M in group
                        if (M[0][0] + M[1][1]) % p == s and not is_scalar(M, p)]
         found = {}
-        raw = []
         for M0, zs in _pinned_class_reps(s, p):
 
             def sink(mats, zs=zs):
-                if commuting(mats) and (cfg.nonabelian_only
-                                        or cfg.up_to_conjugacy):
-                    return
-                if not cfg.up_to_conjugacy:
-                    raw.append(mats)
+                if commuting(mats):
                     return
                 canon = min(tuple(mat_mul(mat_mul(z, M, p), mat_inv(z, p), p)
                                   for M in mats) for z in zs)
                 found[canon] = mats
 
             branch([M0] + [None] * (ng - 1), s, trace_slice, sink)
-        reps += [found[c] for c in sorted(found)] + sorted(raw)
+        reps += [found[c] for c in sorted(found)]
     return reps
 
 
@@ -248,16 +238,16 @@ class TestEnumerationOracle:
         for r in ab:
             assert verify_representation(pres, r)
 
-    def test_raw_mode_contains_class_reps(self):
-        pres = two_bridge_presentation(3, 1)
-        raw = enumerate_sl2(pres, RepSearchConfig(p=5, up_to_conjugacy=False))
-        classes = enumerate_sl2(pres, RepSearchConfig(p=5))
-        raw_set = {r.matrices for r in raw}
-        for r in classes:
-            assert r.matrices in raw_set
-        assert len(raw) >= len(classes)
-        for r in raw:
-            assert verify_representation(pres, r)
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_pinned_centralizers_list_each_element_once(self, p):
+        # each pinned matrix's centralizer in SL2(F_p), every element
+        # listed once
+        G = all_sl2(p)
+        for s in range(p):
+            for M0, zs in _pinned_class_reps(s, p):
+                assert len(set(zs)) == len(zs), (s, zs)
+                assert sorted(zs) == [z for z in G if mat_mul(z, M0, p) ==
+                                      mat_mul(M0, z, p)]
 
 
 class TestReferenceSearch:
@@ -265,14 +255,12 @@ class TestReferenceSearch:
     @pytest.mark.parametrize("name", sorted(REFERENCE_PRESENTATIONS))
     def test_same_list_as_unpruned_search(self, name, p):
         # byte identity: the same classes, the same representative of each
-        # and the same order, for every combination of the two flags
+        # and the same order, with and without the abelian classes
         pres = REFERENCE_PRESENTATIONS[name]()
         for nonabelian_only in (True, False):
-            for up_to_conjugacy in (True, False):
-                cfg = RepSearchConfig(p=p, nonabelian_only=nonabelian_only,
-                                      up_to_conjugacy=up_to_conjugacy)
-                got = [r.matrices for r in enumerate_sl2(pres, cfg)]
-                assert got == reference_enumerate(pres, cfg), cfg
+            cfg = RepSearchConfig(p=p, nonabelian_only=nonabelian_only)
+            got = [r.matrices for r in enumerate_sl2(pres, cfg)]
+            assert got == reference_enumerate(pres, cfg), cfg
 
 
 class TestDeterminismAndBudget:

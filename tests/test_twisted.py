@@ -13,9 +13,8 @@ from knotforge.presentation import (build_symun_presentation, deficiency_one,
                                     fox_derivative, lamm_pullback,
                                     two_bridge_presentation, wirtinger,
                                     word_exponent_sum)
-from knotforge.reps import RepSearchConfig, enumerate_sl2
-from knotforge.twisted import (PhiMap, _abelian_fox_matrix,
-                               classical_alexander, even_symun_obstruction,
+from knotforge.reps import RepSearchConfig, Representation, enumerate_sl2
+from knotforge.twisted import (classical_alexander, even_symun_obstruction,
                                even_symun_quick_obstructions, fox_matrix,
                                genus_lower_bound, higher_alexander,
                                knot_determinant, trivial_rep,
@@ -32,9 +31,13 @@ def P(text, domain=ZZ):
 
 
 def oracle_diagrams():
-    """The bundled knots and the k = 1 grid unions of 3_1 and 4_1."""
+    """The bundled knots, a trefoil diagram with a kink whose first
+    crossing's over-arc is its incoming under-arc (one of its Fox
+    coefficients cancels to 0), and the k = 1 grid unions of 3_1 and 4_1."""
     table = KnotTable.parse(bundled_table_path().read_text())
     out = [(name, table[name]) for name in sorted(table.entries)]
+    out.append(("3_1 with a kink", parse_pd(
+        "X[7,6,8,7] X[8,3,1,4] X[2,5,3,6] X[4,1,5,2]")))
     for name in ("3_1", "4_1"):
         pd = table[name]
         edges = sorted(pd.edges)
@@ -44,6 +47,44 @@ def oracle_diagrams():
             out.append(("%s twists=%d" % (name, 2 * m),
                         symmetric_union_pd(spec)))
     return out
+
+
+def reference_fox_matrix(pres, rho, drop=None):
+    """Fox matrix from the definition: the (i, j) block is
+    sum c * rho(w) * t^(exponent sum of w) over the terms c*w of
+    fox_derivative(r_i, x_j)."""
+    dom = GF(rho.p) if rho.p is not None else QQ
+    d = rho.d
+    rows = []
+    for r in pres.relators:
+        blocks = []
+        for j in range(pres.num_generators):
+            if j == drop:
+                continue
+            blk = [[LaurentPoly.zero(dom)] * d for _ in range(d)]
+            for w, c in fox_derivative(r, j).terms.items():
+                M, e = rho(w), word_exponent_sum(w)
+                for a in range(d):
+                    for b in range(d):
+                        blk[a][b] = blk[a][b] + LaurentPoly(dom,
+                                                            {e: c * M[a][b]})
+            blocks.append(blk)
+        for a in range(d):
+            rows.append([blk[a][b] for blk in blocks for b in range(d)])
+    return PolyMatrix(dom, rows)
+
+
+def reference_abelian_fox_matrix(pd, domain):
+    """The abelianized Fox matrix of the Wirtinger presentation, all
+    columns: reference_fox_matrix under the trivial rank-1 representation
+    over Q, with its integer coefficients read into domain."""
+    pres = wirtinger(pd)
+    trivial = Representation(presentation=pres, p=None, d=1,
+                             matrices=(((1,),),) * pres.num_generators)
+    M = reference_fox_matrix(pres, trivial)
+    return PolyMatrix(domain, [
+        [LaurentPoly(domain, {e: int(c) for e, c in f.coeffs.items()})
+         for f in row] for row in M.entries])
 
 
 ORACLE_DIAGRAMS = oracle_diagrams()
@@ -74,9 +115,8 @@ class TestClassicalAlexander:
     @over_oracle_diagrams
     def test_matches_minor_gcd_oracle(self, pd):
         # the definition: GCD of all N maximal minors of the relator block
-        pres = wirtinger(pd)
-        N = pres.num_generators
-        M = _abelian_fox_matrix(pres, ZZ)
+        N = wirtinger(pd).num_generators
+        M = reference_abelian_fox_matrix(pd, ZZ)
         minors = [det(M.submatrix(list(range(N - 1)), list(cols)))
                   for cols in combinations(range(N), N - 1)]
         delta = classical_alexander(pd)
@@ -87,7 +127,7 @@ class TestClassicalAlexander:
     def test_fox_rows_sum_to_zero(self, pd):
         # the fundamental formula for exponent-sum-0 relators; it makes all
         # maximal minors agree up to sign, so one of them is Delta
-        M = _abelian_fox_matrix(wirtinger(pd), ZZ)
+        M = reference_abelian_fox_matrix(pd, ZZ)
         zero = LaurentPoly.zero(ZZ)
         for row in M.entries:
             total = zero
@@ -99,12 +139,11 @@ class TestClassicalAlexander:
 class TestHigherAlexander:
     def minor_gcd_oracle(self, pd, k):
         # direct definition: GCD of all (N-k)-minors over Q[t, t^-1]
-        pres = wirtinger(pd)
-        N = pres.num_generators
+        N = wirtinger(pd).num_generators
         size = N - k
         if size <= 0:
             return LaurentPoly.one(QQ)
-        M = _abelian_fox_matrix(pres, QQ)
+        M = reference_abelian_fox_matrix(pd, QQ)
         minors = [det(M.submatrix(list(rows), list(cols)))
                   for rows in combinations(range(N), size)
                   for cols in combinations(range(N), size)]
@@ -133,31 +172,6 @@ class TestHigherAlexander:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             higher_alexander(parse_pd(TREFOIL), 0)
-
-
-def reference_fox_matrix(pres, rho, drop=None):
-    """Fox matrix from the definition: the (i, j) block is
-    sum c * rho(w) * t^(exponent sum of w) over the terms c*w of
-    fox_derivative(r_i, x_j)."""
-    dom = GF(rho.p) if rho.p is not None else QQ
-    d = rho.d
-    rows = []
-    for r in pres.relators:
-        blocks = []
-        for j in range(pres.num_generators):
-            if j == drop:
-                continue
-            blk = [[LaurentPoly.zero(dom)] * d for _ in range(d)]
-            for w, c in fox_derivative(r, j).terms.items():
-                M, e = rho(w), word_exponent_sum(w)
-                for a in range(d):
-                    for b in range(d):
-                        blk[a][b] = blk[a][b] + LaurentPoly(dom,
-                                                            {e: c * M[a][b]})
-            blocks.append(blk)
-        for a in range(d):
-            rows.append([blk[a][b] for blk in blocks for b in range(d)])
-    return PolyMatrix(dom, rows)
 
 
 def fox_oracle_cases():
@@ -198,7 +212,7 @@ class TestFoxMatrix:
                              ids=[c[0] for c in FOX_CASES])
     @pytest.mark.parametrize("drop", [None, 0, 1])
     def test_one_pass_matches_definition(self, pres, rho, drop):
-        A = fox_matrix(pres, PhiMap(pres, rho), drop=drop)
+        A = fox_matrix(pres, rho, drop=drop)
         ref = reference_fox_matrix(pres, rho, drop=drop)
         assert A.domain == ref.domain
         assert A.entries == ref.entries
