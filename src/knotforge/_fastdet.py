@@ -3,10 +3,13 @@ Fast exact determinants of linear pencils A0 + t*A1 over F_p.
 
 Fox matrices of Wirtinger-type relators become linear in t after scaling
 each row by a power of t.  `split_pencil` is the one place that does this
-row shift: it turns rows of {exponent: coefficient} cells into integer
-matrices A0, A1 and the total shift.  The twisted path (`pencil_det`) and
+row shift: it turns sparse rows of {(column, exponent): coefficient} cells
+into a `Pencil`, the integer matrices A0, A1 and the total shift.  Over F_p
+it reduces each coefficient mod p before the coefficient counts as an
+exponent.  The twisted path (`twisted.fox_matrix`, then `pencil_det`) and
 the classical Alexander path (integer evaluation in `twisted`) both read
-their pencils from it.  Pencil determinants are computed here by deflating
+their pencils from it, and over F_p no Laurent polynomial is built until
+the determinant is.  Pencil determinants are computed here by deflating
 the pencil over F_p itself, which is exact for every square pencil:
 
 1. Row-reduce A1, applying the same row operations to A0.
@@ -27,25 +30,56 @@ over Z or Q, fall back to fraction-free Gaussian elimination.
 
 from __future__ import annotations
 
-from .algebra import LaurentPoly, det
+from .algebra import LaurentPoly, PolyMatrix, det
 
 
-def split_pencil(rows):
-    """(A0, A1, shift) with row i of the matrix equal to
-    t^lo_i * (A0[i] + t*A1[i]) and shift = sum lo_i, for rows of
-    {exponent: coefficient} cells; None when a row is not linear in t.
-    Zero coefficients do not count as exponents, and a row without any
-    nonzero coefficient is a zero row with lo = 0."""
+class Pencil:
+    """A matrix whose row i is t^lo_i * (A0[i] + t*A1[i]), kept as the
+    integer matrices A0 and A1 (lists of rows; entries reduced mod p over
+    GF(p)) and shift = sum lo_i, so that its determinant, when it is
+    square, is t^shift * det(A0 + t*A1).  `rows` counts its rows, as for a
+    `PolyMatrix`."""
+
+    __slots__ = ("domain", "A0", "A1", "shift")
+
+    def __init__(self, domain, A0, A1, shift=0):
+        self.domain = domain
+        self.A0 = A0
+        self.A1 = A1
+        self.shift = shift
+
+    @property
+    def rows(self):
+        return len(self.A0)
+
+
+def split_pencil(rows, ncols, domain):
+    """The `Pencil` of a matrix with ncols columns given by sparse rows,
+    {(column, exponent): coefficient} dicts; None when a row is not linear
+    in t.  Over GF(p) each coefficient is reduced mod p first.  Zero
+    coefficients do not count as exponents, and a row without any nonzero
+    coefficient is a zero row with lo = 0."""
+    p = domain.p if domain.kind == "GF" else None
     A0, A1, shift = [], [], 0
     for row in rows:
-        exps = [e for c in filter(None, row) for e, v in c.items() if v]
-        lo = min(exps, default=0)
-        if exps and max(exps) - lo > 1:
-            return None
-        shift += lo
-        A0.append([c.get(lo, 0) for c in row])
-        A1.append([c.get(lo + 1, 0) for c in row])
-    return A0, A1, shift
+        if p is None:
+            cells = [(k, e, c) for (k, e), c in row.items() if c]
+        else:
+            cells = [(k, e, v) for (k, e), c in row.items() if (v := c % p)]
+        r0, r1 = [0] * ncols, [0] * ncols
+        if cells:
+            lo = min(e for _, e, _ in cells)
+            for k, e, c in cells:
+                if e == lo:
+                    r0[k] = c
+                elif e == lo + 1:
+                    r1[k] = c
+                else:
+                    return None
+            shift += lo
+        A0.append(r0)
+        A1.append(r1)
+    return Pencil(domain, A0, A1, shift)
 
 
 def _perm_sign(perm):
@@ -205,21 +239,31 @@ def _pencil_det_gf(A0, A1, p):
 # -- public entry ------------------------------------------------------------
 
 def pencil_det(M):
-    """Exact determinant of a square Laurent-polynomial matrix; uses the
-    pencil deflation when every row is a unit multiple of a row linear in t
-    and the domain is a prime field, otherwise falls back to fraction-free
-    elimination."""
+    """Exact determinant of a square `Pencil` or Laurent-polynomial matrix
+    (`PolyMatrix`); uses the pencil deflation over a prime field, and
+    fraction-free elimination over Z or Q and for a matrix whose rows are
+    not unit multiples of rows linear in t.  M is not modified."""
     dom = M.domain
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return LaurentPoly.one(dom)
-    if dom.kind != "GF":
-        return det(M)
-    pencil = split_pencil([f.coeffs for f in row] for row in M.entries)
-    if pencil is None:
-        return det(M)
-    A0, A1, shift = pencil
+    if isinstance(M, PolyMatrix):
+        if M.rows != M.cols:
+            raise ValueError("determinant of a non-square matrix")
+        pencil = None
+        if dom.kind == "GF":
+            pencil = split_pencil(
+                ({(k, e): c for k, f in enumerate(row)
+                  for e, c in f.coeffs.items()} for row in M.entries),
+                M.cols, dom)
+        if pencil is None:
+            return det(M)
+        A0, A1 = pencil.A0, pencil.A1
+    else:
+        pencil = M
+        if any(len(r) != M.rows for r in M.A0):
+            raise ValueError("determinant of a non-square matrix")
+        if dom.kind != "GF":
+            return det(PolyMatrix(dom, [
+                [LaurentPoly(dom, {0: a, 1: b}) for a, b in zip(r0, r1)]
+                for r0, r1 in zip(M.A0, M.A1)])).shift(M.shift)
+        A0, A1 = [list(r) for r in M.A0], [list(r) for r in M.A1]
     coeffs = _pencil_det_gf(A0, A1, dom.p)
-    return LaurentPoly(dom, dict(enumerate(coeffs))).shift(shift)
+    return LaurentPoly(dom, dict(enumerate(coeffs))).shift(pencil.shift)

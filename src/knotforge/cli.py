@@ -33,8 +33,8 @@ from .reps import (RepSearchConfig, SearchBudgetExceeded, enumerate_sl2,
                    rep_from_json)
 from .twisted import (_rep_polynomials, classical_alexander,
                       even_symun_obstruction, even_symun_quick_obstructions,
-                      format_fraction, higher_alexander, knot_determinant,
-                      trivial_rep, twisted_alexander, verify_theorem)
+                      format_fraction, higher_alexander, trivial_rep,
+                      twisted_alexander, verify_theorem)
 from .algebra import format_poly
 
 
@@ -241,7 +241,7 @@ def _parse_ints(text, what):
 
 def _search_config(args):
     kw = {"p": args.p}
-    if getattr(args, "max_nodes", None):
+    if getattr(args, "max_nodes", None) is not None:
         kw["max_nodes"] = args.max_nodes
     return RepSearchConfig(**kw)
 
@@ -250,11 +250,13 @@ def _search_config(args):
 
 def cmd_alex(args, table):
     pd = resolve_knot(args.knot, table)
-    results = {"alexander": format_poly(classical_alexander(pd))}
+    delta = classical_alexander(pd)
+    results = {"alexander": format_poly(delta)}
     for k in sorted(set(args.ideal or ())):
         results["alexander_%d" % k] = format_poly(higher_alexander(pd, k))
     if args.det:
-        results["determinant"] = knot_determinant(pd)
+        # |Delta(-1)|; classical_alexander has checked Delta(1) = +-1
+        results["determinant"] = abs(delta.evaluate(-1))
     return {"knot": args.knot, "pd": format_pd(pd),
             "crossings": pd.n}, results
 

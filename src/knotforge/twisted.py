@@ -6,17 +6,23 @@ group ring; the Wada invariant of a deficiency-1 presentation is
 det A_{x_j} / det Phi(x_j - 1), where A is the Fox Jacobian of the relators
 with the j-th generator column removed.  One left-to-right pass per relator
 (`_fox_cells`) produces every Fox coefficient; without a representation it
-is the abelianization, every generator going to t.  Every determinant of a
-pencil, the Wada numerator and the denominator det(rho(x_j)t - I) alike,
-goes through `pencil_det`.  The classical Alexander polynomial is a single
-maximal minor of the abelianized Fox matrix over Z[t, t^-1], an integer
-pencil evaluated at integer points and interpolated; the higher ones are
-the GCD of its (N-k)-minors over Q[t, t^-1], via the Smith normal form.
+is the abelianization, every generator going to t.  Over F_p, `fox_matrix`
+reduces its coefficients mod p and writes them straight into an integer
+`Pencil`; over Q, or when a row is not linear in t, it builds a matrix of
+Laurent polynomials.  Every determinant of a pencil, the Wada numerator and
+the denominator det(rho(x_j)t - I) alike, goes through `pencil_det`.  The
+classical Alexander polynomial is a single maximal minor of the abelianized
+Fox matrix over Z[t, t^-1], an integer pencil evaluated at integer points
+and interpolated; the higher ones are the GCD of its (N-k)-minors over
+Q[t, t^-1], via the Smith normal form.  `verify_theorem` keeps the
+presentations of its last few specs and the targets of its last few
+partial representations in two bounded memos.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 from .algebra import (GF, QQ, ZZ, LaurentPoly, PolyMatrix, RationalFn,
@@ -27,7 +33,7 @@ from .presentation import (build_symun_presentation, deficiency_one,
                            lamm_pullback, wirtinger)
 from .reps import (Representation, RepSearchConfig, enumerate_sl2,
                    identity_matrix, mat_inv, mat_mul, verify_representation)
-from ._fastdet import pencil_det, split_pencil
+from ._fastdet import Pencil, pencil_det, split_pencil
 
 
 def trivial_rep(pres, p=None):
@@ -65,21 +71,25 @@ def format_fraction(fr):
 
 
 def _fox_cells(pres, rho=None, drop=None):
-    """Yield, per relator, its Fox derivatives under x_g -> rho(x_g)*t as
-    {(g, i, j): {exponent: coefficient}}, skipping generator column drop.
-    Without rho this is the abelianization: every x_g goes to t, the keys
-    are (g, 0, 0), and no matrix is multiplied.
+    """Yield, per relator, the d rows of its Fox derivatives under
+    x_g -> rho(x_g)*t, each a sparse {(column, exponent): coefficient} dict.
+    Generator column drop is skipped and the other generators' blocks are
+    numbered on: entry (i, j) of the k-th kept generator's block is column
+    d*k + j of row i.  Without rho this is the abelianization: every x_g
+    goes to t, d = 1, and no matrix is multiplied.
 
     Each relator is read once, left to right, with the running prefix
     product P = rho(prefix) and its exponent sum e (the fundamental formula):
-    a letter x_g adds +P*t^e to column g and then advances P, a letter
-    x_g^-1 first advances P by rho(x_g)^-1 and then adds -P*t^e."""
+    a letter x_g adds +P*t^e to the block of x_g and then advances P, a
+    letter x_g^-1 first advances P by rho(x_g)^-1 and then adds -P*t^e."""
     d = 1 if rho is None else rho.d
     p = None if rho is None else rho.p
+    kept = [g for g in range(pres.num_generators) if g != drop]
+    col = {g: d * k for k, g in enumerate(kept)}
     inverses = {}
     one = identity_matrix(d)
     for r in pres.relators:
-        cells = {}
+        rows = [{} for _ in range(d)]
         P = one
         e = 0
         for g, s in r:
@@ -89,17 +99,16 @@ def _fox_cells(pres, rho=None, drop=None):
                         inverses[g] = mat_inv(rho.matrices[g], p)
                     P = mat_mul(P, inverses[g], p)
                 e -= 1
-            if g != drop:
-                for i in range(d):
-                    for j in range(d):
-                        if P[i][j]:
-                            c = cells.setdefault((g, i, j), {})
-                            c[e] = c.get(e, 0) + s * P[i][j]
+            if g in col:
+                for row, Pi in zip(rows, P):
+                    for k, v in enumerate(Pi, col[g]):
+                        if v:
+                            row[k, e] = row.get((k, e), 0) + s * v
             if s == 1:
                 if rho is not None:
                     P = mat_mul(P, rho.matrices[g], p)
                 e += 1
-        yield cells
+        yield rows
 
 
 def _domain(rho):
@@ -108,29 +117,37 @@ def _domain(rho):
 
 def fox_matrix(pres, rho, drop=None):
     """Block matrix with (i, j) block Phi(d r_i / d x_j), Phi(x_g) =
-    rho(x_g)*t, optionally with one generator column removed."""
+    rho(x_g)*t, optionally with one generator column removed.  Over F_p it
+    is the integer `Pencil` of the matrix, written cell by cell from the one
+    Fox pass, when every row is linear in t after a row shift (as the rows
+    of Wirtinger-type relators are); over Q, or with a row that is not
+    linear, it is the `PolyMatrix` of Laurent polynomials."""
     d, dom = rho.d, _domain(rho)
+    ncols = d * sum(1 for g in range(pres.num_generators) if g != drop)
+    rows = [row for block in _fox_cells(pres, rho, drop) for row in block]
+    if rho.p is not None:
+        pencil = split_pencil(rows, ncols, dom)
+        if pencil is not None:
+            return pencil
     zero = LaurentPoly.zero(dom)
-    cols = [j for j in range(pres.num_generators) if j != drop]
-    rows = []
-    for cells in _fox_cells(pres, rho, drop):
-        for bi in range(d):
-            row = []
-            for g in cols:
-                for bj in range(d):
-                    c = cells.get((g, bi, bj))
-                    row.append(LaurentPoly(dom, c) if c else zero)
-            rows.append(row)
-    return PolyMatrix(dom, rows)
+    entries = []
+    for row in rows:
+        cells = [{} for _ in range(ncols)]
+        for (k, e), c in row.items():
+            cells[k][e] = c
+        entries.append([LaurentPoly(dom, c) if c else zero for c in cells])
+    return PolyMatrix(dom, entries)
 
 
 def _gen_minus_one_det(rho, g):
-    """det Phi(x_g - 1) = det(rho(x_g)*t - I), a pencil determinant."""
-    dom = _domain(rho)
-    M = rho.matrices[g]
-    return pencil_det(PolyMatrix(dom, [
-        [LaurentPoly(dom, {1: M[i][j], 0: -(i == j)}) for j in range(rho.d)]
-        for i in range(rho.d)]))
+    """det Phi(x_g - 1) = det(rho(x_g)*t - I), the determinant of the
+    pencil with A0 = -I and A1 = rho(x_g)."""
+    d = rho.d
+    minus_one = -1 if rho.p is None else rho.p - 1
+    return pencil_det(Pencil(
+        _domain(rho),
+        [[minus_one if i == j else 0 for j in range(d)] for i in range(d)],
+        [list(row) for row in rho.matrices[g]]))
 
 
 def twisted_alexander(pres, rho, drop_column="auto"):
@@ -162,11 +179,11 @@ def _alexander_pencil(pd):
     this one is their GCD."""
     pres = wirtinger(pd)
     n = pres.num_generators
-    pencil = split_pencil([cells.get((g, 0, 0), {}) for g in range(1, n)]
-                          for cells in islice(_fox_cells(pres, drop=0), n - 1))
+    pencil = split_pencil((rows[0] for rows in
+                           islice(_fox_cells(pres, drop=0), n - 1)), n - 1, ZZ)
     if pencil is None:
         raise AssertionError("abelianized Fox matrix is not linear in t")
-    return pencil[:2]
+    return pencil.A0, pencil.A1
 
 
 def _pencil_value(pencil, x):
@@ -326,12 +343,37 @@ def _factorization_target(pres, rho):
                              RationalFn(mu, LaurentPoly.one(mu.domain)))
 
 
+# Entries kept by each memo of verify_theorem.  A fixed small bound: a
+# caller that verifies several representations on each of a few specs of one
+# partial diagram reuses the entries, and memory stays bounded.
+_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _symun_presentations(spec):
+    """build_symun_presentation(spec), its GeneratorMap check included,
+    memoized on the frozen spec."""
+    return build_symun_presentation(spec)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _partial_target(pres, p, matrices):
+    """_factorization_target of a partial presentation under the
+    representation with these matrices, memoized: the twist vectors of one
+    partial diagram share their partial presentation."""
+    rho = Representation(presentation=pres, p=p, d=len(matrices[0]),
+                         matrices=matrices)
+    return _factorization_target(pres, rho)
+
+
 def verify_theorem(spec, rho_partial):
     """Check the symmetric-union factorization: the twisted polynomial of the
     union under the pulled-back representation against
     Delta_partial^2 * det(rho(mu)t - I), with the degree law
-    deg lhs = 2 deg Delta_partial + d."""
-    union_pres, partial_pres, phi = build_symun_presentation(spec)
+    deg lhs = 2 deg Delta_partial + d.  The union and partial presentations
+    and the partial target are memoized (see _MEMO_SIZE); the check of
+    rho_partial and the pullback's relator check run on every call."""
+    union_pres, partial_pres, phi = _symun_presentations(spec)
     if len(rho_partial.matrices) != partial_pres.num_generators or \
             not verify_representation(partial_pres, rho_partial,
                                       require_sl=(rho_partial.d == 2)):
@@ -339,7 +381,8 @@ def verify_theorem(spec, rho_partial):
                          "presentation produced by this construction")
     rho = lamm_pullback(phi, rho_partial)
     lhs = twisted_alexander(union_pres, rho)
-    partial_tw, rhs_fr = _factorization_target(partial_pres, rho_partial)
+    partial_tw, rhs_fr = _partial_target(partial_pres, rho_partial.p,
+                                         rho_partial.matrices)
     equal = rational_unit_equal(lhs.value, rhs_fr)
     deg_rhs = (None if partial_tw.degree is None
                else 2 * partial_tw.degree + rho_partial.d)

@@ -3,10 +3,13 @@ import os
 
 import pytest
 
+import knotforge.cli
+import knotforge.twisted
 from knotforge.cli import (DomainError, KnotTable, RunReport,
                            bundled_table_path, default_table, main,
                            resolve_knot, user_table_path)
 from knotforge.diagram import PDCode
+from knotforge.presentation import wirtinger
 
 GOOD_TABLE = (
     "# test provenance line\n"
@@ -137,6 +140,13 @@ class TestExitCodes:
         assert "1 nodes used" in err
         assert "reached trace 0 of 0..4" in err
 
+    def test_zero_budget_rejected(self, capsys, isolated_home):
+        # a budget of 0 is rejected like a negative one, not read as unset
+        for budget in ("0", "-5"):
+            assert main(["talex", "3_1", "--p", "7", "--enumerate",
+                         "--max-nodes", budget]) == 1
+            assert "budget must be at least 1" in capsys.readouterr().err
+
     def test_obstructed_verdict_is_success(self, capsys, isolated_home):
         assert main(["--json", "obstruct", "4_1", "--candidate", "3_1"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -154,6 +164,19 @@ class TestCommands:
         assert res["alexander"] == "t^2 - 3*t + 1"
         assert res["determinant"] == 5
         assert res["alexander_2"] == "1"
+
+    def test_alex_det_builds_one_presentation(self, capsys, isolated_home,
+                                              monkeypatch):
+        calls = []
+
+        def counted(pd):
+            calls.append(pd)
+            return wirtinger(pd)
+        for module in (knotforge.cli, knotforge.twisted):
+            monkeypatch.setattr(module, "wirtinger", counted)
+        data = self.run_json(capsys, ["alex", "6_1", "--det"])
+        assert data["results"]["determinant"] == 9
+        assert len(calls) == 1
 
     def test_alex_unknot(self, capsys, isolated_home):
         data = self.run_json(capsys, ["alex", "unknot"])

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotforge import _fastdet
-from knotforge._fastdet import pencil_det, split_pencil
+from knotforge._fastdet import Pencil, pencil_det, split_pencil
 from knotforge.algebra import GF, QQ, ZZ, LaurentPoly, PolyMatrix, det
 from knotforge.cli import KnotTable, bundled_table_path
 from knotforge.diagram import MarkedDiagram, SymUnionSpec, parse_pd
@@ -63,6 +65,21 @@ def structured_pencil(rng, dom, n):
                              for j in range(n)] for i in range(n)])
 
 
+def laurent_matrix(pencil):
+    """The PolyMatrix A0 + t*A1 of a pencil (its shift left out)."""
+    dom = pencil.domain
+    return PolyMatrix(dom, [[LaurentPoly(dom, {0: a, 1: b})
+                             for a, b in zip(r0, r1)]
+                            for r0, r1 in zip(pencil.A0, pencil.A1)])
+
+
+def bareiss_det(A):
+    """Bareiss det of a PolyMatrix, or of a Pencil read as Laurent rows."""
+    if isinstance(A, Pencil):
+        return det(laurent_matrix(A)).shift(A.shift)
+    return det(A)
+
+
 def no_fallback(monkeypatch):
     """Make a fallback from pencil_det to Bareiss fail the test."""
     def fail(M):
@@ -70,23 +87,41 @@ def no_fallback(monkeypatch):
     monkeypatch.setattr(_fastdet, "det", fail)
 
 
+def parts(pencil):
+    return pencil.A0, pencil.A1, pencil.shift
+
+
 class TestSplitPencil:
     def test_laurent_rows_shift_to_a_pencil(self):
-        rows = [[{-2: 1}, {-1: 4, -2: 3}], [{5: 2}, {}]]
-        assert split_pencil(rows) == ([[1, 3], [2, 0]], [[0, 4], [0, 0]], 3)
+        rows = [{(0, -2): 1, (1, -1): 4, (1, -2): 3}, {(0, 5): 2}]
+        pencil = split_pencil(rows, 2, ZZ)
+        assert parts(pencil) == ([[1, 3], [2, 0]], [[0, 4], [0, 0]], 3)
+        assert pencil.rows == 2 and pencil.domain == ZZ
 
     def test_zero_coefficients_are_not_exponents(self):
         # the zeros at t^0 and t^3 would make the first row look like
         # t^0 * (0 + t*3) and the second row not linear
-        rows = [[{0: 0, 1: 3}, {}], [{1: 2, 3: 0}, {2: 5}]]
-        assert split_pencil(rows) == ([[3, 0], [2, 0]], [[0, 0], [0, 5]], 2)
+        rows = [{(0, 0): 0, (0, 1): 3}, {(0, 1): 2, (0, 3): 0, (1, 2): 5}]
+        assert parts(split_pencil(rows, 2, ZZ)) == (
+            [[3, 0], [2, 0]], [[0, 0], [0, 5]], 2)
+
+    def test_coefficients_vanishing_mod_p_are_not_exponents(self):
+        # over F_7, 7 and -14 vanish and 9 is 2: the first row is t times
+        # [2, 0], the second t times [2, 0] + t^2 times [0, 6]; over Z the
+        # second row spans t^1..t^3 and is not linear
+        rows = [{(0, 0): 7, (0, 1): 9}, {(0, 1): 2, (1, 3): -14, (1, 2): -1}]
+        assert parts(split_pencil(rows, 2, GF(7))) == (
+            [[2, 0], [2, 0]], [[0, 0], [0, 6]], 2)
+        assert split_pencil(rows, 2, ZZ) is None
 
     def test_zero_row(self):
-        assert split_pencil([[{}, {4: 0}], [{0: 1}, {1: 1}]]) == (
-            [[0, 0], [1, 0]], [[0, 0], [0, 1]], 0)
+        assert parts(split_pencil([{(1, 4): 0}, {(0, 0): 1, (1, 1): 1}], 2,
+                                  ZZ)) == ([[0, 0], [1, 0]],
+                                           [[0, 0], [0, 1]], 0)
 
     def test_not_linear(self):
-        assert split_pencil([[{0: 1}, {1: 1}], [{0: 1, 2: 1}, {}]]) is None
+        rows = [{(0, 0): 1, (1, 1): 1}, {(0, 0): 1, (0, 2): 1}]
+        assert split_pencil(rows, 2, ZZ) is None
 
 
 class TestPencilDet:
@@ -134,6 +169,44 @@ class TestPencilDet:
         M = PolyMatrix(dom, [[z, z], [LaurentPoly.t(dom), LaurentPoly.one(dom)]])
         assert pencil_det(M) == z
 
+    def test_integer_pencil_is_not_modified(self, monkeypatch):
+        dom = GF(5)
+        A0, A1 = [[1, 2], [0, 3]], [[4, 0], [1, 1]]
+        pencil = Pencil(dom, [list(r) for r in A0], [list(r) for r in A1], -2)
+        want = bareiss_det(pencil)
+        no_fallback(monkeypatch)
+        assert pencil_det(pencil) == want
+        assert pencil_det(pencil) == want
+        assert parts(pencil) == (A0, A1, -2)
+
+    def test_integer_pencil_over_q_and_non_square(self):
+        pencil = Pencil(QQ, [[-1, 0], [0, -1]], [[0, -1], [1, 1]], 1)
+        assert pencil_det(pencil) == bareiss_det(pencil)
+        with pytest.raises(ValueError):
+            pencil_det(Pencil(GF(5), [[1, 2]], [[0, 1]]))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(
+        st.just(p),
+        st.integers(0, 6).flatmap(lambda n: st.lists(
+            st.tuples(st.lists(st.integers(0, p - 1), min_size=n,
+                               max_size=n),
+                      st.lists(st.integers(0, p - 1), min_size=n,
+                               max_size=n),
+                      st.integers(-3, 3)),
+            min_size=n, max_size=n)))))
+    def test_random_integer_pencil_matches_bareiss(self, case):
+        # row i of the matrix is t^lo_i * (A0[i] + t*A1[i])
+        p, rows = case
+        dom = GF(p)
+        pencil = Pencil(dom, [r0 for r0, _, _ in rows],
+                        [r1 for _, r1, _ in rows],
+                        sum(lo for _, _, lo in rows))
+        M = PolyMatrix(dom, [[LaurentPoly(dom, {lo: a, lo + 1: b})
+                              for a, b in zip(r0, r1)]
+                             for r0, r1, lo in rows])
+        assert pencil_det(pencil) == det(M)
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_deflation_matches_bareiss_structured(self, p, monkeypatch):
         rng = random.Random(20261018 + p)
@@ -158,7 +231,8 @@ class TestPencilDet:
         assert reps
         for rho in reps:
             A = fox_matrix(pres, rho, drop=0)
-            want = det(A)
+            assert isinstance(A, Pencil)
+            want = bareiss_det(A)
             with monkeypatch.context() as m:
                 no_fallback(m)
                 assert pencil_det(A) == want
@@ -175,7 +249,8 @@ class TestPencilDet:
             for rho in enumerate_sl2(partial, RepSearchConfig(p=5))[:3]:
                 up = lamm_pullback(phi, rho)
                 A = fox_matrix(union, up, drop=0)
-                want = det(A)
+                assert isinstance(A, Pencil)
+                want = bareiss_det(A)
                 assert not want.is_zero
                 with monkeypatch.context() as m:
                     no_fallback(m)

@@ -1,19 +1,24 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from knotforge import twisted
+from knotforge._fastdet import Pencil, pencil_det, split_pencil
 from knotforge.algebra import (GF, QQ, ZZ, LaurentPoly, PolyMatrix,
                                RationalFn, canonicalize, det, gcd_polys,
                                parse_poly, rational_unit_equal, unit_equal)
 from knotforge.cli import KnotTable, bundled_table_path
 from knotforge.diagram import (MarkedDiagram, PDCode, SymUnionSpec, parse_pd,
                                symmetric_union_pd)
-from knotforge.presentation import (build_symun_presentation, deficiency_one,
+from knotforge.presentation import (GroupPresentation,
+                                    build_symun_presentation, deficiency_one,
                                     fox_derivative, lamm_pullback,
                                     two_bridge_presentation, wirtinger,
                                     word_exponent_sum)
-from knotforge.reps import RepSearchConfig, Representation, enumerate_sl2
+from knotforge.reps import (RepSearchConfig, Representation, enumerate_sl2,
+                            mat_inv, verify_representation)
 from knotforge.twisted import (classical_alexander, even_symun_obstruction,
                                even_symun_quick_obstructions, fox_matrix,
                                genus_lower_bound, higher_alexander,
@@ -207,6 +212,19 @@ def fox_oracle_cases():
 FOX_CASES = fox_oracle_cases()
 
 
+def pencil_rows(pencil):
+    """Rows of A0 + t*A1 as Laurent polynomials (the shift left out)."""
+    dom = pencil.domain
+    return [[LaurentPoly(dom, {0: a, 1: b}) for a, b in zip(r0, r1)]
+            for r0, r1 in zip(pencil.A0, pencil.A1)]
+
+
+def sparse_rows(M):
+    """A PolyMatrix as rows of {(column, exponent): coefficient} cells."""
+    return [{(k, e): c for k, f in enumerate(row) for e, c in f.coeffs.items()}
+            for row in M.entries]
+
+
 class TestFoxMatrix:
     @pytest.mark.parametrize("pres, rho", [c[1:] for c in FOX_CASES],
                              ids=[c[0] for c in FOX_CASES])
@@ -215,7 +233,15 @@ class TestFoxMatrix:
         A = fox_matrix(pres, rho, drop=drop)
         ref = reference_fox_matrix(pres, rho, drop=drop)
         assert A.domain == ref.domain
-        assert A.entries == ref.entries
+        if isinstance(A, Pencil):
+            # row i of the definition is t^lo_i times row i of A0 + t*A1
+            los = [min((f.min_deg for f in row if not f.is_zero), default=0)
+                   for row in ref.entries]
+            assert pencil_rows(A) == [[f.shift(-lo) for f in row]
+                                      for lo, row in zip(los, ref.entries)]
+            assert A.shift == sum(los)
+        else:
+            assert A.entries == ref.entries
 
     def test_cases_cover_the_presentations(self):
         # a relator that is not a 4-letter Wirtinger word, a d = 1 case over
@@ -224,6 +250,140 @@ class TestFoxMatrix:
                    for r in pres.relators)
         assert any(rho.p is None and rho.d == 1 for _, _, rho in FOX_CASES)
         assert {rho.p for _, _, rho in FOX_CASES} == {None, 5, 7}
+
+    def test_pencil_over_f_p_only_when_linear(self):
+        # F_p Wirtinger-type presentations give a Pencil; Q, and b(7,3)'s
+        # one-relator presentation (not linear in t), a PolyMatrix
+        for name, pres, rho in FOX_CASES:
+            linear = rho.p is not None and not name.startswith("b(7,3)")
+            for drop in (None, 0):
+                A = fox_matrix(pres, rho, drop=drop)
+                assert isinstance(A, Pencil if linear else PolyMatrix), name
+
+
+def bounded_walk_word(rng, ngen, length):
+    """A word whose Fox coefficients all sit at t^0 and t^1: x_g adds its
+    coefficient at the exponent sum before it and x_g^-1 at the sum after
+    it, and the running exponent sum stays in {0, 1, 2}, ending at 0."""
+    letters, e = [], 0
+    while len(letters) < length or e:
+        s = 1 if e == 0 else -1 if e == 2 else rng.choice((1, -1))
+        letters.append((rng.randrange(ngen), s))
+        e += s
+    return letters
+
+
+def random_invertible(rng, d, p):
+    while True:
+        M = tuple(tuple(rng.randrange(p) for _ in range(d))
+                  for _ in range(d))
+        try:
+            mat_inv(M, p)
+        except ZeroDivisionError:
+            continue
+        return M
+
+
+def vanishing_case(p, d):
+    """Relators a b c^-1 c^-1 a c^-1 and a b^-1 with column c dropped, under
+    a -> I, b -> -I, c -> I: column a's coefficient at t^0 in the first
+    relator is I + rho(a b c^-2) = I + (p - 1)I, which vanishes mod p, so
+    every row of that relator is t times a constant row (b's column at
+    t^1)."""
+    pres = GroupPresentation(("a", "b", "c"), (
+        ((0, 1), (1, 1), (2, -1), (2, -1), (0, 1), (2, -1)),
+        ((0, 1), (1, -1))))
+    one = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    minus = tuple(tuple((p - 1) * x for x in row) for row in one)
+    rho = Representation(presentation=pres, p=p, d=d,
+                         matrices=(one, minus, one))
+    return ("vanishing F_%d d=%d" % (p, d), pres, rho, 2)
+
+
+def integer_pencil_cases():
+    """(name, presentation, representation, drop) over F_p, p in
+    {2, 3, 5, 7}: a presentation with coefficients that vanish mod p at the
+    lowest exponent of a row (vanishing_case); random presentations of
+    bounded-walk relators under random invertible matrices (d = 1, 2, 3);
+    and the deficiency-one Wirtinger presentations of 3_1 and 4_1 under
+    enumerated representations, abelian ones included."""
+    table = KnotTable.parse(bundled_table_path().read_text())
+    rng = random.Random(20261018)
+    cases = []
+    for p in (2, 3, 5, 7):
+        cases += [vanishing_case(p, d) for d in (1, 2)]
+        for i in range(12):
+            n = rng.randrange(2, 5)
+            d = rng.choice((1, 2, 3))
+            pres = GroupPresentation(
+                tuple("a%d" % g for g in range(n)),
+                tuple(bounded_walk_word(rng, n, rng.randrange(4, 11))
+                      for _ in range(n - 1)))
+            rho = Representation(presentation=pres, p=p, d=d, matrices=tuple(
+                random_invertible(rng, d, p) for _ in range(n)))
+            cases.append(("random F_%d d=%d #%d" % (p, d, i), pres, rho,
+                          rng.randrange(n)))
+        for name in ("3_1", "4_1"):
+            pres = deficiency_one(wirtinger(table[name]))
+            cfg = RepSearchConfig(p=p, nonabelian_only=False)
+            for i, rho in enumerate(enumerate_sl2(pres, cfg)[:3]):
+                cases.append(("%s F_%d rep %d" % (name, p, i), pres, rho, 0))
+    return cases
+
+
+INTEGER_PENCIL_CASES = integer_pencil_cases()
+
+
+def integer_fox_sums(pres, rho, drop):
+    """{(row, column, exponent): coefficient} of the Fox matrix from the
+    definition, with each rho(w) read mod p but the sums over the terms
+    c*w of fox_derivative left as integers."""
+    d = rho.d
+    cols = [j for j in range(pres.num_generators) if j != drop]
+    sums = {}
+    for r_i, r in enumerate(pres.relators):
+        for k, j in enumerate(cols):
+            for w, c in fox_derivative(r, j).terms.items():
+                M, e = rho(w), word_exponent_sum(w)
+                for a in range(d):
+                    for b in range(d):
+                        key = (r_i * d + a, k * d + b, e)
+                        sums[key] = sums.get(key, 0) + c * M[a][b]
+    return sums
+
+
+class TestIntegerFoxPencil:
+    @pytest.mark.parametrize("pres, rho, drop",
+                             [c[1:] for c in INTEGER_PENCIL_CASES],
+                             ids=[c[0] for c in INTEGER_PENCIL_CASES])
+    def test_matches_reference_mod_p(self, pres, rho, drop):
+        A = fox_matrix(pres, rho, drop=drop)
+        ref = reference_fox_matrix(pres, rho, drop=drop)
+        want = split_pencil(sparse_rows(ref), ref.cols, ref.domain)
+        assert isinstance(A, Pencil)
+        assert A.domain == want.domain
+        assert (A.A0, A.A1, A.shift) == (want.A0, want.A1, want.shift)
+        assert pencil_det(A) == det(ref)
+
+    def test_cases_have_coefficients_vanishing_mod_p(self):
+        # for every p, a row whose lowest exponent as an integer sum differs
+        # from its lowest exponent mod p: counting a vanishing coefficient as
+        # an exponent would shift that row wrongly
+        shifted = set()
+        for _, pres, rho, drop in INTEGER_PENCIL_CASES:
+            p = rho.p
+            lowest = {}
+            for (row, _, e), v in integer_fox_sums(pres, rho, drop).items():
+                if v:
+                    lo_int, lo_p = lowest.get(row, (None, None))
+                    lo_int = e if lo_int is None else min(lo_int, e)
+                    if v % p:
+                        lo_p = e if lo_p is None else min(lo_p, e)
+                    lowest[row] = (lo_int, lo_p)
+            if any(lo_p is not None and lo_int != lo_p
+                   for lo_int, lo_p in lowest.values()):
+                shifted.add(p)
+        assert shifted == {2, 3, 5, 7}
 
 
 class TestWadaInvariant:
@@ -301,6 +461,71 @@ class TestVerifyTheorem:
         spec = SymUnionSpec(MarkedDiagram(pd, (1, 3)), (1,))
         with pytest.raises(ValueError):
             verify_theorem(spec, None)
+
+
+MEMOS = (twisted._symun_presentations, twisted._partial_target)
+
+
+def clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+class TestVerifyTheoremMemos:
+    def trefoil_setup(self, p):
+        spec = SymUnionSpec(MarkedDiagram(parse_pd(TREFOIL), (1, 3)), (2,))
+        _, partial, _ = build_symun_presentation(spec)
+        return spec, partial, enumerate_sl2(partial, RepSearchConfig(p=p))
+
+    def test_bounds_are_small_and_fixed(self):
+        for memo in MEMOS:
+            assert memo.cache_info().maxsize == twisted._MEMO_SIZE < 36
+
+    def test_equal_spec_hits_the_memo(self):
+        clear_memos()
+        spec, _, reps = self.trefoil_setup(5)
+        twin = SymUnionSpec(MarkedDiagram(parse_pd(TREFOIL), (1, 3)), (2,))
+        assert twin == spec and twin is not spec
+        first = verify_theorem(spec, reps[0])
+        before = [memo.cache_info() for memo in MEMOS]
+        assert verify_theorem(twin, reps[0]) == first
+        after = [memo.cache_info() for memo in MEMOS]
+        for b, a in zip(before, after):
+            assert (a.hits, a.misses) == (b.hits + 1, b.misses)
+
+    def test_invalid_rep_still_rejected_after_memo(self):
+        clear_memos()
+        spec, partial, reps = self.trefoil_setup(5)
+        verify_theorem(spec, reps[0])
+        A, B = reps[0].matrices[0], reps[0].matrices[1]
+        bad = Representation(
+            presentation=partial, p=5, d=2,
+            matrices=(A,) + (B,) * (partial.num_generators - 1))
+        assert not verify_representation(partial, bad)
+        assert twisted._symun_presentations.cache_info().currsize == 1
+        with pytest.raises(ValueError, match="not valid on the partial"):
+            verify_theorem(spec, bad)
+
+    def test_sizes_stay_bounded_and_results_match_cleared(self):
+        clear_memos()
+        pd = parse_pd(TREFOIL)
+        specs = [SymUnionSpec(MarkedDiagram(pd, (1, 3)), (2 * m,))
+                 for m in range(-9, 9)]
+        _, partial, reps = self.trefoil_setup(11)
+        assert len(specs) > twisted._MEMO_SIZE < len(reps)
+        sweep = [verify_theorem(spec, reps[0]) for spec in specs]
+        sweep += [verify_theorem(specs[0], rho) for rho in reps]
+        for memo in MEMOS:
+            assert memo.cache_info().currsize <= twisted._MEMO_SIZE
+        fresh = []
+        for spec in specs:
+            clear_memos()
+            fresh.append(verify_theorem(spec, reps[0]))
+        for rho in reps:
+            clear_memos()
+            fresh.append(verify_theorem(specs[0], rho))
+        assert sweep == fresh
+        assert all(out["equal"] for out in sweep)
 
 
 class TestObstructions:
