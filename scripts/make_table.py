@@ -529,13 +529,18 @@ HEADER = """\
 """
 
 
-def main():
+DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "knotforge",
+                        "data")
+
+
+def main(out_dir=DATA_DIR):
+    """Write knots.csv and rho0.json into out_dir, by default the package
+    data directory."""
     table = build_table()
     order = ["3_1", "4_1", "6_1", "8_10", "8_20", "9_1", "9_24",
              "10_99", "10_137", "10_140", "11a_201"]
-    out = os.path.join(os.path.dirname(__file__), "..", "src", "knotforge",
-                       "data", "knots.csv")
-    os.makedirs(os.path.dirname(out), exist_ok=True)
+    out = os.path.join(out_dir, "knots.csv")
+    os.makedirs(out_dir, exist_ok=True)
     with open(out, "w") as fh:
         fh.write(HEADER)
         fh.write("name,pd\n")

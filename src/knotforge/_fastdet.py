@@ -7,10 +7,10 @@ row shift: it turns sparse rows of {(column, exponent): coefficient} cells
 into a `Pencil`, the integer matrices A0, A1 and the total shift.  Over F_p
 it reduces each coefficient mod p before the coefficient counts as an
 exponent.  The twisted path (`twisted.fox_matrix`, then `pencil_det`) and
-the classical Alexander path (integer evaluation in `twisted`) both read
-their pencils from it, and over F_p no Laurent polynomial is built until
-the determinant is.  Pencil determinants are computed here by deflating
-the pencil over F_p itself, which is exact for every square pencil:
+the classical Alexander path (`twisted._alexander_pencil`) both read their
+pencils from it, and over F_p no Laurent polynomial is built until the
+determinant is.  Pencil determinants are computed here by deflating the
+pencil over F_p itself, which is exact for every square pencil:
 
 1. Row-reduce A1, applying the same row operations to A0.
 2. If A1 is now nonsingular, det(A0 + t*A1) = det(A1) * det(tI + A1^-1 A0).
@@ -24,13 +24,21 @@ the pencil over F_p itself, which is exact for every square pencil:
 
 Fox pencils are very degenerate (many constant rows, a small rank of A1),
 so step 3 removes most of the matrix before any characteristic polynomial
-is formed.  Matrices that are not unit multiples of pencils, and matrices
-over Z or Q, fall back to fraction-free Gaussian elimination.
+is formed.  An integer pencil (over Q, once row denominators are cleared)
+is deflated modulo a Mersenne prime above twice a Hadamard bound on its
+coefficients, which is exact (`_int_pencil_det`).  Other matrices over Z or
+Q, and non-pencils, fall back to fraction-free Gaussian elimination.
 """
 
 from __future__ import annotations
 
-from .algebra import LaurentPoly, PolyMatrix, det
+from fractions import Fraction
+from math import lcm, prod
+
+from .algebra import ZZ, LaurentPoly, PolyMatrix, det
+
+# exponents e of the Mersenne primes 2^e - 1 for integer pencils
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217)
 
 
 class Pencil:
@@ -236,14 +244,37 @@ def _pencil_det_gf(A0, A1, p):
     return [v * scale % p for v in _charpoly(C, p)]
 
 
+def _int_pencil_det(A0, A1):
+    """Integer coefficients, low degree first, of det(A0 + t*A1) (A0, A1 not
+    modified): deflation mod the first Mersenne prime P > 2H, lifted to
+    (-P/2, P/2]; past the last one, Bareiss.  On |t| = 1 Hadamard gives
+    |det|^2 <= prod_i 2(|A0_i|^2 + |A1_i|^2) = H^2, and by Parseval no
+    coefficient exceeds H."""
+    h2 = 1
+    for r0, r1 in zip(A0, A1):
+        h2 *= 2 * sum(a * a + b * b for a, b in zip(r0, r1))
+    for e in _MERSENNE_EXPONENTS:
+        P = (1 << e) - 1
+        if P * P > 4 * h2:
+            coeffs = _pencil_det_gf([[a % P for a in r] for r in A0],
+                                    [[b % P for b in r] for r in A1], P)
+            return [c - P if 2 * c > P else c for c in coeffs]
+    f = det(PolyMatrix(ZZ, [[LaurentPoly(ZZ, {0: a, 1: b})
+                             for a, b in zip(r0, r1)]
+                            for r0, r1 in zip(A0, A1)]))
+    return [f.coeff(e) for e in range(max(f.coeffs, default=0) + 1)]
+
+
 # -- public entry ------------------------------------------------------------
 
 def pencil_det(M):
     """Exact determinant of a square `Pencil` or Laurent-polynomial matrix
-    (`PolyMatrix`); uses the pencil deflation over a prime field, and
-    fraction-free elimination over Z or Q and for a matrix whose rows are
-    not unit multiples of rows linear in t.  M is not modified."""
+    (`PolyMatrix`); uses the pencil deflation over a prime field (via
+    `_int_pencil_det` for a `Pencil` over Z or Q), and fraction-free
+    elimination for a `PolyMatrix` over Z or Q and for a matrix whose rows
+    are not unit multiples of rows linear in t.  M is not modified."""
     dom = M.domain
+    pencil = M
     if isinstance(M, PolyMatrix):
         if M.rows != M.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -255,15 +286,17 @@ def pencil_det(M):
                 M.cols, dom)
         if pencil is None:
             return det(M)
-        A0, A1 = pencil.A0, pencil.A1
+    elif any(len(r) != M.rows for r in M.A0):
+        raise ValueError("determinant of a non-square matrix")
+    if dom.kind == "GF":
+        coeffs = _pencil_det_gf([list(r) for r in pencil.A0],
+                                [list(r) for r in pencil.A1], dom.p)
     else:
-        pencil = M
-        if any(len(r) != M.rows for r in M.A0):
-            raise ValueError("determinant of a non-square matrix")
-        if dom.kind != "GF":
-            return det(PolyMatrix(dom, [
-                [LaurentPoly(dom, {0: a, 1: b}) for a, b in zip(r0, r1)]
-                for r0, r1 in zip(M.A0, M.A1)])).shift(M.shift)
-        A0, A1 = [list(r) for r in M.A0], [list(r) for r in M.A1]
-    coeffs = _pencil_det_gf(A0, A1, dom.p)
+        # each row times the lcm m of its denominators, det divided back
+        ms = [lcm(*(Fraction(x).denominator for x in (*r0, *r1)))
+              for r0, r1 in zip(pencil.A0, pencil.A1)]
+        den = prod(ms)
+        coeffs = [Fraction(c, den) for c in _int_pencil_det(
+            *([[int(x * m) for x in r] for r, m in zip(A, ms)]
+              for A in (pencil.A0, pencil.A1)))]
     return LaurentPoly(dom, dict(enumerate(coeffs))).shift(pencil.shift)

@@ -557,26 +557,6 @@ def _int_det(A):
     return sign * A[n - 1][n - 1]
 
 
-def _int_interpolate(xs, ys):
-    """Coefficients, lowest first, of the polynomial of degree < len(xs)
-    through the points (xs[i], ys[i]), at least one (Newton divided
-    differences over Q); raises unless every coefficient is an integer."""
-    n = len(xs)
-    dd = [Fraction(y) for y in ys]
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
-    coeffs = [dd[n - 1]]
-    for k in range(n - 2, -1, -1):
-        # coeffs := coeffs * (t - xs[k]) + dd[k]
-        coeffs = ([dd[k] - xs[k] * coeffs[0]] +
-                  [coeffs[i - 1] - xs[k] * coeffs[i]
-                   for i in range(1, len(coeffs))] + [coeffs[-1]])
-    if any(c.denominator != 1 for c in coeffs):
-        raise ArithmeticError("interpolated polynomial is not integral")
-    return [c.numerator for c in coeffs]
-
-
 # ---------------------------------------------------------------------------
 # text syntax:  terms `c*t^k` joined by + / -, e.g.  2*t^-1 - 5 + 2*t
 

@@ -488,6 +488,8 @@ def run(argv):
     argv = _attach_list_values(argv)
     ap = build_parser()
     args = ap.parse_args(argv)
+    if getattr(args, "jobs", None) is not None and args.jobs < 1:
+        raise DomainError("--jobs must be at least 1")
     table = (None if args.cmd == "table"
              else default_table(args.table))
     t0 = time.perf_counter()

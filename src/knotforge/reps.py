@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from .algebra import _is_prime
 from .presentation import GroupPresentation
@@ -46,6 +47,7 @@ class RepSearchConfig:
 
 # -- matrices over F_p -------------------------------------------------------
 
+@cache  # immutable; every evaluate_word starts from it
 def identity_matrix(d):
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 

@@ -12,28 +12,28 @@ reduces its coefficients mod p and writes them straight into an integer
 Laurent polynomials.  Every determinant of a pencil, the Wada numerator and
 the denominator det(rho(x_j)t - I) alike, goes through `pencil_det`.  The
 classical Alexander polynomial is a single maximal minor of the abelianized
-Fox matrix over Z[t, t^-1], an integer pencil evaluated at integer points
-and interpolated; the higher ones are the GCD of its (N-k)-minors over
-Q[t, t^-1], via the Smith normal form.  `verify_theorem` keeps the
-presentations of its last few specs and the targets of its last few
-partial representations in two bounded memos.
+Fox matrix over Z[t, t^-1], an integer pencil deflated modulo one Mersenne
+prime (`_fastdet._int_pencil_det`); the higher ones are the GCD of its
+(N-k)-minors over Q[t, t^-1], via the Smith normal form.  `verify_theorem`
+keeps the presentations of its last few specs and the targets of its last
+few partial representations in two bounded memos.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
 from .algebra import (GF, QQ, ZZ, LaurentPoly, PolyMatrix, RationalFn,
-                      _int_det, _int_interpolate, canonicalize, divmod_poly,
-                      format_poly, rational_unit_equal, reduce_fraction,
-                      unit_equal)
+                      _int_det, canonicalize, divmod_poly, format_poly,
+                      rational_unit_equal, reduce_fraction, unit_equal)
 from .presentation import (build_symun_presentation, deficiency_one,
                            lamm_pullback, wirtinger)
 from .reps import (Representation, RepSearchConfig, enumerate_sl2,
                    identity_matrix, mat_inv, mat_mul, verify_representation)
-from ._fastdet import Pencil, pencil_det, split_pencil
+from ._fastdet import Pencil, _int_pencil_det, pencil_det, split_pencil
 
 
 def trivial_rep(pres, p=None):
@@ -201,14 +201,10 @@ def _check_at_one(at_one):
 
 def classical_alexander(pd):
     """Classical Alexander polynomial over Z, in canonical unit form: one
-    maximal minor of the abelianized Wirtinger Fox matrix, a polynomial of
-    degree <= N-1 interpolated from its values at N integer points; checked
-    against Delta(1) = +-1."""
-    pencil = _alexander_pencil(pd)
-    # 0, 1, -1, 2, -2, ... keeps the evaluated entries small
-    xs = [(i + 1) // 2 * (1 if i % 2 else -1)
-          for i in range(len(pencil[0]) + 1)]
-    coeffs = _int_interpolate(xs, [_pencil_value(pencil, x) for x in xs])
+    maximal minor of the abelianized Wirtinger Fox matrix, the determinant
+    of its integer pencil by one modular deflation; checked against
+    Delta(1) = +-1."""
+    coeffs = _int_pencil_det(*_alexander_pencil(pd))
     delta = canonicalize(LaurentPoly(ZZ, dict(enumerate(coeffs))))
     _check_at_one(delta.evaluate(1))
     return delta
@@ -410,6 +406,8 @@ def even_symun_quick_obstructions(K, candidate_partial, genus=None):
     (b) deg Delta_K divisible by 4, (c) det K a perfect square of the
     candidate's determinant, (d) with a genus witness deg Delta_K = 2g(K),
     the genus must be even."""
+    if genus is not None and genus < 0:
+        raise ValueError("genus must be non-negative")
     dK = classical_alexander(K)
     dC = classical_alexander(candidate_partial)
     deg = 0 if dK.is_zero else dK.span
@@ -461,9 +459,11 @@ def even_symun_obstruction(K, candidate_partial, p, rho_partial,
 
 
 def _rep_polynomials(pres, reps, jobs=None):
-    if jobs and jobs > 1 and len(reps) > 1:
+    # never more worker processes than reps or CPUs
+    workers = min(jobs or 1, len(reps), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(_one_poly, [(pres, r) for r in reps]))
     return [_one_poly((pres, r)) for r in reps]
 

@@ -1,0 +1,71 @@
+"""Shared test helpers: the symmetric-union grid of the acceptance suite,
+and the evaluate-and-interpolate oracle for the classical Alexander
+polynomial (the route `classical_alexander` took before it deflated its
+integer pencil modulo a Mersenne prime)."""
+
+from fractions import Fraction
+
+from knotforge.algebra import ZZ, LaurentPoly, _int_det, canonicalize
+from knotforge.cli import KnotTable, bundled_table_path
+from knotforge.twisted import _alexander_pencil
+
+# -- the symmetric-union grid -------------------------------------------------
+
+PARTIALS = ("3_1", "4_1", "6_1")
+M_VECTORS = {
+    1: [(-2,), (-1,), (0,), (1,), (2,)],
+    2: [(1, 1), (-1, 2), (2, -2), (0, -1)],
+    3: [(1, -1, 2), (-2, 0, 1), (2, 2, -2)],
+}
+
+
+def grid_marks(pd, k):
+    edges = sorted(pd.edges)
+    step = len(edges) // (k + 1)
+    return tuple(edges[i * step] for i in range(k + 1))
+
+
+def grid_cells():
+    """(partial name, partial PD, marks, m vector) for the 36 grid cells;
+    the union's twists are 2m."""
+    t = KnotTable.parse(bundled_table_path().read_text(), origin="bundled")
+    for name in PARTIALS:
+        pd = t[name]
+        for k, mss in M_VECTORS.items():
+            marks = grid_marks(pd, k)
+            for ms in mss:
+                yield name, pd, marks, ms
+
+
+# -- the evaluate-and-interpolate oracle --------------------------------------
+
+def int_interpolate(xs, ys):
+    """Coefficients, lowest first, of the polynomial of degree < len(xs)
+    through the points (xs[i], ys[i]), at least one (Newton divided
+    differences over Q); raises unless every coefficient is an integer."""
+    n = len(xs)
+    dd = [Fraction(y) for y in ys]
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+    coeffs = [dd[n - 1]]
+    for k in range(n - 2, -1, -1):
+        # coeffs := coeffs * (t - xs[k]) + dd[k]
+        coeffs = ([dd[k] - xs[k] * coeffs[0]] +
+                  [coeffs[i - 1] - xs[k] * coeffs[i]
+                   for i in range(1, len(coeffs))] + [coeffs[-1]])
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError("interpolated polynomial is not integral")
+    return [c.numerator for c in coeffs]
+
+
+def interpolated_alexander(pd):
+    """Delta_K in canonical unit form from the Alexander pencil A0 + t*A1:
+    its integer Bareiss determinant at the n + 1 points 0, 1, -1, 2, -2, ...
+    (n the pencil's size, which bounds the degree), interpolated."""
+    A0, A1 = _alexander_pencil(pd)
+    xs = [(i + 1) // 2 * (1 if i % 2 else -1) for i in range(len(A0) + 1)]
+    ys = [_int_det([[a + x * b for a, b in zip(r0, r1)]
+                    for r0, r1 in zip(A0, A1)]) for x in xs]
+    coeffs = int_interpolate(xs, ys)
+    return canonicalize(LaurentPoly(ZZ, dict(enumerate(coeffs))))

@@ -24,6 +24,8 @@ from knotforge.twisted import (_gen_minus_one_det, classical_alexander,
                                even_symun_obstruction, higher_alexander,
                                knot_determinant, twisted_alexander)
 
+from support import M_VECTORS, PARTIALS, grid_cells, grid_marks
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
@@ -124,29 +126,7 @@ def test_criterion_4_obstruction_11a_201():
 
 # -- criteria 5 and 6: the symmetric-union grid -------------------------------
 
-PARTIALS = ("3_1", "4_1", "6_1")
-M_VECTORS = {
-    1: [(-2,), (-1,), (0,), (1,), (2,)],
-    2: [(1, 1), (-1, 2), (2, -2), (0, -1)],
-    3: [(1, -1, 2), (-2, 0, 1), (2, 2, -2)],
-}
 PRIMES = (5, 7)
-
-
-def grid_marks(pd, k):
-    edges = sorted(pd.edges)
-    step = len(edges) // (k + 1)
-    return tuple(edges[i * step] for i in range(k + 1))
-
-
-def grid_cells():
-    t = table()
-    for name in PARTIALS:
-        pd = t[name]
-        for k, mss in M_VECTORS.items():
-            marks = grid_marks(pd, k)
-            for ms in mss:
-                yield name, pd, marks, ms
 
 
 def cached_partial_reps():

@@ -252,6 +252,24 @@ class TestCommands:
         assert data["results"]["verdict"] == "obstructed"
         assert "quick" in data["results"]["reason"]
 
+    def test_obstruct_rejects_negative_genus(self, capsys, isolated_home):
+        # it used to exit 0 with a false "obstructed" (d_genus_even)
+        assert main(["obstruct", "11a_201", "--candidate", "6_1",
+                     "--genus", "-1"]) == 1
+        assert "genus must be non-negative" in capsys.readouterr().err
+        data = self.run_json(capsys, ["obstruct", "11a_201", "--candidate",
+                                      "6_1", "--genus", "0"])
+        assert data["results"]["quick_checks"]["d_genus_even"] is False
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["talex", "3_1", "--p", "5", "--enumerate"],
+        ["obstruct", "4_1", "--candidate", "unknot"]])
+    def test_jobs_below_one_is_rejected(self, capsys, isolated_home, argv,
+                                        jobs):
+        assert main(argv + ["--jobs", jobs]) == 1
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
     def test_json_byte_identical_round_trip(self, capsys, isolated_home):
         assert main(["--json", "alex", "3_1"]) == 0
         text = capsys.readouterr().out

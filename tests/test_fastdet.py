@@ -1,18 +1,23 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotforge import _fastdet
-from knotforge._fastdet import Pencil, pencil_det, split_pencil
+from knotforge._fastdet import (_MERSENNE_EXPONENTS, Pencil, _int_pencil_det,
+                                pencil_det, split_pencil)
 from knotforge.algebra import GF, QQ, ZZ, LaurentPoly, PolyMatrix, det
 from knotforge.cli import KnotTable, bundled_table_path
-from knotforge.diagram import MarkedDiagram, SymUnionSpec, parse_pd
+from knotforge.diagram import (MarkedDiagram, SymUnionSpec, parse_pd,
+                               symmetric_union_pd)
 from knotforge.presentation import (build_symun_presentation, deficiency_one,
                                     lamm_pullback, wirtinger)
 from knotforge.reps import RepSearchConfig, enumerate_sl2
-from knotforge.twisted import fox_matrix
+from knotforge.twisted import _alexander_pencil, fox_matrix
+
+from support import grid_cells
 
 
 def rand_pencil_matrix(rng, dom, n, density=0.85, singular=False):
@@ -255,3 +260,131 @@ class TestPencilDet:
                 with monkeypatch.context() as m:
                     no_fallback(m)
                     assert pencil_det(A) == want
+
+
+def int_coeffs(f):
+    """Coefficients, lowest first, of a polynomial with min_deg >= 0."""
+    return [f.coeff(e) for e in range(max(f.coeffs, default=0) + 1)]
+
+
+def spy_moduli(monkeypatch):
+    """Record the modulus of every F_p deflation."""
+    seen = []
+    deflate = _fastdet._pencil_det_gf
+
+    def spy(A0, A1, p):
+        seen.append(p)
+        return deflate(A0, A1, p)
+    monkeypatch.setattr(_fastdet, "_pencil_det_gf", spy)
+    return seen
+
+
+def lucas_lehmer(e):
+    """True when 2^e - 1 is prime, for an odd prime e."""
+    m = (1 << e) - 1
+    s = 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
+class TestIntPencilDet:
+    def test_listed_exponents_give_mersenne_primes(self):
+        assert list(_MERSENNE_EXPONENTS) == sorted(set(_MERSENNE_EXPONENTS))
+        for e in _MERSENNE_EXPONENTS:
+            assert all(e % q for q in range(2, e)), e
+            assert lucas_lehmer(e), e
+        # the test itself tells composites apart: 2^11 - 1 = 23 * 89
+        assert not lucas_lehmer(11)
+
+    @pytest.mark.parametrize("s,exponent", [
+        (2 ** 40, 89), (-(2 ** 40), 89), (2 ** 58, 127), (-(2 ** 58), 127)])
+    def test_large_coefficients_pick_a_larger_prime(self, monkeypatch,
+                                                    s, exponent):
+        seen = spy_moduli(monkeypatch)
+        A0 = [[3 * s + 1, -2 * s], [s, 2 * s - 1]]
+        A1 = [[-s, 3 * s], [2 * s, -3 * s]]
+        want = int_coeffs(bareiss_det(Pencil(ZZ, A0, A1)))
+        assert max(map(abs, want)) > 2 ** 61
+        assert _int_pencil_det(A0, A1) == want
+        assert seen == [(1 << exponent) - 1]
+
+    @pytest.mark.parametrize("a", [2 ** 88, -(2 ** 88), 2 ** 88 - 1])
+    def test_coefficient_close_to_the_bound(self, monkeypatch, a):
+        # H = sqrt(2) |a| < 2^89 - 1 < 2|a|: a prime above H but not above
+        # 2H, or no symmetric lift, would return a wrong value
+        seen = spy_moduli(monkeypatch)
+        assert _int_pencil_det([[a]], [[0]]) == [a]
+        assert _int_pencil_det([[0]], [[a]]) == [0, a]
+        assert seen == [(1 << 107) - 1] * 2
+
+    def test_past_the_last_prime_takes_bareiss(self, monkeypatch):
+        big = 2 ** 400
+        A0 = [[big + i if i == j else (i + j) % 3 for j in range(9)]
+              for i in range(9)]
+        A1 = [[-big if i == j else 0 for j in range(9)] for i in range(9)]
+        A1[0][0] = 0
+        want = int_coeffs(bareiss_det(Pencil(ZZ, A0, A1)))
+        calls = []
+
+        def spy(M):
+            calls.append(M.rows)
+            return det(M)
+        monkeypatch.setattr(_fastdet, "det", spy)
+
+        def fail(A0, A1, p):
+            raise AssertionError("deflated past the last prime")
+        monkeypatch.setattr(_fastdet, "_pencil_det_gf", fail)
+        got = _int_pencil_det(A0, A1)
+        assert got == want and calls == [9]
+        assert max(map(abs, got)) > 2 ** 3217
+
+    def test_alexander_pencils_use_the_smallest_prime(self, monkeypatch):
+        # the grid unions have up to 24 generators, far below the 41 of
+        # an abelianized Wirtinger pencil that 2^61 - 1 bounds
+        seen = spy_moduli(monkeypatch)
+        for _, pd, marks, ms in grid_cells():
+            A0, A1 = _alexander_pencil(symmetric_union_pd(SymUnionSpec(
+                MarkedDiagram(pd, marks), tuple(2 * m for m in ms))))
+            _int_pencil_det(A0, A1)
+        assert seen == [(1 << 61) - 1] * 36
+
+    def test_inputs_are_not_modified_and_empty_is_one(self):
+        A0, A1 = [[3, -1], [0, 2]], [[-2, 0], [5, -7]]
+        # (3 - 2t)(2 - 7t) + 5t
+        assert _int_pencil_det(A0, A1) == [6, -20, 14]
+        assert (A0, A1) == ([[3, -1], [0, 2]], [[-2, 0], [5, -7]])
+        assert _int_pencil_det([], []) == [1]
+        assert _int_pencil_det([[0, 0], [1, 2]], [[0, 0], [3, 4]]) == [0]
+
+    def test_integer_pencils_skip_bareiss(self, monkeypatch):
+        no_fallback(monkeypatch)
+        pencil = Pencil(QQ, [[Fraction(1, 2), 0], [0, -1]],
+                        [[0, Fraction(-1, 3)], [1, Fraction(1, 6)]], 1)
+        # det = (1/2)(-1 + t/6) + t^2/3, times t
+        assert pencil_det(pencil) == LaurentPoly(
+            QQ, {1: Fraction(-1, 2), 2: Fraction(1, 12), 3: Fraction(1, 3)})
+        assert pencil_det(Pencil(ZZ, [[1, 1], [0, 1]], [[0, 2], [3, 0]])) \
+            == LaurentPoly(ZZ, {0: 1, 1: -3, 2: -6})
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from(["ZZ", "QQ"]).flatmap(lambda kind: st.tuples(
+        st.just(kind),
+        st.integers(0, 6).flatmap(lambda n: st.lists(
+            st.tuples(st.lists(st.integers(-9, 9), min_size=2 * n,
+                               max_size=2 * n),
+                      st.integers(1, 6 if kind == "QQ" else 1),
+                      st.integers(-3, 3)),
+            min_size=n, max_size=n)))))
+    def test_random_small_pencil_matches_bareiss(self, case):
+        # row i of the matrix is t^lo_i * (A0[i] + t*A1[i]) / den_i
+        kind, rows = case
+        dom = ZZ if kind == "ZZ" else QQ
+        n = len(rows)
+        A0 = [[Fraction(c, den) if kind == "QQ" else c for c in cs[:n]]
+              for cs, den, _ in rows]
+        A1 = [[Fraction(c, den) if kind == "QQ" else c for c in cs[n:]]
+              for cs, den, _ in rows]
+        pencil = Pencil(dom, A0, A1, sum(lo for _, _, lo in rows))
+        want = bareiss_det(pencil)
+        assert pencil_det(pencil) == want

@@ -189,6 +189,14 @@ class TestMatrixOps:
         for M in all_sl2(p)[:200]:
             assert mat_mul(M, mat_inv(M, p), p) == identity_matrix(2)
 
+    def test_empty_word_is_the_identity(self):
+        for d, mats in ((2, (((0, 1), (6, 4)),)), (2, ()),
+                        (3, (((1, 1, 0), (0, 1, 0), (0, 0, 1)),))):
+            assert evaluate_word((), mats, 7) == identity_matrix(d)
+        assert identity_matrix(3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        # one identity per dimension, shared by every call
+        assert identity_matrix(2) is identity_matrix(2)
+
     def test_det(self):
         assert mat_det2(((2, 3), (1, 2)), 7) == 1
         assert is_scalar(((3, 0), (0, 3)), 7)

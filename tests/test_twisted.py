@@ -25,6 +25,8 @@ from knotforge.twisted import (classical_alexander, even_symun_obstruction,
                                knot_determinant, trivial_rep,
                                twisted_alexander, verify_theorem)
 
+from support import grid_cells, interpolated_alexander
+
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
 SIX_ONE = ("X[12,6,1,5] X[6,12,7,11] X[10,1,11,2] X[2,9,3,10] "
@@ -127,6 +129,23 @@ class TestClassicalAlexander:
         delta = classical_alexander(pd)
         assert delta == canonicalize(gcd_polys(minors))
         assert knot_determinant(pd) == abs(delta.evaluate(-1))
+
+    @pytest.mark.parametrize("pd", [pd for name, pd in ORACLE_DIAGRAMS
+                                    if "twists" not in name] + [PDCode([])],
+                             ids=[name for name, _ in ORACLE_DIAGRAMS
+                                  if "twists" not in name] + ["unknot"])
+    def test_matches_interpolation_oracle(self, pd):
+        # the bundled knots, the kinked trefoil and the unknot
+        assert classical_alexander(pd) == interpolated_alexander(pd)
+
+    def test_grid_unions_match_interpolation_oracle(self):
+        cells = list(grid_cells())
+        assert len(cells) == 36
+        for name, pd, marks, ms in cells:
+            union = symmetric_union_pd(SymUnionSpec(MarkedDiagram(pd, marks),
+                                                    tuple(2 * m for m in ms)))
+            assert classical_alexander(union) == \
+                interpolated_alexander(union), (name, ms)
 
     @over_oracle_diagrams
     def test_fox_rows_sum_to_zero(self, pd):
@@ -553,6 +572,15 @@ class TestObstructions:
         odd_genus = even_symun_quick_obstructions(K, pd, genus=3)
         assert not odd_genus["d_genus_even"]
 
+    def test_negative_genus_is_rejected(self):
+        pd = parse_pd(TREFOIL)
+        K = symmetric_union_pd(SymUnionSpec(MarkedDiagram(pd, (1, 3)), (2,)))
+        with pytest.raises(ValueError, match="genus must be non-negative"):
+            even_symun_quick_obstructions(K, pd, genus=-1)
+        # genus 0 is a valid witness (it fails the check: deg Delta_K = 4)
+        assert not even_symun_quick_obstructions(K, pd,
+                                                 genus=0)["d_genus_even"]
+
     def test_positive_control_finds_pullback(self):
         # a genuine even symmetric union cannot be obstructed: the pullback
         # representation's polynomial matches the target
@@ -571,3 +599,46 @@ class TestObstructions:
         assert out["verdict"] == "obstructed"
         assert out["evidence"] == []
         assert out["num_reps"] > 0
+
+
+class TestRepPolynomialWorkers:
+    class FakeExecutor:
+        """Stands in for ProcessPoolExecutor: records max_workers and maps
+        in this process, so that no worker process is started."""
+        created = []
+
+        def __init__(self, max_workers):
+            self.created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    @pytest.mark.parametrize("jobs,cpus,nreps,workers", [
+        (10 ** 6, 4, 3, 3),     # no more workers than reps
+        (10 ** 6, 2, 5, 2),     # no more workers than CPUs
+        (3, 8, 5, 3),           # as many as asked for
+        (10 ** 6, None, 5, None),  # unknown CPU count: serial
+        (1, 8, 5, None),
+        (None, 8, 5, None),
+        (4, 8, 1, None),
+    ])
+    def test_workers_are_capped(self, monkeypatch, jobs, cpus, nreps,
+                                workers):
+        import concurrent.futures
+        self.FakeExecutor.created = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            self.FakeExecutor)
+        monkeypatch.setattr(twisted.os, "cpu_count", lambda: cpus)
+        pres = deficiency_one(wirtinger(parse_pd(TREFOIL)))
+        rho = enumerate_sl2(pres, RepSearchConfig(p=5))[0]
+        got = twisted._rep_polynomials(pres, [rho] * nreps, jobs)
+        assert self.FakeExecutor.created == ([] if workers is None
+                                             else [workers])
+        want = twisted_alexander(pres, rho).value
+        assert [tw.value for tw in got] == [want] * nreps
