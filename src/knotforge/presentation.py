@@ -258,6 +258,49 @@ def deficiency_one(pres):
                              is_wirtinger=pres.is_wirtinger)
 
 
+def eliminate_identifications(pres):
+    """Tietze-eliminate the generators that relators x_a x_b^-1 (in either
+    orientation) identify: each class of identified generators keeps its
+    lowest index, so generator 0 survives, and the other relators, the
+    meridian and the longitude are rewritten on the kept generators and
+    freely reduced.  Returns (reduced presentation, classes), classes[g]
+    the index of g's kept generator in the reduced presentation; None when
+    no relator is an identification or when one closes a cycle (it would
+    reduce to the empty word and change the deficiency)."""
+    n = pres.num_generators
+    root = list(range(n))
+
+    def find(g):
+        while root[g] != g:
+            g = root[g]
+        return g
+
+    rest = []
+    for r in pres.relators:
+        if len(r) == 2 and r[0][0] != r[1][0] and r[0][1] == -r[1][1]:
+            a, b = sorted((find(r[0][0]), find(r[1][0])))
+            if a == b:
+                return None
+            root[b] = a
+        else:
+            rest.append(r)
+    if len(rest) == len(pres.relators):
+        return None
+    roots = [find(g) for g in range(n)]
+    kept = sorted(set(roots))
+    index = {g: i for i, g in enumerate(kept)}
+    classes = tuple(index[g] for g in roots)
+    images = [((c, 1),) for c in classes]
+    reduced = GroupPresentation(
+        tuple(pres.names[g] for g in kept),
+        tuple(map_word(r, images) for r in rest),
+        meridian=classes[pres.meridian],
+        longitude=(None if pres.longitude is None
+                   else map_word(pres.longitude, images)),
+        is_wirtinger=pres.is_wirtinger)
+    return reduced, classes
+
+
 # -- symmetric-union template ------------------------------------------------
 
 def _role_names(base, marks):
@@ -424,13 +467,15 @@ def build_symun_presentation(spec):
 def lamm_pullback(phi, rho):
     """Pull a representation of phi.target back along phi; verifies that all
     source relators map to the identity matrix."""
-    from .reps import Representation, evaluate_word, identity_matrix
+    from .reps import (Representation, identity_matrix, inverses,
+                       word_prefixes)
 
-    mats = tuple(evaluate_word(phi(((i, 1),)), rho.matrices, rho.p)
-                 for i in range(phi.source.num_generators))
+    mats = tuple(word_prefixes(img, rho.matrices, rho.p)[-1]
+                 for img in phi.images)
+    invs = inverses(mats, rho.p)
     ident = identity_matrix(rho.d)
     for r in phi.source.relators:
-        if evaluate_word(r, mats, rho.p) != ident:
+        if word_prefixes(r, mats, rho.p, invs)[-1] != ident:
             raise ValueError("pullback fails a relator; invalid GeneratorMap")
     return Representation(presentation=phi.source, p=rho.p, d=rho.d,
                           matrices=mats)

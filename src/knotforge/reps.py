@@ -106,13 +106,39 @@ def mat_inv(A, p):
     return tuple(tuple(row[d:]) for row in aug)
 
 
-def evaluate_word(w, mats, p):
+def inverses(mats, p):
+    """The inverse of each matrix (mat_inv: the adjugate for a 2x2 matrix
+    of det 1); ZeroDivisionError when one is singular mod p."""
+    return tuple(mat_inv(M, p) for M in mats)
+
+
+def word_prefixes(w, mats, p, invs=None):
+    """The products of the first 0, 1, ..., len(w) letters of the word w
+    under the generator images mats, mod p: the identity first, the value
+    of w last.  A letter x_g^-1 takes invs[g], the inverses of mats, when
+    they are given, and mat_inv(mats[g], p) otherwise.  The 2x2 product
+    over F_p is written out."""
     d = len(mats[0]) if mats else 2
     acc = identity_matrix(d)
-    for g, e in w:
-        M = mats[g] if e == 1 else mat_inv(mats[g], p)
-        acc = mat_mul(acc, M, p)
-    return acc
+    out = [acc]
+    if p is not None and d == 2:
+        a, b, c, e = 1, 0, 0, 1
+        for g, s in w:
+            (x, y), (z, u) = (mats[g] if s > 0 else invs[g] if invs
+                              else mat_inv(mats[g], p))
+            a, b, c, e = ((a * x + b * z) % p, (a * y + b * u) % p,
+                          (c * x + e * z) % p, (c * y + e * u) % p)
+            out.append(((a, b), (c, e)))
+        return out
+    for g, s in w:
+        acc = mat_mul(acc, mats[g] if s > 0 else invs[g] if invs
+                      else mat_inv(mats[g], p), p)
+        out.append(acc)
+    return out
+
+
+def evaluate_word(w, mats, p):
+    return word_prefixes(w, mats, p)[-1]
 
 
 def is_scalar(A, p):
@@ -141,6 +167,9 @@ class Representation:
         object.__setattr__(self, "matrices", mats)
         if len(mats) != self.presentation.num_generators:
             raise ValueError("need one matrix per generator")
+        if self.d < 1:
+            raise ValueError("representation dimension must be at least 1, "
+                             "got d=%d" % self.d)
         for M in mats:
             if len(M) != self.d or any(len(r) != self.d for r in M):
                 raise ValueError("matrix size does not match d=%d" % self.d)
@@ -162,15 +191,21 @@ class Representation:
 
 
 def verify_representation(pres, rho, require_sl=True):
-    """Check det 1 (d=2) and that every relator maps to the identity."""
+    """Check det 1 (d=2), that every matrix is invertible and that every
+    relator maps to the identity."""
     if len(rho.matrices) != pres.num_generators:
         raise ValueError("matrix count does not match the generator count")
     if require_sl and rho.d == 2:
         for M in rho.matrices:
             if mat_det2(M, rho.p) != 1:
                 return False
+    try:
+        invs = inverses(rho.matrices, rho.p)
+    except ZeroDivisionError:
+        return False
     ident = identity_matrix(rho.d)
-    return all(rho(r) == ident for r in pres.relators)
+    return all(word_prefixes(r, rho.matrices, rho.p, invs)[-1] == ident
+               for r in pres.relators)
 
 
 def rep_to_json(rho):

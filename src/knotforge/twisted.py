@@ -4,19 +4,26 @@ Twisted and classical Alexander polynomials.
 The map Phi sends a free-group generator x_i to rho(x_i)*t and extends to the
 group ring; the Wada invariant of a deficiency-1 presentation is
 det A_{x_j} / det Phi(x_j - 1), where A is the Fox Jacobian of the relators
-with the j-th generator column removed.  One left-to-right pass per relator
-(`_fox_cells`) produces every Fox coefficient; without a representation it
-is the abelianization, every generator going to t.  Over F_p, `fox_matrix`
-reduces its coefficients mod p and writes them straight into an integer
-`Pencil`; over Q, or when a row is not linear in t, it builds a matrix of
-Laurent polynomials.  Every determinant of a pencil, the Wada numerator and
-the denominator det(rho(x_j)t - I) alike, goes through `pencil_det`.  The
+with the j-th generator column removed.  Each presentation is compiled once
+(`_fox_program`, per dropped column) into a left-to-right pass over each
+relator that names, per letter, the prefix product, sign, column block and
+power of t of its Fox coefficient; evaluating it (`_fox_rows`) gives every
+Fox coefficient, and without a representation it is the abelianization,
+every generator going to t.  Over F_p, `fox_matrix` reduces its coefficients
+mod p and writes them straight into an integer `Pencil`; over Q, or when a
+row is not linear in t, it builds a matrix of Laurent polynomials.
+`twisted_alexander` first eliminates the generators that relators
+x_a x_b^-1 identify (a Tietze move, which changes the invariant by a unit
+only), so the identification rows of the symmetric-union template never
+reach the determinant.  Every determinant of a pencil, the Wada numerator
+and the denominator det(rho(x_j)t - I) alike, goes through `pencil_det`.  The
 classical Alexander polynomial is a single maximal minor of the abelianized
 Fox matrix over Z[t, t^-1], an integer pencil deflated modulo one Mersenne
 prime (`_fastdet._int_pencil_det`); the higher ones are the GCD of its
 (N-k)-minors over Q[t, t^-1], via the Smith normal form.  `verify_theorem`
 keeps the presentations of its last few specs and the targets of its last
-few partial representations in two bounded memos.
+few partial representations in two bounded memos; the reduced presentations
+and the compiled programs are memoized likewise.
 """
 
 from __future__ import annotations
@@ -24,16 +31,16 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 from .algebra import (GF, QQ, ZZ, LaurentPoly, PolyMatrix, RationalFn,
                       _int_det, canonicalize, divmod_poly, format_poly,
                       rational_unit_equal, reduce_fraction, unit_equal)
 from .presentation import (build_symun_presentation, deficiency_one,
-                           lamm_pullback, wirtinger)
-from .reps import (Representation, RepSearchConfig, enumerate_sl2,
-                   identity_matrix, mat_inv, mat_mul, verify_representation)
-from ._fastdet import Pencil, _int_pencil_det, pencil_det, split_pencil
+                           eliminate_identifications, lamm_pullback,
+                           wirtinger)
+from .reps import (Representation, RepSearchConfig, enumerate_sl2, inverses,
+                   verify_representation, word_prefixes)
+from ._fastdet import Pencil, _int_pencil_det, pencil_det
 
 
 def trivial_rep(pres, p=None):
@@ -70,45 +77,109 @@ def format_fraction(fr):
     return "(%s) / (%s)" % (format_poly(fr.num), format_poly(fr.den))
 
 
-def _fox_cells(pres, rho=None, drop=None):
-    """Yield, per relator, the d rows of its Fox derivatives under
-    x_g -> rho(x_g)*t, each a sparse {(column, exponent): coefficient} dict.
-    Generator column drop is skipped and the other generators' blocks are
-    numbered on: entry (i, j) of the k-th kept generator's block is column
-    d*k + j of row i.  Without rho this is the abelianization: every x_g
-    goes to t, d = 1, and no matrix is multiplied.
+# Entries kept by each memo of this module.  A fixed small bound: a caller
+# that works on a few presentations at a time (the specs of one partial
+# diagram, the representations of one knot) reuses the entries, and memory
+# stays bounded.
+_MEMO_SIZE = 16
 
-    Each relator is read once, left to right, with the running prefix
-    product P = rho(prefix) and its exponent sum e (the fundamental formula):
-    a letter x_g adds +P*t^e to the block of x_g and then advances P, a
-    letter x_g^-1 first advances P by rho(x_g)^-1 and then adds -P*t^e."""
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _fox_program(pres, drop):
+    """The Fox Jacobian of pres, generator column drop removed, compiled
+    once: the number of kept generators and, per relator, (word, lo, span,
+    terms).  The relator is read left to right with its running exponent
+    sum e (the fundamental formula): a letter x_g adds +rho(prefix before
+    it)*t^e to the block of x_g, a letter x_g^-1 first lowers e and adds
+    -rho(prefix through it)*t^e.  Each letter with a kept column is one term
+    (prefix index, sign, block, slot), slot = e - lo with lo the relator's
+    lowest exponent: slot 0 lands in A0 and slot 1 in A1 of the relator's
+    rows, and span counts the slots."""
+    block = {g: k for k, g in enumerate(
+        g for g in range(pres.num_generators) if g != drop)}
+    program = []
+    for r in pres.relators:
+        terms, exps, e = [], [], 0
+        for i, (g, s) in enumerate(r):
+            if s < 0:
+                e -= 1
+            k = block.get(g)
+            if k is not None:
+                terms.append((i + (s < 0), s, k))
+                exps.append(e)
+            if s > 0:
+                e += 1
+        lo = min(exps, default=0)
+        program.append((r, lo, max(exps, default=lo) - lo + 1,
+                        tuple([(*t, e - lo) for t, e in zip(terms, exps)])))
+    return len(block), tuple(program)
+
+
+def _fox_rows(pres, rho, drop):
+    """Evaluate the compiled Fox program under x_g -> rho(x_g)*t, or under
+    the abelianization x_g -> t (d = 1) without rho.  Returns the column
+    count and, per row of the matrix, (lo, slots): slots[j] is the dense row
+    of coefficients of t^(lo + j), reduced mod p over F_p.  Entry (i, j) of
+    the k-th kept generator's block is column d*k + j of row i."""
+    nblocks, program = _fox_program(pres, drop)
     d = 1 if rho is None else rho.d
     p = None if rho is None else rho.p
-    kept = [g for g in range(pres.num_generators) if g != drop]
-    col = {g: d * k for k, g in enumerate(kept)}
-    inverses = {}
-    one = identity_matrix(d)
-    for r in pres.relators:
-        rows = [{} for _ in range(d)]
-        P = one
-        e = 0
-        for g, s in r:
-            if s == -1:
-                if rho is not None:
-                    if g not in inverses:
-                        inverses[g] = mat_inv(rho.matrices[g], p)
-                    P = mat_mul(P, inverses[g], p)
-                e -= 1
-            if g in col:
-                for row, Pi in zip(rows, P):
-                    for k, v in enumerate(Pi, col[g]):
-                        if v:
-                            row[k, e] = row.get((k, e), 0) + s * v
-            if s == 1:
-                if rho is not None:
-                    P = mat_mul(P, rho.matrices[g], p)
-                e += 1
-        yield rows
+    ncols = d * nblocks
+    if rho is not None:
+        mats = rho.matrices
+        invs = inverses(mats, p)
+    rows = []
+    for word, lo, span, terms in program:
+        block = [[[0] * ncols for _ in range(span)] for _ in range(d)]
+        if rho is None:
+            for _, s, k, j in terms:
+                block[0][j][k] += s
+        else:
+            prefixes = word_prefixes(word, mats, p, invs)
+            if d == 2 and p is not None:
+                # the 2 x 2 blocks written out, reduced as they are written
+                top, bottom = block
+                for i, s, k, j in terms:
+                    (a, b), (c, e) = prefixes[i]
+                    k *= 2
+                    R = top[j]
+                    R[k] = (R[k] + s * a) % p
+                    R[k + 1] = (R[k + 1] + s * b) % p
+                    R = bottom[j]
+                    R[k] = (R[k] + s * c) % p
+                    R[k + 1] = (R[k + 1] + s * e) % p
+            else:
+                for i, s, k, j in terms:
+                    for slots, Pi in zip(block, prefixes[i]):
+                        R = slots[j]
+                        for c, v in enumerate(Pi, d * k):
+                            R[c] += s * v
+                if p is not None:
+                    block = [[[v % p for v in R] for R in slots]
+                             for slots in block]
+        rows += ((lo, slots) for slots in block)
+    return ncols, rows
+
+
+def _fox_pencil(ncols, rows, domain):
+    """The integer `Pencil` of Fox rows (split_pencil's rule: a row is
+    shifted to its lowest exponent with a nonzero coefficient, so a row
+    whose t^lo part vanishes is shifted by one, and a zero row has lo = 0);
+    None when a row is not linear in t."""
+    A0, A1, shift = [], [], 0
+    for lo, slots in rows:
+        live = list(map(any, slots))
+        if True not in live:
+            A0.append([0] * ncols)
+            A1.append([0] * ncols)
+            continue
+        j = live.index(True)
+        if True in live[j + 2:]:
+            return None
+        A0.append(slots[j])
+        A1.append(slots[j + 1] if j + 1 < len(slots) else [0] * ncols)
+        shift += lo + j
+    return Pencil(domain, A0, A1, shift)
 
 
 def _domain(rho):
@@ -117,26 +188,22 @@ def _domain(rho):
 
 def fox_matrix(pres, rho, drop=None):
     """Block matrix with (i, j) block Phi(d r_i / d x_j), Phi(x_g) =
-    rho(x_g)*t, optionally with one generator column removed.  Over F_p it
-    is the integer `Pencil` of the matrix, written cell by cell from the one
-    Fox pass, when every row is linear in t after a row shift (as the rows
-    of Wirtinger-type relators are); over Q, or with a row that is not
-    linear, it is the `PolyMatrix` of Laurent polynomials."""
-    d, dom = rho.d, _domain(rho)
-    ncols = d * sum(1 for g in range(pres.num_generators) if g != drop)
-    rows = [row for block in _fox_cells(pres, rho, drop) for row in block]
+    rho(x_g)*t, optionally with one generator column removed, evaluated from
+    the compiled Fox program.  Over F_p it is the integer `Pencil` of the
+    matrix when every row is linear in t after a row shift (as the rows of
+    Wirtinger-type relators are); over Q, or with a row that is not linear,
+    it is the `PolyMatrix` of Laurent polynomials."""
+    dom = _domain(rho)
+    ncols, rows = _fox_rows(pres, rho, drop)
     if rho.p is not None:
-        pencil = split_pencil(rows, ncols, dom)
+        pencil = _fox_pencil(ncols, rows, dom)
         if pencil is not None:
             return pencil
     zero = LaurentPoly.zero(dom)
-    entries = []
-    for row in rows:
-        cells = [{} for _ in range(ncols)]
-        for (k, e), c in row.items():
-            cells[k][e] = c
-        entries.append([LaurentPoly(dom, c) if c else zero for c in cells])
-    return PolyMatrix(dom, entries)
+    return PolyMatrix(dom, [
+        [LaurentPoly(dom, {lo + j: R[c] for j, R in enumerate(slots)})
+         if any(R[c] for R in slots) else zero for c in range(ncols)]
+        for lo, slots in rows])
 
 
 def _gen_minus_one_det(rho, g):
@@ -150,19 +217,39 @@ def _gen_minus_one_det(rho, g):
         [list(row) for row in rho.matrices[g]]))
 
 
+_identifications_eliminated = lru_cache(maxsize=_MEMO_SIZE)(
+    eliminate_identifications)
+
+
 def twisted_alexander(pres, rho, drop_column="auto"):
     """Wada's twisted Alexander polynomial det A_{x_j} / det Phi(x_j - 1) of
     a deficiency-1 presentation; drop_column "auto" removes the first
     generator's column (its denominator has unit leading coefficient, hence
-    is never zero)."""
+    is never zero).  rho is checked on pres; the determinants are taken on
+    pres with the generators that its relators x_a x_b^-1 identify
+    eliminated (memoized), under rho restricted to the kept generators and
+    with column j moved to its class.  The invariant changes by a unit
+    +-t^k under Tietze moves (Wada 1994), which the canonical form of the
+    reduced fraction removes."""
     if pres.deficiency != 1:
         raise ValueError("Wada's invariant needs a deficiency-1 presentation,"
                          " got deficiency %d" % pres.deficiency)
     if not verify_representation(pres, rho, require_sl=(rho.d == 2)):
-        raise ValueError("representation does not satisfy the relators")
+        raise ValueError("representation is singular or does not satisfy "
+                         "the relators")
     j = 0 if drop_column == "auto" else drop_column
     if not (0 <= j < pres.num_generators):
         raise ValueError("drop_column out of range")
+    reduced = _identifications_eliminated(pres)
+    if reduced is not None:
+        pres, classes = reduced
+        # identified generators have equal images, as rho satisfies pres
+        mats = [None] * pres.num_generators
+        for g, c in enumerate(classes):
+            mats[c] = rho.matrices[g]
+        rho = Representation(presentation=pres, p=rho.p, d=rho.d,
+                             matrices=tuple(mats))
+        j = classes[j]
     num = pencil_det(fox_matrix(pres, rho, drop=j))
     den = _gen_minus_one_det(rho, j)
     return TwistedPolynomial(reduce_fraction(num, den), rho.d)
@@ -177,10 +264,8 @@ def _alexander_pencil(pd):
     sum_j (dr/dx_j)(x_j - 1) = r - 1 makes every row sum to 0; the N maximal
     minors of the (N-1) x N relator block are then equal up to sign, and
     this one is their GCD."""
-    pres = wirtinger(pd)
-    n = pres.num_generators
-    pencil = split_pencil((rows[0] for rows in
-                           islice(_fox_cells(pres, drop=0), n - 1)), n - 1, ZZ)
+    ncols, rows = _fox_rows(wirtinger(pd), None, 0)
+    pencil = _fox_pencil(ncols, rows[:ncols], ZZ)
     if pencil is None:
         raise AssertionError("abelianized Fox matrix is not linear in t")
     return pencil.A0, pencil.A1
@@ -337,12 +422,6 @@ def _factorization_target(pres, rho):
     mu = _gen_minus_one_det(rho, pres.meridian)
     return tw, _fraction_mul(_fraction_mul(tw.value, tw.value),
                              RationalFn(mu, LaurentPoly.one(mu.domain)))
-
-
-# Entries kept by each memo of verify_theorem.  A fixed small bound: a
-# caller that verifies several representations on each of a few specs of one
-# partial diagram reuses the entries, and memory stays bounded.
-_MEMO_SIZE = 16
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -270,6 +272,33 @@ class TestCommands:
         assert main(argv + ["--jobs", jobs]) == 1
         assert "--jobs must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, arcs", [
+        (["obstruct", "11a_201", "--candidate", "6_1", "--p", "7"], 6),
+        (["talex", "3_1", "--p", "7"], 3)])
+    def test_empty_matrices_are_rejected(self, capsys, isolated_home, argv,
+                                         arcs):
+        # a rep file of empty matrices, one per arc, was taken as d = 0:
+        # obstruct exited 0 with "obstructed" and target 1, talex with
+        # polynomial 1 and d 0
+        rep = isolated_home / "empty.json"
+        rep.write_text(json.dumps({"p": 7, "generators": [[]] * arcs}))
+        assert main(argv + ["--rep", str(rep)]) == 1
+        captured = capsys.readouterr()
+        assert "dimension must be at least 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("matrices", [
+        [[[0]]] * 3,
+        [[[1, 0, 0], [0, 1, 0], [1, 1, 0]]] * 3],
+        ids=["1x1 zero", "rank-2 3x3"])
+    def test_singular_rep_is_rejected(self, capsys, isolated_home, matrices):
+        # a matrix singular mod p ended in a ZeroDivisionError traceback
+        rep = isolated_home / "singular.json"
+        rep.write_text(json.dumps({"p": 5, "generators": matrices}))
+        assert main(["talex", "3_1", "--p", "5", "--rep", str(rep)]) == 1
+        err = capsys.readouterr().err
+        assert "singular" in err and "Traceback" not in err
+
     def test_json_byte_identical_round_trip(self, capsys, isolated_home):
         assert main(["--json", "alex", "3_1"]) == 0
         text = capsys.readouterr().out
@@ -323,3 +352,20 @@ class TestTableManagement:
                        "3_1,\"X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]\"\n")
         assert main(["table", "import", str(src)]) == 1
         assert "duplicate" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv, code", [(["alex", "3_1"], 0),
+                                            (["alex", "no_such_knot"], 1)])
+    def test_python_m_knotforge(self, isolated_home, argv, code):
+        src = os.path.dirname(os.path.dirname(knotforge.cli.__file__))
+        env = dict(os.environ, HOME=str(isolated_home), PYTHONPATH=src)
+        env.pop("KNOTFORGE_TABLE", None)
+        proc = subprocess.run([sys.executable, "-m", "knotforge"] + argv,
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert "t^2 - t + 1" in proc.stdout
+        else:
+            assert proc.stderr.startswith("error: unknown knot name")

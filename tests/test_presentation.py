@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from knotforge.diagram import MarkedDiagram, SymUnionSpec, parse_pd
-from knotforge.presentation import (GroupRingElt,
+from knotforge.diagram import (MarkedDiagram, SymUnionSpec, parse_pd,
+                               symmetric_union_pd)
+from knotforge.presentation import (GroupPresentation, GroupRingElt,
                                     build_symun_presentation, concat,
-                                    deficiency_one, format_word,
+                                    deficiency_one,
+                                    eliminate_identifications, format_word,
                                     fox_derivative, inverse_word,
                                     lamm_pullback, map_word, parse_word,
                                     reduce_word, two_bridge_presentation,
@@ -203,3 +205,49 @@ class TestSymUnionPresentation:
         images[2] = ((partial.meridian, 1), (partial.meridian, 1))
         with pytest.raises(ValueError):
             GeneratorMap(union, partial, tuple(images))
+
+
+class TestEliminateIdentifications:
+    def test_merges_into_the_lowest_index(self):
+        # x3 = x1 and x2 = x4 (either orientation); x0 x1 x0^-1 x4^-1 stays
+        pres = GroupPresentation(
+            ("a", "b", "c", "d", "e"),
+            (((3, 1), (1, -1)), ((0, 1), (1, 1), (0, -1), (4, -1)),
+             ((2, -1), (4, 1))),
+            meridian=3, longitude=((3, 1), (4, -1)))
+        reduced, classes = eliminate_identifications(pres)
+        assert classes == (0, 1, 2, 1, 2)
+        assert reduced.names == ("a", "b", "c")
+        assert reduced.relators == (((0, 1), (1, 1), (0, -1), (2, -1)),)
+        assert reduced.meridian == 1
+        assert reduced.longitude == ((1, 1), (2, -1))
+        assert reduced.deficiency == pres.deficiency
+
+    def test_nothing_to_eliminate(self):
+        pres = deficiency_one(wirtinger(parse_pd(TREFOIL)))
+        assert eliminate_identifications(pres) is None
+
+    def test_cycle_falls_back(self):
+        # x1 = x2, x2 = x3, x3 = x1: the third closes a cycle
+        pres = GroupPresentation(
+            ("x1", "x2", "x3", "x4"),
+            (((0, 1), (1, -1)), ((1, 1), (2, -1)), ((2, 1), (0, -1))))
+        assert eliminate_identifications(pres) is None
+
+    def test_symmetric_unions_shrink_to_their_arcs(self):
+        # the template's cut points, v1 and the chain ends go; one generator
+        # more than the union diagram has arcs is left (deficiency 1 against
+        # the Wirtinger presentation's 0), and the partial knot keeps its arcs
+        # plus one likewise
+        pd = parse_pd(TREFOIL)
+        for marks, twists in (((1, 3), (2,)), ((1, 3, 5), (2, -2)),
+                              ((1, 2, 4, 5), (0, 2, -4))):
+            spec = SymUnionSpec(MarkedDiagram(pd, marks), twists)
+            union, partial, _ = build_symun_presentation(spec)
+            for pres, arcs in ((union, wirtinger(symmetric_union_pd(spec))
+                                .num_generators), (partial, pd.n)):
+                reduced, classes = eliminate_identifications(pres)
+                assert reduced.num_generators == arcs + 1
+                assert reduced.deficiency == pres.deficiency == 1
+                assert classes[0] == 0 and reduced.is_wirtinger
+                assert all(len(r) == 4 for r in reduced.relators)

@@ -9,9 +9,10 @@ from knotforge.presentation import (build_symun_presentation,
 from knotforge.reps import (RepSearchConfig, Representation,
                             SearchBudgetExceeded, _abelian_class_reps,
                             _pinned_class_reps, enumerate_sl2,
-                            evaluate_word, identity_matrix, is_scalar,
-                            mat_det2, mat_inv, mat_mul, rep_from_json,
-                            rep_to_json, verify_representation)
+                            evaluate_word, identity_matrix, inverses,
+                            is_scalar, mat_det2, mat_inv, mat_mul,
+                            rep_from_json, rep_to_json,
+                            verify_representation, word_prefixes)
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
@@ -197,6 +198,41 @@ class TestMatrixOps:
         # one identity per dimension, shared by every call
         assert identity_matrix(2) is identity_matrix(2)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2, 7])
+    def test_word_prefixes_match_products(self, d, p):
+        # every prefix product of random words against a fold of mat_mul
+        # with mat_inv, over random invertible matrices that need not have
+        # det 1 and with entries not reduced mod p
+        rng = random.Random(100 * d + p)
+        mats = []
+        while len(mats) < 3:
+            M = tuple(tuple(rng.randrange(-2 * p, 2 * p) for _ in range(d))
+                      for _ in range(d))
+            try:
+                mat_inv(M, p)
+            except ZeroDivisionError:
+                continue
+            mats.append(M)
+        invs = inverses(mats, p)
+        for _ in range(40):
+            w = tuple((rng.randrange(3), rng.choice((1, -1)))
+                      for _ in range(rng.randrange(7)))
+            want = [identity_matrix(d)]
+            for g, e in w:
+                M = mats[g] if e > 0 else mat_inv(mats[g], p)
+                want.append(mat_mul(want[-1], M, p))
+            assert word_prefixes(w, mats, p) == want
+            assert word_prefixes(w, mats, p, invs) == want
+            assert evaluate_word(w, mats, p) == want[-1]
+
+    def test_inverse_of_det_other_than_one_is_not_the_adjugate(self):
+        M = ((2, 0), (0, 1))  # det 2 over F_7: the inverse is diag(4, 1)
+        assert inverses((M,), 7) == (((4, 0), (0, 1)),)
+        assert evaluate_word(((0, -1),), (M,), 7) == ((4, 0), (0, 1))
+        with pytest.raises(ZeroDivisionError):
+            inverses((((1, 2), (2, 4)),), 7)
+
     def test_det(self):
         assert mat_det2(((2, 3), (1, 2)), 7) == 1
         assert is_scalar(((3, 0), (0, 3)), 7)
@@ -311,6 +347,26 @@ class TestSerialization:
             rep_from_json(json.dumps({"p": 5}), pres)
         with pytest.raises(ValueError):
             rep_from_json(json.dumps({"p": 5, "generators": []}), pres)
+
+    def test_dimension_below_one_rejected(self):
+        # empty matrices used to pass as a d = 0 representation whose every
+        # relator evaluates to the empty identity
+        pres = two_bridge_presentation(3, 1)
+        with pytest.raises(ValueError, match="at least 1"):
+            Representation(presentation=pres, p=7, d=0, matrices=((), ()))
+        with pytest.raises(ValueError, match="at least 1"):
+            rep_from_json(json.dumps({"p": 7, "generators": [[], []]}), pres)
+
+    @pytest.mark.parametrize("d, M", [
+        (1, ((0,),)),
+        (2, ((1, 2), (2, 4))),
+        (3, ((1, 0, 0), (0, 1, 0), (1, 1, 0)))])
+    def test_singular_matrices_fail_verification(self, d, M):
+        # mat_inv raised ZeroDivisionError out of verify_representation
+        pres = wirtinger(parse_pd(TREFOIL))
+        rho = Representation(presentation=pres, p=5, d=d,
+                             matrices=(M,) * pres.num_generators)
+        assert not verify_representation(pres, rho, require_sl=False)
 
     def test_matrix_count_enforced(self):
         pres = two_bridge_presentation(3, 1)

@@ -8,12 +8,14 @@ from knotforge import twisted
 from knotforge._fastdet import Pencil, pencil_det, split_pencil
 from knotforge.algebra import (GF, QQ, ZZ, LaurentPoly, PolyMatrix,
                                RationalFn, canonicalize, det, gcd_polys,
-                               parse_poly, rational_unit_equal, unit_equal)
+                               parse_poly, rational_unit_equal,
+                               reduce_fraction, unit_equal)
 from knotforge.cli import KnotTable, bundled_table_path
 from knotforge.diagram import (MarkedDiagram, PDCode, SymUnionSpec, parse_pd,
                                symmetric_union_pd)
 from knotforge.presentation import (GroupPresentation,
                                     build_symun_presentation, deficiency_one,
+                                    eliminate_identifications,
                                     fox_derivative, lamm_pullback,
                                     two_bridge_presentation, wirtinger,
                                     word_exponent_sum)
@@ -31,6 +33,11 @@ TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
 SIX_ONE = ("X[12,6,1,5] X[6,12,7,11] X[10,1,11,2] X[2,9,3,10] "
            "X[8,3,9,4] X[4,7,5,8]")
+# trefoil diagrams with a kink whose first crossing's over-arc is its
+# incoming under-arc: in the first its relator keeps four letters, in the
+# second (the other crossing sign) it reduces to an identification x_a x_b^-1
+KINKED_TREFOIL = "X[7,6,8,7] X[8,3,1,4] X[2,5,3,6] X[4,1,5,2]"
+KINK_IDENTIFYING_TREFOIL = "X[6,7,7,8] X[8,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 
 
 def P(text, domain=ZZ):
@@ -43,8 +50,7 @@ def oracle_diagrams():
     coefficients cancels to 0), and the k = 1 grid unions of 3_1 and 4_1."""
     table = KnotTable.parse(bundled_table_path().read_text())
     out = [(name, table[name]) for name in sorted(table.entries)]
-    out.append(("3_1 with a kink", parse_pd(
-        "X[7,6,8,7] X[8,3,1,4] X[2,5,3,6] X[4,1,5,2]")))
+    out.append(("3_1 with a kink", parse_pd(KINKED_TREFOIL)))
     for name in ("3_1", "4_1"):
         pd = table[name]
         edges = sorted(pd.edges)
@@ -225,7 +231,31 @@ def fox_oracle_cases():
         cases.append(("b(7,3) F_7 rep %d" % i, bridge, rho))
     pres = deficiency_one(wirtinger(table["4_1"]))
     cases.append(("4_1 trivial Q", pres, trivial_rep(pres)))
+    # GL(1, F_7): every meridian to the unit 3
+    cases.append(("4_1 GL(1) F_7", pres, Representation(
+        presentation=pres, p=7, d=1,
+        matrices=(((3,),),) * pres.num_generators)))
+    # d = 3: the symmetric square of a nonabelian SL(2, F_7) representation
+    pres = deficiency_one(wirtinger(table["3_1"]))
+    rho = enumerate_sl2(pres, RepSearchConfig(p=7))[0]
+    cases.append(("3_1 Sym^2 F_7 d=3", pres, Representation(
+        presentation=pres, p=7, d=3,
+        matrices=tuple(symmetric_square(M) for M in rho.matrices))))
+    # a kink: a crossing relator x_a x_a x_b^-1 x_a^-1
+    pres = deficiency_one(wirtinger(parse_pd(KINKED_TREFOIL)))
+    for i, rho in enumerate(enumerate_sl2(pres, RepSearchConfig(p=5))[:2]):
+        cases.append(("3_1 with a kink F_5 rep %d" % i, pres, rho))
     return cases
+
+
+def symmetric_square(M):
+    """The 3 x 3 matrix of a 2 x 2 matrix acting on the quadratic forms in
+    its two basis vectors (basis e1^2, e1 e2, e2^2); M -> Sym^2 M is a
+    homomorphism."""
+    (a, b), (c, d) = M
+    return ((a * a, a * b, b * b),
+            (2 * a * c, a * d + b * c, 2 * b * d),
+            (c * c, c * d, d * d))
 
 
 FOX_CASES = fox_oracle_cases()
@@ -263,12 +293,19 @@ class TestFoxMatrix:
             assert A.entries == ref.entries
 
     def test_cases_cover_the_presentations(self):
-        # a relator that is not a 4-letter Wirtinger word, a d = 1 case over
-        # Q and representations over both primes
+        # a relator that is not a 4-letter Wirtinger word, an identification
+        # (the union's), a d = 1 case over Q, d = 1, 2 and 3 over F_p, and
+        # representations over both primes, all valid
         assert any(len(r) > 4 for _, pres, _ in FOX_CASES
                    for r in pres.relators)
+        assert any(len(r) == 2 for _, pres, _ in FOX_CASES
+                   for r in pres.relators)
         assert any(rho.p is None and rho.d == 1 for _, _, rho in FOX_CASES)
+        assert {rho.d for _, _, rho in FOX_CASES
+                if rho.p is not None} == {1, 2, 3}
         assert {rho.p for _, _, rho in FOX_CASES} == {None, 5, 7}
+        for name, pres, rho in FOX_CASES:
+            assert verify_representation(pres, rho, require_sl=False), name
 
     def test_pencil_over_f_p_only_when_linear(self):
         # F_p Wirtinger-type presentations give a Pencil; Q, and b(7,3)'s
@@ -403,6 +440,121 @@ class TestIntegerFoxPencil:
                    for lo_int, lo_p in lowest.values()):
                 shifted.add(p)
         assert shifted == {2, 3, 5, 7}
+
+
+def denominator_oracle(rho, j):
+    """det(rho(x_j)t - I) by Bareiss over the representation's field."""
+    dom = GF(rho.p)
+    M = rho.matrices[j]
+    return det(PolyMatrix(dom, [
+        [LaurentPoly(dom, {1: M[a][b], 0: -int(a == b)})
+         for b in range(rho.d)] for a in range(rho.d)]))
+
+
+def unreduced_wada(pres, rho, j=0):
+    """The Wada invariant on pres itself, with no generator eliminated."""
+    return reduce_fraction(pencil_det(fox_matrix(pres, rho, j)),
+                           denominator_oracle(rho, j))
+
+
+def tietze_oracle_cases():
+    """(name, presentation, representation): for the unions of 3_1, 4_1 and
+    6_1 with k = 1, 2, 3 marked twist regions (the first twist vector of
+    each in the acceptance grid), the pullbacks of the first two
+    representations of the partial knot over F_5 and over F_7; and the
+    Wirtinger presentation of a trefoil whose kink relator is an
+    identification, under its first two representations over each."""
+    cases, seen = [], set()
+    pres = deficiency_one(wirtinger(parse_pd(KINK_IDENTIFYING_TREFOIL)))
+    for p in (5, 7):
+        for i, rho in enumerate(enumerate_sl2(pres, RepSearchConfig(p=p))[:2]):
+            cases.append(("3_1 with an identifying kink F_%d rep %d" % (p, i),
+                          pres, rho))
+    for name, pd, marks, ms in grid_cells():
+        if (name, len(ms)) in seen:
+            continue
+        seen.add((name, len(ms)))
+        spec = SymUnionSpec(MarkedDiagram(pd, marks), tuple(2 * m for m in ms))
+        union, partial, phi = build_symun_presentation(spec)
+        for p in (5, 7):
+            for i, rho in enumerate(enumerate_sl2(
+                    partial, RepSearchConfig(p=p))[:2]):
+                cases.append(("%s twists=%s F_%d rep %d"
+                              % (name, list(spec.twists), p, i),
+                              union, lamm_pullback(phi, rho)))
+    return cases
+
+
+TIETZE_CASES = tietze_oracle_cases()
+
+
+class TestTietzeReduction:
+    @pytest.mark.parametrize("pres, rho", [c[1:] for c in TIETZE_CASES],
+                             ids=[c[0] for c in TIETZE_CASES])
+    def test_reduced_matches_unreduced(self, pres, rho):
+        reduced, classes = eliminate_identifications(pres)
+        assert reduced.num_generators < pres.num_generators
+        tw = twisted_alexander(pres, rho)
+        assert tw.value == unreduced_wada(pres, rho)
+        # an explicit column that names an eliminated generator
+        j = next(g for g, c in enumerate(classes)
+                 if classes.index(c) != g)
+        assert twisted_alexander(pres, rho, drop_column=j).value == \
+            unreduced_wada(pres, rho, j)
+
+    def test_determinants_are_taken_on_the_reduced_presentation(
+            self, monkeypatch):
+        pres, rho = TIETZE_CASES[-1][1:]
+        reduced, _ = eliminate_identifications(pres)
+        sizes = []
+
+        def spy(p, r, drop=None):
+            sizes.append((p.num_generators, len(r.matrices), drop))
+            return fox_matrix(p, r, drop)
+        monkeypatch.setattr(twisted, "fox_matrix", spy)
+        twisted_alexander(pres, rho)
+        n = reduced.num_generators
+        assert sizes == [(n, n, 0)]
+
+    def test_cases_cover_the_grid(self):
+        names = {c[0].split()[0] for c in TIETZE_CASES}
+        assert names == {"3_1", "4_1", "6_1"}
+        assert {c[0].count(",") + 1 for c in TIETZE_CASES} == {1, 2, 3}
+        assert {c[2].p for c in TIETZE_CASES} == {5, 7}
+
+    def test_repeated_identification_falls_back(self):
+        # the trefoil's Wirtinger generators x1, x2, x3, one crossing
+        # relator, and x4 = x1 said twice: a cycle, so nothing is
+        # eliminated; the cycle's two rows are dependent and the invariant
+        # is 0 either way
+        base = deficiency_one(wirtinger(parse_pd(TREFOIL)))
+        pres = GroupPresentation(
+            base.names + ("x4",),
+            base.relators[:1] + (((3, 1), (0, -1)), ((0, 1), (3, -1))))
+        assert pres.deficiency == 1
+        assert eliminate_identifications(pres) is None
+        for p in (5, 7):
+            for rho in enumerate_sl2(base, RepSearchConfig(p=p))[:2]:
+                ext = Representation(presentation=pres, p=p, d=2,
+                                     matrices=rho.matrices
+                                     + (rho.matrices[0],))
+                tw = twisted_alexander(pres, ext)
+                assert tw.value == unreduced_wada(pres, ext)
+                assert tw.value.num.is_zero
+
+    def test_memos_are_bounded(self):
+        for memo in (twisted._identifications_eliminated,
+                     twisted._fox_program):
+            assert memo.cache_info().maxsize == twisted._MEMO_SIZE
+
+    def test_program_is_compiled_once_per_presentation(self):
+        pres, rho = TIETZE_CASES[0][1:]
+        twisted._fox_program.cache_clear()
+        fox_matrix(pres, rho, 0)
+        fox_matrix(pres, rho, 0)
+        fox_matrix(pres, rho, 1)
+        info = twisted._fox_program.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
 
 
 class TestWadaInvariant:
