@@ -120,7 +120,7 @@ def _reduce_rows(A0, A1, p):
         if piv is None:
             continue
         free.remove(piv)
-        inv = pow(A1[piv][c], p - 2, p)
+        inv = pow(A1[piv][c], -1, p)
         P0, P1 = A0[piv], A1[piv]
         for r in free:
             f = A1[r][c]
@@ -145,7 +145,7 @@ def _expand_constant_rows(A0, A1, rows, p):
         j = next((k for k in range(n) if alive[k] and row[k]), None)
         if j is None:
             return 0, None, None
-        inv = pow(row[j], p - 2, p)
+        inv = pow(row[j], -1, p)
         ops = [(k, row[k] * inv % p) for k in range(n)
                if k != j and alive[k] and row[k]]
         factor = factor * row[j] % p
@@ -180,7 +180,7 @@ def _charpoly(C, p):
             H[col + 1], H[piv] = H[piv], H[col + 1]
             for row in H:
                 row[col + 1], row[piv] = row[piv], row[col + 1]
-        inv = pow(H[col + 1][col], p - 2, p)
+        inv = pow(H[col + 1][col], -1, p)
         for r in range(col + 2, n):
             f = H[r][col] * inv % p
             if f:
@@ -239,7 +239,7 @@ def _pencil_det_gf(A0, A1, p):
             if f:
                 acc = [a + f * b for a, b in zip(acc, C[k])]
         scale = scale * Uc[c] % p
-        ninv = -pow(Uc[c], p - 2, p)
+        ninv = -pow(Uc[c], -1, p)
         C[c] = [a * ninv % p for a in acc]
     return [v * scale % p for v in _charpoly(C, p)]
 

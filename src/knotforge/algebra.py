@@ -529,34 +529,6 @@ def det(M):
     return -result if sign < 0 else result
 
 
-def _int_det(A):
-    """Determinant of a square integer matrix, given as a list of int lists
-    that is overwritten, by fraction-free (Bareiss) elimination."""
-    n = len(A)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not A[k][k]:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = A[k][k]
-        row_k = A[k]
-        for i in range(k + 1, n):
-            row_i = A[i]
-            a = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - a * row_k[j]) // prev
-        prev = pivot
-    return sign * A[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # text syntax:  terms `c*t^k` joined by + / -, e.g.  2*t^-1 - 5 + 2*t
 

@@ -97,7 +97,7 @@ def mat_inv(A, p):
         if piv is None:
             raise ZeroDivisionError("matrix is singular mod %d" % p)
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
+        inv = pow(aug[col][col], -1, p)
         aug[col] = [v * inv % p for v in aug[col]]
         for r in range(d):
             if r != col and aug[r][col]:
@@ -219,6 +219,8 @@ def rep_from_json(text, pres):
     if not isinstance(data, dict) or "p" not in data or "generators" not in data:
         raise ValueError("representation JSON needs 'p' and 'generators'")
     p = int(data["p"])
+    if not _is_prime(p):
+        raise ValueError("p = %d is not prime" % p)
     mats = tuple(tuple(tuple(int(v) for v in row) for row in M)
                  for M in data["generators"])
     if not mats:
@@ -241,7 +243,7 @@ def _trace_slice(s, p, include_scalar=False):
                     for c in range(p):
                         out.append(((a, 0), (c, dd)))
                 continue
-            c = bc * pow(b, p - 2, p) % p
+            c = bc * pow(b, -1, p) % p
             out.append(((a, b), (c, dd)))
     if not include_scalar:
         out = [M for M in out if not is_scalar(M, p)]

@@ -19,7 +19,8 @@ reach the determinant.  Every determinant of a pencil, the Wada numerator
 and the denominator det(rho(x_j)t - I) alike, goes through `pencil_det`.  The
 classical Alexander polynomial is a single maximal minor of the abelianized
 Fox matrix over Z[t, t^-1], an integer pencil deflated modulo one Mersenne
-prime (`_fastdet._int_pencil_det`); the higher ones are the GCD of its
+prime (`_fastdet._int_pencil_det`) once per diagram (memoized), and det K is
+the same determinant's value at t = -1; the higher ones are the GCD of its
 (N-k)-minors over Q[t, t^-1], via the Smith normal form.  `verify_theorem`
 keeps the presentations of its last few specs and the targets of its last
 few partial representations in two bounded memos; the reduced presentations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (GF, QQ, ZZ, LaurentPoly, PolyMatrix, RationalFn,
-                      _int_det, canonicalize, divmod_poly, format_poly,
+                      canonicalize, divmod_poly, format_poly,
                       rational_unit_equal, reduce_fraction, unit_equal)
 from .presentation import (build_symun_presentation, deficiency_one,
                            eliminate_identifications, lamm_pullback,
@@ -237,6 +238,13 @@ def twisted_alexander(pres, rho, drop_column="auto"):
     if not verify_representation(pres, rho, require_sl=(rho.d == 2)):
         raise ValueError("representation is singular or does not satisfy "
                          "the relators")
+    return _twisted_alexander(pres, rho, drop_column)
+
+
+def _twisted_alexander(pres, rho, drop_column="auto"):
+    """twisted_alexander for a deficiency-1 pres and a rho already known to
+    satisfy it (the pullback of a checked representation), without checking
+    rho again."""
     j = 0 if drop_column == "auto" else drop_column
     if not (0 <= j < pres.num_generators):
         raise ValueError("drop_column out of range")
@@ -271,28 +279,28 @@ def _alexander_pencil(pd):
     return pencil.A0, pencil.A1
 
 
-def _pencil_value(pencil, x):
-    """det(A0 + x*A1) at an integer x."""
-    A0, A1 = pencil
-    return _int_det([[a + x * b for a, b in zip(r0, r1)]
-                     for r0, r1 in zip(A0, A1)])
-
-
-def _check_at_one(at_one):
+@lru_cache(maxsize=_MEMO_SIZE)
+def _alexander_coefficients(pd):
+    """Integer coefficients, lowest first, of the determinant of pd's
+    Alexander pencil (Delta_K up to a unit), memoized on the diagram (a
+    `PDCode` hashes by its crossings), so that Delta_K and det K of one
+    diagram share one Wirtinger presentation and one modular deflation;
+    checked against Delta(1) = +-1, the sum of the coefficients."""
+    coeffs = tuple(_int_pencil_det(*_alexander_pencil(pd)))
+    at_one = sum(coeffs)
     if at_one not in (1, -1):
         raise AssertionError("Alexander polynomial fails Delta(1) = +-1 "
                              "(got %s)" % at_one)
+    return coeffs
 
 
 def classical_alexander(pd):
     """Classical Alexander polynomial over Z, in canonical unit form: one
     maximal minor of the abelianized Wirtinger Fox matrix, the determinant
-    of its integer pencil by one modular deflation; checked against
-    Delta(1) = +-1."""
-    coeffs = _int_pencil_det(*_alexander_pencil(pd))
-    delta = canonicalize(LaurentPoly(ZZ, dict(enumerate(coeffs))))
-    _check_at_one(delta.evaluate(1))
-    return delta
+    of its integer pencil by one modular deflation (memoized per diagram);
+    checked against Delta(1) = +-1."""
+    return canonicalize(LaurentPoly(ZZ, dict(enumerate(
+        _alexander_coefficients(pd)))))
 
 
 def _smith_invariants(M):
@@ -404,11 +412,11 @@ def higher_alexander(pd, k):
 
 def knot_determinant(pd):
     """|Delta_K(-1)|, the order of the first homology of the double branched
-    cover, read off the Alexander pencil at t = -1; checked against
-    Delta(1) = +-1."""
-    pencil = _alexander_pencil(pd)
-    _check_at_one(_pencil_value(pencil, 1))
-    return abs(_pencil_value(pencil, -1))
+    cover: the alternating sum of the coefficients of the Alexander pencil's
+    determinant, the same memoized determinant that classical_alexander
+    reads; checked against Delta(1) = +-1."""
+    coeffs = _alexander_coefficients(pd)
+    return abs(sum(coeffs[0::2]) - sum(coeffs[1::2]))
 
 
 def _fraction_mul(a, b):
@@ -447,15 +455,18 @@ def verify_theorem(spec, rho_partial):
     Delta_partial^2 * det(rho(mu)t - I), with the degree law
     deg lhs = 2 deg Delta_partial + d.  The union and partial presentations
     and the partial target are memoized (see _MEMO_SIZE); the check of
-    rho_partial and the pullback's relator check run on every call."""
+    rho_partial and the pullback's relator check run on every call, and
+    the pulled-back representation is not checked a second time."""
     union_pres, partial_pres, phi = _symun_presentations(spec)
     if len(rho_partial.matrices) != partial_pres.num_generators or \
             not verify_representation(partial_pres, rho_partial,
                                       require_sl=(rho_partial.d == 2)):
         raise ValueError("representation is not valid on the partial "
                          "presentation produced by this construction")
+    # lamm_pullback has checked every union relator under rho, and its
+    # matrices are words in the checked rho_partial's
     rho = lamm_pullback(phi, rho_partial)
-    lhs = twisted_alexander(union_pres, rho)
+    lhs = _twisted_alexander(union_pres, rho)
     partial_tw, rhs_fr = _partial_target(partial_pres, rho_partial.p,
                                          rho_partial.matrices)
     equal = rational_unit_equal(lhs.value, rhs_fr)

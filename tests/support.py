@@ -1,11 +1,11 @@
 """Shared test helpers: the symmetric-union grid of the acceptance suite,
-and the evaluate-and-interpolate oracle for the classical Alexander
-polynomial (the route `classical_alexander` took before it deflated its
-integer pencil modulo a Mersenne prime)."""
+the integer Bareiss determinant, and the evaluate-and-interpolate oracle for
+the classical Alexander polynomial (the route `classical_alexander` took
+before it deflated its integer pencil modulo a Mersenne prime)."""
 
 from fractions import Fraction
 
-from knotforge.algebra import ZZ, LaurentPoly, _int_det, canonicalize
+from knotforge.algebra import ZZ, LaurentPoly, canonicalize
 from knotforge.cli import KnotTable, bundled_table_path
 from knotforge.twisted import _alexander_pencil
 
@@ -37,7 +37,41 @@ def grid_cells():
                 yield name, pd, marks, ms
 
 
-# -- the evaluate-and-interpolate oracle --------------------------------------
+# -- the integer Bareiss determinant and the evaluate-and-interpolate oracle --
+
+def int_det(A):
+    """Determinant of a square integer matrix, given as a list of int lists
+    that is overwritten, by fraction-free (Bareiss) elimination."""
+    n = len(A)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not A[k][k]:
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = A[k][k]
+        row_k = A[k]
+        for i in range(k + 1, n):
+            row_i = A[i]
+            a = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - a * row_k[j]) // prev
+        prev = pivot
+    return sign * A[n - 1][n - 1]
+
+
+def pencil_value(A0, A1, x):
+    """det(A0 + x*A1) at an integer x, by int_det."""
+    return int_det([[a + x * b for a, b in zip(r0, r1)]
+                    for r0, r1 in zip(A0, A1)])
+
 
 def int_interpolate(xs, ys):
     """Coefficients, lowest first, of the polynomial of degree < len(xs)
@@ -65,7 +99,12 @@ def interpolated_alexander(pd):
     (n the pencil's size, which bounds the degree), interpolated."""
     A0, A1 = _alexander_pencil(pd)
     xs = [(i + 1) // 2 * (1 if i % 2 else -1) for i in range(len(A0) + 1)]
-    ys = [_int_det([[a + x * b for a, b in zip(r0, r1)]
-                    for r0, r1 in zip(A0, A1)]) for x in xs]
+    ys = [pencil_value(A0, A1, x) for x in xs]
     coeffs = int_interpolate(xs, ys)
     return canonicalize(LaurentPoly(ZZ, dict(enumerate(coeffs))))
+
+
+def bareiss_determinant(pd):
+    """det K = |Delta_K(-1)|: the integer Bareiss determinant of the
+    Alexander pencil at t = -1."""
+    return abs(pencil_value(*_alexander_pencil(pd), -1))

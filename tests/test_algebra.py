@@ -7,10 +7,9 @@ import pytest
 from knotforge.algebra import (ZZ, QQ, GF, LaurentPoly, PolyMatrix,
                                canonicalize, det, gcd_polys, reduce_fraction,
                                parse_poly, format_poly, unit_equal,
-                               exact_div, divides, rational_unit_equal,
-                               _int_det)
+                               exact_div, divides, rational_unit_equal)
 
-from support import int_interpolate
+from support import int_det, int_interpolate
 
 
 def P(text, domain=ZZ):
@@ -129,7 +128,7 @@ class TestDetOracle:
                  for _ in range(n)]
             M = PolyMatrix(ZZ, [[LaurentPoly.const(ZZ, a) for a in row]
                                 for row in A])
-            assert _int_det(A) == cofactor_det(M).coeff(0)
+            assert int_det(A) == cofactor_det(M).coeff(0)
 
     def test_integer_interpolation(self):
         rng = random.Random(1357)

@@ -21,6 +21,13 @@ GOOD_TABLE = (
 )
 
 
+@pytest.fixture(autouse=True)
+def cold_alexander_memo():
+    """Each command starts without memoized Alexander determinants, so what
+    it builds does not depend on which tests ran before it."""
+    knotforge.twisted._alexander_coefficients.cache_clear()
+
+
 @pytest.fixture
 def isolated_home(tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", str(tmp_path))
@@ -298,6 +305,14 @@ class TestCommands:
         assert main(["talex", "3_1", "--p", "5", "--rep", str(rep)]) == 1
         err = capsys.readouterr().err
         assert "singular" in err and "Traceback" not in err
+
+    def test_composite_modulus_rep_is_rejected(self, capsys, isolated_home):
+        # 3 has no inverse mod 9; the modulus is rejected before any inverse
+        rep = isolated_home / "mod9.json"
+        rep.write_text(json.dumps({"p": 9, "generators": [[[3]]] * 3}))
+        assert main(["talex", "3_1", "--p", "9", "--rep", str(rep)]) == 1
+        err = capsys.readouterr().err
+        assert "9 is not prime" in err and "Traceback" not in err
 
     def test_json_byte_identical_round_trip(self, capsys, isolated_home):
         assert main(["--json", "alex", "3_1"]) == 0

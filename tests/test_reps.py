@@ -348,6 +348,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             rep_from_json(json.dumps({"p": 5, "generators": []}), pres)
 
+    def test_composite_modulus_rejected(self):
+        # over Z/9 the entry 3 has no inverse for verify_representation
+        pres = two_bridge_presentation(3, 1)
+        with pytest.raises(ValueError, match="9 is not prime"):
+            rep_from_json(json.dumps({"p": 9, "generators": [[[3]], [[3]]]}),
+                          pres)
+
     def test_dimension_below_one_rejected(self):
         # empty matrices used to pass as a d = 0 representation whose every
         # relator evaluates to the empty identity

@@ -27,7 +27,7 @@ from knotforge.twisted import (classical_alexander, even_symun_obstruction,
                                knot_determinant, trivial_rep,
                                twisted_alexander, verify_theorem)
 
-from support import grid_cells, interpolated_alexander
+from support import bareiss_determinant, grid_cells, interpolated_alexander
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
@@ -141,8 +141,10 @@ class TestClassicalAlexander:
                              ids=[name for name, _ in ORACLE_DIAGRAMS
                                   if "twists" not in name] + ["unknot"])
     def test_matches_interpolation_oracle(self, pd):
-        # the bundled knots, the kinked trefoil and the unknot
+        # the bundled knots, the kinked trefoil and the unknot; det K against
+        # the integer Bareiss determinant of the pencil at t = -1
         assert classical_alexander(pd) == interpolated_alexander(pd)
+        assert knot_determinant(pd) == bareiss_determinant(pd)
 
     def test_grid_unions_match_interpolation_oracle(self):
         cells = list(grid_cells())
@@ -152,6 +154,35 @@ class TestClassicalAlexander:
                                                     tuple(2 * m for m in ms)))
             assert classical_alexander(union) == \
                 interpolated_alexander(union), (name, ms)
+            assert knot_determinant(union) == \
+                bareiss_determinant(union), (name, ms)
+
+    def test_delta_and_det_share_one_determinant(self, monkeypatch):
+        calls = {"wirtinger": 0, "_int_pencil_det": 0}
+
+        def counted(name):
+            original = getattr(twisted, name)
+
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            return call
+        for name in calls:
+            monkeypatch.setattr(twisted, name, counted(name))
+        twisted._alexander_coefficients.cache_clear()
+        pd = parse_pd(SIX_ONE)
+        assert classical_alexander(pd) == P("2*t^2 - 5*t + 2")
+        assert knot_determinant(pd) == 9
+        assert calls == {"wirtinger": 1, "_int_pencil_det": 1}
+
+    def test_delta_at_one_is_checked(self, monkeypatch):
+        # 1 + 2t has Delta(1) = 3; neither entry point may return a value
+        monkeypatch.setattr(twisted, "_int_pencil_det", lambda A0, A1: [1, 2])
+        twisted._alexander_coefficients.cache_clear()
+        for entry in (classical_alexander, knot_determinant):
+            with pytest.raises(AssertionError, match="Delta\\(1\\)"):
+                entry(parse_pd(TREFOIL))
+        assert twisted._alexander_coefficients.cache_info().currsize == 0
 
     @over_oracle_diagrams
     def test_fox_rows_sum_to_zero(self, pd):
@@ -633,6 +664,39 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError):
             verify_theorem(spec, None)
 
+    def test_pullback_is_not_checked_twice(self, monkeypatch):
+        # lamm_pullback checks the union's relators; only rho_partial goes
+        # through verify_representation (the partial target is memoized)
+        pd = parse_pd(TREFOIL)
+        spec = SymUnionSpec(MarkedDiagram(pd, (1, 3)), (2,))
+        _, partial, _ = build_symun_presentation(spec)
+        rho = enumerate_sl2(partial, RepSearchConfig(p=5))[0]
+        first = verify_theorem(spec, rho)
+        checked = []
+
+        def counted(pres, rho, require_sl=True):
+            checked.append(pres)
+            return verify_representation(pres, rho, require_sl)
+        monkeypatch.setattr(twisted, "verify_representation", counted)
+        assert verify_theorem(spec, rho) == first
+        assert checked == [partial]
+
+    def test_direct_call_on_the_union_still_checks(self):
+        pd = parse_pd(TREFOIL)
+        spec = SymUnionSpec(MarkedDiagram(pd, (1, 3)), (2,))
+        union, partial, phi = build_symun_presentation(spec)
+        rho_partial = enumerate_sl2(partial, RepSearchConfig(p=5))[0]
+        rho = lamm_pullback(phi, rho_partial)
+        assert twisted.format_fraction(twisted_alexander(union, rho).value) \
+            == verify_theorem(spec, rho_partial)["lhs"]
+        mats = rho.matrices
+        bad = Representation(presentation=union, p=5, d=2,
+                             matrices=(mats[1],) + mats[1:])
+        assert mats[0] != mats[1]
+        assert not verify_representation(union, bad)
+        with pytest.raises(ValueError, match="does not satisfy the relators"):
+            twisted_alexander(union, bad)
+
 
 MEMOS = (twisted._symun_presentations, twisted._partial_target)
 
@@ -651,6 +715,17 @@ class TestVerifyTheoremMemos:
     def test_bounds_are_small_and_fixed(self):
         for memo in MEMOS:
             assert memo.cache_info().maxsize == twisted._MEMO_SIZE < 36
+
+    def test_every_module_memo_is_bounded(self):
+        # found by introspection, so that a new unbounded memo fails here
+        memos = {name: f for name, f in vars(twisted).items()
+                 if callable(getattr(f, "cache_parameters", None))}
+        assert {"_alexander_coefficients", "_fox_program",
+                "_identifications_eliminated", "_symun_presentations",
+                "_partial_target"} <= set(memos)
+        for name, memo in memos.items():
+            assert memo.cache_parameters()["maxsize"] == twisted._MEMO_SIZE, \
+                name
 
     def test_equal_spec_hits_the_memo(self):
         clear_memos()
