@@ -14,15 +14,24 @@ ranges over one matrix per Z-conjugation orbit of the trace slice, about p
 candidates instead of about p^2, and leaves are deduplicated under Z.  Each
 class is listed by the member the unpruned search would keep, the last one
 it visits: the Z-conjugate whose tuple of branched-generator values is
-largest.  Relators force generators by one product over a cyclic rotation,
-with 2x2 arithmetic mod p written out.
+largest.
+
+Which relator forces which generator, and which relators become complete,
+depends only on which generators are assigned, so each search compiles its
+propagation plan once from the relators alone: per depth, a straight-line
+list of force steps (one product over a cyclic rotation of a relator) and
+check steps (each relator checked once, at the depth it becomes complete),
+then the generator to branch on.  Every node runs its depth's plan with the
+2x2 arithmetic mod p written out.  The trace slices, pinned classes with
+their centralizers and first-branch orbit representatives are memoized per
+(trace, p) in a bounded cache.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .algebra import _is_prime
 from .presentation import GroupPresentation
@@ -282,63 +291,26 @@ def _pinned_class_reps(s, p):
             for c in (1, least_nonsquare(p))]
 
 
-def _commuting(mats, p):
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if mat_mul(mats[i], mats[j], p) != mat_mul(mats[j], mats[i], p):
-                return False
-    return True
+def _commute_with_first(mats, p):
+    """Whether every flat 2x2 matrix (x, y, z, w) of mats commutes with
+    mats[0] = (a, b, c, d) mod p: bz = cy, (a - d)y = b(x - w) and
+    (a - d)z = c(x - w)."""
+    a, b, c, d = mats[0]
+    return all((b * z - c * y) % p == 0
+               and ((a - d) * y - b * (x - w)) % p == 0
+               and ((a - d) * z - c * (x - w)) % p == 0
+               for x, y, z, w in mats[1:])
 
 
-def _propagate(relators, work, s, p):
-    """Assign, in place, every generator that a relator forces.  A relator
-    whose only unassigned letter is one occurrence of x^e, rotated to start
-    just after it, reads x^e . P = 1 with P the product of its other letters,
-    so x = P^-1 for e = 1 and x = P for e = -1.  Returns False on a
-    contradiction: a fully assigned relator that is not I, or a forced
-    matrix with det != 1, with trace != s or scalar."""
-    changed = True
-    while changed:
-        changed = False
-        for r in relators:
-            pos = -1
-            for i, (g, _) in enumerate(r):
-                if work[g] is None:
-                    if pos >= 0:
-                        break  # a second unassigned letter: nothing forced
-                    pos = i
-            else:  # at most one unassigned letter, at pos
-                a, b, c, d = 1, 0, 0, 1
-                for g, e in (r if pos < 0 else r[pos + 1:] + r[:pos]):
-                    (x, y), (z, w) = work[g]
-                    if e < 0:
-                        x, y, z, w = w, -y, -z, x
-                    a, b, c, d = ((a * x + b * z) % p, (a * y + b * w) % p,
-                                  (c * x + d * z) % p, (c * y + d * w) % p)
-                if pos < 0:
-                    if (a, b, c, d) != (1, 0, 0, 1):
-                        return False
-                    continue
-                g, e = r[pos]
-                if e > 0:
-                    a, b, c, d = d, -b % p, -c % p, a
-                if (a * d - b * c) % p != 1:
-                    return False
-                if (a + d) % p != s or (b == c == 0 and a == d):
-                    return False
-                work[g] = ((a, b), (c, d))
-                changed = True
-    return True
-
-
-def _next_branch_gen(pres, work):
+def _next_branch_gen(relators, assigned):
     """Pick the unassigned generator to branch on: one from the relator with
     the fewest unassigned generators, so the assignment either forces the
-    remaining ones through propagation or is checked immediately.  Returns
-    None when every generator is assigned."""
+    remaining ones through propagation or is checked immediately.  assigned
+    holds one flag per generator.  Returns None when every generator is
+    assigned."""
     best = None
-    for ri, r in enumerate(pres.relators):
-        missing = sorted({g for g, _ in r if work[g] is None})
+    for ri, r in enumerate(relators):
+        missing = sorted({g for g, _ in r if not assigned[g]})
         if not missing:
             continue
         key = (len(missing), ri)
@@ -347,13 +319,77 @@ def _next_branch_gen(pres, work):
     if best is not None:
         return best[1]
     try:
-        return work.index(None)
+        return assigned.index(False)
     except ValueError:
         return None
 
 
-def _conjugate(z, zi, M, p):
-    return mat_mul(mat_mul(z, M, p), zi, p)
+def _compile_plans(relators, ng):
+    """The propagation schedule of the search, from the relators alone.
+
+    Propagation assigns a set of generators that depends only on the set
+    assigned before it, so every node of one depth runs the same steps and
+    branches on the same generator.  Starting from {x_0}, each depth rescans
+    the relators until nothing changes.  A relator whose only unassigned
+    letter is one occurrence of x^e, rotated to start just after it, reads
+    x^e . P = 1 with P the product of its other letters: a force step
+    (x, e, P's letters), x = P^-1 for e = 1 and x = P for e = -1.  A relator
+    that became complete is a check step (None, 0, its letters).  Each
+    relator is used once on every path, as a force or as a check.  Letters
+    are slots of the search's value array: x_h^1 is h, x_h^-1 is ng + h,
+    and an empty product is the identity's slot 2 * ng.
+    Returns (plans, gens): plans[k] the steps of depth k, gens[k] the
+    generator branched on after them (None at the leaves, the last depth).
+    """
+    def slots(letters):
+        out = tuple(h if f > 0 else ng + h for h, f in letters) or (2 * ng,)
+        return out[0], out[1:]
+
+    assigned = [False] * ng
+    assigned[0] = True
+    used = [False] * len(relators)
+    plans, gens = [], []
+    while True:
+        steps = []
+        changed = True
+        while changed:
+            changed = False
+            for ri, r in enumerate(relators):
+                if used[ri]:
+                    continue
+                pos = -1
+                for i, (g, _) in enumerate(r):
+                    if not assigned[g]:
+                        if pos >= 0:
+                            break  # a second unassigned letter: nothing forced
+                        pos = i
+                else:  # at most one unassigned letter, at pos
+                    used[ri] = True
+                    if pos < 0:
+                        steps.append((None, 0) + slots(r))
+                        continue
+                    g, e = r[pos]
+                    steps.append((g, e) + slots(r[pos + 1:] + r[:pos]))
+                    assigned[g] = changed = True
+        plans.append(tuple(steps))
+        g = _next_branch_gen(relators, assigned)
+        gens.append(g)
+        if g is None:
+            return tuple(plans), tuple(gens)
+        assigned[g] = True
+
+
+def _conjugates(M, zpairs, p):
+    """z M z^-1 mod p for each pair (z, z^-1) of zpairs, all flat
+    (a, b, c, d), in the order of zpairs."""
+    a, b, c, d = M
+    out = []
+    for (z0, z1, z2, z3), (w0, w1, w2, w3) in zpairs:
+        e, f, g, h = (z0 * a + z1 * c, z0 * b + z1 * d,
+                      z2 * a + z3 * c, z2 * b + z3 * d)
+        out.append(((e * w0 + f * w2) % p, (e * w1 + f * w3) % p,
+                    (g * w0 + h * w2) % p, (g * w1 + h * w3) % p))
+    return out
 
 
 def _orbit_reps(cands, zpairs, p):
@@ -364,8 +400,40 @@ def _orbit_reps(cands, zpairs, p):
     for M in cands:
         if M not in seen:
             out.append(M)
-            seen.update(_conjugate(z, zi, M, p) for z, zi in zpairs)
+            seen.update(_conjugates(M, zpairs, p))
     return out
+
+
+def _flat_pairs(mats, p):
+    """(M, M^-1) for each M = ((a, b), (c, d)) of mats in SL2(F_p), both
+    flat (a, b, c, d).  For mats closed under inversion, as a trace slice or
+    a centralizer is, M^-1 is the very tuple listed for it."""
+    flat = {f: f for f in (M[0] + M[1] for M in mats)}
+    out = []
+    for f in flat:
+        a, b, c, d = f
+        inv = (d, -b % p, -c % p, a)
+        out.append((f, flat.get(inv, inv)))
+    return out
+
+
+_TABLE_MEMO = 32  # (s, p) keys: every trace of the primes up to 11
+
+
+@lru_cache(maxsize=_TABLE_MEMO)
+def _trace_tables(s, p):
+    """The search's tables for trace s over F_p, as immutable tuples of
+    flat (M, M^-1) pairs: the trace slice, and per pinned class (M0, its
+    centralizer Z, the first branch's candidates: the least member of each
+    Z-orbit of the slice).  Flat and nested matrices sort alike."""
+    pairs = {pair[0]: pair for pair in _flat_pairs(_trace_slice(s, p), p)}
+    classes = []
+    for M0, zs in _pinned_class_reps(s, p):
+        zpairs = tuple(_flat_pairs(zs, p))
+        first = _orbit_reps(pairs, zpairs, p)
+        classes.append((pairs[M0[0] + M0[1]], zpairs,
+                        tuple(pairs[M] for M in first)))
+    return tuple(pairs.values()), tuple(classes)
 
 
 def enumerate_sl2(pres, cfg):
@@ -389,16 +457,16 @@ def enumerate_sl2(pres, cfg):
     if not pres.is_wirtinger:
         raise ValueError("enumeration needs a Wirtinger-type presentation")
     ng = pres.num_generators
-    rels = pres.relators
+    plans, gens = _compile_plans(pres.relators, ng)
+    # every leaf is at the last depth, and the search meets leaves in
+    # lexicographic order of their values on the branched generators
+    branched = gens[:-1]
     reps = []
     nodes = 0
-    # order[k] is the generator branched on at depth k (None at a leaf).
-    # Propagation assigns a set of generators that depends only on the set
-    # assigned before it, so every node of one depth branches on the same
-    # generator, and the search meets leaves in lexicographic order of
-    # their branched-generator values.
-    order = []
-    slices = {}
+    # the slots of _compile_plans: x_h, then x_h^-1, then I, each a flat
+    # (a, b, c, d).  One array serves the whole search, since a node's plan
+    # reads only slots assigned on its own path.
+    vals = [None] * (2 * ng) + [(1, 0, 0, 1)]
 
     def mk(mats):
         return Representation(presentation=pres, p=p, d=2, matrices=mats)
@@ -407,51 +475,60 @@ def enumerate_sl2(pres, cfg):
         for M in _abelian_class_reps(p):
             reps.append(mk((M,) * ng))
 
-    def branch(work, s, cands, depth, sink):
+    def branch(depth, s, cands):
         nonlocal nodes
         nodes += 1
         if nodes > cfg.max_nodes:
             raise SearchBudgetExceeded(
                 "representation search exceeded its budget: %d nodes used, "
                 "reached trace %d of 0..%d" % (cfg.max_nodes, s, p - 1))
-        if not _propagate(rels, work, s, p):
-            return
-        if depth == len(order):
-            order.append(_next_branch_gen(pres, work))
-        g = order[depth]
+        # every value lies in SL2(F_p), so a forced product has det 1 and
+        # needs only the trace and scalar checks
+        for g, e, first, rest in plans[depth]:
+            a, b, c, d = vals[first]
+            for h in rest:
+                x, y, z, w = vals[h]
+                a, b, c, d = ((a * x + b * z) % p, (a * y + b * w) % p,
+                              (c * x + d * z) % p, (c * y + d * w) % p)
+            if g is None:
+                if a != 1 or b or c or d != 1:
+                    return
+                continue
+            if (a + d) % p != s or (b == c == 0 and a == d):
+                return
+            P, Pi = (a, b, c, d), (d, -b % p, -c % p, a)
+            vals[g], vals[ng + g] = (Pi, P) if e > 0 else (P, Pi)
+        g = gens[depth]
         if g is None:
-            sink(tuple(work), depth)
+            leaf(vals[:ng])
             return
-        for M in cands:
-            work2 = list(work)
-            work2[g] = M
-            branch(work2, s, slices[s], depth + 1, sink)
+        for M, Mi in cands:
+            vals[g], vals[ng + g] = M, Mi
+            branch(depth + 1, s, trace_slice)
+
+    def leaf(mats):
+        # x_0 is not scalar, so its centralizer is commutative and the
+        # leaf is abelian when every value commutes with x_0
+        if _commute_with_first(mats, p):
+            return  # abelian classes are listed up front
+        canon = keep = top = None
+        for conj in zip(*[_conjugates(M, zpairs, p) for M in mats]):
+            if canon is None or conj < canon:
+                canon = conj
+            key = [conj[g] for g in branched]
+            if keep is None or key > top:
+                keep, top = conj, key
+        found[canon] = keep
 
     for s in range(p):
-        slices[s] = _trace_slice(s, p)
+        trace_slice, classes = _trace_tables(s, p)
         found = {}
-        for M0, zs in _pinned_class_reps(s, p):
-            zpairs = [(z, mat_inv2(z, p)) for z in zs]
-            init = [None] * ng
-            init[0] = M0
-
-            def sink(mats, depth, zpairs=zpairs):
-                if _commuting(mats, p):
-                    return  # abelian classes are listed up front
-                branched = order[:depth]
-                canon = keep = top = None
-                for z, zi in zpairs:
-                    conj = tuple(_conjugate(z, zi, M, p) for M in mats)
-                    if canon is None or conj < canon:
-                        canon = conj
-                    key = [conj[g] for g in branched]
-                    if keep is None or key > top:
-                        keep, top = conj, key
-                found[canon] = keep
-
-            branch(init, s, _orbit_reps(slices[s], zpairs, p), 0, sink)
+        for (vals[0], vals[ng]), zpairs, first in classes:
+            branch(0, s, first)
+        # flat and nested matrices sort alike
         for canon in sorted(found):
-            reps.append(mk(found[canon]))
+            reps.append(mk(tuple(((a, b), (c, d))
+                                 for a, b, c, d in found[canon])))
     return reps
 
 

@@ -390,18 +390,27 @@ def _smith_invariants(M):
     return invariants
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _alexander_invariants(pd):
+    """(N, invariant factors): the generator count of pd's Wirtinger
+    presentation and the Smith invariant factors over Q of its abelianized
+    Fox matrix, memoized on the diagram, since they do not depend on k."""
+    pres = wirtinger(pd)
+    return pres.num_generators, tuple(
+        _smith_invariants(fox_matrix(pres, trivial_rep(pres))))
+
+
 def higher_alexander(pd, k):
     """k-th Alexander polynomial over Q: GCD of the (N-k)-minors of the
     abelianized Fox matrix, i.e. the product of the first N-k invariant
-    factors of its Smith normal form; 1 when the minor size is not positive."""
+    factors of its Smith normal form (memoized per diagram); 1 when the
+    minor size is not positive."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    pres = wirtinger(pd)
-    N = pres.num_generators
+    N, inv = _alexander_invariants(pd)
     size = N - k
     if size <= 0:
         return LaurentPoly.one(QQ)
-    inv = _smith_invariants(fox_matrix(pres, trivial_rep(pres)))
     if len(inv) < size:
         return LaurentPoly.zero(QQ)
     acc = LaurentPoly.one(QQ)

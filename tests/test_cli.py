@@ -23,9 +23,11 @@ GOOD_TABLE = (
 
 @pytest.fixture(autouse=True)
 def cold_alexander_memo():
-    """Each command starts without memoized Alexander determinants, so what
-    it builds does not depend on which tests ran before it."""
+    """Each command starts without memoized Alexander determinants or
+    invariant factors, so what it builds does not depend on which tests ran
+    before it."""
     knotforge.twisted._alexander_coefficients.cache_clear()
+    knotforge.twisted._alexander_invariants.cache_clear()
 
 
 @pytest.fixture
@@ -186,6 +188,32 @@ class TestCommands:
         data = self.run_json(capsys, ["alex", "6_1", "--det"])
         assert data["results"]["determinant"] == 9
         assert len(calls) == 1
+
+    def test_alex_ideals_run_one_smith_form(self, capsys, isolated_home,
+                                            monkeypatch):
+        # the invariant factors do not depend on k: one Smith form for both
+        # ideals, and one Wirtinger build for them beside Delta's
+        builds, smith = [], []
+
+        def counted(pd):
+            builds.append(pd)
+            return wirtinger(pd)
+
+        def counted_smith(M):
+            smith.append(M)
+            return invariants(M)
+        invariants = knotforge.twisted._smith_invariants
+        for module in (knotforge.cli, knotforge.twisted):
+            monkeypatch.setattr(module, "wirtinger", counted)
+        monkeypatch.setattr(knotforge.twisted, "_smith_invariants",
+                            counted_smith)
+        data = self.run_json(capsys, ["alex", "6_1", "--det", "--ideal", "2",
+                                      "--ideal", "3"])
+        res = data["results"]
+        assert (res["determinant"], res["alexander_2"],
+                res["alexander_3"]) == (9, "1", "1")
+        assert len(smith) == 1
+        assert len(builds) <= 2
 
     def test_alex_unknot(self, capsys, isolated_home):
         data = self.run_json(capsys, ["alex", "unknot"])

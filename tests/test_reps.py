@@ -3,17 +3,22 @@ import random
 
 import pytest
 
+import knotforge.reps
+from knotforge.cli import KnotTable, bundled_table_path
 from knotforge.diagram import MarkedDiagram, SymUnionSpec, parse_pd
 from knotforge.presentation import (build_symun_presentation,
                                     two_bridge_presentation, wirtinger)
 from knotforge.reps import (RepSearchConfig, Representation,
                             SearchBudgetExceeded, _abelian_class_reps,
-                            _pinned_class_reps, enumerate_sl2,
+                            _commute_with_first, _compile_plans,
+                            _pinned_class_reps,
+                            _trace_tables, enumerate_sl2,
                             evaluate_word, identity_matrix, inverses,
                             is_scalar, mat_det2, mat_inv, mat_mul,
                             rep_from_json, rep_to_json,
                             verify_representation, word_prefixes)
 
+BUNDLED = KnotTable.load(bundled_table_path())
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
 KNOT_6_1 = ("X[12,6,1,5] X[6,12,7,11] X[10,1,11,2] X[2,9,3,10] X[8,3,9,4] "
@@ -157,6 +162,9 @@ REFERENCE_PRESENTATIONS = {
     "8_20": lambda: wirtinger(parse_pd(KNOT_8_20)),
     "b(5,3)": lambda: two_bridge_presentation(5, 3),
     "4_1 cut at 1,3,5": cut_partial_presentation,
+    # two and three branch depths
+    "11a_201": lambda: wirtinger(BUNDLED["11a_201"]),
+    "10_137": lambda: wirtinger(BUNDLED["10_137"]),
 }
 
 
@@ -307,6 +315,115 @@ class TestReferenceSearch:
             assert got == reference_enumerate(pres, cfg), cfg
 
 
+def plan_words(plans, ng):
+    """The relator words the plans use, each as its least cyclic rotation:
+    a force step (x, e, letters) uses x^e followed by its letters, a check
+    step its letters.  Slot h < ng is x_h, ng + h is x_h^-1 and 2 ng is
+    the empty product."""
+    def letter(h):
+        return (h, 1) if h < ng else (h - ng, -1)
+    out = []
+    for plan in plans:
+        for g, e, first, rest in plan:
+            word = [letter(h) for h in (first,) + rest if h != 2 * ng]
+            if g is not None:
+                word.insert(0, (g, e))
+            out.append(least_rotation(word))
+    return out
+
+
+def least_rotation(word):
+    word = tuple(word)
+    return min((word[i:] + word[:i] for i in range(len(word))), default=())
+
+
+class TestCompiledPlan:
+    def test_generator_twice_is_not_forced(self):
+        # x1 x0 x1^-1 x0^-1 has one unassigned generator, x1, but twice:
+        # nothing is forced, x1 is branched on and the relator checked
+        rels = (((1, 1), (0, 1), (1, -1), (0, -1)),)
+        plans, gens = _compile_plans(rels, 2)
+        assert plans[0] == () and gens == (1, None)
+        assert plans[1] == ((None, 0, 1, (0, 3, 2)),)
+
+    def test_relator_complete_at_the_root_is_checked_there(self):
+        # x0 x0^-1 is complete once x0 is pinned; x0 x1 x0^-1 then forces x1
+        rels = (((0, 1), (1, 1), (0, -1)), ((0, 1), (0, -1)))
+        plans, gens = _compile_plans(rels, 2)
+        assert gens == (None,)
+        assert plans == (((1, 1, 2, (0,)), (None, 0, 0, (2,))),)
+
+    def test_forced_and_checked_in_the_rescan_order(self):
+        # r0 waits for x2; r1 forces x1 = x0, which lets r0 force x2
+        rels = (((2, 1), (1, -1), (0, -1)), ((1, 1), (0, -1)))
+        plans, gens = _compile_plans(rels, 3)
+        assert gens == (None,)
+        assert [(g, e) for g, e, _, _ in plans[0]] == [(1, 1), (2, 1)]
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PRESENTATIONS))
+    def test_every_relator_used_once_on_every_path(self, name):
+        # every node of a depth runs the same plan, so a path from the root
+        # to a leaf runs all of them, one after another
+        pres = REFERENCE_PRESENTATIONS[name]()
+        plans, gens = _compile_plans(pres.relators, pres.num_generators)
+        assert sorted(plan_words(plans, pres.num_generators)) == sorted(
+            least_rotation(r) for r in pres.relators)
+        assert gens[-1] is None and None not in gens[:-1]
+        assert len(set(gens[:-1])) == len(gens) - 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_commute_with_first_matches_products(self, p):
+        G = all_sl2(p)
+        for A in G:
+            for B in G:
+                flat = [sum(A, ()), sum(B, ())]
+                assert _commute_with_first(flat, p) == (
+                    mat_mul(A, B, p) == mat_mul(B, A, p)), (A, B)
+
+    def test_compiled_once_per_enumeration(self, monkeypatch):
+        calls = []
+
+        def counted(relators, ng):
+            calls.append(ng)
+            return _compile_plans(relators, ng)
+        monkeypatch.setattr(knotforge.reps, "_compile_plans", counted)
+        pres = wirtinger(parse_pd(FIG8))
+        reps = enumerate_sl2(pres, RepSearchConfig(p=7))
+        assert reps and calls == [4]
+
+
+class TestTraceTables:
+    def test_memo_is_bounded(self):
+        maxsize = _trace_tables.cache_parameters()["maxsize"]
+        assert maxsize == knotforge.reps._TABLE_MEMO
+        assert maxsize is not None and 17 <= maxsize <= 256
+
+    def test_entries_are_immutable(self):
+        def frozen(v):
+            return isinstance(v, int) or (isinstance(v, tuple)
+                                          and all(frozen(x) for x in v))
+        for p in (2, 3, 5, 7):
+            for s in range(p):
+                assert frozen(_trace_tables(s, p)), (s, p)
+
+    def test_warm_tables_give_the_cold_lists(self):
+        pres = wirtinger(BUNDLED["8_20"])
+
+        def listed(p):
+            cfg = RepSearchConfig(p=p, nonabelian_only=False)
+            return [r.matrices for r in enumerate_sl2(pres, cfg)]
+        cold = {}
+        for p in (5, 7):
+            _trace_tables.cache_clear()
+            cold[p] = listed(p)
+        for p in (5, 7, 5):
+            assert listed(p) == cold[p], p
+        # one table per trace and call; the F_5 tables were cleared before
+        # the cold F_7 run, the F_7 and second F_5 runs find theirs
+        info = _trace_tables.cache_info()
+        assert (info.hits, info.misses) == (7 + 5, 7 + 5)
+
+
 class TestDeterminismAndBudget:
     def test_deterministic(self):
         pres = wirtinger(parse_pd(FIG8))
@@ -318,6 +435,15 @@ class TestDeterminismAndBudget:
         pres = wirtinger(parse_pd(FIG8))
         with pytest.raises(SearchBudgetExceeded):
             enumerate_sl2(pres, RepSearchConfig(p=7, max_nodes=1))
+
+    @pytest.mark.parametrize("name,p,nodes", [
+        ("4_1", 7, 133), ("11a_201", 7, 6189), ("10_137", 5, 3267)])
+    def test_exact_node_count(self, name, p, nodes):
+        # the search visits exactly these nodes: N suffices, N - 1 does not
+        pres = wirtinger(BUNDLED[name])
+        assert enumerate_sl2(pres, RepSearchConfig(p=p, max_nodes=nodes))
+        with pytest.raises(SearchBudgetExceeded):
+            enumerate_sl2(pres, RepSearchConfig(p=p, max_nodes=nodes - 1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

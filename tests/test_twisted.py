@@ -720,9 +720,9 @@ class TestVerifyTheoremMemos:
         # found by introspection, so that a new unbounded memo fails here
         memos = {name: f for name, f in vars(twisted).items()
                  if callable(getattr(f, "cache_parameters", None))}
-        assert {"_alexander_coefficients", "_fox_program",
-                "_identifications_eliminated", "_symun_presentations",
-                "_partial_target"} <= set(memos)
+        assert {"_alexander_coefficients", "_alexander_invariants",
+                "_fox_program", "_identifications_eliminated",
+                "_symun_presentations", "_partial_target"} <= set(memos)
         for name, memo in memos.items():
             assert memo.cache_parameters()["maxsize"] == twisted._MEMO_SIZE, \
                 name
