@@ -333,11 +333,12 @@ def _compile_plans(relators, ng):
     the relators until nothing changes.  A relator whose only unassigned
     letter is one occurrence of x^e, rotated to start just after it, reads
     x^e . P = 1 with P the product of its other letters: a force step
-    (x, e, P's letters), x = P^-1 for e = 1 and x = P for e = -1.  A relator
-    that became complete is a check step (None, 0, its letters).  Each
-    relator is used once on every path, as a force or as a check.  Letters
-    are slots of the search's value array: x_h^1 is h, x_h^-1 is ng + h,
-    and an empty product is the identity's slot 2 * ng.
+    (x, e, first, rest) with P's letters split into the first and the rest,
+    x = P^-1 for e = 1 and x = P for e = -1.  A relator that became complete
+    is a check step (None, 0, first, rest) of its letters.  Each relator is
+    used once on every path, as a force or as a check.  Letters are slots
+    of the search's value array: x_h^1 is h, x_h^-1 is ng + h, and an empty
+    product is the identity's slot 2 * ng.
     Returns (plans, gens): plans[k] the steps of depth k, gens[k] the
     generator branched on after them (None at the leaves, the last depth).
     """
