@@ -13,18 +13,31 @@ determinant is.  Pencil determinants are computed here by deflating the
 pencil over F_p itself, which is exact for every square pencil:
 
 1. Row-reduce A1, applying the same row operations to A0.
-2. If A1 is now nonsingular, det(A0 + t*A1) = det(A1) * det(tI + A1^-1 A0).
-   A1^-1 A0 comes from back substitution, and the second factor is the
-   characteristic polynomial of -A1^-1 A0, by reduction to Hessenberg form.
-3. Otherwise every zero row of A1 is a constant row of the pencil.  Scalar
+2. Every zero row of A1 is now a constant row of the pencil.  Scalar
    column operations on A0 and A1, which keep the matrix a pencil, clear
    each constant row but for one pivot, and the determinant is expanded
    along it.  A constant row that is all zero makes the determinant 0.  The
-   smaller pencil that is left goes back to step 1.
+   smaller pencil that is left goes back to step 1, until A1 is
+   nonsingular: the infinite eigenvalues are deflated.
+3. For a k x k pencil, det(A0 + t*A1) = t^k * det(A1 + s*A0) with s = 1/t.
+   With the roles of A0 and A1 swapped, steps 1 and 2 deflate the rows that
+   are t times a constant row, the eigenvalue 0, until A0 is nonsingular
+   too.  Each of these expansions divides det(A1 + s*A0) by a nonzero
+   scalar, so its constant term det(A1) stays nonzero: A1 stays
+   nonsingular and one swap is enough.  Every round of either phase removes
+   at least one row and column or ends its phase, so at most n + 2 rounds
+   run.
+4. What is left is exactly as wide as the determinant's span, and
+   det(A1 + s*A0) = det(A0) * det(sI + A0^-1 A1), the characteristic
+   polynomial of -A0^-1 A1 by back substitution and reduction to Hessenberg
+   form.  Its m + 1 coefficients, m the size left, are those of the
+   determinant from t^k down to t^(k-m).
 
-Fox pencils are very degenerate (many constant rows, a small rank of A1),
-so step 3 removes most of the matrix before any characteristic polynomial
-is formed.  An integer pencil (over Q, once row denominators are cleared)
+Fox pencils are very degenerate (many constant rows, a small rank of A1,
+and determinants with a large power of t), so the two phases remove most of
+the matrix before any characteristic polynomial is formed.  Their rows are
+sparse, and each elimination touches the pivot row's nonzero entries only.
+An integer pencil (over Q, once row denominators are cleared)
 is deflated modulo a Mersenne prime above twice a Hadamard bound on its
 coefficients, which is exact (`_int_pencil_det`).  Other matrices over Z or
 Q, and non-pencils, fall back to fraction-free Gaussian elimination.
@@ -111,23 +124,31 @@ def _reduce_rows(A0, A1, p):
     """Forward elimination on A1 without row swaps, mirrored on A0 (so the
     pencil's determinant is unchanged).  Returns the pivot row of each column
     in column order, None for a column with no pivot, and the rows left
-    without a pivot, which end with A1 zero."""
+    without a pivot, which end with A1 zero.  Each elimination touches only
+    the nonzero entries of the pivot row, as Fox pencil rows are sparse."""
     free = list(range(len(A1)))
     pivots = []
     for c in range(len(A1)):
-        piv = next((r for r in free if A1[r][c]), None)
-        pivots.append(piv)
-        if piv is None:
+        hits = [r for r in free if A1[r][c]]
+        if not hits:
+            pivots.append(None)
             continue
+        piv = hits[0]
+        pivots.append(piv)
         free.remove(piv)
-        inv = pow(A1[piv][c], -1, p)
-        P0, P1 = A0[piv], A1[piv]
-        for r in free:
-            f = A1[r][c]
-            if f:
-                f = f * inv % p
-                A1[r] = [(a - f * b) % p for a, b in zip(A1[r], P1)]
-                A0[r] = [(a - f * b) % p for a, b in zip(A0[r], P0)]
+        if len(hits) == 1:
+            continue
+        P1 = A1[piv]
+        inv = pow(P1[c], -1, p)
+        nz1 = [(k, v) for k, v in enumerate(P1) if v]
+        nz0 = [(k, v) for k, v in enumerate(A0[piv]) if v]
+        for r in hits[1:]:
+            R1, R0 = A1[r], A0[r]
+            f = R1[c] * inv % p
+            for k, v in nz1:
+                R1[k] = (R1[k] - f * v) % p
+            for k, v in nz0:
+                R0[k] = (R0[k] - f * v) % p
     return pivots, free
 
 
@@ -207,29 +228,17 @@ def _charpoly(C, p):
     return polys[n]
 
 
-def _pencil_det_gf(A0, A1, p):
-    """Coefficients, low degree first, of det(A0 + t*A1) over F_p, for
-    integer matrices mod p given as lists of rows (overwritten)."""
-    scale = 1
-    while A0:
-        pivots, free = _reduce_rows(A0, A1, p)
-        if not free:
-            break
-        factor, keep_rows, keep_cols = _expand_constant_rows(A0, A1, free, p)
-        if not factor:
-            return [0]
-        scale = scale * factor % p
-        A0 = [[A0[i][k] for k in keep_cols] for i in keep_rows]
-        A1 = [[A1[i][k] for k in keep_cols] for i in keep_rows]
+def _regular_det(A0, A1, pivots, p):
+    """Coefficients, low degree first, of det(A0 + x*A1) over F_p when
+    _reduce_rows has left A1 nonsingular with these pivots: det(A1) times
+    the characteristic polynomial of -A1^-1 A0."""
     n = len(A0)
-    if not n:
-        return [scale]
-    # A1 nonsingular: its rows in pivot order form an upper triangular U
-    scale = scale * _perm_sign(pivots) % p
+    # A1's rows in pivot order form an upper triangular U
+    scale = _perm_sign(pivots) % p
     U = [A1[r] for r in pivots]
     B0 = [A0[r] for r in pivots]
     # back substitution for C = -U^-1 B0, whose characteristic polynomial is
-    # det(tI + U^-1 B0)
+    # det(xI + U^-1 B0)
     C = [None] * n
     for c in range(n - 1, -1, -1):
         Uc = U[c]
@@ -242,6 +251,36 @@ def _pencil_det_gf(A0, A1, p):
         ninv = -pow(Uc[c], -1, p)
         C[c] = [a * ninv % p for a in acc]
     return [v * scale % p for v in _charpoly(C, p)]
+
+
+def _pencil_det_gf(A0, A1, p):
+    """Coefficients, low degree first, of det(A0 + t*A1) over F_p, for
+    integer matrices mod p given as lists of rows (overwritten): the
+    constant rows are deflated first, then, with the roles of A0 and A1
+    swapped, the rows that are t times a constant row, and the
+    characteristic polynomial is taken of what is left."""
+    scale, tpow, swapped = 1, 0, False
+    while A0:
+        pivots, free = _reduce_rows(A0, A1, p)
+        if not free:
+            if swapped:
+                break
+            # det(A0 + t*A1) = t^k * det(A1 + s*A0) for k x k, s = 1/t
+            tpow = len(A0)
+            A0, A1, swapped = A1, A0, True
+            continue
+        factor, keep_rows, keep_cols = _expand_constant_rows(A0, A1, free, p)
+        if not factor:
+            return [0]
+        scale = scale * factor % p
+        A0 = [[A0[i][k] for k in keep_cols] for i in keep_rows]
+        A1 = [[A1[i][k] for k in keep_cols] for i in keep_rows]
+    if not A0:
+        return [0] * tpow + [scale]
+    # the coefficients of det(A1 + s*A0), low degree in s first, are those
+    # of t^-tpow * det(A0 + t*A1) from the top degree in t down
+    coeffs = _regular_det(A0, A1, pivots, p)
+    return [0] * (tpow - len(A0)) + [v * scale % p for v in reversed(coeffs)]
 
 
 def _int_pencil_det(A0, A1):
@@ -299,4 +338,7 @@ def pencil_det(M):
         coeffs = [Fraction(c, den) for c in _int_pencil_det(
             *([[int(x * m) for x in r] for r, m in zip(A, ms)]
               for A in (pencil.A0, pencil.A1)))]
-    return LaurentPoly(dom, dict(enumerate(coeffs))).shift(pencil.shift)
+    # the F_p coefficients are reduced already; those over Q are coerced,
+    # and over Z made integers again
+    make = LaurentPoly._raw if dom.kind == "GF" else LaurentPoly
+    return make(dom, {e + pencil.shift: c for e, c in enumerate(coeffs) if c})

@@ -129,6 +129,16 @@ class LaurentPoly:
         self._hash = None
 
     @classmethod
+    def _raw(cls, domain, coeffs):
+        """The polynomial with these coefficients, already elements of
+        domain and all nonzero (the dict is kept, not copied or coerced)."""
+        f = cls.__new__(cls)
+        f.domain = domain
+        f.coeffs = coeffs
+        f._hash = None
+        return f
+
+    @classmethod
     def zero(cls, domain):
         return cls(domain, {})
 
@@ -435,8 +445,55 @@ class RationalFn:
         return "(%s)/(%s)" % (format_poly(self.num), format_poly(self.den))
 
 
+def _dense(f):
+    """Coefficients of a nonzero f from its lowest exponent up, a list whose
+    first and last entries are nonzero (f divided by its lowest power of t)."""
+    c = f.coeffs
+    return [c.get(e, 0) for e in range(min(c), max(c) + 1)]
+
+
+def _list_divmod(a, b, p):
+    """(q, r) with a = q*b + r and len(r) < len(b), for dense coefficient
+    lists, lowest first, over F_p (p the modulus) or over Q (p None); b's
+    last entry is nonzero, and r has no trailing zeros."""
+    nb = len(b)
+    r = list(a)
+    q = [0] * max(len(a) - nb + 1, 0)
+    inv = pow(b[-1], -1, p) if p else 1 / b[-1]
+    terms = [(i, c) for i, c in enumerate(b[:-1]) if c]
+    for top in range(len(a) - 1, nb - 2, -1):
+        lead = r[top]
+        if not lead:
+            continue
+        f = lead * inv % p if p else lead * inv
+        off = top - nb + 1
+        q[off] = f
+        if p:
+            for i, c in terms:
+                r[off + i] = (r[off + i] - f * c) % p
+        else:
+            for i, c in terms:
+                r[off + i] -= f * c
+    del r[nb - 1:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _list_monic(a, p):
+    """a divided by its last entry."""
+    if a[-1] == 1:
+        return a
+    inv = pow(a[-1], -1, p) if p else 1 / a[-1]
+    return [c * inv % p for c in a] if p else [c * inv for c in a]
+
+
 def reduce_fraction(num, den):
-    """Fully reduced, canonicalized num/den over a field domain."""
+    """Fully reduced, canonicalized num/den over a field domain.  Both parts
+    are divided by their lowest powers of t, reduced by their Euclidean GCD
+    and made monic as dense coefficient lists, one routine over F_p and Q;
+    each part becomes a Laurent polynomial once, at the end, with a nonzero
+    constant term and leading coefficient 1 (its canonical form)."""
     d = num.domain
     if not d.is_field:
         raise ValueError("reduce_fraction needs a field coefficient domain")
@@ -444,12 +501,18 @@ def reduce_fraction(num, den):
         raise ZeroDivisionError("zero denominator")
     if num.is_zero:
         return RationalFn(num, LaurentPoly.one(d), _reduced=True)
-    g = gcd_pair(num, den)
-    num = exact_div(num, g)
-    den = exact_div(den, g)
-    num = canonicalize(num)
-    den = canonicalize(den)
-    return RationalFn(num, den, _reduced=True)
+    p = d.p
+    a, b = _dense(num), _dense(den)
+    # a and b have nonzero constant terms, and so have their GCD g and the
+    # quotients by g: made monic, each quotient is in canonical form
+    g, h = a, b
+    while h:
+        g, h = h, _list_divmod(g, h, p)[1]
+    if len(g) > 1:
+        a = _list_divmod(a, g, p)[0]
+        b = _list_divmod(b, g, p)[0]
+    return RationalFn(*(LaurentPoly._raw(d, {e: c for e, c in enumerate(
+        _list_monic(x, p)) if c}) for x in (a, b)), _reduced=True)
 
 
 def rational_unit_equal(a, b):

@@ -409,17 +409,25 @@ def cmd_table(args, table):
 # -- argument parsing --------------------------------------------------------
 
 def build_parser():
+    # the options every command takes, before or after its name; with no
+    # default, a command that is not given one keeps the value given before
+    # the command's name
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--table", default=argparse.SUPPRESS,
+                        help="path to a name,pd CSV knot table")
+    common.add_argument("--json", action="store_true",
+                        default=argparse.SUPPRESS,
+                        help="emit the run report as JSON")
     ap = argparse.ArgumentParser(
-        prog="knotforge",
+        prog="knotforge", parents=[common],
         description="Exact twisted Alexander polynomials, symmetric unions "
                     "and SL(2,F_p) representations of knot groups.")
-    ap.add_argument("--table", help="path to a name,pd CSV knot table")
-    ap.add_argument("--json", action="store_true",
-                    help="emit the run report as JSON")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("alex", help="classical and higher Alexander "
-                                    "polynomials")
+    def add_command(name, help):
+        return sub.add_parser(name, help=help, parents=[common])
+
+    p = add_command("alex", "classical and higher Alexander polynomials")
     p.add_argument("knot")
     p.add_argument("--ideal", action="append", type=int, metavar="K",
                    help="also compute the K-th Alexander polynomial")
@@ -427,7 +435,7 @@ def build_parser():
                    help="also compute the knot determinant")
     p.set_defaults(func=cmd_alex)
 
-    p = sub.add_parser("talex", help="twisted Alexander (Wada) invariants")
+    p = add_command("talex", "twisted Alexander (Wada) invariants")
     p.add_argument("knot")
     p.add_argument("--p", type=int, required=True,
                    help="prime for SL(2,F_p) / GL(1,F_p) coefficients")
@@ -439,8 +447,8 @@ def build_parser():
     p.add_argument("--max-nodes", type=int, dest="max_nodes")
     p.set_defaults(func=cmd_talex)
 
-    p = sub.add_parser("symun", help="symmetric-union construction and "
-                                     "verification")
+    p = add_command("symun", "symmetric-union construction and "
+                             "verification")
     p.add_argument("mode", choices=("build", "verify"))
     p.add_argument("--partial", required=True)
     p.add_argument("--marks", required=True,
@@ -452,7 +460,7 @@ def build_parser():
     p.add_argument("--max-nodes", type=int, dest="max_nodes")
     p.set_defaults(func=cmd_symun)
 
-    p = sub.add_parser("obstruct", help="even symmetric-union obstruction")
+    p = add_command("obstruct", "even symmetric-union obstruction")
     p.add_argument("knot")
     p.add_argument("--candidate", required=True)
     p.add_argument("--p", type=int)
@@ -463,7 +471,7 @@ def build_parser():
     p.add_argument("--max-nodes", type=int, dest="max_nodes")
     p.set_defaults(func=cmd_obstruct)
 
-    p = sub.add_parser("table", help="knot-table management")
+    p = add_command("table", "knot-table management")
     p.add_argument("action", choices=("import",))
     p.add_argument("path")
     p.set_defaults(func=cmd_table)
@@ -484,14 +492,17 @@ def _attach_list_values(argv):
     return out
 
 
-def run(argv):
+def _parse(argv):
+    """(argv with list values attached, parsed arguments)."""
     argv = _attach_list_values(argv)
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    return argv, build_parser().parse_args(argv)
+
+
+def _execute(argv, args):
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         raise DomainError("--jobs must be at least 1")
     table = (None if args.cmd == "table"
-             else default_table(args.table))
+             else default_table(getattr(args, "table", None)))
     t0 = time.perf_counter()
     inputs, results = args.func(args, table)
     dt = (time.perf_counter() - t0) * 1000.0
@@ -499,10 +510,15 @@ def run(argv):
                      results=results, timing_ms=round(dt, 3))
 
 
+def run(argv):
+    return _execute(*_parse(argv))
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        report = run(argv)
+        argv, args = _parse(argv)
+        report = _execute(argv, args)
     except SearchBudgetExceeded as exc:
         print("error: search budget exceeded: %s" % exc, file=sys.stderr)
         return 3
@@ -512,13 +528,10 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    emit = report.to_json() if _wants_json(argv) else report.to_text()
+    emit = (report.to_json() if getattr(args, "json", False)
+            else report.to_text())
     sys.stdout.write(emit)
     return 0
-
-
-def _wants_json(argv):
-    return "--json" in argv
 
 
 if __name__ == "__main__":

@@ -477,8 +477,7 @@ def lamm_pullback(phi, rho):
     for r in phi.source.relators:
         if word_prefixes(r, mats, rho.p, invs)[-1] != ident:
             raise ValueError("pullback fails a relator; invalid GeneratorMap")
-    return Representation(presentation=phi.source, p=rho.p, d=rho.d,
-                          matrices=mats)
+    return Representation._trusted(phi.source, rho.p, rho.d, mats)
 
 
 # -- 2-bridge presentation ---------------------------------------------------

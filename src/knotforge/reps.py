@@ -183,6 +183,19 @@ class Representation:
             if len(M) != self.d or any(len(r) != self.d for r in M):
                 raise ValueError("matrix size does not match d=%d" % self.d)
 
+    @classmethod
+    def _trusted(cls, presentation, p, d, matrices):
+        """A representation from a tuple of d x d matrices, one per
+        generator of presentation, that are nested tuples already reduced
+        mod p, built without the re-reduction and shape checks of
+        __post_init__ (for the package's own restrictions and pullbacks of
+        checked representations)."""
+        rho = object.__new__(cls)
+        for name, value in (("presentation", presentation), ("p", p),
+                            ("d", d), ("matrices", matrices)):
+            object.__setattr__(rho, name, value)
+        return rho
+
     def __call__(self, w):
         return evaluate_word(w, self.matrices, self.p)
 

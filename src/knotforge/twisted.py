@@ -255,8 +255,7 @@ def _twisted_alexander(pres, rho, drop_column="auto"):
         mats = [None] * pres.num_generators
         for g, c in enumerate(classes):
             mats[c] = rho.matrices[g]
-        rho = Representation(presentation=pres, p=rho.p, d=rho.d,
-                             matrices=tuple(mats))
+        rho = Representation._trusted(pres, rho.p, rho.d, tuple(mats))
         j = classes[j]
     num = pencil_det(fox_matrix(pres, rho, drop=j))
     den = _gen_minus_one_det(rho, j)

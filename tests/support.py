@@ -1,11 +1,17 @@
 """Shared test helpers: the symmetric-union grid of the acceptance suite,
-the integer Bareiss determinant, and the evaluate-and-interpolate oracle for
+the integer Bareiss determinant, the evaluate-and-interpolate oracle for
 the classical Alexander polynomial (the route `classical_alexander` took
-before it deflated its integer pencil modulo a Mersenne prime)."""
+before it deflated its integer pencil modulo a Mersenne prime), the
+one-sided F_p deflation (the route `_fastdet._pencil_det_gf` took before it
+deflated both ends of the pencil) and the Laurent-polynomial route of
+`reduce_fraction`."""
 
 from fractions import Fraction
 
-from knotforge.algebra import ZZ, LaurentPoly, canonicalize
+from knotforge._fastdet import (_expand_constant_rows, _reduce_rows,
+                               _regular_det)
+from knotforge.algebra import (ZZ, LaurentPoly, RationalFn, canonicalize,
+                               exact_div, gcd_pair)
 from knotforge.cli import KnotTable, bundled_table_path
 from knotforge.twisted import _alexander_pencil
 
@@ -108,3 +114,38 @@ def bareiss_determinant(pd):
     """det K = |Delta_K(-1)|: the integer Bareiss determinant of the
     Alexander pencil at t = -1."""
     return abs(pencil_value(*_alexander_pencil(pd), -1))
+
+
+# -- the one-sided deflation and the Laurent-polynomial fraction route -------
+
+def one_sided_pencil_det(A0, A1, p):
+    """Coefficients, low degree first, of det(A0 + t*A1) over F_p (A0, A1
+    overwritten): only the constant rows are expanded away, and the
+    characteristic polynomial is taken of everything else, the eigenvalue 0
+    included."""
+    scale = 1
+    while A0:
+        pivots, free = _reduce_rows(A0, A1, p)
+        if not free:
+            break
+        factor, keep_rows, keep_cols = _expand_constant_rows(A0, A1, free, p)
+        if not factor:
+            return [0]
+        scale = scale * factor % p
+        A0 = [[A0[i][k] for k in keep_cols] for i in keep_rows]
+        A1 = [[A1[i][k] for k in keep_cols] for i in keep_rows]
+    if not A0:
+        return [scale]
+    return [v * scale % p for v in _regular_det(A0, A1, pivots, p)]
+
+
+def laurent_reduce_fraction(num, den):
+    """num/den over a field reduced by Laurent-polynomial arithmetic: the
+    canonical GCD, exact division and the canonical form of each part."""
+    if den.is_zero:
+        raise ZeroDivisionError("zero denominator")
+    if num.is_zero:
+        return RationalFn(num, LaurentPoly.one(num.domain), _reduced=True)
+    g = gcd_pair(num, den)
+    return RationalFn(canonicalize(exact_div(num, g)),
+                      canonicalize(exact_div(den, g)), _reduced=True)

@@ -3,13 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotforge.algebra import (ZZ, QQ, GF, LaurentPoly, PolyMatrix,
                                canonicalize, det, gcd_polys, reduce_fraction,
                                parse_poly, format_poly, unit_equal,
                                exact_div, divides, rational_unit_equal)
 
-from support import int_det, int_interpolate
+from support import int_det, int_interpolate, laurent_reduce_fraction
 
 
 def P(text, domain=ZZ):
@@ -221,6 +223,59 @@ class TestReduceFraction:
         a = reduce_fraction(P("t^2 - 1", GF(5)), P("t + 2", GF(5)))
         b = reduce_fraction(P("3*t^2 - 3", GF(5)).shift(2), P("t + 2", GF(5)).shift(1))
         assert rational_unit_equal(a, b)
+
+
+def laurent(domain, coeffs, lo):
+    return LaurentPoly(domain, {lo + i: c for i, c in enumerate(coeffs)})
+
+
+@st.composite
+def fractions_over(draw, domain, coefficient):
+    """(num, den) over domain: random Laurent polynomials with negative
+    exponents, and the corner cases: a zero numerator, num = den, a unit
+    denominator c*t^k and a common factor of positive degree."""
+    def poly(nonzero=True):
+        coeffs = draw(st.lists(coefficient, min_size=1, max_size=7))
+        f = laurent(domain, coeffs, draw(st.integers(-4, 4)))
+        return laurent(domain, [1], 0) if nonzero and f.is_zero else f
+
+    num, den = poly(nonzero=False), poly()
+    kind = draw(st.sampled_from(("random", "zero", "equal", "unit",
+                                 "common")))
+    if kind == "zero":
+        num = LaurentPoly.zero(domain)
+    elif kind == "equal":
+        num = den.shift(draw(st.integers(-3, 3)))
+    elif kind == "unit":
+        den = laurent(domain, [draw(coefficient.filter(bool))],
+                      draw(st.integers(-4, 4)))
+    elif kind == "common":
+        g = poly()
+        num, den = num * g, den * g
+    return num, den
+
+
+class TestReduceFractionRoute:
+    """reduce_fraction's coefficient lists against the Laurent-polynomial
+    route of gcd_pair, exact_div and canonicalize."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 31]).flatmap(
+        lambda p: fractions_over(GF(p), st.integers(0, p - 1))))
+    def test_over_gf_p(self, fraction):
+        num, den = fraction
+        got = reduce_fraction(num, den)
+        want = laurent_reduce_fraction(num, den)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert hash(got) == hash(want)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(fractions_over(QQ, st.fractions(-4, 4, max_denominator=3)))
+    def test_over_q(self, fraction):
+        num, den = fraction
+        got = reduce_fraction(num, den)
+        want = laurent_reduce_fraction(num, den)
+        assert (got.num, got.den) == (want.num, want.den)
 
 
 class TestRingAxioms:

@@ -397,6 +397,68 @@ class TestTableManagement:
         assert "duplicate" in capsys.readouterr().err
 
 
+class TestCommonOptions:
+    """--json and --table are taken before the command, after its name or
+    after its arguments, and only as options."""
+
+    @staticmethod
+    def normalized(text):
+        # a report records the argv it was given and its time
+        report = RunReport.from_json(text)
+        report.command, report.timing_ms = [], 0.0
+        return report.to_json()
+
+    @pytest.mark.parametrize("argv", [
+        ["talex", "3_1", "--p", "5", "--enumerate"],
+        ["alex", "4_1", "--det"],
+        ["symun", "verify", "--partial", "3_1", "--marks", "1,4",
+         "--twists", "2", "--p", "5", "--trials", "1"],
+    ])
+    def test_json_placements_give_identical_reports(self, capsys,
+                                                     isolated_home, argv):
+        outs = []
+        for where in (0, 1, len(argv)):
+            assert main(argv[:where] + ["--json"] + argv[where:]) == 0
+            outs.append(self.normalized(capsys.readouterr().out))
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_table_placements_give_identical_reports(self, capsys,
+                                                      tmp_path,
+                                                      isolated_home):
+        custom = tmp_path / "flag.csv"
+        custom.write_text("name,pd\n"
+                          "only,\"X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] "
+                          "X[2,5,3,6]\"\n")
+        outs = []
+        for argv in (["--json", "--table", str(custom), "alex", "only"],
+                     ["--json", "alex", "--table", str(custom), "only"],
+                     ["alex", "only", "--table", str(custom), "--json"]):
+            assert main(argv) == 0
+            outs.append(self.normalized(capsys.readouterr().out))
+        assert outs[0] == outs[1] == outs[2]
+        # the table given after the command is the one used
+        assert main(["alex", "3_1", "--table", str(custom)]) == 1
+        assert "unknown knot name '3_1'" in capsys.readouterr().err
+
+    def test_json_as_a_value_does_not_switch_the_output(self, capsys,
+                                                        tmp_path,
+                                                        monkeypatch,
+                                                        isolated_home):
+        # a table file named --json, given as --table's value and, after
+        # "--", as table import's path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "--json").write_text(GOOD_TABLE)
+        monkeypatch.setenv("KNOTFORGE_TABLE", str(tmp_path / "dest.csv"))
+        for argv in (["alex", "4_1", "--table=--json"],
+                     ["table", "import", "--", "--json"]):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("command: knotforge %s\n" % " ".join(argv))
+        assert main(["--json", "alex", "4_1", "--table=--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"][
+            "alexander"] == "t^2 - 3*t + 1"
+
+
 class TestModuleEntryPoint:
     @pytest.mark.parametrize("argv, code", [(["alex", "3_1"], 0),
                                             (["alex", "no_such_knot"], 1)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotforge import _fastdet
+from knotforge import _fastdet, twisted
 from knotforge._fastdet import (_MERSENNE_EXPONENTS, Pencil, _int_pencil_det,
                                 pencil_det, split_pencil)
 from knotforge.algebra import GF, QQ, ZZ, LaurentPoly, PolyMatrix, det
@@ -17,7 +17,7 @@ from knotforge.presentation import (build_symun_presentation, deficiency_one,
 from knotforge.reps import RepSearchConfig, enumerate_sl2
 from knotforge.twisted import _alexander_pencil, fox_matrix
 
-from support import grid_cells
+from support import grid_cells, one_sided_pencil_det
 
 
 def rand_pencil_matrix(rng, dom, n, density=0.85, singular=False):
@@ -260,6 +260,126 @@ class TestPencilDet:
                 with monkeypatch.context() as m:
                     no_fallback(m)
                     assert pencil_det(A) == want
+
+
+def unimodular(rng, p, n):
+    """A random n x n matrix over F_p of determinant +-1: a random lower
+    times a random upper unitriangular matrix, its rows shuffled."""
+    L = [[1 if i == j else rng.randrange(p) if j < i else 0
+          for j in range(n)] for i in range(n)]
+    U = [[1 if i == j else rng.randrange(p) if j > i else 0
+          for j in range(n)] for i in range(n)]
+    M = mat_mul_mod(L, U, p)
+    rng.shuffle(M)
+    return M
+
+
+def mat_mul_mod(A, B, p):
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)]
+            for row in A]
+
+
+def jordan_pencil(rng, p):
+    """(A0, A1) = P * (B0, B1) * Q for a block diagonal pencil B0 + t*B1
+    and random unimodular P, Q: a regular block M + t*D (D diagonal and
+    invertible), Jordan chains at 0 (N + t*I, N a nilpotent Jordan block)
+    and at infinity (I + t*N), and now and then one pencil row repeated, so
+    that the determinant vanishes."""
+    sizes = ([("fin", rng.randrange(4))]
+             + [("zero", rng.randrange(1, 4)) for _ in range(rng.randrange(3))]
+             + [("inf", rng.randrange(1, 4)) for _ in range(rng.randrange(3))])
+    rng.shuffle(sizes)
+    n = sum(k for _, k in sizes)
+    B0 = [[0] * n for _ in range(n)]
+    B1 = [[0] * n for _ in range(n)]
+    at = 0
+    for kind, k in sizes:
+        for i in range(k):
+            r = at + i
+            if kind == "fin":
+                for j in range(k):
+                    B0[r][at + j] = rng.randrange(p)
+                B1[r][r] = rng.randrange(1, p)
+            else:
+                nil, unit = (B0, B1) if kind == "zero" else (B1, B0)
+                unit[r][r] = rng.randrange(1, p)
+                if i + 1 < k:
+                    nil[r][r + 1] = rng.randrange(1, p)
+        at += k
+    if n >= 2 and rng.random() < 0.15:
+        i, j = rng.sample(range(n), 2)
+        B0[i], B1[i] = list(B0[j]), list(B1[j])
+    P, Q = unimodular(rng, p, n), unimodular(rng, p, n)
+    return (mat_mul_mod(mat_mul_mod(P, B0, p), Q, p),
+            mat_mul_mod(mat_mul_mod(P, B1, p), Q, p))
+
+
+def charpoly_sizes(monkeypatch):
+    """The sizes of the matrices that _fastdet._charpoly is given."""
+    sizes = []
+    charpoly = _fastdet._charpoly
+
+    def spy(C, p):
+        sizes.append(len(C))
+        return charpoly(C, p)
+    monkeypatch.setattr(_fastdet, "_charpoly", spy)
+    return sizes
+
+
+class TestTwoSidedDeflation:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, (1 << 31) - 1])
+    def test_jordan_chains_at_zero_and_infinity(self, p, monkeypatch):
+        rng = random.Random(20261118 + p % 1000)
+        dom = GF(p)
+        sizes = charpoly_sizes(monkeypatch)
+        kinds = set()
+        for _ in range(40):
+            A0, A1 = jordan_pencil(rng, p)
+            want = bareiss_det(Pencil(dom, A0, A1))
+            oracle = one_sided_pencil_det([list(r) for r in A0],
+                                          [list(r) for r in A1], p)
+            del sizes[:]
+            got = _fastdet._pencil_det_gf([list(r) for r in A0],
+                                          [list(r) for r in A1], p)
+            assert got == oracle
+            assert LaurentPoly(dom, dict(enumerate(got))) == want
+            # the characteristic polynomial is as wide as the determinant's
+            # span, the zero and infinite eigenvalues deflated
+            assert sizes == ([] if want.is_zero or not want.span
+                             else [want.span])
+            kinds.add("zero" if want.is_zero else
+                      "t^k" if want.min_deg > 0 else "constant term")
+        # the cases reach zero determinants and factors t^k, k > 0
+        assert kinds == {"zero", "t^k", "constant term"}
+
+    def test_grid_union_charpoly_runs_at_the_span(self, monkeypatch):
+        # the widest union pencil of the symmetric-union grid: 6_1 with
+        # twists (4, 4, -4), 48 x 48 after the Tietze reduction; its
+        # determinant has degree 28 and lowest term t^20
+        table = KnotTable.parse(bundled_table_path().read_text())
+        pd = table["6_1"]
+        edges = sorted(pd.edges)
+        spec = SymUnionSpec(MarkedDiagram(pd, tuple(edges[i * 3]
+                                                    for i in range(4))),
+                            (4, 4, -4))
+        union, partial, phi = build_symun_presentation(spec)
+        rho = lamm_pullback(phi, enumerate_sl2(partial,
+                                               RepSearchConfig(p=5))[0])
+        pencils = []
+        pencil_det_ = twisted.pencil_det
+        monkeypatch.setattr(twisted, "pencil_det",
+                            lambda M: (pencils.append(M), pencil_det_(M))[1])
+        twisted._twisted_alexander(union, rho)
+        A = max(pencils, key=lambda M: M.rows)
+        assert A.rows == 48
+        sizes = charpoly_sizes(monkeypatch)
+        got = _fastdet._pencil_det_gf([list(r) for r in A.A0],
+                                      [list(r) for r in A.A1], 5)
+        assert sizes == [8]
+        assert len(got) == 29 and got[:20] == [0] * 20 and got[20]
+        assert one_sided_pencil_det([list(r) for r in A.A0],
+                                    [list(r) for r in A.A1], 5) == got
+        assert sizes == [8, 28]
 
 
 def int_coeffs(f):

@@ -501,6 +501,20 @@ class TestSerialization:
                              matrices=(M,) * pres.num_generators)
         assert not verify_representation(pres, rho, require_sl=False)
 
+    def test_public_constructor_reduces_and_checks_shapes(self):
+        pres = two_bridge_presentation(9, 5)
+        rho = Representation(presentation=pres, p=7, d=2,
+                             matrices=[[[7, 8], [-1, 4]], [[0, 9], [3, 11]]])
+        assert rho.matrices == (((0, 1), (6, 4)), ((0, 2), (3, 4)))
+        assert rho == Representation(
+            presentation=pres, p=7, d=2,
+            matrices=(((0, 1), (6, 4)), ((0, 2), (3, 4))))
+        for d, mats in ((2, (((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0)))),
+                        (2, (((1, 0), (0, 1)), ((1,), (0, 1)))),
+                        (3, (((1, 0), (0, 1)),) * 2)):
+            with pytest.raises(ValueError, match="does not match d="):
+                Representation(presentation=pres, p=7, d=d, matrices=mats)
+
     def test_matrix_count_enforced(self):
         pres = two_bridge_presentation(3, 1)
         with pytest.raises(ValueError):

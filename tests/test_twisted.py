@@ -698,6 +698,89 @@ class TestVerifyTheorem:
             twisted_alexander(union, bad)
 
 
+class TestTrustedRepresentations:
+    """The pulled-back and the restricted representations skip the public
+    constructor's re-reduction, and equal what it builds."""
+
+    def setup(self, p):
+        spec = SymUnionSpec(MarkedDiagram(parse_pd(FIG8), (1, 3, 5)),
+                            (2, -2))
+        union, partial, phi = build_symun_presentation(spec)
+        return spec, union, partial, phi, enumerate_sl2(
+            partial, RepSearchConfig(p=p))
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_pullback_equals_the_validated_construction(self, p):
+        _, union, _, phi, reps = self.setup(p)
+        assert reps
+        for rho in reps:
+            up = lamm_pullback(phi, rho)
+            checked = Representation(presentation=union, p=p, d=2,
+                                     matrices=up.matrices)
+            # entries given as other residues, reduced by the constructor
+            shifted = Representation(
+                presentation=union, p=p, d=2,
+                matrices=[[[v - p for v in row] for row in M]
+                          for M in up.matrices])
+            assert up == checked == shifted
+            assert hash(up) == hash(checked) == hash(shifted)
+
+    def test_restricted_rep_equals_the_validated_construction(
+            self, monkeypatch):
+        _, union, _, phi, reps = self.setup(5)
+        reduced, classes = twisted._identifications_eliminated(union)
+        seen = []
+        fox = twisted.fox_matrix
+        monkeypatch.setattr(twisted, "fox_matrix",
+                            lambda pres, rho, drop=None:
+                            (seen.append(rho), fox(pres, rho, drop))[1])
+        for rho in reps:
+            up = lamm_pullback(phi, rho)
+            twisted._twisted_alexander(union, up)
+            mats = [None] * reduced.num_generators
+            for g, c in enumerate(classes):
+                mats[c] = up.matrices[g]
+            want = Representation(presentation=reduced, p=5, d=2,
+                                  matrices=mats)
+            assert seen[-1] == want and hash(seen[-1]) == hash(want)
+            assert seen[-1].presentation is reduced
+
+    def test_verify_theorem_reruns_no_validation(self, monkeypatch):
+        # with its memos warm, verify_theorem builds the pullback and the
+        # restriction without Representation.__post_init__
+        spec, _, _, _, reps = self.setup(5)
+        first = verify_theorem(spec, reps[0])
+        calls = []
+        post_init = Representation.__post_init__
+        monkeypatch.setattr(Representation, "__post_init__",
+                            lambda rho: (calls.append(rho), post_init(rho)))
+        assert verify_theorem(spec, reps[0]) == first
+        assert calls == []
+
+    def test_verify_theorem_still_rejects_bad_input(self, monkeypatch):
+        clear_memos()
+        spec, _, partial, phi, reps = self.setup(5)
+        A, B = reps[0].matrices[:2]
+        bad = Representation(
+            presentation=partial, p=5, d=2,
+            matrices=(A,) + (B,) * (partial.num_generators - 1))
+        with pytest.raises(ValueError, match="not valid on the partial"):
+            verify_theorem(spec, bad)
+        # a generator map whose images break a union relator, made without
+        # GeneratorMap's own check
+        broken = object.__new__(type(phi))
+        for name in ("source", "target"):
+            object.__setattr__(broken, name, getattr(phi, name))
+        object.__setattr__(broken, "images",
+                           (((0, 1), (1, 1)),) + phi.images[1:])
+        monkeypatch.setattr(
+            twisted, "_symun_presentations",
+            lambda spec: twisted.build_symun_presentation(spec)[:2]
+            + (broken,))
+        with pytest.raises(ValueError, match="invalid GeneratorMap"):
+            verify_theorem(spec, reps[0])
+
+
 MEMOS = (twisted._symun_presentations, twisted._partial_target)
 
 
