@@ -1,16 +1,14 @@
 """
 Fast exact determinants of linear pencils A0 + t*A1 over F_p.
 
-Fox matrices of Wirtinger-type relators become linear in t after scaling
-each row by a power of t.  `split_pencil` is the one place that does this
-row shift: it turns sparse rows of {(column, exponent): coefficient} cells
-into a `Pencil`, the integer matrices A0, A1 and the total shift.  Over F_p
-it reduces each coefficient mod p before the coefficient counts as an
-exponent.  The twisted path (`twisted.fox_matrix`, then `pencil_det`) and
-the classical Alexander path (`twisted._alexander_pencil`) both read their
-pencils from it, and over F_p no Laurent polynomial is built until the
-determinant is.  Pencil determinants are computed here by deflating the
-pencil over F_p itself, which is exact for every square pencil:
+Fox matrices become linear in t once each row is scaled by a power of t and
+each row of higher degree is linearized with auxiliary rows and columns;
+`twisted._fox_pencil` does both, in one place, and yields a `Pencil`: the
+integer matrices A0, A1 and the total shift.  The twisted path
+(`twisted.fox_matrix`, then `pencil_det`) and the classical Alexander path
+both read their pencils from it, and over F_p no Laurent polynomial is built
+until the determinant is.  `pencil_det`, the one determinant entry point,
+deflates the pencil over F_p itself, which is exact for every square pencil:
 
 1. Row-reduce A1, applying the same row operations to A0.
 2. Every zero row of A1 is now a constant row of the pencil.  Scalar
@@ -39,27 +37,28 @@ the matrix before any characteristic polynomial is formed.  Their rows are
 sparse, and each elimination touches the pivot row's nonzero entries only.
 An integer pencil (over Q, once row denominators are cleared)
 is deflated modulo a Mersenne prime above twice a Hadamard bound on its
-coefficients, which is exact (`_int_pencil_det`).  Other matrices over Z or
-Q, and non-pencils, fall back to fraction-free Gaussian elimination.
+coefficients, or, past the largest listed one, modulo several of them
+joined by the Chinese remainder theorem, which is exact (`_int_pencil_det`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm, prod
 
-from .algebra import ZZ, LaurentPoly, PolyMatrix, det
+from .algebra import LaurentPoly
 
 # exponents e of the Mersenne primes 2^e - 1 for integer pencils
 _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217)
+_MERSENNE_PRIMES = tuple((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
 
 
 class Pencil:
     """A matrix whose row i is t^lo_i * (A0[i] + t*A1[i]), kept as the
     integer matrices A0 and A1 (lists of rows; entries reduced mod p over
     GF(p)) and shift = sum lo_i, so that its determinant, when it is
-    square, is t^shift * det(A0 + t*A1).  `rows` counts its rows, as for a
-    `PolyMatrix`."""
+    square, is t^shift * det(A0 + t*A1).  `rows` counts its rows."""
 
     __slots__ = ("domain", "A0", "A1", "shift")
 
@@ -72,35 +71,6 @@ class Pencil:
     @property
     def rows(self):
         return len(self.A0)
-
-
-def split_pencil(rows, ncols, domain):
-    """The `Pencil` of a matrix with ncols columns given by sparse rows,
-    {(column, exponent): coefficient} dicts; None when a row is not linear
-    in t.  Over GF(p) each coefficient is reduced mod p first.  Zero
-    coefficients do not count as exponents, and a row without any nonzero
-    coefficient is a zero row with lo = 0."""
-    p = domain.p if domain.kind == "GF" else None
-    A0, A1, shift = [], [], 0
-    for row in rows:
-        if p is None:
-            cells = [(k, e, c) for (k, e), c in row.items() if c]
-        else:
-            cells = [(k, e, v) for (k, e), c in row.items() if (v := c % p)]
-        r0, r1 = [0] * ncols, [0] * ncols
-        if cells:
-            lo = min(e for _, e, _ in cells)
-            for k, e, c in cells:
-                if e == lo:
-                    r0[k] = c
-                elif e == lo + 1:
-                    r1[k] = c
-                else:
-                    return None
-            shift += lo
-        A0.append(r0)
-        A1.append(r1)
-    return Pencil(domain, A0, A1, shift)
 
 
 def _perm_sign(perm):
@@ -285,60 +255,56 @@ def _pencil_det_gf(A0, A1, p):
 
 def _int_pencil_det(A0, A1):
     """Integer coefficients, low degree first, of det(A0 + t*A1) (A0, A1 not
-    modified): deflation mod the first Mersenne prime P > 2H, lifted to
-    (-P/2, P/2]; past the last one, Bareiss.  On |t| = 1 Hadamard gives
-    |det|^2 <= prod_i 2(|A0_i|^2 + |A1_i|^2) = H^2, and by Parseval no
-    coefficient exceeds H."""
+    modified).  On |t| = 1 Hadamard gives |det|^2 <= prod_i 2(|A0_i|^2 +
+    |A1_i|^2) = H^2, and by Parseval no coefficient exceeds H.  Deflation mod
+    the smallest listed Mersenne prime M above 2H, or else mod the listed
+    primes from the largest down until their product M is above 2H, joined
+    by the Chinese remainder theorem (their exponents are distinct primes,
+    so they are coprime); lifted to (-M/2, M/2].  ValueError past them all."""
     h2 = 1
     for r0, r1 in zip(A0, A1):
         h2 *= 2 * sum(a * a + b * b for a, b in zip(r0, r1))
-    for e in _MERSENNE_EXPONENTS:
-        P = (1 << e) - 1
-        if P * P > 4 * h2:
-            coeffs = _pencil_det_gf([[a % P for a in r] for r in A0],
-                                    [[b % P for b in r] for r in A1], P)
-            return [c - P if 2 * c > P else c for c in coeffs]
-    f = det(PolyMatrix(ZZ, [[LaurentPoly(ZZ, {0: a, 1: b})
-                             for a, b in zip(r0, r1)]
-                            for r0, r1 in zip(A0, A1)]))
-    return [f.coeff(e) for e in range(max(f.coeffs, default=0) + 1)]
+    # M > 2H, that is M^2 > 4H^2
+    primes = _MERSENNE_PRIMES
+    moduli = [next((P for P in primes if P * P > 4 * h2), primes[-1])]
+    while prod(moduli) ** 2 <= 4 * h2:
+        if len(moduli) == len(primes):
+            raise ValueError("determinant past the listed Mersenne primes")
+        moduli.append(primes[-1 - len(moduli)])
+    coeffs, M = [], 1
+    for P in moduli:
+        residues = _pencil_det_gf([[a % P for a in r] for r in A0],
+                                  [[b % P for b in r] for r in A1], P)
+        if M > 1:
+            # x = c mod M and x = v mod P: x = c + M * ((v - c) / M mod P)
+            inv = pow(M, -1, P)
+            residues = [c + M * ((v - c) * inv % P) for c, v in
+                        zip_longest(coeffs, residues, fillvalue=0)]
+        coeffs, M = residues, M * P
+    return [c - M if 2 * c > M else c for c in coeffs]
 
 
 # -- public entry ------------------------------------------------------------
 
 def pencil_det(M):
-    """Exact determinant of a square `Pencil` or Laurent-polynomial matrix
-    (`PolyMatrix`); uses the pencil deflation over a prime field (via
-    `_int_pencil_det` for a `Pencil` over Z or Q), and fraction-free
-    elimination for a `PolyMatrix` over Z or Q and for a matrix whose rows
-    are not unit multiples of rows linear in t.  M is not modified."""
+    """Exact determinant of a square `Pencil`: the deflation over its prime
+    field, and over Z or Q `_int_pencil_det` once each row is cleared of its
+    denominators.  M is not modified."""
     dom = M.domain
-    pencil = M
-    if isinstance(M, PolyMatrix):
-        if M.rows != M.cols:
-            raise ValueError("determinant of a non-square matrix")
-        pencil = None
-        if dom.kind == "GF":
-            pencil = split_pencil(
-                ({(k, e): c for k, f in enumerate(row)
-                  for e, c in f.coeffs.items()} for row in M.entries),
-                M.cols, dom)
-        if pencil is None:
-            return det(M)
-    elif any(len(r) != M.rows for r in M.A0):
+    if any(len(r) != M.rows for r in M.A0):
         raise ValueError("determinant of a non-square matrix")
     if dom.kind == "GF":
-        coeffs = _pencil_det_gf([list(r) for r in pencil.A0],
-                                [list(r) for r in pencil.A1], dom.p)
+        coeffs = _pencil_det_gf([list(r) for r in M.A0],
+                                [list(r) for r in M.A1], dom.p)
     else:
         # each row times the lcm m of its denominators, det divided back
         ms = [lcm(*(Fraction(x).denominator for x in (*r0, *r1)))
-              for r0, r1 in zip(pencil.A0, pencil.A1)]
+              for r0, r1 in zip(M.A0, M.A1)]
         den = prod(ms)
         coeffs = [Fraction(c, den) for c in _int_pencil_det(
             *([[int(x * m) for x in r] for r, m in zip(A, ms)]
-              for A in (pencil.A0, pencil.A1)))]
+              for A in (M.A0, M.A1)))]
     # the F_p coefficients are reduced already; those over Q are coerced,
     # and over Z made integers again
     make = LaurentPoly._raw if dom.kind == "GF" else LaurentPoly
-    return make(dom, {e + pencil.shift: c for e, c in enumerate(coeffs) if c})
+    return make(dom, {e + M.shift: c for e, c in enumerate(coeffs) if c})

@@ -54,8 +54,12 @@ class KnotTable:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.parse(fh.read(), origin=str(path))
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise DomainError("unreadable table %s: %s" % (path, exc.strerror))
+        return cls.parse(text, origin=str(path))
 
     @classmethod
     def parse(cls, text, origin="<table>"):

@@ -9,14 +9,14 @@ with the j-th generator column removed.  Each presentation is compiled once
 relator that names, per letter, the prefix product, sign, column block and
 power of t of its Fox coefficient; evaluating it (`_fox_rows`) gives every
 Fox coefficient, and without a representation it is the abelianization,
-every generator going to t.  Over F_p, `fox_matrix` reduces its coefficients
-mod p and writes them straight into an integer `Pencil`; over Q, or when a
-row is not linear in t, it builds a matrix of Laurent polynomials.
+every generator going to t.  `_fox_pencil` turns these rows into the one
+kind of matrix, a `Pencil` over F_p or Q, linearizing the rows of higher
+degree in t with auxiliary rows and columns.
 `twisted_alexander` first eliminates the generators that relators
 x_a x_b^-1 identify (a Tietze move, which changes the invariant by a unit
 only), so the identification rows of the symmetric-union template never
-reach the determinant.  Every determinant of a pencil, the Wada numerator
-and the denominator det(rho(x_j)t - I) alike, goes through `pencil_det`.  The
+reach the determinant.  Every determinant, the Wada numerator and the
+denominator det(rho(x_j)t - I) alike, goes through `pencil_det`.  The
 classical Alexander polynomial is a single maximal minor of the abelianized
 Fox matrix over Z[t, t^-1], an integer pencil deflated modulo one Mersenne
 prime (`_fastdet._int_pencil_det`) once per diagram (memoized), and det K is
@@ -33,9 +33,8 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (GF, QQ, ZZ, LaurentPoly, PolyMatrix, RationalFn,
-                      canonicalize, divmod_poly, format_poly,
-                      rational_unit_equal, reduce_fraction, unit_equal)
+from .algebra import (GF, QQ, ZZ, LaurentPoly, RationalFn, canonicalize,
+                      divmod_poly, format_poly, reduce_fraction, unit_equal)
 from .presentation import (build_symun_presentation, deficiency_one,
                            eliminate_identifications, lamm_pullback,
                            wirtinger)
@@ -163,11 +162,14 @@ def _fox_rows(pres, rho, drop):
 
 
 def _fox_pencil(ncols, rows, domain):
-    """The integer `Pencil` of Fox rows (split_pencil's rule: a row is
-    shifted to its lowest exponent with a nonzero coefficient, so a row
-    whose t^lo part vanishes is shifted by one, and a zero row has lo = 0);
-    None when a row is not linear in t."""
-    A0, A1, shift = [], [], 0
+    """The `Pencil` of Fox rows, each shifted to its lowest exponent with a
+    nonzero coefficient (a zero row has lo = 0).  A row c_0 + t*c_1 + ... +
+    t^k*c_k, k > 1, is linearized (Gohberg, Lancaster and Rodman): it
+    becomes c_0 + t*c_1 - t*y_1 over new columns y_1..y_(k-1), and y_i gets
+    the row t*c_(i+1) + y_i - t*y_(i+1), without y_k in the last.  These
+    come after the other rows and columns; their block is unit upper
+    triangular, so the determinant is unchanged."""
+    A0, A1, shift, tails = [], [], 0, []
     for lo, slots in rows:
         live = list(map(any, slots))
         if True not in live:
@@ -176,10 +178,25 @@ def _fox_pencil(ncols, rows, domain):
             continue
         j = live.index(True)
         if True in live[j + 2:]:
-            return None
+            top = len(live) - live[::-1].index(True)
+            tails.append((len(A0), slots[j + 2:top]))
         A0.append(slots[j])
         A1.append(slots[j + 1] if j + 1 < len(slots) else [0] * ncols)
         shift += lo + j
+    if tails:
+        m = sum(len(cs) for _, cs in tails)
+        A0 = [r + [0] * m for r in A0]
+        A1 = [r + [0] * m for r in A1]
+        y = ncols
+        for i, cs in tails:
+            # -t*y is written into the row above y's own row
+            above = A1[i]
+            for c in cs:
+                above[y] = domain.p - 1 if domain.kind == "GF" else -1
+                above = c + [0] * m
+                A0.append([int(k == y) for k in range(ncols + m)])
+                A1.append(above)
+                y += 1
     return Pencil(domain, A0, A1, shift)
 
 
@@ -190,21 +207,8 @@ def _domain(rho):
 def fox_matrix(pres, rho, drop=None):
     """Block matrix with (i, j) block Phi(d r_i / d x_j), Phi(x_g) =
     rho(x_g)*t, optionally with one generator column removed, evaluated from
-    the compiled Fox program.  Over F_p it is the integer `Pencil` of the
-    matrix when every row is linear in t after a row shift (as the rows of
-    Wirtinger-type relators are); over Q, or with a row that is not linear,
-    it is the `PolyMatrix` of Laurent polynomials."""
-    dom = _domain(rho)
-    ncols, rows = _fox_rows(pres, rho, drop)
-    if rho.p is not None:
-        pencil = _fox_pencil(ncols, rows, dom)
-        if pencil is not None:
-            return pencil
-    zero = LaurentPoly.zero(dom)
-    return PolyMatrix(dom, [
-        [LaurentPoly(dom, {lo + j: R[c] for j, R in enumerate(slots)})
-         if any(R[c] for R in slots) else zero for c in range(ncols)]
-        for lo, slots in rows])
+    the compiled Fox program: the `Pencil` of `_fox_pencil`, over F_p or Q."""
+    return _fox_pencil(*_fox_rows(pres, rho, drop), _domain(rho))
 
 
 def _gen_minus_one_det(rho, g):
@@ -273,8 +277,6 @@ def _alexander_pencil(pd):
     this one is their GCD."""
     ncols, rows = _fox_rows(wirtinger(pd), None, 0)
     pencil = _fox_pencil(ncols, rows[:ncols], ZZ)
-    if pencil is None:
-        raise AssertionError("abelianized Fox matrix is not linear in t")
     return pencil.A0, pencil.A1
 
 
@@ -302,12 +304,14 @@ def classical_alexander(pd):
         _alexander_coefficients(pd)))))
 
 
-def _smith_invariants(M):
-    """Invariant factors of a polynomial matrix over a field, d_1 | d_2 | ...
-    (ordinary Smith normal form over F[t], computed up to units)."""
-    dom = M.domain
-    grid = [[M[i, j] for j in range(M.cols)] for i in range(M.rows)]
-    nr, nc = M.rows, M.cols
+def _smith_invariants(pencil):
+    """Invariant factors of a pencil's matrix over a field, d_1 | d_2 | ...
+    (ordinary Smith normal form over F[t], computed up to units), read as
+    the Laurent rows A0 + t*A1: the row shifts are units."""
+    dom = pencil.domain
+    grid = [[LaurentPoly(dom, {0: a, 1: b}) for a, b in zip(r0, r1)]
+            for r0, r1 in zip(pencil.A0, pencil.A1)]
+    nr, nc = len(grid), len(pencil.A0[0]) if grid else 0
     invariants = []
 
     def scale_pivot_row(top):
@@ -477,7 +481,8 @@ def verify_theorem(spec, rho_partial):
     lhs = _twisted_alexander(union_pres, rho)
     partial_tw, rhs_fr = _partial_target(partial_pres, rho_partial.p,
                                          rho_partial.matrices)
-    equal = rational_unit_equal(lhs.value, rhs_fr)
+    # both fractions are reduced and canonical, so unit equality is equality
+    equal = lhs.value == rhs_fr
     deg_rhs = (None if partial_tw.degree is None
                else 2 * partial_tw.degree + rho_partial.d)
     return {
@@ -545,7 +550,7 @@ def even_symun_obstruction(K, candidate_partial, p, rho_partial,
     polys = _rep_polynomials(deficiency_one(pres), reps, jobs)
     evidence = []
     for rho, tw in zip(reps, polys):
-        if rational_unit_equal(tw.value, target):
+        if tw.value == target:
             evidence.append({"matrices": rho.matrices, "trace": rho.trace(),
                              "polynomial": format_fraction(tw.value)})
     return {

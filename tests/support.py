@@ -3,12 +3,13 @@ the integer Bareiss determinant, the evaluate-and-interpolate oracle for
 the classical Alexander polynomial (the route `classical_alexander` took
 before it deflated its integer pencil modulo a Mersenne prime), the
 one-sided F_p deflation (the route `_fastdet._pencil_det_gf` took before it
-deflated both ends of the pencil) and the Laurent-polynomial route of
-`reduce_fraction`."""
+deflated both ends of the pencil), the Laurent-polynomial route of
+`reduce_fraction` and `split_pencil`, the reference row shift of
+`twisted._fox_pencil` for rows that are linear in t."""
 
 from fractions import Fraction
 
-from knotforge._fastdet import (_expand_constant_rows, _reduce_rows,
+from knotforge._fastdet import (Pencil, _expand_constant_rows, _reduce_rows,
                                _regular_det)
 from knotforge.algebra import (ZZ, LaurentPoly, RationalFn, canonicalize,
                                exact_div, gcd_pair)
@@ -149,3 +150,48 @@ def laurent_reduce_fraction(num, den):
     g = gcd_pair(num, den)
     return RationalFn(canonicalize(exact_div(num, g)),
                       canonicalize(exact_div(den, g)), _reduced=True)
+
+
+# -- the reference row shift --------------------------------------------------
+
+def split_pencil(rows, ncols, domain):
+    """The `Pencil` of a matrix with ncols columns given by sparse rows,
+    {(column, exponent): coefficient} dicts; None when a row is not linear
+    in t.  Over GF(p) each coefficient is reduced mod p first.  Zero
+    coefficients do not count as exponents, and a row without any nonzero
+    coefficient is a zero row with lo = 0."""
+    p = domain.p if domain.kind == "GF" else None
+    A0, A1, shift = [], [], 0
+    for row in rows:
+        if p is None:
+            cells = [(k, e, c) for (k, e), c in row.items() if c]
+        else:
+            cells = [(k, e, v) for (k, e), c in row.items() if (v := c % p)]
+        r0, r1 = [0] * ncols, [0] * ncols
+        if cells:
+            lo = min(e for _, e, _ in cells)
+            for k, e, c in cells:
+                if e == lo:
+                    r0[k] = c
+                elif e == lo + 1:
+                    r1[k] = c
+                else:
+                    return None
+            shift += lo
+        A0.append(r0)
+        A1.append(r1)
+    return Pencil(domain, A0, A1, shift)
+
+
+def sparse_rows(M):
+    """A PolyMatrix as rows of {(column, exponent): coefficient} cells."""
+    return [{(k, e): c for k, f in enumerate(row) for e, c in f.coeffs.items()}
+            for row in M.entries]
+
+
+def as_pencil(M):
+    """The `Pencil` of a PolyMatrix whose rows are linear in t after a row
+    shift, by split_pencil."""
+    pencil = split_pencil(sparse_rows(M), M.cols, M.domain)
+    assert pencil is not None, "a row is not linear in t"
+    return pencil

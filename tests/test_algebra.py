@@ -278,6 +278,42 @@ class TestReduceFractionRoute:
         assert (got.num, got.den) == (want.num, want.den)
 
 
+@st.composite
+def unit_multiples(draw, domain, coefficient):
+    """(num, den, u, v): a fraction of fractions_over and two units
+    c*t^k, c a nonzero coefficient."""
+    num, den = draw(fractions_over(domain, coefficient))
+    u, v = (laurent(domain, [draw(coefficient.filter(bool))],
+                    draw(st.integers(-5, 5))) for _ in range(2))
+    return num, den, u, v
+
+
+class TestCanonicalFractionsAreUnitFree:
+    """reduce_fraction(u*a, v*b) == reduce_fraction(a, b) for units u, v:
+    two reduced fractions are equal up to a unit exactly when they are
+    equal, so reduced fractions may be compared with ==."""
+
+    def check(self, num, den, u, v):
+        want = reduce_fraction(num, den)
+        got = reduce_fraction(u * num, v * den)
+        assert got == want
+        assert rational_unit_equal(got, want)
+        # a fraction that differs by more than a unit differs under == too
+        other = reduce_fraction(num + den, den)
+        assert (other == want) == rational_unit_equal(other, want)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 31]).flatmap(
+        lambda p: unit_multiples(GF(p), st.integers(0, p - 1))))
+    def test_over_gf_p(self, case):
+        self.check(*case)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(unit_multiples(QQ, st.fractions(-4, 4, max_denominator=3)))
+    def test_over_q(self, case):
+        self.check(*case)
+
+
 class TestRingAxioms:
     def test_distributivity_random(self):
         rng = random.Random(777)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import knotforge._fastdet
 import knotforge.cli
 import knotforge.twisted
 from knotforge.cli import (DomainError, KnotTable, RunReport,
@@ -157,6 +158,16 @@ class TestExitCodes:
             assert main(["talex", "3_1", "--p", "7", "--enumerate",
                          "--max-nodes", budget]) == 1
             assert "budget must be at least 1" in capsys.readouterr().err
+
+    def test_pencil_past_the_listed_primes(self, capsys, isolated_home,
+                                           monkeypatch):
+        # with only 2^2 - 1 and 2^3 - 1 listed, the 11-crossing Alexander
+        # pencil's Hadamard bound is past their product: an error line
+        monkeypatch.setattr(knotforge._fastdet, "_MERSENNE_PRIMES", (3, 7))
+        assert main(["alex", "11a_201"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Mersenne" in err
+        assert "Traceback" not in err
 
     def test_obstructed_verdict_is_success(self, capsys, isolated_home):
         assert main(["--json", "obstruct", "4_1", "--candidate", "3_1"]) == 0
@@ -366,6 +377,22 @@ class TestTableManagement:
                           "X[2,5,3,6]\"\n")
         assert main(["--table", str(custom), "--json", "alex", "only"]) == 0
         assert main(["--table", str(custom), "alex", "3_1"]) == 1
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_missing_table_is_an_error(self, capsys, tmp_path, isolated_home,
+                                       monkeypatch, source):
+        missing = str(tmp_path / "nonexistent.csv")
+        argv = ["alex", "3_1"]
+        if source == "flag":
+            argv += ["--table", missing]
+        else:
+            monkeypatch.setenv("KNOTFORGE_TABLE", missing)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unreadable table %s: " % missing)
+        assert "Traceback" not in err
+        with pytest.raises(DomainError, match="nonexistent.csv"):
+            default_table(missing if source == "flag" else None)
 
     def test_import_persists_to_user_path(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", str(tmp_path))

@@ -1,13 +1,16 @@
+import ast
 import random
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotforge import _fastdet, twisted
-from knotforge._fastdet import (_MERSENNE_EXPONENTS, Pencil, _int_pencil_det,
-                                pencil_det, split_pencil)
+from knotforge._fastdet import (_MERSENNE_EXPONENTS, _MERSENNE_PRIMES, Pencil,
+                                _int_pencil_det, pencil_det)
 from knotforge.algebra import GF, QQ, ZZ, LaurentPoly, PolyMatrix, det
 from knotforge.cli import KnotTable, bundled_table_path
 from knotforge.diagram import (MarkedDiagram, SymUnionSpec, parse_pd,
@@ -15,9 +18,10 @@ from knotforge.diagram import (MarkedDiagram, SymUnionSpec, parse_pd,
 from knotforge.presentation import (build_symun_presentation, deficiency_one,
                                     lamm_pullback, wirtinger)
 from knotforge.reps import RepSearchConfig, enumerate_sl2
-from knotforge.twisted import _alexander_pencil, fox_matrix
+from knotforge.twisted import _alexander_pencil, _fox_pencil, fox_matrix
 
-from support import grid_cells, one_sided_pencil_det
+from support import (as_pencil, grid_cells, one_sided_pencil_det,
+                     split_pencil)
 
 
 def rand_pencil_matrix(rng, dom, n, density=0.85, singular=False):
@@ -85,13 +89,6 @@ def bareiss_det(A):
     return det(A)
 
 
-def no_fallback(monkeypatch):
-    """Make a fallback from pencil_det to Bareiss fail the test."""
-    def fail(M):
-        raise AssertionError("pencil_det fell back to Bareiss")
-    monkeypatch.setattr(_fastdet, "det", fail)
-
-
 def parts(pencil):
     return pencil.A0, pencil.A1, pencil.shift
 
@@ -138,7 +135,7 @@ class TestPencilDet:
             n = rng.randrange(1, 6)
             M = rand_pencil_matrix(rng, dom, n,
                                    singular=(rng.random() < 0.25))
-            assert pencil_det(M) == det(M)
+            assert pencil_det(as_pencil(M)) == det(M)
 
     def test_laurent_shifted_rows(self):
         # rows may sit at any degree window of width one
@@ -150,36 +147,64 @@ class TestPencilDet:
             sh = [rng.randrange(-3, 4) for _ in range(n)]
             shifted = PolyMatrix(dom, [[M[i, j].shift(sh[i])
                                         for j in range(n)] for i in range(n)])
-            assert pencil_det(shifted) == det(shifted)
+            assert pencil_det(as_pencil(shifted)) == det(shifted)
 
-    def test_non_pencil_falls_back(self):
-        dom = GF(5)
-        f = LaurentPoly(dom, {0: 1, 1: 2, 2: 3})
-        M = PolyMatrix(dom, [[f, LaurentPoly.one(dom)],
-                             [LaurentPoly.t(dom), f]])
-        assert pencil_det(M) == det(M)
+    def test_non_pencil_is_linearized(self):
+        # rows of degree 2 in t: _fox_pencil gives each an auxiliary row and
+        # column; over F_5, Z and Q
+        for dom in (GF(5), ZZ, QQ):
+            f = LaurentPoly(dom, {0: 1, 1: 2, 2: 3})
+            M = PolyMatrix(dom, [[f, LaurentPoly.one(dom)],
+                                 [LaurentPoly.t(dom), f]])
+            pencil = _fox_pencil(2, [(0, [[1, 1], [2, 0], [3, 0]]),
+                                     (0, [[0, 1], [1, 2], [0, 3]])], dom)
+            assert pencil.rows == 4
+            assert pencil_det(pencil) == det(M)
 
-    def test_char_zero_falls_back(self):
+    def test_char_zero_takes_the_integer_pencil(self):
         for dom in (ZZ, QQ):
             M = PolyMatrix(dom, [[LaurentPoly.t(dom), LaurentPoly.one(dom)],
                                  [LaurentPoly.one(dom), LaurentPoly.t(dom)]])
-            assert pencil_det(M) == det(M)
+            assert pencil_det(as_pencil(M)) == det(M)
 
     def test_empty_matrix(self):
-        assert pencil_det(PolyMatrix(GF(5), [])) == LaurentPoly.one(GF(5))
+        assert pencil_det(as_pencil(PolyMatrix(GF(5), []))) == \
+            LaurentPoly.one(GF(5))
+        assert pencil_det(Pencil(QQ, [], [])) == LaurentPoly.one(QQ)
 
     def test_zero_row(self):
         dom = GF(7)
         z = LaurentPoly.zero(dom)
         M = PolyMatrix(dom, [[z, z], [LaurentPoly.t(dom), LaurentPoly.one(dom)]])
-        assert pencil_det(M) == z
+        assert pencil_det(as_pencil(M)) == z
 
-    def test_integer_pencil_is_not_modified(self, monkeypatch):
+    def test_only_pencils(self):
+        # a Laurent-polynomial matrix is not a pencil; the Bareiss oracles
+        # are bound by algebra, which defines them, and the package's public
+        # names only, and _fastdet takes LaurentPoly alone from algebra
+        with pytest.raises(AttributeError):
+            pencil_det(PolyMatrix(GF(5), [[LaurentPoly.one(GF(5))]]))
+        oracles = {"PolyMatrix", "det", "gcd_polys"}
+        for path in Path(_fastdet.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            imports = {(node.module, alias.name) for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)
+                       for alias in node.names}
+            if path.name == "_fastdet.py":
+                assert {name for module, name in imports
+                        if module == "algebra"} == {"LaurentPoly"}
+            if path.name in ("algebra.py", "__init__.py"):
+                continue
+            names = {name for _, name in imports} | {
+                node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+            assert not names & oracles, path.name
+
+    def test_integer_pencil_is_not_modified(self):
         dom = GF(5)
         A0, A1 = [[1, 2], [0, 3]], [[4, 0], [1, 1]]
         pencil = Pencil(dom, [list(r) for r in A0], [list(r) for r in A1], -2)
         want = bareiss_det(pencil)
-        no_fallback(monkeypatch)
         assert pencil_det(pencil) == want
         assert pencil_det(pencil) == want
         assert parts(pencil) == (A0, A1, -2)
@@ -213,20 +238,19 @@ class TestPencilDet:
         assert pencil_det(pencil) == det(M)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_deflation_matches_bareiss_structured(self, p, monkeypatch):
+    def test_deflation_matches_bareiss_structured(self, p):
         rng = random.Random(20261018 + p)
         dom = GF(p)
         mats = [structured_pencil(rng, dom, rng.randrange(1, 11))
                 for _ in range(120)]
         want = [det(M) for M in mats]
-        no_fallback(monkeypatch)
-        got = [pencil_det(M) for M in mats]
+        got = [pencil_det(as_pencil(M)) for M in mats]
         assert got == want
         # the cases reach every branch: zero and nonzero results
         assert any(w.is_zero for w in want)
         assert any(not w.is_zero and w.span > 0 for w in want)
 
-    def test_p2_fox_matrix_takes_the_pencil_path(self, monkeypatch):
+    def test_p2_fox_matrix_takes_the_pencil_path(self):
         # SL(2, F_2) representations of the trefoil; over F_2 pencil_det
         # used to fall back to Bareiss
         pres = deficiency_one(wirtinger(parse_pd(
@@ -237,12 +261,9 @@ class TestPencilDet:
         for rho in reps:
             A = fox_matrix(pres, rho, drop=0)
             assert isinstance(A, Pencil)
-            want = bareiss_det(A)
-            with monkeypatch.context() as m:
-                no_fallback(m)
-                assert pencil_det(A) == want
+            assert pencil_det(A) == bareiss_det(A)
 
-    def test_grid_union_pencils(self, monkeypatch):
+    def test_grid_union_pencils(self):
         # the 3_1 k = 1 grid unions under pulled-back F_5 representations
         table = KnotTable.parse(bundled_table_path().read_text())
         pd = table["3_1"]
@@ -257,9 +278,7 @@ class TestPencilDet:
                 assert isinstance(A, Pencil)
                 want = bareiss_det(A)
                 assert not want.is_zero
-                with monkeypatch.context() as m:
-                    no_fallback(m)
-                    assert pencil_det(A) == want
+                assert pencil_det(A) == want
 
 
 def unimodular(rng, p, n):
@@ -411,6 +430,8 @@ def lucas_lehmer(e):
 class TestIntPencilDet:
     def test_listed_exponents_give_mersenne_primes(self):
         assert list(_MERSENNE_EXPONENTS) == sorted(set(_MERSENNE_EXPONENTS))
+        assert _MERSENNE_PRIMES == tuple((1 << e) - 1
+                                         for e in _MERSENNE_EXPONENTS)
         for e in _MERSENNE_EXPONENTS:
             assert all(e % q for q in range(2, e)), e
             assert lucas_lehmer(e), e
@@ -438,26 +459,44 @@ class TestIntPencilDet:
         assert _int_pencil_det([[0]], [[a]]) == [0, a]
         assert seen == [(1 << 107) - 1] * 2
 
-    def test_past_the_last_prime_takes_bareiss(self, monkeypatch):
+    def test_past_the_last_prime_takes_crt(self, monkeypatch):
+        # H is about 2^3610: past 2^3217 - 1 alone, within its product with
+        # 2^2281 - 1
         big = 2 ** 400
         A0 = [[big + i if i == j else (i + j) % 3 for j in range(9)]
               for i in range(9)]
         A1 = [[-big if i == j else 0 for j in range(9)] for i in range(9)]
         A1[0][0] = 0
         want = int_coeffs(bareiss_det(Pencil(ZZ, A0, A1)))
-        calls = []
-
-        def spy(M):
-            calls.append(M.rows)
-            return det(M)
-        monkeypatch.setattr(_fastdet, "det", spy)
-
-        def fail(A0, A1, p):
-            raise AssertionError("deflated past the last prime")
-        monkeypatch.setattr(_fastdet, "_pencil_det_gf", fail)
+        seen = spy_moduli(monkeypatch)
         got = _int_pencil_det(A0, A1)
-        assert got == want and calls == [9]
+        assert got == want
+        assert seen == [(1 << 3217) - 1, (1 << 2281) - 1]
         assert max(map(abs, got)) > 2 ** 3217
+        assert any(c < 0 for c in got)
+
+    def test_crt_takes_primes_from_the_largest_down(self, monkeypatch):
+        # 1 x 1 pencils a + b*t: H^2 = 2(a^2 + b^2), so the primes run until
+        # their product passes 2H; the symmetric lift keeps the signs
+        seen = spy_moduli(monkeypatch)
+        primes = [(1 << e) - 1 for e in reversed(_MERSENNE_EXPONENTS)]
+        for count in range(2, len(primes) + 1):
+            a = prod(primes[:count - 1]) // 3
+            for A0, A1, want in (([[a]], [[-a]], [a, -a]),
+                                 ([[-a]], [[a]], [-a, a]),
+                                 ([[a]], [[a]], [a, a])):
+                del seen[:]
+                assert _int_pencil_det(A0, A1) == want
+                assert seen == primes[:count]
+
+    def test_past_every_listed_prime_raises(self, monkeypatch):
+        seen = spy_moduli(monkeypatch)
+        big = prod((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
+        with pytest.raises(ValueError, match="Mersenne"):
+            _int_pencil_det([[big]], [[0]])
+        with pytest.raises(ValueError, match="Mersenne"):
+            pencil_det(Pencil(QQ, [[Fraction(big, 3)]], [[1]]))
+        assert seen == []
 
     def test_alexander_pencils_use_the_smallest_prime(self, monkeypatch):
         # the grid unions have up to 24 generators, far below the 41 of
@@ -477,8 +516,7 @@ class TestIntPencilDet:
         assert _int_pencil_det([], []) == [1]
         assert _int_pencil_det([[0, 0], [1, 2]], [[0, 0], [3, 4]]) == [0]
 
-    def test_integer_pencils_skip_bareiss(self, monkeypatch):
-        no_fallback(monkeypatch)
+    def test_integer_pencils_skip_bareiss(self):
         pencil = Pencil(QQ, [[Fraction(1, 2), 0], [0, -1]],
                         [[0, Fraction(-1, 3)], [1, Fraction(1, 6)]], 1)
         # det = (1/2)(-1 + t/6) + t^2/3, times t

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from knotforge import twisted
-from knotforge._fastdet import Pencil, pencil_det, split_pencil
+from knotforge._fastdet import Pencil, pencil_det
 from knotforge.algebra import (GF, QQ, ZZ, LaurentPoly, PolyMatrix,
                                RationalFn, canonicalize, det, gcd_polys,
                                parse_poly, rational_unit_equal,
@@ -27,7 +27,8 @@ from knotforge.twisted import (classical_alexander, even_symun_obstruction,
                                knot_determinant, trivial_rep,
                                twisted_alexander, verify_theorem)
 
-from support import bareiss_determinant, grid_cells, interpolated_alexander
+from support import (bareiss_determinant, grid_cells, interpolated_alexander,
+                     sparse_rows, split_pencil)
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
@@ -299,10 +300,38 @@ def pencil_rows(pencil):
             for r0, r1 in zip(pencil.A0, pencil.A1)]
 
 
-def sparse_rows(M):
-    """A PolyMatrix as rows of {(column, exponent): coefficient} cells."""
-    return [{(k, e): c for k, f in enumerate(row) for e, c in f.coeffs.items()}
-            for row in M.entries]
+def delinearized_rows(pencil, nrows, ncols):
+    """The first nrows rows of A0 + t*A1 over the first ncols columns, once
+    the auxiliary columns ncols + k are eliminated, in column order, by the
+    auxiliary rows nrows + k, whose pivot there must be 1 (the shift left
+    out)."""
+    rows = pencil_rows(pencil)
+    one = LaurentPoly.one(pencil.domain)
+    assert all(len(row) - ncols == len(rows) - nrows for row in rows)
+    for k in range(len(rows) - nrows):
+        aux, c = rows[nrows + k], ncols + k
+        assert aux[c] == one
+        for row in rows[:nrows]:
+            f = row[c]
+            if not f.is_zero:
+                row[:] = [a - f * b for a, b in zip(row, aux)]
+    assert all(f.is_zero for row in rows[:nrows] for f in row[ncols:])
+    return [row[:ncols] for row in rows[:nrows]]
+
+
+def matches_definition(A, ref):
+    """Assert that the pencil A is the reference Fox matrix ref: row i of
+    the definition is t^lo_i times row i of A0 + t*A1, its auxiliary
+    columns eliminated; a square one has the same determinant."""
+    assert isinstance(A, Pencil)
+    assert A.domain == ref.domain
+    los = [min((f.min_deg for f in row if not f.is_zero), default=0)
+           for row in ref.entries]
+    assert delinearized_rows(A, ref.rows, ref.cols) == \
+        [[f.shift(-lo) for f in row] for lo, row in zip(los, ref.entries)]
+    assert A.shift == sum(los)
+    if ref.rows == ref.cols:
+        assert pencil_det(A) == det(ref)
 
 
 class TestFoxMatrix:
@@ -310,18 +339,8 @@ class TestFoxMatrix:
                              ids=[c[0] for c in FOX_CASES])
     @pytest.mark.parametrize("drop", [None, 0, 1])
     def test_one_pass_matches_definition(self, pres, rho, drop):
-        A = fox_matrix(pres, rho, drop=drop)
-        ref = reference_fox_matrix(pres, rho, drop=drop)
-        assert A.domain == ref.domain
-        if isinstance(A, Pencil):
-            # row i of the definition is t^lo_i times row i of A0 + t*A1
-            los = [min((f.min_deg for f in row if not f.is_zero), default=0)
-                   for row in ref.entries]
-            assert pencil_rows(A) == [[f.shift(-lo) for f in row]
-                                      for lo, row in zip(los, ref.entries)]
-            assert A.shift == sum(los)
-        else:
-            assert A.entries == ref.entries
+        matches_definition(fox_matrix(pres, rho, drop=drop),
+                           reference_fox_matrix(pres, rho, drop=drop))
 
     def test_cases_cover_the_presentations(self):
         # a relator that is not a 4-letter Wirtinger word, an identification
@@ -338,14 +357,20 @@ class TestFoxMatrix:
         for name, pres, rho in FOX_CASES:
             assert verify_representation(pres, rho, require_sl=False), name
 
-    def test_pencil_over_f_p_only_when_linear(self):
-        # F_p Wirtinger-type presentations give a Pencil; Q, and b(7,3)'s
-        # one-relator presentation (not linear in t), a PolyMatrix
+    def test_always_a_pencil(self):
+        # over F_p and Q alike; b(7,3)'s one-relator presentation, whose row
+        # is not linear in t, gains auxiliary rows and columns, and the
+        # Wirtinger-type ones do not
         for name, pres, rho in FOX_CASES:
-            linear = rho.p is not None and not name.startswith("b(7,3)")
+            linear = not name.startswith("b(7,3)")
             for drop in (None, 0):
                 A = fox_matrix(pres, rho, drop=drop)
-                assert isinstance(A, Pencil if linear else PolyMatrix), name
+                assert isinstance(A, Pencil), name
+                assert A.domain == (QQ if rho.p is None else GF(rho.p))
+                width = (pres.num_generators - (drop is not None)) * rho.d
+                assert {len(r) for r in A.A0} == {width + A.rows
+                                                  - len(pres.relators) * rho.d}
+                assert (A.rows == len(pres.relators) * rho.d) == linear, name
 
 
 def bounded_walk_word(rng, ngen, length):
@@ -471,6 +496,116 @@ class TestIntegerFoxPencil:
                    for lo_int, lo_p in lowest.values()):
                 shifted.add(p)
         assert shifted == {2, 3, 5, 7}
+
+
+def wide_walk_word(rng, ngen, length, top):
+    """A word whose running exponent sum climbs straight to top, then walks
+    within [0, top + 1] back to 0 after at least length letters, with no
+    letter next to its inverse: its Fox coefficients span at least top
+    powers of t, so top >= 3 gives rows that are not linear in t."""
+    letters, e = [(rng.randrange(ngen), 1) for _ in range(top)], top
+    while len(letters) < length or e:
+        s = 1 if e == 0 else -1 if e == top + 1 else rng.choice((1, -1))
+        g, last = rng.randrange(ngen), letters[-1]
+        if (g, s) == (last[0], -last[1]):
+            g = (g + 1) % ngen
+        letters.append((g, s))
+        e += s
+    return letters
+
+
+def live_range_case(p, d):
+    """Relators a c^-1 a a a b c^-4 and b b b a c^-1 a c^-4 with column c
+    dropped, under a -> I, b -> I, c -> -I (over F_p, or over Q when p is
+    None).  The first relator's coefficients of t^0..t^3 are
+    I + rho(a c^-1) = I - I at a, then -I at a, -I at a and -I at b; the
+    second's are I at b, I at b, I at b and I + rho(b b b a c^-1) = I - I at
+    a.  Over F_p these vanishing sums are p*I as integers: only t^1..t^3 and
+    t^0..t^2 hold nonzero slots, so each row takes one auxiliary row, not
+    two."""
+    pres = GroupPresentation(("a", "b", "c"), (
+        ((0, 1), (2, -1), (0, 1), (0, 1), (0, 1), (1, 1)) + ((2, -1),) * 4,
+        ((1, 1),) * 3 + ((0, 1), (2, -1), (0, 1)) + ((2, -1),) * 4))
+    one = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    minus = tuple(tuple(-x if p is None else (p - 1) * x for x in row)
+                  for row in one)
+    rho = Representation(presentation=pres, p=p, d=d,
+                         matrices=(one, one, minus))
+    return ("live range %s d=%d" % ("Q" if p is None else "F_%d" % p, d),
+            pres, rho, 2)
+
+
+def linearized_cases():
+    """(name, presentation, representation, drop): presentations of random
+    relators whose running exponent sum spans 3 to 5 (wide_walk_word), under
+    random invertible matrices over F_p, p in {2, 3, 5, 7}, with d = 1, 2,
+    and under random signs over Q (d = 1); and live_range_case for each."""
+    rng = random.Random(20261019)
+    cases = []
+    for p in (2, 3, 5, 7, None):
+        for d in ((1, 2) if p else (1,)):
+            cases.append(live_range_case(p, d))
+            for i in range(4):
+                n = rng.randrange(2, 5)
+                pres = GroupPresentation(
+                    tuple("a%d" % g for g in range(n)),
+                    tuple(wide_walk_word(rng, n, rng.randrange(6, 13),
+                                         rng.randrange(3, 6))
+                          for _ in range(n - 1)))
+                mats = tuple(((rng.choice((1, -1)),),) if p is None
+                             else random_invertible(rng, d, p)
+                             for _ in range(n))
+                rho = Representation(presentation=pres, p=p, d=d,
+                                     matrices=mats)
+                cases.append(("random %s d=%d #%d"
+                              % ("Q" if p is None else "F_%d" % p, d, i),
+                              pres, rho, rng.randrange(n)))
+    return cases
+
+
+LINEARIZED_CASES = linearized_cases()
+
+
+class TestLinearizedFoxPencil:
+    @pytest.mark.parametrize("pres, rho, drop",
+                             [c[1:] for c in LINEARIZED_CASES],
+                             ids=[c[0] for c in LINEARIZED_CASES])
+    def test_matches_definition(self, pres, rho, drop):
+        # square, so the determinants are compared too
+        ref = reference_fox_matrix(pres, rho, drop=drop)
+        assert ref.rows == ref.cols
+        matches_definition(fox_matrix(pres, rho, drop=drop), ref)
+
+    def test_cases_are_not_linear(self):
+        # every case gains auxiliary rows; p in {2, 3, 5, 7} with d = 1, 2
+        # and Q are covered
+        covered = set()
+        for name, pres, rho, drop in LINEARIZED_CASES:
+            A = fox_matrix(pres, rho, drop=drop)
+            assert A.rows > len(pres.relators) * rho.d, name
+            covered.add((rho.p, rho.d))
+        assert covered == {(p, d) for p in (2, 3, 5, 7)
+                           for d in (1, 2)} | {(None, 1)}
+
+    def test_vanishing_slots_do_not_count(self):
+        # both relators' integer sums span t^0..t^3, but the first one's
+        # t^0 sum and the second one's t^3 sum vanish: one auxiliary row per
+        # matrix row
+        for name, pres, rho, drop in LINEARIZED_CASES:
+            if not name.startswith("live range"):
+                continue
+            d = rho.d
+            A = fox_matrix(pres, rho, drop=drop)
+            assert A.rows == 4 * d, name
+            ref = reference_fox_matrix(pres, rho, drop=drop)
+            live = [(min(f.min_deg for f in row if not f.is_zero),
+                     max(f.max_deg for f in row if not f.is_zero))
+                    for row in ref.entries]
+            assert live == [(1, 3)] * d + [(0, 2)] * d, name
+            if rho.p is not None:
+                sums = integer_fox_sums(pres, rho, drop)
+                assert all(sums[(i, i, 0)] == sums[(d + i, i, 3)] == rho.p
+                           for i in range(d))
 
 
 def denominator_oracle(rho, j):
