@@ -55,10 +55,13 @@ class KnotTable:
     @classmethod
     def load(cls, path):
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise DomainError("unreadable table %s: %s" % (path, exc.strerror))
+        except UnicodeDecodeError as exc:
+            raise DomainError("table %s is not valid UTF-8: %s"
+                              % (path, exc)) from exc
         return cls.parse(text, origin=str(path))
 
     @classmethod
@@ -217,8 +220,11 @@ def _load_rep(rep_arg, pres, p):
     if rep_arg == "trivial":
         return trivial_rep(pres, p)
     try:
-        with open(rep_arg) as fh:
+        with open(rep_arg, encoding="utf-8") as fh:
             text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError("rep file %r is not valid UTF-8: %s"
+                          % (rep_arg, exc)) from exc
     except OSError as exc:
         bundled = resources.files("knotforge").joinpath("data", rep_arg)
         if bundled.is_file():
@@ -274,8 +280,8 @@ def cmd_talex(args, table):
         polys = [{"trace": rho.trace(),
                   "polynomial": format_fraction(tw.value),
                   "degree": tw.degree}
-                 for rho, tw in zip(reps, _rep_polynomials(pres, reps,
-                                                           args.jobs))]
+                 for rho, tw in zip(reps, _rep_polynomials(
+                     pres, reps, args.jobs, reps.twins))]
         return inputs, {"num_reps": len(reps), "polynomials": polys}
     if not args.rep:
         raise DomainError("talex needs --rep FILE|trivial or --enumerate")
@@ -393,14 +399,17 @@ def cmd_table(args, table):
     if args.action != "import":
         raise DomainError("unknown table action %r" % args.action)
     try:
-        with open(args.path) as fh:
+        with open(args.path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DomainError("cannot read %r: %s" % (args.path, exc))
+    except UnicodeDecodeError as exc:
+        raise DomainError("table %r is not valid UTF-8: %s"
+                          % (args.path, exc)) from exc
     imported = KnotTable.parse(text, origin=args.path)
     dest = os.environ.get("KNOTFORGE_TABLE") or user_table_path()
     os.makedirs(os.path.dirname(os.path.abspath(dest)) or ".", exist_ok=True)
-    with open(dest, "w") as fh:
+    with open(dest, "w", encoding="utf-8") as fh:
         fh.write(text)
     results = {"entries_loaded": len(imported),
                "names": sorted(imported.entries),

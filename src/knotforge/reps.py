@@ -16,6 +16,17 @@ class is listed by the member the unpruned search would keep, the last one
 it visits: the Z-conjugate whose tuple of branched-generator values is
 largest.
 
+Over F_p with p odd only the traces s <= -s mod p are searched.  Every
+relator of a Wirtinger-type presentation has exponent sum 0, so twisting by
+the character eps that sends every meridian to -1 is a bijection between the
+nonabelian classes of trace s and those of trace -s.  The sign twin of rho,
+eps (x) rho conjugated by D = diag(1, -1), sends the pinned companion (or
+unipotent) matrix of trace s to the pinned one of trace -s, so the classes
+of trace -s are the sign twins of those of trace s, each put through the
+leaf's canonicalization again.  The twin's twisted polynomial is
+Delta_rho(-t) (Wada, Topology 33, 1994; Kirk and Livingston, Topology 38,
+1999).
+
 Which relator forces which generator, and which relators become complete,
 depends only on which generators are assigned, so each search compiles its
 propagation plan once from the relators alone: per depth, a straight-line
@@ -435,6 +446,14 @@ _TABLE_MEMO = 32  # (s, p) keys: every trace of the primes up to 11
 
 
 @lru_cache(maxsize=_TABLE_MEMO)
+def _class_tables(s, p):
+    """Per pinned class of trace s over F_p (_pinned_class_reps), the flat
+    matrix M0 and its centralizer Z as a tuple of flat (z, z^-1) pairs."""
+    return tuple((M0[0] + M0[1], tuple(_flat_pairs(zs, p)))
+                 for M0, zs in _pinned_class_reps(s, p))
+
+
+@lru_cache(maxsize=_TABLE_MEMO)
 def _trace_tables(s, p):
     """The search's tables for trace s over F_p, as immutable tuples of
     flat (M, M^-1) pairs: the trace slice, and per pinned class (M0, its
@@ -442,12 +461,40 @@ def _trace_tables(s, p):
     Z-orbit of the slice).  Flat and nested matrices sort alike."""
     pairs = {pair[0]: pair for pair in _flat_pairs(_trace_slice(s, p), p)}
     classes = []
-    for M0, zs in _pinned_class_reps(s, p):
-        zpairs = tuple(_flat_pairs(zs, p))
+    for M0, zpairs in _class_tables(s, p):
         first = _orbit_reps(pairs, zpairs, p)
-        classes.append((pairs[M0[0] + M0[1]], zpairs,
-                        tuple(pairs[M] for M in first)))
+        classes.append((pairs[M0], zpairs, tuple(pairs[M] for M in first)))
     return tuple(pairs.values()), tuple(classes)
+
+
+def _sign_twin(mats, p):
+    """D (-M) D^-1 for each flat M = (a, b, c, d) of mats, D = diag(1, -1):
+    (-a, b, c, -d) mod p."""
+    return tuple((-a % p, b, c, -d % p) for a, b, c, d in mats)
+
+
+def _canonical(mats, zpairs, branched, p):
+    """(canon, keep) for the class of the flat tuple mats under conjugation
+    by the pairs (z, z^-1) of zpairs: canon its least conjugate, keep the
+    conjugate whose values on the branched generators are largest."""
+    canon = keep = top = None
+    for conj in zip(*[_conjugates(M, zpairs, p) for M in mats]):
+        if canon is None or conj < canon:
+            canon = conj
+        key = [conj[g] for g in branched]
+        if keep is None or key > top:
+            keep, top = conj, key
+    return canon, keep
+
+
+class RepList(list):
+    """The list of representations enumerate_sl2 returns, with `twins`:
+    per listed class the index of its sign twin in the list (possibly its
+    own), or None for an abelian class and over F_2."""
+
+    def __init__(self, reps, twins):
+        super().__init__(reps)
+        self.twins = tuple(twins)
 
 
 def enumerate_sl2(pres, cfg):
@@ -466,6 +513,17 @@ def enumerate_sl2(pres, cfg):
     branched-generator values is largest.  With nonabelian_only=False
     abelian representations are included first: one per SL2 conjugacy
     class, all generators equal.
+
+    For p odd only the traces s <= -s mod p are searched.  The classes of a
+    trace -s > s are the sign twins of those of trace s (eps (x) rho
+    conjugated by D = diag(1, -1), eps the character sending every meridian
+    to -1, which the relators' exponent sums 0 allow), canonicalized as a
+    leaf is, so the list is the one the search would give; such a trace
+    visits no node of the budget.  The returned RepList carries the sign
+    twin of every class, so that the twisted polynomial of one class of a
+    pair gives the other's, Delta_{eps rho}(t) = Delta_rho(-t) (Wada, 1994;
+    Kirk and Livingston, 1999).  Trace-0 classes are paired by
+    canonicalizing their sign twins.
     """
     p = cfg.p
     if not pres.is_wirtinger:
@@ -475,7 +533,7 @@ def enumerate_sl2(pres, cfg):
     # every leaf is at the last depth, and the search meets leaves in
     # lexicographic order of their values on the branched generators
     branched = gens[:-1]
-    reps = []
+    reps, twins = [], []
     nodes = 0
     # the slots of _compile_plans: x_h, then x_h^-1, then I, each a flat
     # (a, b, c, d).  One array serves the whole search, since a node's plan
@@ -488,6 +546,7 @@ def enumerate_sl2(pres, cfg):
     if not cfg.nonabelian_only:
         for M in _abelian_class_reps(p):
             reps.append(mk((M,) * ng))
+            twins.append(None)
 
     def branch(depth, s, cands):
         nonlocal nodes
@@ -525,25 +584,48 @@ def enumerate_sl2(pres, cfg):
         # leaf is abelian when every value commutes with x_0
         if _commute_with_first(mats, p):
             return  # abelian classes are listed up front
-        canon = keep = top = None
-        for conj in zip(*[_conjugates(M, zpairs, p) for M in mats]):
-            if canon is None or conj < canon:
-                canon = conj
-            key = [conj[g] for g in branched]
-            if keep is None or key > top:
-                keep, top = conj, key
+        canon, keep = _canonical(mats, zpairs, branched, p)
         found[canon] = keep
 
+    def twin_class(mats, s):
+        # (canon, keep) of the sign twin of a class, a class of trace s: it
+        # keeps x_0 on its pinned matrix, M0(-s) -> M0(s)
+        twin = _sign_twin(mats, p)
+        zs = dict(_class_tables(s, p))[twin[0]]
+        return _canonical(twin, zs, branched, p)
+
+    # trace -> (index of its first class, the flat classes in list order)
+    listed = {}
     for s in range(p):
-        trace_slice, classes = _trace_tables(s, p)
         found = {}
-        for (vals[0], vals[ng]), zpairs, first in classes:
-            branch(0, s, first)
-        # flat and nested matrices sort alike
-        for canon in sorted(found):
+        source = {}  # a derived class's canon -> its sign twin's index
+        t = -s % p
+        if p > 2 and t < s:
+            start, keeps = listed[t]
+            for i, mats in enumerate(keeps, start):
+                canon, keep = twin_class(mats, s)
+                found[canon], source[canon] = keep, i
+        else:
+            trace_slice, classes = _trace_tables(s, p)
+            for (vals[0], vals[ng]), zpairs, first in classes:
+                branch(0, s, first)
+        order = sorted(found)
+        start = len(reps)
+        listed[s] = start, [found[canon] for canon in order]
+        for j, canon in enumerate(order, start):
+            # flat and nested matrices sort alike
             reps.append(mk(tuple(((a, b), (c, d))
                                  for a, b, c, d in found[canon])))
-    return reps
+            i = source.get(canon)
+            twins.append(i)
+            if i is not None:
+                twins[i] = j
+        if p > 2 and t == s:
+            # trace 0 is its own twin trace
+            index = {canon: j for j, canon in enumerate(order, start)}
+            for j, mats in enumerate(listed[s][1], start):
+                twins[j] = index[twin_class(mats, s)[0]]
+    return RepList(reps, twins)
 
 
 def _abelian_class_reps(p):

@@ -547,7 +547,7 @@ def even_symun_obstruction(K, candidate_partial, p, rho_partial,
     if cfg.p != p:
         raise ValueError("search config prime differs from p")
     reps = enumerate_sl2(pres, cfg)  # SearchBudgetExceeded propagates
-    polys = _rep_polynomials(deficiency_one(pres), reps, jobs)
+    polys = _rep_polynomials(deficiency_one(pres), reps, jobs, reps.twins)
     evidence = []
     for rho, tw in zip(reps, polys):
         if tw.value == target:
@@ -561,14 +561,44 @@ def even_symun_obstruction(K, candidate_partial, p, rho_partial,
     }
 
 
-def _rep_polynomials(pres, reps, jobs=None):
-    # never more worker processes than reps or CPUs
-    workers = min(jobs or 1, len(reps), os.cpu_count() or 1)
+def _rep_polynomials(pres, reps, jobs=None, twins=None):
+    """The twisted polynomial of each representation of reps, in order.
+
+    twins, when given, is the sign-twin index of enumerate_sl2: twins[i] is
+    the index of the class of eps (x) rho_i, eps the character sending every
+    meridian to -1, or None.  Twisting by eps substitutes -t for t,
+    Delta_{eps rho}(t) = Delta_rho(-t) (Wada, Topology 33, 1994; Kirk and
+    Livingston, Topology 38, 1999), so a representation whose twin comes
+    before it takes its twin's polynomial with the odd coefficients of the
+    numerator and the denominator negated, reduced again.  The others go
+    through the Fox pencil, in up to jobs worker processes, never more than
+    there are of them or CPUs."""
+    direct = [i for i in range(len(reps))
+              if twins is None or twins[i] is None or twins[i] >= i]
+    args = [(pres, reps[i]) for i in direct]
+    workers = min(jobs or 1, len(args), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(_one_poly, [(pres, r) for r in reps]))
-    return [_one_poly((pres, r)) for r in reps]
+            polys = list(ex.map(_one_poly, args))
+    else:
+        polys = [_one_poly(a) for a in args]
+    out = [None] * len(reps)
+    for i, tw in zip(direct, polys):
+        out[i] = tw
+    for i, tw in enumerate(out):
+        if tw is None:
+            out[i] = _at_minus_t(out[twins[i]])
+    return out
+
+
+def _at_minus_t(tw):
+    """The twisted polynomial tw with -t substituted for t."""
+    def flip(f):
+        return LaurentPoly(f.domain, {e: -c if e % 2 else c
+                                      for e, c in f.coeffs.items()})
+    return TwistedPolynomial(reduce_fraction(flip(tw.value.num),
+                                             flip(tw.value.den)), tw.d)
 
 
 def _one_poly(args):

@@ -394,6 +394,21 @@ class TestTableManagement:
         with pytest.raises(DomainError, match="nonexistent.csv"):
             default_table(missing if source == "flag" else None)
 
+    @pytest.mark.parametrize("argv", [
+        ["alex", "3_1", "--table", "{bad}"],
+        ["talex", "3_1", "--p", "7", "--rep", "{bad}"],
+        ["table", "import", "{bad}"]], ids=["table", "rep", "import"])
+    def test_file_that_is_not_utf8_is_named(self, capsys, isolated_home,
+                                            argv):
+        # the UnicodeDecodeError used to reach main, whose error line named
+        # the codec and not the file
+        bad = isolated_home / "bad.txt"
+        bad.write_bytes(b"name,pd\n3_1,\xff\n")
+        assert main([a.format(bad=bad) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid UTF-8" in err
+        assert str(bad) in err and "Traceback" not in err
+
     def test_import_persists_to_user_path(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", str(tmp_path))
         monkeypatch.delenv("KNOTFORGE_TABLE", raising=False)
@@ -501,3 +516,25 @@ class TestModuleEntryPoint:
             assert "t^2 - t + 1" in proc.stdout
         else:
             assert proc.stderr.startswith("error: unknown knot name")
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+GOLDEN_REPORTS = {
+    "talex-%s-p%d" % (knot, p): ["talex", knot, "--p", str(p), "--enumerate"]
+    for knot in ("3_1", "4_1", "10_137", "11a_201") for p in (5, 7)}
+GOLDEN_REPORTS["obstruct"] = ["obstruct", "11a_201", "--candidate", "6_1",
+                              "--p", "7", "--rep", "rho0.json"]
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_report_is_byte_identical(self, capsys, isolated_home, name):
+        # tests/golden holds the --json reports, timing_ms left out, of a
+        # search over every trace with every polynomial from its Fox
+        # pencil; sign twins must give the same bytes
+        assert main(["--json"] + GOLDEN_REPORTS[name]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["timing_ms"]
+        got = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        with open(os.path.join(GOLDEN, name + ".json"), "rb") as fh:
+            assert got.encode() == fh.read()

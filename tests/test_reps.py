@@ -7,7 +7,8 @@ import knotforge.reps
 from knotforge.cli import KnotTable, bundled_table_path
 from knotforge.diagram import MarkedDiagram, SymUnionSpec, parse_pd
 from knotforge.presentation import (build_symun_presentation,
-                                    two_bridge_presentation, wirtinger)
+                                    deficiency_one, two_bridge_presentation,
+                                    wirtinger)
 from knotforge.reps import (RepSearchConfig, Representation,
                             SearchBudgetExceeded, _abelian_class_reps,
                             _commute_with_first, _compile_plans,
@@ -16,6 +17,7 @@ from knotforge.reps import (RepSearchConfig, Representation,
                             is_scalar, mat_det2, mat_inv, mat_mul,
                             rep_from_json, rep_to_json,
                             verify_representation, word_prefixes)
+from knotforge.twisted import _rep_polynomials, twisted_alexander
 
 BUNDLED = KnotTable.load(bundled_table_path())
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
@@ -418,10 +420,61 @@ class TestTraceTables:
             cold[p] = listed(p)
         for p in (5, 7, 5):
             assert listed(p) == cold[p], p
-        # one table per trace and call; the F_5 tables were cleared before
-        # the cold F_7 run, the F_7 and second F_5 runs find theirs
+        # one table per searched trace s <= -s mod p (4 of F_7, 3 of F_5)
+        # and call; the F_5 tables were cleared before the cold F_7 run,
+        # the F_7 and second F_5 runs find theirs
         info = _trace_tables.cache_info()
-        assert (info.hits, info.misses) == (7 + 5, 7 + 5)
+        assert (info.hits, info.misses) == (4 + 3, 4 + 3)
+
+
+def sign_twin_by_definition(mats, p):
+    """D (-M) D^-1 for each nested matrix M, D = diag(1, -1) = D^-1, from
+    the definition of the product."""
+    D = ((1, 0), (0, p - 1))
+    return tuple(sum_product(sum_product(D, tuple(tuple(-v % p for v in row)
+                                                  for row in M), p), D, p)
+                 for M in mats)
+
+
+def conjugate_in_group(A, B, group, p):
+    """Whether z A z^-1 = B, generator by generator, for some z of group:
+    z A = B z, products from the definition."""
+    return any(all(sum_product(z, X, p) == sum_product(Y, z, p)
+                   for X, Y in zip(A, B)) for z in group)
+
+
+class TestSignTwins:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("name", sorted(BUNDLED.entries))
+    def test_twins_against_the_definition(self, name, p):
+        # sign twins pair trace s with -s, the map is an involution, the
+        # twin of rho is SL(2, F_p)-conjugate to D(-rho)D^-1, and its
+        # derived polynomial is twisted_alexander's
+        pres = deficiency_one(wirtinger(BUNDLED[name]))
+        reps = enumerate_sl2(pres, RepSearchConfig(p=p,
+                                                   nonabelian_only=False))
+        twins = reps.twins
+        assert len(twins) == len(reps)
+        group = all_sl2(p)
+        for i, (rho, j) in enumerate(zip(reps, twins)):
+            if rho.is_abelian:
+                assert j is None
+                continue
+            assert twins[j] == i
+            assert reps[j].trace() == -rho.trace() % p
+            assert conjugate_in_group(sign_twin_by_definition(
+                rho.matrices, p), reps[j].matrices, group, p), (i, j)
+        polys = _rep_polynomials(pres, reps, None, twins)
+        for i, j in enumerate(twins):
+            if j is not None and j < i:
+                assert polys[i].value == twisted_alexander(
+                    pres, reps[i]).value, i
+
+    def test_no_twins_over_f2(self):
+        pres = wirtinger(BUNDLED["4_1"])
+        reps = enumerate_sl2(pres, RepSearchConfig(p=2,
+                                                   nonabelian_only=False))
+        assert reps and reps.twins == (None,) * len(reps)
 
 
 class TestDeterminismAndBudget:
@@ -437,9 +490,11 @@ class TestDeterminismAndBudget:
             enumerate_sl2(pres, RepSearchConfig(p=7, max_nodes=1))
 
     @pytest.mark.parametrize("name,p,nodes", [
-        ("4_1", 7, 133), ("11a_201", 7, 6189), ("10_137", 5, 3267)])
+        ("4_1", 7, 73), ("11a_201", 7, 3353), ("10_137", 5, 2152)])
     def test_exact_node_count(self, name, p, nodes):
-        # the search visits exactly these nodes: N suffices, N - 1 does not
+        # the search visits exactly these nodes: N suffices, N - 1 does not.
+        # Only the traces s <= -s mod p are searched; the others are sign
+        # twins and visit none
         pres = wirtinger(BUNDLED[name])
         assert enumerate_sl2(pres, RepSearchConfig(p=p, max_nodes=nodes))
         with pytest.raises(SearchBudgetExceeded):

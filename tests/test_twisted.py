@@ -1087,3 +1087,38 @@ class TestRepPolynomialWorkers:
                                              else [workers])
         want = twisted_alexander(pres, rho).value
         assert [tw.value for tw in got] == [want] * nreps
+
+    @pytest.mark.parametrize("jobs,cpus,workers", [
+        (10 ** 6, 8, 5),        # no more workers than reps not derived
+        (10 ** 6, 2, 2),
+        (3, 8, 3),
+        (1, 8, None),
+    ])
+    def test_derived_reps_skip_the_executor(self, monkeypatch, jobs, cpus,
+                                            workers):
+        # with the sign twins of the trefoil over F_5, 5 of its 10 reps
+        # take their polynomial from their twin's: only the other 5 are
+        # mapped, and the worker cap counts only those
+        import concurrent.futures
+        mapped = []
+
+        class Recording(self.FakeExecutor):
+            def map(self, fn, items):
+                items = list(items)
+                mapped.extend(rho for _, rho in items)
+                return map(fn, items)
+        self.FakeExecutor.created = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recording)
+        monkeypatch.setattr(twisted.os, "cpu_count", lambda: cpus)
+        pres = deficiency_one(wirtinger(parse_pd(TREFOIL)))
+        reps = enumerate_sl2(pres, RepSearchConfig(p=5))
+        twins = reps.twins
+        direct = [rho for i, rho in enumerate(reps) if twins[i] >= i]
+        assert len(direct) == 5 and len(reps) == 10
+        got = twisted._rep_polynomials(pres, reps, jobs, twins)
+        assert self.FakeExecutor.created == ([] if workers is None
+                                             else [workers])
+        assert mapped == ([] if workers is None else direct)
+        assert [tw.value for tw in got] == [
+            twisted_alexander(pres, rho).value for rho in reps]
