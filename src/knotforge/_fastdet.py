@@ -6,9 +6,9 @@ each row of higher degree is linearized with auxiliary rows and columns;
 `twisted._fox_pencil` does both, in one place, and yields a `Pencil`: the
 integer matrices A0, A1 and the total shift.  The twisted path
 (`twisted.fox_matrix`, then `pencil_det`) and the classical Alexander path
-both read their pencils from it, and over F_p no Laurent polynomial is built
-until the determinant is.  `pencil_det`, the one determinant entry point,
-deflates the pencil over F_p itself, which is exact for every square pencil:
+both read their pencils from it, and no Laurent polynomial is built until
+the determinant is.  `pencil_det`, the determinant of every pencil over
+F_p, deflates it over F_p itself, which is exact for every square pencil:
 
 1. Row-reduce A1, applying the same row operations to A0.
 2. Every zero row of A1 is now a constant row of the pencil.  Scalar
@@ -35,17 +35,16 @@ Fox pencils are very degenerate (many constant rows, a small rank of A1,
 and determinants with a large power of t), so the two phases remove most of
 the matrix before any characteristic polynomial is formed.  Their rows are
 sparse, and each elimination touches the pivot row's nonzero entries only.
-An integer pencil (over Q, once row denominators are cleared)
-is deflated modulo a Mersenne prime above twice a Hadamard bound on its
-coefficients, or, past the largest listed one, modulo several of them
-joined by the Chinese remainder theorem, which is exact (`_int_pencil_det`).
+The integer Alexander pencil is deflated by `_int_pencil_det`, modulo a
+Mersenne prime above twice a Hadamard bound on its coefficients, or, past
+the largest listed one, modulo several of them joined by the Chinese
+remainder theorem, which is exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
-from math import lcm, prod
+from math import prod
 
 from .algebra import LaurentPoly
 
@@ -287,24 +286,14 @@ def _int_pencil_det(A0, A1):
 # -- public entry ------------------------------------------------------------
 
 def pencil_det(M):
-    """Exact determinant of a square `Pencil`: the deflation over its prime
-    field, and over Z or Q `_int_pencil_det` once each row is cleared of its
-    denominators.  M is not modified."""
-    dom = M.domain
+    """Exact determinant of a square `Pencil` over F_p: the deflation of
+    `_pencil_det_gf`.  M is not modified.  An integer pencil goes to
+    `_int_pencil_det` instead."""
+    if M.domain.kind != "GF":
+        raise ValueError("pencil_det works over F_p only")
     if any(len(r) != M.rows for r in M.A0):
         raise ValueError("determinant of a non-square matrix")
-    if dom.kind == "GF":
-        coeffs = _pencil_det_gf([list(r) for r in M.A0],
-                                [list(r) for r in M.A1], dom.p)
-    else:
-        # each row times the lcm m of its denominators, det divided back
-        ms = [lcm(*(Fraction(x).denominator for x in (*r0, *r1)))
-              for r0, r1 in zip(M.A0, M.A1)]
-        den = prod(ms)
-        coeffs = [Fraction(c, den) for c in _int_pencil_det(
-            *([[int(x * m) for x in r] for r, m in zip(A, ms)]
-              for A in (M.A0, M.A1)))]
-    # the F_p coefficients are reduced already; those over Q are coerced,
-    # and over Z made integers again
-    make = LaurentPoly._raw if dom.kind == "GF" else LaurentPoly
-    return make(dom, {e + M.shift: c for e, c in enumerate(coeffs) if c})
+    coeffs = _pencil_det_gf([list(r) for r in M.A0],
+                            [list(r) for r in M.A1], M.domain.p)
+    return LaurentPoly._raw(M.domain, {e + M.shift: c
+                                       for e, c in enumerate(coeffs) if c})

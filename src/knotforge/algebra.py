@@ -15,17 +15,25 @@ import re
 from fractions import Fraction
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+# the first 12 primes: as Miller-Rabin bases they decide every n below
+# 3.18 * 10^23 (Sorenson and Webster, Math. Comp. 86, 2017), so every n < 2^64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Whether the integer n is prime, by deterministic Miller-Rabin on the
+    first 12 prime bases; ValueError for n >= 2^64, past its proven range."""
+    if n >= 1 << 64:
+        raise ValueError("p = %d is too large: primes are checked "
+                         "below 2^64 only" % n)
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n - 1 = d 2^s, d odd: a witness a has a^d != 1, a^(d 2^r) != -1 (r < s)
+    return not any(pow(a, d, n) != 1 and all(
+        pow(a, d << r, n) != n - 1 for r in range(s)) for a in _MR_BASES)
 
 
 class Domain:

@@ -235,7 +235,7 @@ def _load_rep(rep_arg, pres, p):
         rho = rep_from_json(text, pres)
     except (ValueError, KeyError, TypeError) as exc:
         raise DomainError("invalid rep file %r: %s" % (rep_arg, exc)) from exc
-    if p is not None and rho.p != p:
+    if rho.p != p:
         raise DomainError("rep file is over F_%s but --p %d was given"
                           % (rho.p, p))
     return rho
@@ -280,8 +280,7 @@ def cmd_talex(args, table):
         polys = [{"trace": rho.trace(),
                   "polynomial": format_fraction(tw.value),
                   "degree": tw.degree}
-                 for rho, tw in zip(reps, _rep_polynomials(
-                     pres, reps, args.jobs, reps.twins))]
+                 for rho, tw in zip(reps, _rep_polynomials(pres, reps))]
         return inputs, {"num_reps": len(reps), "polynomials": polys}
     if not args.rep:
         raise DomainError("talex needs --rep FILE|trivial or --enumerate")
@@ -381,9 +380,8 @@ def cmd_obstruct(args, table):
     inputs["rep"] = args.rep
     rho = _load_rep(args.rep, wirtinger(cand), args.p)
     try:
-        verdict = even_symun_obstruction(
-            K, cand, args.p, rho, search=_search_config(args),
-            jobs=args.jobs)
+        verdict = even_symun_obstruction(K, cand, args.p, rho,
+                                         search=_search_config(args))
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
     results["verdict"] = verdict["verdict"]
@@ -456,7 +454,6 @@ def build_parser():
                                  "generators, or 'trivial'")
     p.add_argument("--enumerate", action="store_true",
                    help="enumerate nonabelian SL(2,F_p) reps up to conjugacy")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--max-nodes", type=int, dest="max_nodes")
     p.set_defaults(func=cmd_talex)
 
@@ -480,7 +477,6 @@ def build_parser():
     p.add_argument("--rep")
     p.add_argument("--genus", type=int,
                    help="genus witness for the parity quick check")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--max-nodes", type=int, dest="max_nodes")
     p.set_defaults(func=cmd_obstruct)
 
@@ -512,8 +508,6 @@ def _parse(argv):
 
 
 def _execute(argv, args):
-    if getattr(args, "jobs", None) is not None and args.jobs < 1:
-        raise DomainError("--jobs must be at least 1")
     table = (None if args.cmd == "table"
              else default_table(getattr(args, "table", None)))
     t0 = time.perf_counter()

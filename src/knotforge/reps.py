@@ -1,7 +1,8 @@
 """
 SL(2, F_p) representations of knot groups: evaluation of words in matrix
 generators, verification against a presentation, JSON serialization, and
-exhaustive enumeration of representations up to conjugacy.
+exhaustive enumeration of representations up to conjugacy.  Every
+`Representation` is over a prime field F_p, whatever its dimension d.
 
 Enumeration exploits the Wirtinger structure: in any irreducible (hence any
 nonabelian) representation every meridional generator is non-central and all
@@ -72,18 +73,14 @@ def identity_matrix(d):
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 
 
-def _red(v, p):
-    return v if p is None else v % p
-
-
 def mat_mul(A, B, p):
-    if p is not None and len(A) == 2:
+    if len(A) == 2:
         (a, b), (c, d) = A
         (e, f), (g, h) = B
         return (((a * e + b * g) % p, (a * f + b * h) % p),
                 ((c * e + d * g) % p, (c * f + d * h) % p))
     d = len(A)
-    return tuple(tuple(_red(sum(A[i][k] * B[k][j] for k in range(d)), p)
+    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(d)) % p
                        for j in range(d)) for i in range(d))
 
 
@@ -99,13 +96,6 @@ def mat_inv2(A, p):
 
 
 def mat_inv(A, p):
-    if p is None:
-        # characteristic 0 path: only unit integer matrices (the d = 1
-        # trivial representation) need inverting
-        if len(A) == 1 and A[0][0] in (1, -1):
-            return A
-        raise NotImplementedError("matrix inversion over Z is only supported "
-                                  "for 1x1 unit matrices")
     if len(A) == 2 and mat_det2(A, p) == 1:
         return mat_inv2(A, p)
     d = len(A)
@@ -141,7 +131,7 @@ def word_prefixes(w, mats, p, invs=None):
     d = len(mats[0]) if mats else 2
     acc = identity_matrix(d)
     out = [acc]
-    if p is not None and d == 2:
+    if d == 2:
         a, b, c, e = 1, 0, 0, 1
         for g, s in w:
             (x, y), (z, u) = (mats[g] if s > 0 else invs[g] if invs
@@ -163,8 +153,8 @@ def evaluate_word(w, mats, p):
 
 def is_scalar(A, p):
     d = len(A)
-    a = _red(A[0][0], p)
-    return all(_red(A[i][j], p) == (a if i == j else 0)
+    a = A[0][0] % p
+    return all(A[i][j] % p == (a if i == j else 0)
                for i in range(d) for j in range(d))
 
 
@@ -182,7 +172,9 @@ class Representation:
     matrices: tuple
 
     def __post_init__(self):
-        mats = tuple(tuple(tuple(_red(v, self.p) for v in row) for row in M)
+        if not isinstance(self.p, int) or not _is_prime(self.p):
+            raise ValueError("p must be prime")
+        mats = tuple(tuple(tuple(v % self.p for v in row) for row in M)
                      for M in self.matrices)
         object.__setattr__(self, "matrices", mats)
         if len(mats) != self.presentation.num_generators:
@@ -216,19 +208,19 @@ class Representation:
 
     def trace(self, g=0):
         M = self.matrices[g]
-        return _red(sum(M[i][i] for i in range(self.d)), self.p)
+        return sum(M[i][i] for i in range(self.d)) % self.p
 
     def __repr__(self):
         return "Representation(d=%d, p=%d, %d generators)" % (
             self.d, self.p, len(self.matrices))
 
 
-def verify_representation(pres, rho, require_sl=True):
+def verify_representation(pres, rho):
     """Check det 1 (d=2), that every matrix is invertible and that every
     relator maps to the identity."""
     if len(rho.matrices) != pres.num_generators:
         raise ValueError("matrix count does not match the generator count")
-    if require_sl and rho.d == 2:
+    if rho.d == 2:
         for M in rho.matrices:
             if mat_det2(M, rho.p) != 1:
                 return False
@@ -479,11 +471,11 @@ def _canonical(mats, zpairs, branched, p):
     conjugate whose values on the branched generators are largest."""
     canon = keep = top = None
     for conj in zip(*[_conjugates(M, zpairs, p) for M in mats]):
+        key = [conj[g] for g in branched]
+        if canon is None or key > top:
+            keep, top = conj, key
         if canon is None or conj < canon:
             canon = conj
-        key = [conj[g] for g in branched]
-        if keep is None or key > top:
-            keep, top = conj, key
     return canon, keep
 
 

@@ -1,5 +1,5 @@
 """
-Twisted and classical Alexander polynomials.
+Twisted Alexander polynomials over F_p, and the classical ones over Z and Q.
 
 The map Phi sends a free-group generator x_i to rho(x_i)*t and extends to the
 group ring; the Wada invariant of a deficiency-1 presentation is
@@ -10,8 +10,9 @@ relator that names, per letter, the prefix product, sign, column block and
 power of t of its Fox coefficient; evaluating it (`_fox_rows`) gives every
 Fox coefficient, and without a representation it is the abelianization,
 every generator going to t.  `_fox_pencil` turns these rows into the one
-kind of matrix, a `Pencil` over F_p or Q, linearizing the rows of higher
-degree in t with auxiliary rows and columns.
+kind of matrix, a `Pencil` (over F_p for `fox_matrix`, over Z for the
+Alexander pencil), linearizing the rows of higher degree in t with
+auxiliary rows and columns.
 `twisted_alexander` first eliminates the generators that relators
 x_a x_b^-1 identify (a Tietze move, which changes the invariant by a unit
 only), so the identification rows of the symmetric-union template never
@@ -20,16 +21,15 @@ denominator det(rho(x_j)t - I) alike, goes through `pencil_det`.  The
 classical Alexander polynomial is a single maximal minor of the abelianized
 Fox matrix over Z[t, t^-1], an integer pencil deflated modulo one Mersenne
 prime (`_fastdet._int_pencil_det`) once per diagram (memoized), and det K is
-the same determinant's value at t = -1; the higher ones are the GCD of its
-(N-k)-minors over Q[t, t^-1], via the Smith normal form.  `verify_theorem`
-keeps the presentations of its last few specs and the targets of its last
-few partial representations in two bounded memos; the reduced presentations
-and the compiled programs are memoized likewise.
+the same determinant's value at t = -1; the higher ones are the GCD of the
+(N-k)-minors over Q[t, t^-1], from the Smith normal form of the same
+pencil.  `verify_theorem` keeps the presentations of its last few specs and
+the targets of its last few partial representations in two bounded memos;
+the reduced presentations and the compiled programs are memoized likewise.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,9 +43,9 @@ from .reps import (Representation, RepSearchConfig, enumerate_sl2, inverses,
 from ._fastdet import Pencil, _int_pencil_det, pencil_det
 
 
-def trivial_rep(pres, p=None):
-    """The rank-1 trivial representation (over F_p, or over Q when p is
-    None): every generator maps to the 1x1 identity."""
+def trivial_rep(pres, p):
+    """The rank-1 trivial representation over F_p: every generator maps to
+    the 1x1 identity."""
     return Representation(presentation=pres, p=p, d=1,
                           matrices=((((1,),),) * pres.num_generators))
 
@@ -123,10 +123,9 @@ def _fox_rows(pres, rho, drop):
     the k-th kept generator's block is column d*k + j of row i."""
     nblocks, program = _fox_program(pres, drop)
     d = 1 if rho is None else rho.d
-    p = None if rho is None else rho.p
     ncols = d * nblocks
     if rho is not None:
-        mats = rho.matrices
+        p, mats = rho.p, rho.matrices
         invs = inverses(mats, p)
     rows = []
     for word, lo, span, terms in program:
@@ -134,29 +133,26 @@ def _fox_rows(pres, rho, drop):
         if rho is None:
             for _, s, k, j in terms:
                 block[0][j][k] += s
+        elif d == 2:
+            # the 2 x 2 blocks written out, reduced as they are written
+            prefixes = word_prefixes(word, mats, p, invs)
+            top, bottom = block
+            for i, s, k, j in terms:
+                (a, b), (c, e) = prefixes[i]
+                k *= 2
+                R = top[j]
+                R[k] = (R[k] + s * a) % p
+                R[k + 1] = (R[k + 1] + s * b) % p
+                R = bottom[j]
+                R[k] = (R[k] + s * c) % p
+                R[k + 1] = (R[k + 1] + s * e) % p
         else:
             prefixes = word_prefixes(word, mats, p, invs)
-            if d == 2 and p is not None:
-                # the 2 x 2 blocks written out, reduced as they are written
-                top, bottom = block
-                for i, s, k, j in terms:
-                    (a, b), (c, e) = prefixes[i]
-                    k *= 2
-                    R = top[j]
-                    R[k] = (R[k] + s * a) % p
-                    R[k + 1] = (R[k + 1] + s * b) % p
-                    R = bottom[j]
-                    R[k] = (R[k] + s * c) % p
-                    R[k + 1] = (R[k + 1] + s * e) % p
-            else:
-                for i, s, k, j in terms:
-                    for slots, Pi in zip(block, prefixes[i]):
-                        R = slots[j]
-                        for c, v in enumerate(Pi, d * k):
-                            R[c] += s * v
-                if p is not None:
-                    block = [[[v % p for v in R] for R in slots]
-                             for slots in block]
+            for i, s, k, j in terms:
+                for slots, Pi in zip(block, prefixes[i]):
+                    R = slots[j]
+                    for c, v in enumerate(Pi, d * k):
+                        R[c] = (R[c] + s * v) % p
         rows += ((lo, slots) for slots in block)
     return ncols, rows
 
@@ -200,25 +196,19 @@ def _fox_pencil(ncols, rows, domain):
     return Pencil(domain, A0, A1, shift)
 
 
-def _domain(rho):
-    return GF(rho.p) if rho.p is not None else QQ
-
-
 def fox_matrix(pres, rho, drop=None):
     """Block matrix with (i, j) block Phi(d r_i / d x_j), Phi(x_g) =
     rho(x_g)*t, optionally with one generator column removed, evaluated from
-    the compiled Fox program: the `Pencil` of `_fox_pencil`, over F_p or Q."""
-    return _fox_pencil(*_fox_rows(pres, rho, drop), _domain(rho))
+    the compiled Fox program: the `Pencil` of `_fox_pencil`, over F_p."""
+    return _fox_pencil(*_fox_rows(pres, rho, drop), GF(rho.p))
 
 
 def _gen_minus_one_det(rho, g):
     """det Phi(x_g - 1) = det(rho(x_g)*t - I), the determinant of the
     pencil with A0 = -I and A1 = rho(x_g)."""
-    d = rho.d
-    minus_one = -1 if rho.p is None else rho.p - 1
+    d, p = rho.d, rho.p
     return pencil_det(Pencil(
-        _domain(rho),
-        [[minus_one if i == j else 0 for j in range(d)] for i in range(d)],
+        GF(p), [[p - 1 if i == j else 0 for j in range(d)] for i in range(d)],
         [list(row) for row in rho.matrices[g]]))
 
 
@@ -239,7 +229,7 @@ def twisted_alexander(pres, rho, drop_column="auto"):
     if pres.deficiency != 1:
         raise ValueError("Wada's invariant needs a deficiency-1 presentation,"
                          " got deficiency %d" % pres.deficiency)
-    if not verify_representation(pres, rho, require_sl=(rho.d == 2)):
+    if not verify_representation(pres, rho):
         raise ValueError("representation is singular or does not satisfy "
                          "the relators")
     return _twisted_alexander(pres, rho, drop_column)
@@ -396,18 +386,23 @@ def _smith_invariants(pencil):
 @lru_cache(maxsize=_MEMO_SIZE)
 def _alexander_invariants(pd):
     """(N, invariant factors): the generator count of pd's Wirtinger
-    presentation and the Smith invariant factors over Q of its abelianized
-    Fox matrix, memoized on the diagram, since they do not depend on k."""
-    pres = wirtinger(pd)
-    return pres.num_generators, tuple(
-        _smith_invariants(fox_matrix(pres, trivial_rep(pres))))
+    presentation and the Smith invariant factors over Q of its Alexander
+    pencil, memoized on the diagram, since they do not depend on k.
+
+    The (N-1) x (N-1) pencil, the first N-1 relator rows with column 0
+    dropped, has the ideals of minors of the whole N x N abelianized Fox
+    matrix: every row sums to zero, so column 0 is minus the sum of the
+    other columns, and the dropped relator follows from the others, so its
+    row lies in the span of the remaining rows."""
+    A0, A1 = _alexander_pencil(pd)
+    return len(A0) + 1, tuple(_smith_invariants(Pencil(QQ, A0, A1)))
 
 
 def higher_alexander(pd, k):
     """k-th Alexander polynomial over Q: GCD of the (N-k)-minors of the
     abelianized Fox matrix, i.e. the product of the first N-k invariant
-    factors of its Smith normal form (memoized per diagram); 1 when the
-    minor size is not positive."""
+    factors of the Smith normal form of its Alexander pencil (memoized per
+    diagram); 1 when the minor size is not positive."""
     if k < 1:
         raise ValueError("k must be at least 1")
     N, inv = _alexander_invariants(pd)
@@ -471,8 +466,7 @@ def verify_theorem(spec, rho_partial):
     the pulled-back representation is not checked a second time."""
     union_pres, partial_pres, phi = _symun_presentations(spec)
     if len(rho_partial.matrices) != partial_pres.num_generators or \
-            not verify_representation(partial_pres, rho_partial,
-                                      require_sl=(rho_partial.d == 2)):
+            not verify_representation(partial_pres, rho_partial):
         raise ValueError("representation is not valid on the partial "
                          "presentation produced by this construction")
     # lamm_pullback has checked every union relator under rho, and its
@@ -527,7 +521,7 @@ def even_symun_quick_obstructions(K, candidate_partial, genus=None):
 
 
 def even_symun_obstruction(K, candidate_partial, p, rho_partial,
-                           search=None, jobs=None):
+                           search=None):
     """Enumerate all nonabelian SL(2, F_p) representations of G(K) up to
     conjugacy and compare each twisted polynomial against the target
     Delta_{cand, rho}^2 * det(rho(mu)t - I).  If none matches, K admits no
@@ -538,8 +532,7 @@ def even_symun_obstruction(K, candidate_partial, p, rho_partial,
     if len(rho_partial.matrices) != cand_pres.num_generators:
         raise ValueError("representation does not fit the candidate's "
                          "Wirtinger presentation")
-    if not verify_representation(cand_pres, rho_partial,
-                                 require_sl=(rho_partial.d == 2)):
+    if not verify_representation(cand_pres, rho_partial):
         raise ValueError("representation fails the candidate's relators")
     _, target = _factorization_target(deficiency_one(cand_pres), rho_partial)
     pres = wirtinger(K)
@@ -547,7 +540,7 @@ def even_symun_obstruction(K, candidate_partial, p, rho_partial,
     if cfg.p != p:
         raise ValueError("search config prime differs from p")
     reps = enumerate_sl2(pres, cfg)  # SearchBudgetExceeded propagates
-    polys = _rep_polynomials(deficiency_one(pres), reps, jobs, reps.twins)
+    polys = _rep_polynomials(deficiency_one(pres), reps)
     evidence = []
     for rho, tw in zip(reps, polys):
         if tw.value == target:
@@ -561,34 +554,22 @@ def even_symun_obstruction(K, candidate_partial, p, rho_partial,
     }
 
 
-def _rep_polynomials(pres, reps, jobs=None, twins=None):
-    """The twisted polynomial of each representation of reps, in order.
+def _rep_polynomials(pres, reps):
+    """The twisted polynomial of each representation of reps, the RepList
+    of enumerate_sl2 on pres, in order.  enumerate_sl2 has checked every
+    relator, so no representation is checked again.
 
-    twins, when given, is the sign-twin index of enumerate_sl2: twins[i] is
-    the index of the class of eps (x) rho_i, eps the character sending every
-    meridian to -1, or None.  Twisting by eps substitutes -t for t,
-    Delta_{eps rho}(t) = Delta_rho(-t) (Wada, Topology 33, 1994; Kirk and
-    Livingston, Topology 38, 1999), so a representation whose twin comes
-    before it takes its twin's polynomial with the odd coefficients of the
-    numerator and the denominator negated, reduced again.  The others go
-    through the Fox pencil, in up to jobs worker processes, never more than
-    there are of them or CPUs."""
-    direct = [i for i in range(len(reps))
-              if twins is None or twins[i] is None or twins[i] >= i]
-    args = [(pres, reps[i]) for i in direct]
-    workers = min(jobs or 1, len(args), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            polys = list(ex.map(_one_poly, args))
-    else:
-        polys = [_one_poly(a) for a in args]
-    out = [None] * len(reps)
-    for i, tw in zip(direct, polys):
-        out[i] = tw
-    for i, tw in enumerate(out):
-        if tw is None:
-            out[i] = _at_minus_t(out[twins[i]])
+    reps.twins[i] is the index of the class of eps (x) rho_i, eps the
+    character sending every meridian to -1, or None.  Twisting by eps
+    substitutes -t for t, Delta_{eps rho}(t) = Delta_rho(-t) (Wada, Topology
+    33, 1994; Kirk and Livingston, Topology 38, 1999), so a representation
+    whose twin comes before it takes its twin's polynomial with the odd
+    coefficients of the numerator and the denominator negated, reduced
+    again.  The others go through the Fox pencil."""
+    out = []
+    for rho, j in zip(reps, reps.twins):
+        out.append(_at_minus_t(out[j]) if j is not None and j < len(out)
+                   else _twisted_alexander(pres, rho))
     return out
 
 
@@ -599,8 +580,3 @@ def _at_minus_t(tw):
                                       for e, c in f.coeffs.items()})
     return TwistedPolynomial(reduce_fraction(flip(tw.value.num),
                                              flip(tw.value.den)), tw.d)
-
-
-def _one_poly(args):
-    pres, rho = args
-    return twisted_alexander(pres, rho)

@@ -107,7 +107,7 @@ def test_criterion_4_obstruction_11a_201():
     rep_text = (bundled_table_path().parent / "rho0.json").read_text()
     rho0 = rep_from_json(rep_text, pres61)
     assert verify_representation(pres61, rho0)
-    out = even_symun_obstruction(t["11a_201"], t["6_1"], 7, rho0, jobs=4)
+    out = even_symun_obstruction(t["11a_201"], t["6_1"], 7, rho0)
     # hard assertion: no nonabelian SL(2,F_7) rep of G(11a_201) matches the
     # target Delta_{6_1,rho_0}^2 * det(rho_0(mu) t - I) = t^2 + 3t + 1
     assert out["verdict"] == "obstructed"

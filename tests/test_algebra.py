@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from knotforge.algebra import (ZZ, QQ, GF, LaurentPoly, PolyMatrix,
                                canonicalize, det, gcd_polys, reduce_fraction,
                                parse_poly, format_poly, unit_equal,
-                               exact_div, divides, rational_unit_equal)
+                               exact_div, divides, rational_unit_equal,
+                               _is_prime)
 
 from support import int_det, int_interpolate, laurent_reduce_fraction
 
@@ -24,6 +25,33 @@ def rand_poly(rng, domain, max_deg=2, min_deg=0, density=0.8):
         if rng.random() < density:
             coeffs[e] = rng.randrange(-5, 6)
     return LaurentPoly(domain, coeffs)
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+            [n for n in range(10 ** 5) if trial_division_is_prime(n)]
+
+    def test_strong_pseudoprimes(self):
+        # 3215031751 = 151 * 751 * 28351 passes bases 2, 3, 5 and 7;
+        # 3825123056546413051 passes every prime base up to 19
+        for n in (3215031751, 3825123056546413051):
+            assert not _is_prime(n)
+        assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 64 - 59)
+
+    def test_refuses_two_to_the_64(self):
+        # trial division of 2^89 - 1 did not finish; past 2^64 the bases
+        # are not proven to decide
+        assert not _is_prime(2 ** 64 - 1)
+        for n in (2 ** 64, 2 ** 89 - 1):
+            with pytest.raises(ValueError, match="below 2\\^64"):
+                _is_prime(n)
+            with pytest.raises(ValueError, match="below 2\\^64"):
+                GF(n)
 
 
 class TestCanonicalize:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -243,11 +244,28 @@ class TestCommands:
         res = data["results"]
         assert res["num_reps"] == len(res["polynomials"]) > 0
 
-    def test_talex_enumerate_jobs_matches_serial(self, capsys, isolated_home):
-        argv = ["talex", "3_1", "--p", "5", "--enumerate"]
-        serial = self.run_json(capsys, argv)["results"]
-        parallel = self.run_json(capsys, argv + ["--jobs", "2"])["results"]
-        assert parallel == serial
+    def test_jobs_option_is_gone(self, capsys, isolated_home):
+        # the process pool was never faster than the serial loop
+        with pytest.raises(SystemExit) as exc:
+            main(["talex", "3_1", "--p", "5", "--enumerate", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, p, code", [
+        (["talex", "3_1", "--rep", "trivial"], 2 ** 61 - 1, 0),
+        (["talex", "3_1", "--rep", "trivial"], 2 ** 89 - 1, 1),
+        (["symun", "verify", "--partial", "3_1", "--marks", "1,4",
+          "--twists", "2"], 2 ** 89 - 1, 1)],
+        ids=["talex 2^61-1", "talex 2^89-1", "symun 2^89-1"])
+    def test_huge_prime_finishes(self, capsys, isolated_home, argv, p, code):
+        # trial division of 2^89 - 1 ran past 10 s; 2^61 - 1 is prime and
+        # below 2^64, and 2^89 - 1 is refused before any work (enumerating
+        # SL(2, F_p) is still O(p^2), so symun verify runs past 2^64 only)
+        t0 = time.monotonic()
+        assert main(argv + ["--p", str(p)]) == code
+        assert time.monotonic() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert ("below 2^64" in err) == (code == 1)
 
     def test_talex_bundled_rep(self, capsys, isolated_home):
         data = self.run_json(capsys, ["talex", "6_1", "--p", "7",
@@ -315,8 +333,12 @@ class TestCommands:
         ["obstruct", "4_1", "--candidate", "unknot"]])
     def test_jobs_below_one_is_rejected(self, capsys, isolated_home, argv,
                                         jobs):
-        assert main(argv + ["--jobs", jobs]) == 1
-        assert "--jobs must be at least 1" in capsys.readouterr().err
+        # it exited 1; --jobs is no option of any command now, so every
+        # value is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", jobs])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, arcs", [
         (["obstruct", "11a_201", "--candidate", "6_1", "--p", "7"], 6),
@@ -524,6 +546,10 @@ GOLDEN_REPORTS = {
     for knot in ("3_1", "4_1", "10_137", "11a_201") for p in (5, 7)}
 GOLDEN_REPORTS["obstruct"] = ["obstruct", "11a_201", "--candidate", "6_1",
                               "--p", "7", "--rep", "rho0.json"]
+GOLDEN_REPORTS.update({
+    "alex-%s" % knot: ["alex", knot, "--det", "--ideal", "2", "--ideal", "3"]
+    for knot in ("unknot", "3_1", "4_1", "6_1", "8_10", "8_20", "9_1", "9_24",
+                 "10_99", "10_137", "10_140", "11a_201")})
 
 
 class TestGoldenReports:
@@ -531,7 +557,9 @@ class TestGoldenReports:
     def test_report_is_byte_identical(self, capsys, isolated_home, name):
         # tests/golden holds the --json reports, timing_ms left out, of a
         # search over every trace with every polynomial from its Fox
-        # pencil; sign twins must give the same bytes
+        # pencil, where sign twins must give the same bytes, and of Delta_2
+        # and Delta_3 from the Smith form of the whole abelianized Fox
+        # matrix over Q, where the square Alexander pencil must
         assert main(["--json"] + GOLDEN_REPORTS[name]) == 0
         report = json.loads(capsys.readouterr().out)
         del report["timing_ms"]

@@ -464,7 +464,7 @@ class TestSignTwins:
             assert reps[j].trace() == -rho.trace() % p
             assert conjugate_in_group(sign_twin_by_definition(
                 rho.matrices, p), reps[j].matrices, group, p), (i, j)
-        polys = _rep_polynomials(pres, reps, None, twins)
+        polys = _rep_polynomials(pres, reps)
         for i, j in enumerate(twins):
             if j is not None and j < i:
                 assert polys[i].value == twisted_alexander(
@@ -536,6 +536,14 @@ class TestSerialization:
             rep_from_json(json.dumps({"p": 9, "generators": [[[3]], [[3]]]}),
                           pres)
 
+    @pytest.mark.parametrize("p", [4, None])
+    def test_modulus_must_be_prime(self, p):
+        # p = 4 was accepted, and p = None failed with a bare TypeError
+        pres = two_bridge_presentation(3, 1)
+        with pytest.raises(ValueError, match="p must be prime"):
+            Representation(presentation=pres, p=p, d=1,
+                           matrices=(((1,),),) * 2)
+
     def test_dimension_below_one_rejected(self):
         # empty matrices used to pass as a d = 0 representation whose every
         # relator evaluates to the empty identity
@@ -554,7 +562,7 @@ class TestSerialization:
         pres = wirtinger(parse_pd(TREFOIL))
         rho = Representation(presentation=pres, p=5, d=d,
                              matrices=(M,) * pres.num_generators)
-        assert not verify_representation(pres, rho, require_sl=False)
+        assert not verify_representation(pres, rho)
 
     def test_public_constructor_reduces_and_checks_shapes(self):
         pres = two_bridge_presentation(9, 5)

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+import knotforge.reps
 from knotforge import twisted
 from knotforge._fastdet import Pencil, pencil_det
 from knotforge.algebra import (GF, QQ, ZZ, LaurentPoly, PolyMatrix,
@@ -67,7 +68,7 @@ def reference_fox_matrix(pres, rho, drop=None):
     """Fox matrix from the definition: the (i, j) block is
     sum c * rho(w) * t^(exponent sum of w) over the terms c*w of
     fox_derivative(r_i, x_j)."""
-    dom = GF(rho.p) if rho.p is not None else QQ
+    dom = GF(rho.p)
     d = rho.d
     rows = []
     for r in pres.relators:
@@ -90,15 +91,21 @@ def reference_fox_matrix(pres, rho, drop=None):
 
 def reference_abelian_fox_matrix(pd, domain):
     """The abelianized Fox matrix of the Wirtinger presentation, all
-    columns: reference_fox_matrix under the trivial rank-1 representation
-    over Q, with its integer coefficients read into domain."""
+    columns, over domain, from the definition: the (i, j) entry is
+    sum c * t^(exponent sum of w) over the terms c*w of
+    fox_derivative(r_i, x_j)."""
     pres = wirtinger(pd)
-    trivial = Representation(presentation=pres, p=None, d=1,
-                             matrices=(((1,),),) * pres.num_generators)
-    M = reference_fox_matrix(pres, trivial)
-    return PolyMatrix(domain, [
-        [LaurentPoly(domain, {e: int(c) for e, c in f.coeffs.items()})
-         for f in row] for row in M.entries])
+    rows = []
+    for r in pres.relators:
+        row = []
+        for j in range(pres.num_generators):
+            coeffs = {}
+            for w, c in fox_derivative(r, j).terms.items():
+                e = word_exponent_sum(w)
+                coeffs[e] = coeffs.get(e, 0) + c
+            row.append(LaurentPoly(domain, coeffs))
+        rows.append(row)
+    return PolyMatrix(domain, rows)
 
 
 ORACLE_DIAGRAMS = oracle_diagrams()
@@ -211,9 +218,12 @@ class TestHigherAlexander:
                   for cols in combinations(range(N), size)]
         return canonicalize(gcd_polys(minors))
 
-    @pytest.mark.parametrize("text", [TREFOIL, FIG8, SIX_ONE])
+    @pytest.mark.parametrize("text", [TREFOIL, FIG8, SIX_ONE, KINKED_TREFOIL,
+                                      KINK_IDENTIFYING_TREFOIL])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_smith_matches_minor_gcd(self, text, k):
+        # the Smith form is taken of the square Alexander pencil, the
+        # oracle's minors of the whole N x N abelianized Fox matrix
         pd = parse_pd(text)
         assert higher_alexander(pd, k) == self.minor_gcd_oracle(pd, k)
 
@@ -262,7 +272,7 @@ def fox_oracle_cases():
     for i, rho in enumerate(enumerate_sl2(bridge, RepSearchConfig(p=7))[:2]):
         cases.append(("b(7,3) F_7 rep %d" % i, bridge, rho))
     pres = deficiency_one(wirtinger(table["4_1"]))
-    cases.append(("4_1 trivial Q", pres, trivial_rep(pres)))
+    cases.append(("4_1 trivial F_11", pres, trivial_rep(pres, 11)))
     # GL(1, F_7): every meridian to the unit 3
     cases.append(("4_1 GL(1) F_7", pres, Representation(
         presentation=pres, p=7, d=1,
@@ -344,21 +354,20 @@ class TestFoxMatrix:
 
     def test_cases_cover_the_presentations(self):
         # a relator that is not a 4-letter Wirtinger word, an identification
-        # (the union's), a d = 1 case over Q, d = 1, 2 and 3 over F_p, and
-        # representations over both primes, all valid
+        # (the union's), the trivial d = 1 case, d = 1, 2 and 3 over F_p,
+        # and representations over three primes, all valid
         assert any(len(r) > 4 for _, pres, _ in FOX_CASES
                    for r in pres.relators)
         assert any(len(r) == 2 for _, pres, _ in FOX_CASES
                    for r in pres.relators)
-        assert any(rho.p is None and rho.d == 1 for _, _, rho in FOX_CASES)
-        assert {rho.d for _, _, rho in FOX_CASES
-                if rho.p is not None} == {1, 2, 3}
-        assert {rho.p for _, _, rho in FOX_CASES} == {None, 5, 7}
+        assert any(set(rho.matrices) == {((1,),)} for _, _, rho in FOX_CASES)
+        assert {rho.d for _, _, rho in FOX_CASES} == {1, 2, 3}
+        assert {rho.p for _, _, rho in FOX_CASES} == {5, 7, 11}
         for name, pres, rho in FOX_CASES:
-            assert verify_representation(pres, rho, require_sl=False), name
+            assert verify_representation(pres, rho), name
 
     def test_always_a_pencil(self):
-        # over F_p and Q alike; b(7,3)'s one-relator presentation, whose row
+        # over every F_p; b(7,3)'s one-relator presentation, whose row
         # is not linear in t, gains auxiliary rows and columns, and the
         # Wirtinger-type ones do not
         for name, pres, rho in FOX_CASES:
@@ -366,7 +375,7 @@ class TestFoxMatrix:
             for drop in (None, 0):
                 A = fox_matrix(pres, rho, drop=drop)
                 assert isinstance(A, Pencil), name
-                assert A.domain == (QQ if rho.p is None else GF(rho.p))
+                assert A.domain == GF(rho.p)
                 width = (pres.num_generators - (drop is not None)) * rho.d
                 assert {len(r) for r in A.A0} == {width + A.rows
                                                   - len(pres.relators) * rho.d}
@@ -516,8 +525,7 @@ def wide_walk_word(rng, ngen, length, top):
 
 def live_range_case(p, d):
     """Relators a c^-1 a a a b c^-4 and b b b a c^-1 a c^-4 with column c
-    dropped, under a -> I, b -> I, c -> -I (over F_p, or over Q when p is
-    None).  The first relator's coefficients of t^0..t^3 are
+    dropped, under a -> I, b -> I, c -> -I over F_p.  The first relator's coefficients of t^0..t^3 are
     I + rho(a c^-1) = I - I at a, then -I at a, -I at a and -I at b; the
     second's are I at b, I at b, I at b and I + rho(b b b a c^-1) = I - I at
     a.  Over F_p these vanishing sums are p*I as integers: only t^1..t^3 and
@@ -527,23 +535,21 @@ def live_range_case(p, d):
         ((0, 1), (2, -1), (0, 1), (0, 1), (0, 1), (1, 1)) + ((2, -1),) * 4,
         ((1, 1),) * 3 + ((0, 1), (2, -1), (0, 1)) + ((2, -1),) * 4))
     one = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-    minus = tuple(tuple(-x if p is None else (p - 1) * x for x in row)
-                  for row in one)
+    minus = tuple(tuple((p - 1) * x for x in row) for row in one)
     rho = Representation(presentation=pres, p=p, d=d,
                          matrices=(one, one, minus))
-    return ("live range %s d=%d" % ("Q" if p is None else "F_%d" % p, d),
-            pres, rho, 2)
+    return ("live range F_%d d=%d" % (p, d), pres, rho, 2)
 
 
 def linearized_cases():
     """(name, presentation, representation, drop): presentations of random
     relators whose running exponent sum spans 3 to 5 (wide_walk_word), under
-    random invertible matrices over F_p, p in {2, 3, 5, 7}, with d = 1, 2,
-    and under random signs over Q (d = 1); and live_range_case for each."""
+    random invertible matrices over F_p, p in {2, 3, 5, 7}, with d = 1, 2;
+    and live_range_case for each."""
     rng = random.Random(20261019)
     cases = []
-    for p in (2, 3, 5, 7, None):
-        for d in ((1, 2) if p else (1,)):
+    for p in (2, 3, 5, 7):
+        for d in (1, 2):
             cases.append(live_range_case(p, d))
             for i in range(4):
                 n = rng.randrange(2, 5)
@@ -552,13 +558,11 @@ def linearized_cases():
                     tuple(wide_walk_word(rng, n, rng.randrange(6, 13),
                                          rng.randrange(3, 6))
                           for _ in range(n - 1)))
-                mats = tuple(((rng.choice((1, -1)),),) if p is None
-                             else random_invertible(rng, d, p)
+                mats = tuple(random_invertible(rng, d, p)
                              for _ in range(n))
                 rho = Representation(presentation=pres, p=p, d=d,
                                      matrices=mats)
-                cases.append(("random %s d=%d #%d"
-                              % ("Q" if p is None else "F_%d" % p, d, i),
+                cases.append(("random F_%d d=%d #%d" % (p, d, i),
                               pres, rho, rng.randrange(n)))
     return cases
 
@@ -578,14 +582,13 @@ class TestLinearizedFoxPencil:
 
     def test_cases_are_not_linear(self):
         # every case gains auxiliary rows; p in {2, 3, 5, 7} with d = 1, 2
-        # and Q are covered
+        # are covered
         covered = set()
         for name, pres, rho, drop in LINEARIZED_CASES:
             A = fox_matrix(pres, rho, drop=drop)
             assert A.rows > len(pres.relators) * rho.d, name
             covered.add((rho.p, rho.d))
-        assert covered == {(p, d) for p in (2, 3, 5, 7)
-                           for d in (1, 2)} | {(None, 1)}
+        assert covered == {(p, d) for p in (2, 3, 5, 7) for d in (1, 2)}
 
     def test_vanishing_slots_do_not_count(self):
         # both relators' integer sums span t^0..t^3, but the first one's
@@ -602,10 +605,9 @@ class TestLinearizedFoxPencil:
                      max(f.max_deg for f in row if not f.is_zero))
                     for row in ref.entries]
             assert live == [(1, 3)] * d + [(0, 2)] * d, name
-            if rho.p is not None:
-                sums = integer_fox_sums(pres, rho, drop)
-                assert all(sums[(i, i, 0)] == sums[(d + i, i, 3)] == rho.p
-                           for i in range(d))
+            sums = integer_fox_sums(pres, rho, drop)
+            assert all(sums[(i, i, 0)] == sums[(d + i, i, 3)] == rho.p
+                       for i in range(d))
 
 
 def denominator_oracle(rho, j):
@@ -725,26 +727,28 @@ class TestTietzeReduction:
 
 class TestWadaInvariant:
     def test_trivial_rep_gives_alexander_over_t_minus_one(self):
-        for text in (TREFOIL, FIG8, SIX_ONE):
+        # no coefficient of these Delta vanishes mod 7 or mod 11, so the
+        # degree is kept
+        for p, text in product((7, 11), (TREFOIL, FIG8, SIX_ONE)):
             pd = parse_pd(text)
             pres = deficiency_one(wirtinger(pd))
-            tw = twisted_alexander(pres, trivial_rep(pres))
+            tw = twisted_alexander(pres, trivial_rep(pres, p))
             zz = classical_alexander(pd)
-            qq = LaurentPoly(QQ, {e: Fraction(c)
-                                  for e, c in zz.coeffs.items()})
-            target = RationalFn(qq, P("t - 1", QQ))
+            mod_p = LaurentPoly(GF(p), zz.coeffs)
+            assert mod_p.span == zz.span
+            target = RationalFn(mod_p, P("t - 1", GF(p)))
             assert rational_unit_equal(tw.value, target)
             assert tw.d == 1
-            assert tw.degree == qq.span - 1
+            assert tw.degree == zz.span - 1
 
     def test_column_independence_every_example(self):
         # the Wada invariant does not depend on which generator column is
-        # dropped; checked for the d=1 trivial rep and every nonabelian
-        # SL(2, F_p) rep of each example knot
+        # dropped; checked for the d=1 trivial rep over F_7 and F_11 and
+        # every nonabelian SL(2, F_p) rep of each example knot
         for text in (TREFOIL, FIG8):
             pd = parse_pd(text)
             pres = deficiency_one(wirtinger(pd))
-            rhos = [trivial_rep(pres)]
+            rhos = [trivial_rep(pres, 7), trivial_rep(pres, 11)]
             for p in (5, 7):
                 rhos.extend(enumerate_sl2(pres, RepSearchConfig(p=p)))
             for rho in rhos:
@@ -757,7 +761,7 @@ class TestWadaInvariant:
     def test_deficiency_requirement(self):
         pres = wirtinger(parse_pd(TREFOIL))  # deficiency 0
         with pytest.raises(ValueError):
-            twisted_alexander(pres, trivial_rep(pres))
+            twisted_alexander(pres, trivial_rep(pres, 7))
 
     def test_invalid_rep_rejected(self):
         pd3 = parse_pd(TREFOIL)
@@ -771,12 +775,11 @@ class TestWadaInvariant:
             twisted_alexander(pres3, bad)
 
     def test_genus_lower_bound(self):
-        pres = deficiency_one(wirtinger(parse_pd(TREFOIL)))
-        tw = twisted_alexander(pres, trivial_rep(pres))
-        assert genus_lower_bound(tw) == Fraction(1)
-        pres8 = deficiency_one(wirtinger(parse_pd(FIG8)))
-        tw8 = twisted_alexander(pres8, trivial_rep(pres8))
-        assert genus_lower_bound(tw8) == Fraction(1)
+        for p in (7, 11):
+            for text in (TREFOIL, FIG8):
+                pres = deficiency_one(wirtinger(parse_pd(text)))
+                tw = twisted_alexander(pres, trivial_rep(pres, p))
+                assert genus_lower_bound(tw) == Fraction(1)
 
 
 class TestVerifyTheorem:
@@ -809,9 +812,9 @@ class TestVerifyTheorem:
         first = verify_theorem(spec, rho)
         checked = []
 
-        def counted(pres, rho, require_sl=True):
+        def counted(pres, rho):
             checked.append(pres)
-            return verify_representation(pres, rho, require_sl)
+            return verify_representation(pres, rho)
         monkeypatch.setattr(twisted, "verify_representation", counted)
         assert verify_theorem(spec, rho) == first
         assert checked == [partial]
@@ -1046,79 +1049,25 @@ class TestObstructions:
         assert out["num_reps"] > 0
 
 
-class TestRepPolynomialWorkers:
-    class FakeExecutor:
-        """Stands in for ProcessPoolExecutor: records max_workers and maps
-        in this process, so that no worker process is started."""
-        created = []
-
-        def __init__(self, max_workers):
-            self.created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    @pytest.mark.parametrize("jobs,cpus,nreps,workers", [
-        (10 ** 6, 4, 3, 3),     # no more workers than reps
-        (10 ** 6, 2, 5, 2),     # no more workers than CPUs
-        (3, 8, 5, 3),           # as many as asked for
-        (10 ** 6, None, 5, None),  # unknown CPU count: serial
-        (1, 8, 5, None),
-        (None, 8, 5, None),
-        (4, 8, 1, None),
-    ])
-    def test_workers_are_capped(self, monkeypatch, jobs, cpus, nreps,
-                                workers):
-        import concurrent.futures
-        self.FakeExecutor.created = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            self.FakeExecutor)
-        monkeypatch.setattr(twisted.os, "cpu_count", lambda: cpus)
-        pres = deficiency_one(wirtinger(parse_pd(TREFOIL)))
-        rho = enumerate_sl2(pres, RepSearchConfig(p=5))[0]
-        got = twisted._rep_polynomials(pres, [rho] * nreps, jobs)
-        assert self.FakeExecutor.created == ([] if workers is None
-                                             else [workers])
-        want = twisted_alexander(pres, rho).value
-        assert [tw.value for tw in got] == [want] * nreps
-
-    @pytest.mark.parametrize("jobs,cpus,workers", [
-        (10 ** 6, 8, 5),        # no more workers than reps not derived
-        (10 ** 6, 2, 2),
-        (3, 8, 3),
-        (1, 8, None),
-    ])
-    def test_derived_reps_skip_the_executor(self, monkeypatch, jobs, cpus,
-                                            workers):
+class TestRepPolynomials:
+    def test_twins_skip_the_pencil_and_nothing_is_verified(self, monkeypatch):
         # with the sign twins of the trefoil over F_5, 5 of its 10 reps
-        # take their polynomial from their twin's: only the other 5 are
-        # mapped, and the worker cap counts only those
-        import concurrent.futures
-        mapped = []
-
-        class Recording(self.FakeExecutor):
-            def map(self, fn, items):
-                items = list(items)
-                mapped.extend(rho for _, rho in items)
-                return map(fn, items)
-        self.FakeExecutor.created = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            Recording)
-        monkeypatch.setattr(twisted.os, "cpu_count", lambda: cpus)
+        # take their polynomial from their twin's: only the other 5 reach
+        # the Fox pencil, and enumerate_sl2 has checked all 10 already
         pres = deficiency_one(wirtinger(parse_pd(TREFOIL)))
         reps = enumerate_sl2(pres, RepSearchConfig(p=5))
-        twins = reps.twins
-        direct = [rho for i, rho in enumerate(reps) if twins[i] >= i]
+        want = [twisted_alexander(pres, rho).value for rho in reps]
+        direct = [rho for i, rho in enumerate(reps) if reps.twins[i] >= i]
         assert len(direct) == 5 and len(reps) == 10
-        got = twisted._rep_polynomials(pres, reps, jobs, twins)
-        assert self.FakeExecutor.created == ([] if workers is None
-                                             else [workers])
-        assert mapped == ([] if workers is None else direct)
-        assert [tw.value for tw in got] == [
-            twisted_alexander(pres, rho).value for rho in reps]
+        pencil, verified = [], []
+        core = twisted._twisted_alexander
+        monkeypatch.setattr(twisted, "_twisted_alexander",
+                            lambda pres, rho: (pencil.append(rho),
+                                               core(pres, rho))[1])
+        for module in (twisted, knotforge.reps):
+            monkeypatch.setattr(module, "verify_representation",
+                                lambda *args: verified.append(args))
+        got = twisted._rep_polynomials(pres, reps)
+        assert [tw.value for tw in got] == want
+        assert pencil == direct
+        assert verified == []
