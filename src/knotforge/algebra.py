@@ -21,8 +21,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n):
-    """Whether the integer n is prime, by deterministic Miller-Rabin on the
-    first 12 prime bases; ValueError for n >= 2^64, past its proven range."""
+    """Whether n is a prime int, by deterministic Miller-Rabin on the first
+    12 prime bases; False for anything that is not an int (7.0, None), and
+    ValueError for n >= 2^64, past the bases' proven range."""
+    if not isinstance(n, int):
+        return False
     if n >= 1 << 64:
         raise ValueError("p = %d is too large: primes are checked "
                          "below 2^64 only" % n)
@@ -116,7 +119,8 @@ _gf_cache = {}
 
 
 def GF(p):
-    if p not in _gf_cache:
+    # 7.0 == 7 finds GF(7) in the cache: Domain rejects what is not an int
+    if not isinstance(p, int) or p not in _gf_cache:
         _gf_cache[p] = Domain("GF", p)
     return _gf_cache[p]
 

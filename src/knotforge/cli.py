@@ -10,12 +10,19 @@ re-serialization is byte-identical.
 
 Exit codes: 0 success (an "obstructed" verdict is a successful verdict),
 1 domain error, 2 usage error, 3 search budget / feasibility error.
+
+`main` and `run` build one argument parser per process and parse a knot
+table once per content: the table file is still read on every call, so an
+edited file or a changed KNOTFORGE_TABLE is seen, but the same text under
+the same origin is validated once.  Nothing computed (representations,
+polynomials, verdicts) is kept from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -66,41 +73,8 @@ class KnotTable:
 
     @classmethod
     def parse(cls, text, origin="<table>"):
-        provenance = []
-        rows = []  # (lineno, raw_line)
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if line.startswith("#"):
-                provenance.append(line[1:].strip())
-                continue
-            if not line.strip():
-                continue
-            rows.append((lineno, line))
-        entries = {}
-        if not rows:
-            return cls({}, "\n".join(provenance))
-        header_no, header = rows[0]
-        cols = next(csv.reader([header]))
-        if [c.strip() for c in cols] != ["name", "pd"]:
-            raise DomainError("%s:%d: expected header 'name,pd', got %r"
-                              % (origin, header_no, header))
-        seen = {}
-        for lineno, line in rows[1:]:
-            fields = next(csv.reader([line]))
-            if len(fields) != 2:
-                raise DomainError("%s:%d: expected 2 columns, got %d"
-                                  % (origin, lineno, len(fields)))
-            name, pd_text = fields[0].strip(), fields[1]
-            if name in seen:
-                raise DomainError(
-                    "%s:%d: duplicate knot name %r (first defined at line %d)"
-                    % (origin, lineno, name, seen[name]))
-            try:
-                entries[name] = parse_pd(pd_text)
-            except InvalidDiagram as exc:
-                raise DomainError("%s:%d: invalid PD for %r: %s"
-                                  % (origin, lineno, name, exc)) from exc
-            seen[name] = lineno
-        return cls(entries, "\n".join(provenance))
+        # a new entries dict per call, over PD codes shared between calls
+        return cls(*_parse_table(text, origin))
 
     def __len__(self):
         return len(self.entries)
@@ -115,6 +89,50 @@ class KnotTable:
             raise DomainError("unknown knot name %r (table has: %s)"
                               % (name, ", ".join(sorted(self.entries)) or
                                  "nothing")) from None
+
+
+# one entry for each table a process is likely to switch between: the
+# bundled one, the user's, a --table and a KNOTFORGE_TABLE.  lru_cache keeps
+# no call that raised, so a bad table fails on every call
+@functools.lru_cache(maxsize=4)
+def _parse_table(text, origin):
+    """(((name, PDCode), ...), provenance) of a table's text; DomainError
+    names the origin and line of the first bad row."""
+    provenance = []
+    rows = []  # (lineno, raw_line)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("#"):
+            provenance.append(line[1:].strip())
+            continue
+        if not line.strip():
+            continue
+        rows.append((lineno, line))
+    entries = {}
+    if not rows:
+        return (), "\n".join(provenance)
+    header_no, header = rows[0]
+    cols = next(csv.reader([header]))
+    if [c.strip() for c in cols] != ["name", "pd"]:
+        raise DomainError("%s:%d: expected header 'name,pd', got %r"
+                          % (origin, header_no, header))
+    seen = {}
+    for lineno, line in rows[1:]:
+        fields = next(csv.reader([line]))
+        if len(fields) != 2:
+            raise DomainError("%s:%d: expected 2 columns, got %d"
+                              % (origin, lineno, len(fields)))
+        name, pd_text = fields[0].strip(), fields[1]
+        if name in seen:
+            raise DomainError(
+                "%s:%d: duplicate knot name %r (first defined at line %d)"
+                % (origin, lineno, name, seen[name]))
+        try:
+            entries[name] = parse_pd(pd_text)
+        except InvalidDiagram as exc:
+            raise DomainError("%s:%d: invalid PD for %r: %s"
+                              % (origin, lineno, name, exc)) from exc
+        seen[name] = lineno
+    return tuple(entries.items()), "\n".join(provenance)
 
 
 def bundled_table_path():
@@ -501,10 +519,17 @@ def _attach_list_values(argv):
     return out
 
 
+@functools.cache
+def _shared_parser():
+    # parsing reads a parser and writes only the namespace it returns, so
+    # one parser serves every call in the process
+    return build_parser()
+
+
 def _parse(argv):
     """(argv with list values attached, parsed arguments)."""
     argv = _attach_list_values(argv)
-    return argv, build_parser().parse_args(argv)
+    return argv, _shared_parser().parse_args(argv)
 
 
 def _execute(argv, args):

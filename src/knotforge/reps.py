@@ -172,7 +172,7 @@ class Representation:
     matrices: tuple
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not _is_prime(self.p):
+        if not _is_prime(self.p):
             raise ValueError("p must be prime")
         mats = tuple(tuple(tuple(v % self.p for v in row) for row in M)
                      for M in self.matrices)

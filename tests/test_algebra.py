@@ -53,6 +53,15 @@ class TestIsPrime:
             with pytest.raises(ValueError, match="below 2\\^64"):
                 GF(n)
 
+    @pytest.mark.parametrize("p", [7.0, None, "7"])
+    def test_non_int_is_not_prime(self, p):
+        # 7.0 was accepted, also as a key equal to 7 of the GF cache, and
+        # None failed with a bare TypeError from the 2^64 comparison
+        assert not _is_prime(p)
+        GF(7)
+        with pytest.raises(ValueError, match="not prime"):
+            GF(p)
+
 
 class TestCanonicalize:
     def test_symmetric_6_1_value(self):

@@ -12,7 +12,7 @@ import knotforge.twisted
 from knotforge.cli import (DomainError, KnotTable, RunReport,
                            bundled_table_path, default_table, main,
                            resolve_knot, user_table_path)
-from knotforge.diagram import PDCode
+from knotforge.diagram import PDCode, parse_pd
 from knotforge.presentation import wirtinger
 
 GOOD_TABLE = (
@@ -566,3 +566,183 @@ class TestGoldenReports:
         got = json.dumps(report, indent=2, sort_keys=True) + "\n"
         with open(os.path.join(GOLDEN, name + ".json"), "rb") as fh:
             assert got.encode() == fh.read()
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8",
+              newline="") as fh:
+        return fh.read()
+
+
+def _without_timing(text):
+    report = json.loads(text)
+    del report["timing_ms"]
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+class TestSharedParser:
+    """main and run take one parser per process: a run must not see the
+    options, values or errors of the runs before it."""
+
+    def test_golden_commands_twice(self, capsys, isolated_home):
+        # every golden command, then all of them again, through main and
+        # through run, so that the parser is reused across commands
+        for _ in range(2):
+            for name in sorted(GOLDEN_REPORTS):
+                argv = ["--json"] + GOLDEN_REPORTS[name]
+                assert main(argv) == 0
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                assert _without_timing(captured.out) == _golden(name)
+                report = knotforge.cli.run(argv)
+                assert _without_timing(report.to_json()) == _golden(name)
+
+    def test_common_options_before_and_after_the_command(self, capsys,
+                                                         tmp_path,
+                                                         isolated_home):
+        # the table names 4_1's diagram 3_1; a run without --json or
+        # --table after one with them prints text and uses the bundled table
+        custom = tmp_path / "flag.csv"
+        custom.write_text("name,pd\n"
+                          "3_1,\"X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] "
+                          "X[2,5,3,6]\"\n")
+        table = ["--table", str(custom)]
+        argvs = [["--json"] + table + ["alex", "3_1"],
+                 ["alex", "3_1"],
+                 ["alex", "3_1", "--json"] + table,
+                 ["alex", "--json", "3_1"],
+                 table + ["alex", "3_1"],
+                 ["alex", "3_1"] + table]
+        outs = []
+        for _ in range(2):
+            for argv in argvs:
+                assert main(argv) == 0
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                alexander = ("t^2 - 3*t + 1" if "--table" in argv
+                             else "t^2 - t + 1")
+                if "--json" in argv:
+                    out = _without_timing(captured.out)
+                    assert json.loads(out)["results"] == {
+                        "alexander": alexander}
+                else:
+                    out = captured.out.rsplit("timing: ", 1)[0]
+                    assert "  alexander: %s\n" % alexander in out
+                outs.append(out)
+                assert knotforge.cli.run(argv).results == {
+                    "alexander": alexander}
+        assert outs[:len(argvs)] == outs[len(argvs):]
+
+    def test_repeated_ideal(self, capsys, isolated_home):
+        # --ideal appends: a list kept by the parser would grow from run to
+        # run
+        argv = ["alex", "6_1", "--ideal", "2", "--ideal", "3"]
+        for _ in range(2):
+            assert knotforge.cli._parse(argv)[1].ideal == [2, 3]
+            assert knotforge.cli._parse(["alex", "6_1"])[1].ideal is None
+            assert main(["--json"] + argv) == 0
+            results = json.loads(capsys.readouterr().out)["results"]
+            assert sorted(results) == ["alexander", "alexander_2",
+                                       "alexander_3"]
+            assert knotforge.cli.run(argv).results == results
+
+    def test_errors_twice(self, capsys, isolated_home):
+        golden = GOLDEN_REPORTS["alex-3_1"]
+        errs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["alex"])  # missing knot argument
+            assert exc.value.code == 2
+            usage = capsys.readouterr().err
+            assert "the following arguments are required: knot" in usage
+            with pytest.raises(SystemExit) as exc:
+                knotforge.cli.run(["alex"])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err == usage
+            assert main(["alex", "no_such_knot"]) == 1
+            domain = capsys.readouterr().err
+            assert domain.startswith(
+                "error: unknown knot name 'no_such_knot'")
+            with pytest.raises(DomainError, match="no_such_knot"):
+                knotforge.cli.run(["alex", "no_such_knot"])
+            # a good run between the failed ones
+            assert main(["--json"] + golden) == 0
+            assert _without_timing(capsys.readouterr().out) == \
+                _golden("alex-3_1")
+            errs.append((usage, domain))
+        assert errs[0] == errs[1]
+
+
+class TestTableMemo:
+    """A table's text is parsed once per content and origin; the file is
+    read on every call, and errors are never kept."""
+
+    TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
+    FIGURE_EIGHT = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
+
+    def write(self, path, rows):
+        path.write_text("name,pd\n" + "".join(
+            "%s,\"%s\"\n" % row for row in rows))
+
+    def test_rewritten_table_is_seen(self, tmp_path, isolated_home):
+        path = tmp_path / "tmp.csv"
+        argv = ["alex", "k", "--table", str(path)]
+        self.write(path, [("k", self.TREFOIL), ("other", self.TREFOIL)])
+        assert knotforge.cli.run(argv).results["alexander"] == "t^2 - t + 1"
+        self.write(path, [("k", self.FIGURE_EIGHT), ("other", self.TREFOIL)])
+        assert knotforge.cli.run(argv).results["alexander"] == \
+            "t^2 - 3*t + 1"
+        self.write(path, [("other", self.TREFOIL)])
+        with pytest.raises(DomainError, match="unknown knot name 'k'"):
+            knotforge.cli.run(argv)
+
+    def test_invalid_table_fails_every_call(self, tmp_path, isolated_home):
+        path = tmp_path / "bad.csv"
+        self.write(path, [("k", self.TREFOIL), ("bad", "X[1,2,3]")])
+        for _ in range(3):
+            with pytest.raises(DomainError, match="bad.csv:3: invalid PD"):
+                knotforge.cli.run(["alex", "k", "--table", str(path)])
+            with pytest.raises(DomainError, match="bad.csv:3: invalid PD"):
+                default_table(str(path))
+
+    def test_switching_env_table(self, tmp_path, monkeypatch, isolated_home):
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        self.write(one, [("k", self.TREFOIL)])
+        self.write(two, [("k", self.FIGURE_EIGHT), ("only2", self.TREFOIL)])
+        for _ in range(2):
+            monkeypatch.setenv("KNOTFORGE_TABLE", str(one))
+            assert knotforge.cli.run(["alex", "k"]).results[
+                "alexander"] == "t^2 - t + 1"
+            with pytest.raises(DomainError, match="only2"):
+                knotforge.cli.run(["alex", "only2"])
+            monkeypatch.setenv("KNOTFORGE_TABLE", str(two))
+            assert knotforge.cli.run(["alex", "k"]).results[
+                "alexander"] == "t^2 - 3*t + 1"
+            assert knotforge.cli.run(["alex", "only2"]).results[
+                "alexander"] == "t^2 - t + 1"
+
+    def test_entries_are_not_shared(self):
+        first = KnotTable.parse(GOOD_TABLE, origin="mem.csv")
+        del first.entries["3_1"]
+        first.entries["extra"] = PDCode([])
+        second = KnotTable.parse(GOOD_TABLE, origin="mem.csv")
+        assert sorted(second.entries) == ["3_1", "4_1"]
+        assert second.provenance == "test provenance line"
+
+    def test_same_text_is_parsed_once(self, monkeypatch):
+        calls = []
+
+        def counting_parse_pd(text):
+            calls.append(text)
+            return parse_pd(text)
+
+        monkeypatch.setattr(knotforge.cli, "parse_pd", counting_parse_pd)
+        knotforge.cli._parse_table.cache_clear()
+        text = GOOD_TABLE + "# parsed once\n"
+        first = KnotTable.parse(text, origin="once.csv")
+        assert len(calls) == 2
+        second = KnotTable.parse(text, origin="once.csv")
+        assert len(calls) == 2 and second["4_1"] is first["4_1"]
+        # the origin is part of the key: it is in every error message
+        KnotTable.parse(text, origin="other.csv")
+        assert len(calls) == 4

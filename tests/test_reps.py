@@ -536,13 +536,20 @@ class TestSerialization:
             rep_from_json(json.dumps({"p": 9, "generators": [[[3]], [[3]]]}),
                           pres)
 
-    @pytest.mark.parametrize("p", [4, None])
+    @pytest.mark.parametrize("p", [4, None, 7.0])
     def test_modulus_must_be_prime(self, p):
         # p = 4 was accepted, and p = None failed with a bare TypeError
         pres = two_bridge_presentation(3, 1)
         with pytest.raises(ValueError, match="p must be prime"):
             Representation(presentation=pres, p=p, d=1,
                            matrices=(((1,),),) * 2)
+
+    @pytest.mark.parametrize("p", [4, None, 7.0])
+    def test_search_modulus_must_be_prime(self, p):
+        # p = 7.0 was accepted and enumerate_sl2 then failed with a
+        # TypeError; p = None failed with a bare TypeError
+        with pytest.raises(ValueError, match="p must be prime"):
+            RepSearchConfig(p=p)
 
     def test_dimension_below_one_rejected(self):
         # empty matrices used to pass as a d = 0 representation whose every
