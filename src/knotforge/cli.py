@@ -560,6 +560,9 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     emit = (report.to_json() if getattr(args, "json", False)
             else report.to_text())
     sys.stdout.write(emit)

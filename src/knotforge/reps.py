@@ -256,8 +256,8 @@ def rep_from_json(text, pres):
 
 # -- enumeration -------------------------------------------------------------
 
-def _trace_slice(s, p, include_scalar=False):
-    """All SL2(F_p) matrices of trace s, optionally without the scalars."""
+def _trace_slice(s, p):
+    """All non-scalar SL2(F_p) matrices of trace s, sorted."""
     out = []
     for a in range(p):
         dd = (s - a) % p
@@ -270,10 +270,7 @@ def _trace_slice(s, p, include_scalar=False):
                 continue
             c = bc * pow(b, -1, p) % p
             out.append(((a, b), (c, dd)))
-    if not include_scalar:
-        out = [M for M in out if not is_scalar(M, p)]
-    out.sort()
-    return out
+    return sorted(M for M in out if not is_scalar(M, p))
 
 
 def _centralizer_of_companion(s, p):

@@ -33,8 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (GF, QQ, ZZ, LaurentPoly, RationalFn, canonicalize,
-                      divmod_poly, format_poly, reduce_fraction, unit_equal)
+from .algebra import (GF, QQ, ZZ, LaurentPoly, canonicalize, divmod_poly,
+                      format_poly, reduce_fraction, unit_equal)
 from .presentation import (build_symun_presentation, deficiency_one,
                            eliminate_identifications, lamm_pullback,
                            wirtinger)
@@ -426,17 +426,14 @@ def knot_determinant(pd):
     return abs(sum(coeffs[0::2]) - sum(coeffs[1::2]))
 
 
-def _fraction_mul(a, b):
-    return reduce_fraction(a.num * b.num, a.den * b.den)
-
-
 def _factorization_target(pres, rho):
     """The twisted polynomial Delta_{pres,rho} and the factorization target
-    Delta_{pres,rho}^2 * det(rho(mu)t - I), mu the meridian of pres."""
-    tw = twisted_alexander(pres, rho)
+    Delta_{pres,rho}^2 * det(rho(mu)t - I), mu the meridian of pres, for
+    a rho that the caller has checked on pres."""
+    tw = _twisted_alexander(pres, rho)
+    num, den = tw.value.num, tw.value.den
     mu = _gen_minus_one_det(rho, pres.meridian)
-    return tw, _fraction_mul(_fraction_mul(tw.value, tw.value),
-                             RationalFn(mu, LaurentPoly.one(mu.domain)))
+    return tw, reduce_fraction(num * num * mu, den * den)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -449,10 +446,10 @@ def _symun_presentations(spec):
 @lru_cache(maxsize=_MEMO_SIZE)
 def _partial_target(pres, p, matrices):
     """_factorization_target of a partial presentation under the
-    representation with these matrices, memoized: the twist vectors of one
-    partial diagram share their partial presentation."""
-    rho = Representation(presentation=pres, p=p, d=len(matrices[0]),
-                         matrices=matrices)
+    representation with these matrices, which verify_theorem has checked,
+    memoized: the twist vectors of one partial diagram share their partial
+    presentation."""
+    rho = Representation._trusted(pres, p, len(matrices[0]), matrices)
     return _factorization_target(pres, rho)
 
 
@@ -461,16 +458,12 @@ def verify_theorem(spec, rho_partial):
     union under the pulled-back representation against
     Delta_partial^2 * det(rho(mu)t - I), with the degree law
     deg lhs = 2 deg Delta_partial + d.  The union and partial presentations
-    and the partial target are memoized (see _MEMO_SIZE); the check of
-    rho_partial and the pullback's relator check run on every call, and
-    the pulled-back representation is not checked a second time."""
+    and the partial target are memoized (see _MEMO_SIZE).  rho_partial is
+    checked once per call, on the partial presentation, by lamm_pullback;
+    the pulled-back representation, its Tietze restriction and the partial
+    target are built from it and not checked again."""
     union_pres, partial_pres, phi = _symun_presentations(spec)
-    if len(rho_partial.matrices) != partial_pres.num_generators or \
-            not verify_representation(partial_pres, rho_partial):
-        raise ValueError("representation is not valid on the partial "
-                         "presentation produced by this construction")
-    # lamm_pullback has checked every union relator under rho, and its
-    # matrices are words in the checked rho_partial's
+    # the one check of rho_partial; the pullback satisfies the union
     rho = lamm_pullback(phi, rho_partial)
     lhs = _twisted_alexander(union_pres, rho)
     partial_tw, rhs_fr = _partial_target(partial_pres, rho_partial.p,
@@ -527,6 +520,8 @@ def even_symun_obstruction(K, candidate_partial, p, rho_partial,
     Delta_{cand, rho}^2 * det(rho(mu)t - I).  If none matches, K admits no
     even symmetric-union presentation with this partial knot and this
     representation (the pullback representation would have to appear).
+    rho_partial must be nonabelian SL(2, F_p): the pullback of any other is
+    never among the classes enumerated.
     """
     cand_pres = wirtinger(candidate_partial)
     if len(rho_partial.matrices) != cand_pres.num_generators:
@@ -534,6 +529,10 @@ def even_symun_obstruction(K, candidate_partial, p, rho_partial,
                          "Wirtinger presentation")
     if not verify_representation(cand_pres, rho_partial):
         raise ValueError("representation fails the candidate's relators")
+    if rho_partial.d != 2 or rho_partial.is_abelian:
+        raise ValueError("the obstruction needs a nonabelian SL(2, F_p) "
+                         "representation of the candidate; only those "
+                         "classes of K are enumerated")
     _, target = _factorization_target(deficiency_one(cand_pres), rho_partial)
     pres = wirtinger(K)
     cfg = search or RepSearchConfig(p=p)

@@ -14,6 +14,7 @@ from knotforge.cli import (DomainError, KnotTable, RunReport,
                            resolve_knot, user_table_path)
 from knotforge.diagram import PDCode, parse_pd
 from knotforge.presentation import wirtinger
+from knotforge.reps import RepSearchConfig, enumerate_sl2, rep_to_json
 
 GOOD_TABLE = (
     "# test provenance line\n"
@@ -170,6 +171,16 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Mersenne" in err
         assert "Traceback" not in err
 
+    def test_memory_error_is_one_error_line(self, capsys, isolated_home,
+                                            monkeypatch):
+        def exhausted(pd):
+            raise MemoryError
+        monkeypatch.setattr(knotforge.cli, "classical_alexander", exhausted)
+        assert main(["alex", "3_1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory\n"
+        assert captured.out == ""
+
     def test_obstructed_verdict_is_success(self, capsys, isolated_home):
         assert main(["--json", "obstruct", "4_1", "--candidate", "3_1"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -317,6 +328,31 @@ class TestCommands:
         # quick checks already fail (Alexander not a square)
         assert data["results"]["verdict"] == "obstructed"
         assert "quick" in data["results"]["reason"]
+
+    def test_obstruct_rejects_abelian_or_non_sl2_rep(self, capsys,
+                                                     isolated_home):
+        # K is an even symmetric union with partial 3_1 by construction; the
+        # trivial and the abelian reps gave a false "obstructed" (exit 0)
+        union = self.run_json(capsys, ["symun", "build", "--partial", "3_1",
+                                       "--marks", "1,3", "--twists", "2"])
+        argv = ["obstruct", union["results"]["union_pd"], "--candidate",
+                "3_1", "--p", "5", "--rep"]
+        pres = wirtinger(default_table()["3_1"])
+        every = enumerate_sl2(pres, RepSearchConfig(p=5,
+                                                    nonabelian_only=False))
+        files = []
+        for name, rho in (("abelian", every[2]), ("nonabelian", every[-1])):
+            files.append(isolated_home / (name + ".json"))
+            files[-1].write_text(rep_to_json(rho))
+        assert every[2].is_abelian and not every[-1].is_abelian
+        for rep in ("trivial", str(files[0])):
+            assert main(argv + [rep]) == 1
+            captured = capsys.readouterr()
+            assert "needs a nonabelian SL(2, F_p) representation" \
+                in captured.err
+            assert captured.out == ""
+        data = self.run_json(capsys, argv + [str(files[1])])
+        assert data["results"]["verdict"] == "inconclusive"
 
     def test_obstruct_rejects_negative_genus(self, capsys, isolated_home):
         # it used to exit 0 with a false "obstructed" (d_genus_even)

@@ -803,8 +803,10 @@ class TestVerifyTheorem:
             verify_theorem(spec, None)
 
     def test_pullback_is_not_checked_twice(self, monkeypatch):
-        # lamm_pullback checks the union's relators; only rho_partial goes
-        # through verify_representation (the partial target is memoized)
+        # lamm_pullback checks rho_partial on the partial presentation, the
+        # one check of the call; no union relator is evaluated, since the
+        # GeneratorMap proved at construction that they map to partial
+        # relators or to 1 (the partial target is memoized)
         pd = parse_pd(TREFOIL)
         spec = SymUnionSpec(MarkedDiagram(pd, (1, 3)), (2,))
         _, partial, _ = build_symun_presentation(spec)
@@ -815,9 +817,54 @@ class TestVerifyTheorem:
         def counted(pres, rho):
             checked.append(pres)
             return verify_representation(pres, rho)
-        monkeypatch.setattr(twisted, "verify_representation", counted)
+        monkeypatch.setattr(knotforge.reps, "verify_representation", counted)
         assert verify_theorem(spec, rho) == first
         assert checked == [partial]
+
+    def test_union_matrices_are_inverted_once(self, monkeypatch):
+        # with warm memos: once for the check of rho_partial, once in the
+        # Fox pass over the restricted union (the pullback inverted the
+        # union matrices a third time before)
+        pd = parse_pd(TREFOIL)
+        spec = SymUnionSpec(MarkedDiagram(pd, (1, 3)), (2,))
+        _, partial, _ = build_symun_presentation(spec)
+        rho = enumerate_sl2(partial, RepSearchConfig(p=5))[0]
+        first = verify_theorem(spec, rho)
+        sizes = []
+        inverses = knotforge.reps.inverses
+
+        def counted(mats, p):
+            sizes.append(len(mats))
+            return inverses(mats, p)
+        for module in (knotforge.reps, twisted):
+            monkeypatch.setattr(module, "inverses", counted)
+        assert verify_theorem(spec, rho) == first
+        reduced, _ = twisted._identifications_eliminated(
+            build_symun_presentation(spec)[0])
+        assert sizes == [partial.num_generators, reduced.num_generators]
+
+    def test_failed_identification_is_rejected(self):
+        # a representation of the cut trefoil's crossing relators alone that
+        # breaks y1_1 = y1_2 is no representation of the partial knot
+        pd = parse_pd(TREFOIL)
+        spec = SymUnionSpec(MarkedDiagram(pd, (1, 3)), (2,))
+        _, partial, _ = build_symun_presentation(spec)
+        crossings = GroupPresentation(
+            partial.names, [r for r in partial.relators if len(r) != 2],
+            meridian=partial.meridian)
+        reps = enumerate_sl2(crossings, RepSearchConfig(p=5))
+        assert len(reps) == 42
+        y1, y2 = partial.names.index("y1_1"), partial.names.index("y1_2")
+        split = [rho for rho in reps if rho.matrices[y1] != rho.matrices[y2]]
+        assert split
+        for rho in split[:3]:
+            bad = Representation(presentation=partial, p=5, d=2,
+                                 matrices=rho.matrices)
+            assert not verify_representation(partial, bad)
+            with pytest.raises(ValueError, match="^representation is not "
+                               "valid on the partial presentation produced "
+                               "by this construction$"):
+                verify_theorem(spec, bad)
 
     def test_direct_call_on_the_union_still_checks(self):
         pd = parse_pd(TREFOIL)
@@ -895,28 +942,19 @@ class TestTrustedRepresentations:
         assert verify_theorem(spec, reps[0]) == first
         assert calls == []
 
-    def test_verify_theorem_still_rejects_bad_input(self, monkeypatch):
+    def test_verify_theorem_still_rejects_bad_input(self):
         clear_memos()
-        spec, _, partial, phi, reps = self.setup(5)
+        spec, union, partial, phi, reps = self.setup(5)
         A, B = reps[0].matrices[:2]
         bad = Representation(
             presentation=partial, p=5, d=2,
             matrices=(A,) + (B,) * (partial.num_generators - 1))
         with pytest.raises(ValueError, match="not valid on the partial"):
             verify_theorem(spec, bad)
-        # a generator map whose images break a union relator, made without
-        # GeneratorMap's own check
-        broken = object.__new__(type(phi))
-        for name in ("source", "target"):
-            object.__setattr__(broken, name, getattr(phi, name))
-        object.__setattr__(broken, "images",
-                           (((0, 1), (1, 1)),) + phi.images[1:])
-        monkeypatch.setattr(
-            twisted, "_symun_presentations",
-            lambda spec: twisted.build_symun_presentation(spec)[:2]
-            + (broken,))
-        with pytest.raises(ValueError, match="invalid GeneratorMap"):
-            verify_theorem(spec, reps[0])
+        # images that break a union relator make no generator map, so the
+        # pullback of a checked representation satisfies the union
+        with pytest.raises(ValueError, match="neither trivial nor a target"):
+            type(phi)(union, partial, (((0, 1), (1, 1)),) + phi.images[1:])
 
 
 MEMOS = (twisted._symun_presentations, twisted._partial_target)
@@ -1039,6 +1077,22 @@ class TestObstructions:
         out = even_symun_obstruction(K, pd, 5, rho)
         assert out["verdict"] == "inconclusive"
         assert out["evidence"]
+
+    def test_abelian_or_non_sl2_rep_is_rejected(self):
+        # only nonabelian SL(2, F_p) classes of G(K) are enumerated, so the
+        # pullback of any other rho never matches: these reps gave a false
+        # "obstructed" for this genuine even symmetric union
+        pd = parse_pd(TREFOIL)
+        K = symmetric_union_pd(SymUnionSpec(MarkedDiagram(pd, (1, 3)), (2,)))
+        pres = wirtinger(pd)
+        every = enumerate_sl2(pres, RepSearchConfig(p=5,
+                                                    nonabelian_only=False))
+        abelian = [rho for rho in every if rho.is_abelian]
+        assert len(abelian) == len(every) - 10 > 0
+        for rho in [trivial_rep(pres, 5)] + abelian:
+            with pytest.raises(ValueError, match="needs a nonabelian "
+                               r"SL\(2, F_p\) representation"):
+                even_symun_obstruction(K, pd, 5, rho)
 
     def test_negative_control_obstructs(self):
         pd = parse_pd(TREFOIL)
