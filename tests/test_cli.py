@@ -586,6 +586,19 @@ GOLDEN_REPORTS.update({
     "alex-%s" % knot: ["alex", knot, "--det", "--ideal", "2", "--ideal", "3"]
     for knot in ("unknot", "3_1", "4_1", "6_1", "8_10", "8_20", "9_1", "9_24",
                  "10_99", "10_137", "10_140", "11a_201")})
+# the symmetric-union template: both signs of twist region, an unknot
+# partial, and the factorization identity on a two-region union
+GOLDEN_REPORTS.update({
+    "symun-build-3_1": ["symun", "build", "--partial", "3_1",
+                        "--marks", "1,4", "--twists", "2"],
+    "symun-build-4_1": ["symun", "build", "--partial", "4_1",
+                        "--marks", "1,3,5", "--twists=-2,2"],
+    "symun-build-unknot": ["symun", "build", "--partial", "unknot",
+                           "--marks", "1,2", "--twists", "4"],
+    "symun-verify-4_1-p5": ["symun", "verify", "--partial", "4_1",
+                            "--marks", "1,3,5", "--twists=-2,2",
+                            "--p", "5", "--trials", "3"],
+})
 
 
 class TestGoldenReports:

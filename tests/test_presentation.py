@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -15,6 +16,8 @@ from knotforge.presentation import (GroupPresentation, GroupRingElt,
 from knotforge.reps import (RepSearchConfig, Representation, enumerate_sl2,
                             evaluate_word, identity_matrix, mat_mul,
                             verify_representation)
+
+from support import grid_cells
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
@@ -205,6 +208,97 @@ class TestSymUnionPresentation:
         images[2] = ((partial.meridian, 1), (partial.meridian, 1))
         with pytest.raises(ValueError):
             GeneratorMap(union, partial, tuple(images))
+
+
+# sha256 of repr((union relators, union longitude, partial relators, phi
+# images)) for each cell of the acceptance grid, union twists 2m: the
+# template's words pinned exactly, the longitude included, which
+# format_presentation leaves out of the golden reports
+GRID_TEMPLATE_DIGESTS = {
+    ("3_1", (-2,)):
+        "3096d0d8330712a83211d2c60fc1702016b74d3bfb8a9f2123d91b9348d59b7b",
+    ("3_1", (-1,)):
+        "5b15b7a2864bfb481241d9fb07fbf584fd4ceecd7ad1591d19aa160e93b7afbd",
+    ("3_1", (0,)):
+        "c1228539e19faa06671af98cc8e6af368df35b588a7e761d86f148776f46cf66",
+    ("3_1", (1,)):
+        "4eba747ea84234927d6cb87daae961fa2b0411e348328b74dec76467232926ec",
+    ("3_1", (2,)):
+        "99de50abcb7d0c4088dec2c5f2122175ab20414d99b539eb9ca0c763bcbe9c8d",
+    ("3_1", (1, 1)):
+        "82d513bd5d29610db967bd0e4cc23a42bbb0cc2e0f2b2bdc0743e0afe26e94c9",
+    ("3_1", (-1, 2)):
+        "6f8e03ba3e8f429171acefeec7d0c6e72fd7b29fe18b46b61b5364636500da9e",
+    ("3_1", (2, -2)):
+        "7cd76c1f5dd37184e797960d05675723fbbcdda730a9d64dae678c7c0d15e7b1",
+    ("3_1", (0, -1)):
+        "c54a1e874e489f7de43f9da5918942d3a271a9fedb85b1dd9e578ec5893904e6",
+    ("3_1", (1, -1, 2)):
+        "bea29c5caf049aad044a8e612b6c596aa88ec71f180085851eb622ee4af1ce06",
+    ("3_1", (-2, 0, 1)):
+        "83f56a31dfd28e73d544a384359b34a9192e5c8283e0c3eaf8ba933facfd5b5d",
+    ("3_1", (2, 2, -2)):
+        "8c6f8a3323e43490e09233aa468ca1cc1bb59eabdebfc956d982d881c778f78d",
+    ("4_1", (-2,)):
+        "11bb44e005ecefdff59a44f0fdb2269abbc8ed5db174a22333ca1e69879093e7",
+    ("4_1", (-1,)):
+        "5b292547375153fcad36a6b9191dad7959d57d6b8723f83219e09618d3fbc03e",
+    ("4_1", (0,)):
+        "c553eb02841b92fa525e7f02cdc565deb5e3925b30e487edceb9af3d55b7262d",
+    ("4_1", (1,)):
+        "a056e06a9dd83ae40c6452e2c5187f3fcb8addc0d231e706eb6a298b5ac538b0",
+    ("4_1", (2,)):
+        "a6eb4fbee9524b414ea0e1f6ffb173770c473cb24e8d00f69591f1f9a422a1dd",
+    ("4_1", (1, 1)):
+        "d24837718b4056ef273ce58cdfbe6932ad8e5b1277d67dbf2fc3f828e6c387e6",
+    ("4_1", (-1, 2)):
+        "e150265838827fc976e1f12c05f6e268055d143858a26df416acf69c0f16bf2c",
+    ("4_1", (2, -2)):
+        "197f26e7a1f93e6490e0eec08a68add3e4d116948925d3424650d7335ae8a65b",
+    ("4_1", (0, -1)):
+        "03f779be6245c5bee8e9dfd68dd3601cfe366160e829f69935470fbb990c3717",
+    ("4_1", (1, -1, 2)):
+        "6a94f179cde0574af985b94a9bac96aef4b1b57d13e30714683f2360b8182d68",
+    ("4_1", (-2, 0, 1)):
+        "36e97f2dfb7a7e8c107937a4205de3dca7caa582b83dc2472458f1dd7e8afd60",
+    ("4_1", (2, 2, -2)):
+        "d5bf0b024e7de406a7b056c2f0b75ec84c1f536870c5c2a42ea817645272f758",
+    ("6_1", (-2,)):
+        "96bbb2412f634dd58665c4b481cce7cfc1e99917a7ca8efa7e7898cd566d9ef4",
+    ("6_1", (-1,)):
+        "04ef6190e237a8281976029be2112751ff007153eb6e0067b3d5c4da4961712d",
+    ("6_1", (0,)):
+        "a3511ded681d5a64cca124c23dfac0a6369b784e58e74eed75ba04960366145b",
+    ("6_1", (1,)):
+        "ced82fbeb50e0cca7d9f96fd8eca1890439a07a4768508855082adc7a28a41df",
+    ("6_1", (2,)):
+        "dc1f3f59455d7b5a239e3378a17f1642d838de1209fadceaff08f80dd942eb14",
+    ("6_1", (1, 1)):
+        "c76dbbfe594835ff7fdc70e445581f94f23dbed8ceb597c4f4f42c1ec5d04e14",
+    ("6_1", (-1, 2)):
+        "9ab2b477fa90fa6a7ae45203c9355a2ff1007c3f10edf264da50b7dcce617e58",
+    ("6_1", (2, -2)):
+        "40657e7a5c41dce88026ccc3fe6b488d0b12a44f8603129b99513b295b02b98c",
+    ("6_1", (0, -1)):
+        "bbd5b1dfa2748b7227135c0f5253d5ac965efa7674de7be7c5a11a4a9f6f1294",
+    ("6_1", (1, -1, 2)):
+        "1b4cd91592f4e53b67e6c52d08e3ddeeb159c3e9f36f1488a28ac99cbd48a8b6",
+    ("6_1", (-2, 0, 1)):
+        "f035d569f4097bc265ce87185cdb324f78398957e683cfd769010474c27b87ac",
+    ("6_1", (2, 2, -2)):
+        "c43da7cc71828bcdac03ca6bb0f1c5cec8a7ee6663db2418d0ed2f9fe5393b07",
+}
+
+
+def test_grid_templates_are_pinned():
+    got = {}
+    for name, pd, marks, ms in grid_cells():
+        spec = SymUnionSpec(MarkedDiagram(pd, marks), tuple(2 * m for m in ms))
+        union, partial, phi = build_symun_presentation(spec)
+        words = (union.relators, union.longitude, partial.relators,
+                 phi.images)
+        got[name, ms] = hashlib.sha256(repr(words).encode()).hexdigest()
+    assert got == GRID_TEMPLATE_DIGESTS
 
 
 class TestEliminateIdentifications:
