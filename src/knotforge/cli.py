@@ -40,8 +40,8 @@ from .reps import (RepSearchConfig, SearchBudgetExceeded, enumerate_sl2,
                    rep_from_json)
 from .twisted import (_rep_polynomials, classical_alexander,
                       even_symun_obstruction, even_symun_quick_obstructions,
-                      format_fraction, higher_alexander, trivial_rep,
-                      twisted_alexander, verify_theorem)
+                      format_fraction, higher_alexander, knot_determinant,
+                      trivial_rep, twisted_alexander, verify_theorem)
 from .algebra import format_poly
 
 
@@ -283,8 +283,7 @@ def cmd_alex(args, table):
     for k in sorted(set(args.ideal or ())):
         results["alexander_%d" % k] = format_poly(higher_alexander(pd, k))
     if args.det:
-        # |Delta(-1)|; classical_alexander has checked Delta(1) = +-1
-        results["determinant"] = abs(delta.evaluate(-1))
+        results["determinant"] = knot_determinant(pd)
     return {"knot": args.knot, "pd": format_pd(pd),
             "crossings": pd.n}, results
 

@@ -224,25 +224,31 @@ def _crossing_relators(roles):
             for i, out, o, sign in roles]
 
 
+def _closed_longitude(letters, meridian):
+    """The longitude of a walk along the knot from its (over, sign) letters,
+    one per underpass in walk order: the conjugators q_i moving the basepoint
+    meridian along the strand compose as q_n ... q_1, so the letters are
+    reversed, then meridian^-e (e their exponent sum) makes the exponent sum
+    zero; freely reduced."""
+    lam = letters[::-1]
+    e = word_exponent_sum(lam)
+    lam.extend([(meridian, -1 if e > 0 else 1)] * abs(e))
+    return reduce_word(lam)
+
+
 def wirtinger(pd):
     """Wirtinger presentation: one generator per arc, one conjugation relator
     per crossing; meridian is the first arc's generator; the longitude is the
     signed product of over-arc generators along the knot, corrected by
-    meridian^-writhe so its exponent sum is zero."""
+    meridian^-writhe (the exponent sum) so its exponent sum is zero."""
     if pd.n == 0:
         return GroupPresentation(("x1",), (), meridian=0, longitude=())
     arcs, arc_of, events = pd.subarcs()
     names = tuple("x%d" % (i + 1) for i in range(len(arcs)))
     roles = pd.crossing_roles(arc_of)
-    relators = _crossing_relators(roles)
-    lam = [roles[ci][2:] for _, ci in events]
-    # the conjugators q_i moving the basepoint meridian along the strand
-    # compose as q_n ... q_1, so the walk-order letters are reversed
-    lam.reverse()
-    w = pd.writhe
-    lam.extend([(0, -1 if w > 0 else 1)] * abs(w))
-    return GroupPresentation(names, tuple(relators), meridian=0,
-                             longitude=reduce_word(lam))
+    longitude = _closed_longitude([roles[ci][2:] for _, ci in events], 0)
+    return GroupPresentation(names, tuple(_crossing_relators(roles)),
+                             meridian=0, longitude=longitude)
 
 
 def deficiency_one(pres):
@@ -332,6 +338,17 @@ def _role_names(base, marks):
     return arcs, arc_of, events, names, z1, z2, y1, y2
 
 
+def _twist_roles(a, b):
+    """Crossing roles (in, out, over, sign) of a twist region whose chains a
+    and b run side by side: a_j passes under b_j into a_j+1, then b_j under
+    a_j+1 into b_j+1."""
+    roles = []
+    for j in range(len(a) - 1):
+        roles.append((a[j], a[j + 1], b[j], -1))
+        roles.append((b[j], b[j + 1], a[j + 1], 1))
+    return roles
+
+
 def build_symun_presentation(spec):
     """The three outputs of the symmetric-union template: the union group
     presentation (deficiency 1, final v2 z2*^-1 relator dropped), the partial
@@ -363,103 +380,60 @@ def build_symun_presentation(spec):
     names.append("v1")
     v2 = len(names)
     names.append("v2")
-    x, xs = {}, {}
+    chains = []  # per twist region: the x-chain and the x*-chain
     for l in range(1, k + 1):
         M = abs(ms[l - 1])
-        for j in range(1, M + 2):
-            x[l, j] = len(names)
-            names.append("x%d_%d" % (l, j))
-        for j in range(1, M + 2):
-            xs[l, j] = len(names)
-            names.append("x%d_%d*" % (l, j))
+        pair = []
+        for suffix in ("", "*"):
+            pair.append(range(len(names), len(names) + M + 1))
+            names.extend("x%d_%d%s" % (l, j, suffix) for j in range(1, M + 2))
+        chains.append(pair)
 
-    rels = _crossing_relators(roles)
-    rels += _crossing_relators((star[i], star[out], star[o], sign)
-                               for i, out, o, sign in roles)
-    for l in range(1, k + 1):
-        m = ms[l - 1]
-        M = abs(m)
-        for j in range(1, M + 1):
-            if m > 0:
-                rels.append(reduce_word((
-                    (x[l, j], 1), (xs[l, j], 1),
-                    (x[l, j + 1], -1), (xs[l, j], -1))))
-                rels.append(reduce_word((
-                    (xs[l, j], 1), (x[l, j + 1], -1),
-                    (xs[l, j + 1], -1), (x[l, j + 1], 1))))
-            else:
-                rels.append(reduce_word((
-                    (xs[l, j], 1), (x[l, j], 1),
-                    (xs[l, j + 1], -1), (x[l, j], -1))))
-                rels.append(reduce_word((
-                    (x[l, j], 1), (xs[l, j + 1], -1),
-                    (x[l, j + 1], -1), (xs[l, j + 1], 1))))
-        rels.append(reduce_word(((x[l, 1], 1), (y1[l], -1))))
-        rels.append(reduce_word(((xs[l, 1], 1), (star[y1[l]], -1))))
-        rels.append(reduce_word(((x[l, M + 1], 1), (y2[l], -1))))
-        rels.append(reduce_word(((xs[l, M + 1], 1), (star[y2[l]], -1))))
+    star_roles = [(star[i], star[out], star[o], sign)
+                  for i, out, o, sign in roles]
+    rels = _crossing_relators(roles) + _crossing_relators(star_roles)
+    # per marked edge, its region's roles in walk order along each chain
+    region_walks = {}
+    for l, (xc, sc) in enumerate(chains, start=1):
+        region = (_twist_roles(xc, sc) if ms[l - 1] > 0
+                  else _twist_roles(sc, xc))
+        rels += _crossing_relators(region)
+        under = {role[0]: role for role in region}
+        region_walks[marks[l]] = ([under[g] for g in xc[:-1]],
+                                  [under[g] for g in sc[:-1]])
+        rels.append(reduce_word(((xc[0], 1), (y1[l], -1))))
+        rels.append(reduce_word(((sc[0], 1), (star[y1[l]], -1))))
+        rels.append(reduce_word(((xc[-1], 1), (y2[l], -1))))
+        rels.append(reduce_word(((sc[-1], 1), (star[y2[l]], -1))))
     rels.append(reduce_word(((v1, 1), (z1, -1))))
     rels.append(reduce_word(((v1, 1), (star[z1], -1))))
     rels.append(reduce_word(((v2, 1), (z2, -1))))
     # final relator v2 (z2*)^-1 dropped for deficiency 1
 
-    # longitude carried through the template: walk D from z2, cross the
-    # infinity-tangle, walk the reflected copy backwards, return through v2
-    lam = []
-
-    def under_letter(ci, starred):
-        g, s = roles[ci][2:]
-        if starred:
-            return (star[g], -s)
-        return (g, s)
-
-    mark_index = {e: l for l, e in enumerate(marks[1:], start=1)}
-    for ev in events:
-        if ev[0] == "under":
-            lam.append(under_letter(ev[1], False))
+    # longitude carried through the template: walk D from z2, across each
+    # twist region along its x-chain, to the infinity-tangle, then the
+    # reflected copy backwards, across each region along its x*-chain, and
+    # return through v2.  Each underpass gives its role's (over, sign); the
+    # reflected walk runs against its copy's orientation, (over, -sign)
+    there, back = [], []
+    for kind, c in events[:-1]:  # events[-1] is the cut at marks[0]
+        if kind == "under":
+            there.append(roles[c])
+            back.append(star_roles[c])
         else:
-            e = ev[1]
-            if e == marks[0]:
-                break
-            l = mark_index[e]
-            m = ms[l - 1]
-            if m > 0:
-                lam.extend((xs[l, i], -1) for i in range(1, m + 1))
-            elif m < 0:
-                lam.extend((xs[l, i + 1], 1) for i in range(1, -m + 1))
-    for ev in reversed(events[:-1]):
-        if ev[0] == "under":
-            lam.append(under_letter(ev[1], True))
-        else:
-            l = mark_index[ev[1]]
-            m = ms[l - 1]
-            if m > 0:
-                lam.extend((x[l, i + 1], -1) for i in range(m, 0, -1))
-            elif m < 0:
-                lam.extend((x[l, i], 1) for i in range(-m, 0, -1))
-    # same reversal as in wirtinger(): the per-underpass conjugators compose
-    # against the walk order
-    lam.reverse()
-    e_sum = sum(s for _, s in lam)
-    lam.extend([(z2, -1 if e_sum > 0 else 1)] * abs(e_sum))
-    longitude = reduce_word(lam)
+            there += region_walks[c][0]
+            back += region_walks[c][1]
+    longitude = _closed_longitude(
+        [(o, s) for _, _, o, s in there] +
+        [(o, -s) for _, _, o, s in reversed(back)], z2)
 
     union_pres = GroupPresentation(tuple(names), tuple(rels), meridian=z2,
                                    longitude=longitude)
 
-    images = []
-    for i in range(A):
-        images.append(((i, 1),))
-    for i in range(A):
-        images.append(((i, 1),))
-    images.append(((z1, 1),))  # v1
-    images.append(((z2, 1),))  # v2
-    for l in range(1, k + 1):
-        M = abs(ms[l - 1])
-        for _ in range(M + 1):
-            images.append(((y1[l], 1),))
-        for _ in range(M + 1):
-            images.append(((y1[l], 1),))
+    # unstarred and starred arcs, v1, v2, then each region's chains
+    images = [((i, 1),) for i in range(A)] * 2 + [((z1, 1),), ((z2, 1),)]
+    for l, (xc, sc) in enumerate(chains, start=1):
+        images.extend([((y1[l], 1),)] * (len(xc) + len(sc)))
     phi = GeneratorMap(union_pres, partial_pres, tuple(images))
     return union_pres, partial_pres, phi
 

@@ -288,20 +288,29 @@ def least_nonsquare(p):
     return next(e for e in range(2, p) if pow(e, (p - 1) // 2, p) == p - 1)
 
 
-def _pinned_class_reps(s, p):
-    """Representatives of the non-scalar conjugacy classes of trace s, each
-    with its centralizer in SL2(F_p).  Trace values other than +-2 form one
-    class (the companion matrix); traces +-2 split into two unipotent classes
-    whose centralizer is the upper unitriangular group times +-I."""
+def _class_reps(s, p):
+    """Representatives of the non-scalar conjugacy classes of trace s in
+    SL2(F_p): the companion matrix for traces other than +-2; for traces
+    +-2 the unipotent classes eta*[[1, c], [0, 1]], c = 1 and a non-square
+    (one class at p = 2, where every unit is a square)."""
     if (s - 2) % p != 0 and (s + 2) % p != 0:
-        return [(companion_sl2(s, p), _centralizer_of_companion(s, p))]
+        return [companion_sl2(s, p)]
     eta = 1 if (s - 2) % p == 0 else (-1) % p
-    # the signs of +-I, once each: they coincide at p = 2
-    cent = [((e, x), (0, e)) for e in sorted({1, p - 1}) for x in range(p)]
-    if p == 2:
-        return [(((1, 1), (0, 1)), cent)]
-    return [(((eta, c), (0, eta)), cent)
-            for c in (1, least_nonsquare(p))]
+    cs = (1,) if p == 2 else (1, least_nonsquare(p))
+    return [((eta, c), (0, eta)) for c in cs]
+
+
+def _pinned_class_reps(s, p):
+    """Each class representative of _class_reps(s, p) with its centralizer
+    in SL2(F_p): the invertible polynomials in the companion matrix, or for
+    the unipotent classes the upper unitriangular group times +-I."""
+    if (s - 2) % p != 0 and (s + 2) % p != 0:
+        cent = _centralizer_of_companion(s, p)
+    else:
+        # the signs of +-I, once each: they coincide at p = 2
+        cent = [((e, x), (0, e)) for e in sorted({1, p - 1})
+                for x in range(p)]
+    return [(M, cent) for M in _class_reps(s, p)]
 
 
 def _commute_with_first(mats, p):
@@ -619,16 +628,7 @@ def enumerate_sl2(pres, cfg):
 
 def _abelian_class_reps(p):
     """One SL2(F_p) matrix per conjugacy class, deterministically ordered:
-    scalars, companion matrices for traces other than +-2, and for traces
-    +-2 the two unipotent classes per sign."""
-    out = [identity_matrix(2), (((-1) % p, 0), (0, (-1) % p))]
-    eps = least_nonsquare(p) if p > 2 else 1
-    for s in range(p):
-        if (s - 2) % p == 0 or (s + 2) % p == 0:
-            eta = 1 if (s - 2) % p == 0 else (-1) % p
-            out.append(((eta, 1), (0, eta)))
-            if p > 2:
-                out.append(((eta, eps), (0, eta)))
-        else:
-            out.append(companion_sl2(s, p))
-    return out
+    I and -I (once at p = 2, where they coincide), then per trace the
+    non-scalar classes of _class_reps."""
+    return ([((e, 0), (0, e)) for e in sorted({1, p - 1})] +
+            [M for s in range(p) for M in _class_reps(s, p)])

@@ -504,8 +504,8 @@ def even_symun_quick_obstructions(K, candidate_partial, genus=None):
     checks = {
         "a_alexander_square": unit_equal(dK, dC * dC),
         "b_degree_mod_4": deg % 4 == 0,
-        "c_determinant_square": abs(dK.evaluate(-1)) ==
-                                abs(dC.evaluate(-1)) ** 2,
+        "c_determinant_square": knot_determinant(K) ==
+                                knot_determinant(candidate_partial) ** 2,
     }
     if genus is not None:
         checks["d_genus_even"] = (deg == 2 * genus) and genus % 2 == 0
@@ -523,6 +523,9 @@ def even_symun_obstruction(K, candidate_partial, p, rho_partial,
     rho_partial must be nonabelian SL(2, F_p): the pullback of any other is
     never among the classes enumerated.
     """
+    if rho_partial.p != p:
+        raise ValueError("representation is over F_%d, not F_%d"
+                         % (rho_partial.p, p))
     cand_pres = wirtinger(candidate_partial)
     if len(rho_partial.matrices) != cand_pres.num_generators:
         raise ValueError("representation does not fit the candidate's "

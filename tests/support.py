@@ -5,16 +5,17 @@ before it deflated its integer pencil modulo a Mersenne prime), the
 one-sided F_p deflation (the route `_fastdet._pencil_det_gf` took before it
 deflated both ends of the pencil), the Laurent-polynomial route of
 `reduce_fraction` and `split_pencil`, the reference row shift of
-`twisted._fox_pencil` for rows that are linear in t."""
+`twisted._fox_pencil` for rows that are linear in t, the face count of a
+PD code's rotation system, and the Alexander polynomial of a presentation."""
 
 from fractions import Fraction
 
-from knotforge._fastdet import (Pencil, _expand_constant_rows, _reduce_rows,
-                               _regular_det)
+from knotforge._fastdet import (Pencil, _expand_constant_rows,
+                               _int_pencil_det, _reduce_rows, _regular_det)
 from knotforge.algebra import (ZZ, LaurentPoly, RationalFn, canonicalize,
                                exact_div, gcd_pair)
 from knotforge.cli import KnotTable, bundled_table_path
-from knotforge.twisted import _alexander_pencil
+from knotforge.twisted import _alexander_pencil, _fox_pencil, _fox_rows
 
 # -- the symmetric-union grid -------------------------------------------------
 
@@ -42,6 +43,44 @@ def grid_cells():
             marks = grid_marks(pd, k)
             for ms in mss:
                 yield name, pd, marks, ms
+
+
+def pd_faces(pd):
+    """The number of faces of the rotation system of a PD code with at least
+    one crossing: each crossing's four slots in counterclockwise order, each
+    edge joining the two slots that carry its label.  A face is an orbit of
+    "cross the edge, then turn to the next slot".  A knot diagram has n
+    vertices and 2n edges, so it is planar exactly when faces = n + 2
+    (Euler); fewer faces mean a diagram on a surface of higher genus, a
+    virtual diagram."""
+    slots = {}
+    for ci, crossing in enumerate(pd.crossings):
+        for j, e in enumerate(crossing):
+            slots.setdefault(e, []).append((ci, j))
+    other = {}
+    for a, b in slots.values():
+        other[a], other[b] = b, a
+    seen, faces = set(), 0
+    for dart in other:
+        if dart in seen:
+            continue
+        faces += 1
+        while dart not in seen:
+            seen.add(dart)
+            ci, j = other[dart]
+            dart = (ci, (j + 1) % 4)
+    return faces
+
+
+def presentation_alexander(pres):
+    """Delta of a knot-group presentation whose generators are all meridians,
+    in canonical unit form: the determinant of its abelianized Fox matrix
+    with the first column and all relator rows past the first N - 1 dropped
+    (N generators), as `classical_alexander` takes it from a diagram."""
+    ncols, rows = _fox_rows(pres, None, 0)
+    pencil = _fox_pencil(ncols, rows[:ncols], ZZ)
+    coeffs = _int_pencil_det(pencil.A0, pencil.A1)
+    return canonicalize(LaurentPoly(ZZ, dict(enumerate(coeffs))))
 
 
 # -- the integer Bareiss determinant and the evaluate-and-interpolate oracle --

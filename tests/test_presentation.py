@@ -16,8 +16,9 @@ from knotforge.presentation import (GroupPresentation, GroupRingElt,
 from knotforge.reps import (RepSearchConfig, Representation, enumerate_sl2,
                             evaluate_word, identity_matrix, mat_mul,
                             verify_representation)
+from knotforge.twisted import classical_alexander
 
-from support import grid_cells
+from support import grid_cells, pd_faces, presentation_alexander
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
@@ -299,6 +300,50 @@ def test_grid_templates_are_pinned():
                  phi.images)
         got[name, ms] = hashlib.sha256(repr(words).encode()).hexdigest()
     assert got == GRID_TEMPLATE_DIGESTS
+
+
+class TestTemplateAgainstUnionPD:
+    """Where the union PD is a planar diagram, it and the template present
+    the same knot group: both give the same Delta and the same number of
+    nonabelian SL(2, F_5) classes, and the template's longitude commutes
+    with its meridian under every class."""
+
+    # (partial, marks, twists); 6 of the 14 with two twist regions
+    PLANAR = [("3_1", (2, 4), (2,)), ("3_1", (2, 4), (-2,)),
+              ("3_1", (2, 5), (2,)), ("3_1", (2, 5), (-2,)),
+              ("4_1", (1, 3), (2,)), ("4_1", (1, 3), (-2,)),
+              ("4_1", (1, 4), (2,)), ("4_1", (1, 4), (-2,)),
+              ("3_1", (2, 4, 5), (2, -2)), ("3_1", (2, 4, 5), (2, 2)),
+              ("3_1", (2, 4, 6), (-2, 2)),
+              ("4_1", (1, 3, 4), (-2, 2)), ("4_1", (1, 3, 4), (-2, -2)),
+              ("4_1", (1, 4, 3), (2, -2))]
+
+    def test_face_count(self):
+        assert pd_faces(parse_pd(TREFOIL)) == 3 + 2
+        assert pd_faces(parse_pd(FIG8)) == 4 + 2
+        # a union whose marks do not let it close up in the plane: genus 2
+        spec = SymUnionSpec(MarkedDiagram(parse_pd(TREFOIL), (1, 3, 5)),
+                            (2, -2))
+        union = symmetric_union_pd(spec)
+        assert pd_faces(union) == union.n - 2
+
+    @pytest.mark.parametrize("name, marks, twists", PLANAR)
+    def test_planar_unions_agree(self, name, marks, twists):
+        pd = parse_pd({"3_1": TREFOIL, "4_1": FIG8}[name])
+        spec = SymUnionSpec(MarkedDiagram(pd, marks), twists)
+        union_pd = symmetric_union_pd(spec)
+        assert pd_faces(union_pd) == union_pd.n + 2
+        union = build_symun_presentation(spec)[0]
+        delta = presentation_alexander(union)
+        assert delta == classical_alexander(union_pd)
+        assert delta == presentation_alexander(wirtinger(union_pd))
+        cfg = RepSearchConfig(p=5)
+        reps = enumerate_sl2(union, cfg)
+        assert len(reps) == len(enumerate_sl2(wirtinger(union_pd), cfg))
+        for rho in reps:
+            lam = evaluate_word(union.longitude, rho.matrices, 5)
+            mu = rho.matrices[union.meridian]
+            assert mat_mul(lam, mu, 5) == mat_mul(mu, lam, 5)
 
 
 class TestEliminateIdentifications:

@@ -292,6 +292,24 @@ class TestEnumerationOracle:
             assert verify_representation(pres, r)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_abelian_class_reps_are_the_classes(self, p):
+        # one matrix per conjugacy class of SL2(F_p), every class once; at
+        # p = 2 the scalars I and -I coincide and were listed twice
+        G = all_sl2(p)
+        reps = _abelian_class_reps(p)
+        classes = {frozenset(mat_mul(mat_mul(g, M, p), mat_inv(g, p), p)
+                             for g in G) for M in reps}
+        assert len(classes) == len(reps)
+        assert set().union(*classes) == set(G)
+
+    def test_trivial_class_listed_once_over_f2(self):
+        reps = enumerate_sl2(wirtinger(parse_pd(TREFOIL)),
+                             RepSearchConfig(p=2, nonabelian_only=False))
+        assert len(reps) == 3 + 1
+        assert reps[0].matrices == (identity_matrix(2),) * 3
+        assert len({r.matrices for r in reps}) == len(reps)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_pinned_centralizers_list_each_element_once(self, p):
         # each pinned matrix's centralizer in SL2(F_p), every element
         # listed once

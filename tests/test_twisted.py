@@ -1094,6 +1094,18 @@ class TestObstructions:
                                r"SL\(2, F_p\) representation"):
                 even_symun_obstruction(K, pd, 5, rho)
 
+    def test_rep_over_another_prime_is_rejected(self):
+        # K is an even symmetric union with partial 3_1, so an F_5 class of
+        # 3_1 must not obstruct it; compared with K's classes over F_7 it
+        # gave a false "obstructed"
+        pd = parse_pd(TREFOIL)
+        K = symmetric_union_pd(SymUnionSpec(MarkedDiagram(pd, (1, 3)), (2,)))
+        rho = enumerate_sl2(wirtinger(pd), RepSearchConfig(p=5))[0]
+        assert even_symun_obstruction(K, pd, 5, rho)["verdict"] == \
+            "inconclusive"
+        with pytest.raises(ValueError, match="over F_5, not F_7"):
+            even_symun_obstruction(K, pd, 7, rho)
+
     def test_negative_control_obstructs(self):
         pd = parse_pd(TREFOIL)
         rho = enumerate_sl2(wirtinger(pd), RepSearchConfig(p=5))[0]
