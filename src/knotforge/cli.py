@@ -38,10 +38,11 @@ from .presentation import (build_symun_presentation, deficiency_one,
                            format_presentation, wirtinger)
 from .reps import (RepSearchConfig, SearchBudgetExceeded, enumerate_sl2,
                    rep_from_json)
-from .twisted import (_rep_polynomials, classical_alexander,
-                      even_symun_obstruction, even_symun_quick_obstructions,
-                      format_fraction, higher_alexander, knot_determinant,
-                      trivial_rep, twisted_alexander, verify_theorem)
+from .twisted import (_rep_polynomials, _symun_presentations,
+                      classical_alexander, even_symun_obstruction,
+                      even_symun_quick_obstructions, format_fraction,
+                      higher_alexander, knot_determinant, trivial_rep,
+                      twisted_alexander, verify_theorem)
 from .algebra import format_poly
 
 
@@ -233,8 +234,9 @@ def _scalar(v):
 # -- shared helpers ----------------------------------------------------------
 
 def _load_rep(rep_arg, pres, p):
-    """--rep argument: 'trivial' or a JSON file with the generator images on
-    the knot's Wirtinger generators."""
+    """--rep argument: 'trivial', built on the presentation pres, or a JSON
+    file with the generator images on the knot's Wirtinger generators, which
+    the command checks on its presentation."""
     if rep_arg == "trivial":
         return trivial_rep(pres, p)
     try:
@@ -250,7 +252,7 @@ def _load_rep(rep_arg, pres, p):
         else:
             raise DomainError("cannot read rep file %r: %s" % (rep_arg, exc))
     try:
-        rho = rep_from_json(text, pres)
+        rho = rep_from_json(text)
     except (ValueError, KeyError, TypeError) as exc:
         raise DomainError("invalid rep file %r: %s" % (rep_arg, exc)) from exc
     if rho.p != p:
@@ -351,7 +353,8 @@ def cmd_symun(args, table):
                           % args.trials)
     inputs["p"] = args.p
     inputs["trials"] = args.trials
-    _, partial_pres, _ = build_symun_presentation(spec)
+    # the memo verify_theorem reads, so the template is built once
+    _, partial_pres, _ = _symun_presentations(spec)
     reps = enumerate_sl2(partial_pres, _search_config(args))
     chosen = reps[:args.trials]  # deterministic: by enumeration index
     runs = []
@@ -397,8 +400,7 @@ def cmd_obstruct(args, table):
     inputs["rep"] = args.rep
     rho = _load_rep(args.rep, wirtinger(cand), args.p)
     try:
-        verdict = even_symun_obstruction(K, cand, args.p, rho,
-                                         search=_search_config(args))
+        verdict = even_symun_obstruction(K, cand, rho, args.max_nodes)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
     results["verdict"] = verdict["verdict"]
@@ -553,10 +555,7 @@ def main(argv=None):
     except SearchBudgetExceeded as exc:
         print("error: search budget exceeded: %s" % exc, file=sys.stderr)
         return 3
-    except (DomainError, InvalidDiagram) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # DomainError and InvalidDiagram among them
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except MemoryError:

@@ -29,8 +29,7 @@ class InvalidDiagram(ValueError):
 class PDCode:
     """Validated, orientation-normalized planar diagram code of a knot."""
 
-    __slots__ = ("crossings", "n", "_edge_order", "_slots", "_under_entry",
-                 "_over_entry")
+    __slots__ = ("crossings", "n", "_edge_order", "_slots", "_over_entry")
 
     def __init__(self, crossings):
         crossings = [tuple(int(x) for x in c) for c in crossings]
@@ -54,7 +53,6 @@ class PDCode:
         if n == 0:
             self._edge_order = ()
             self._slots = {}
-            self._under_entry = ()
             self._over_entry = ()
             return
         for _ in range(2):  # second pass re-walks after rotation fixes
@@ -85,7 +83,7 @@ class PDCode:
                 raise InvalidDiagram("diagram is not a single-component knot")
             rotated = []
             needs_fix = False
-            under_entry, over_entry = [], []
+            over_entry = []
             for ci, c in enumerate(self.crossings):
                 ent = entries.get(ci, set())
                 und = ent & {0, 2}
@@ -98,12 +96,10 @@ class PDCode:
                     needs_fix = True
                 else:
                     rotated.append(c)
-                under_entry.append(0)
                 over_entry.append(ovr.pop())
             if not needs_fix:
                 self._edge_order = tuple(edge_order)
                 self._slots = slots
-                self._under_entry = tuple(under_entry)
                 self._over_entry = tuple(over_entry)
                 return
             self.crossings = tuple(rotated)
@@ -224,7 +220,8 @@ class PDCode:
     def reflect(self):
         """Axis reflection: reverse each tuple's cyclic order keeping the
         under-in edge first (over/under roles preserved, all signs flip).
-        Used internally by the symmetric-union surgery."""
+        symmetric_union_pd does not call it: it maps the positions of its
+        reflected copy itself, 0, 1, 2, 3 -> 0, 3, 2, 1, as this does."""
         return PDCode([(a, d, c, b) for (a, b, c, d) in self.crossings])
 
     def relabeled(self):

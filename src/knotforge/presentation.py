@@ -444,13 +444,12 @@ def lamm_pullback(phi, rho):
     target relator or to 1, so rho o phi satisfies the source unchecked."""
     from .reps import Representation, verify_representation, word_prefixes
 
-    if len(rho.matrices) != phi.target.num_generators or \
-            not verify_representation(phi.target, rho):
+    if not verify_representation(phi.target, rho):
         raise ValueError("representation is not valid on the partial "
                          "presentation produced by this construction")
     mats = tuple(word_prefixes(img, rho.matrices, rho.p)[-1]
                  for img in phi.images)
-    return Representation._trusted(phi.source, rho.p, rho.d, mats)
+    return Representation._trusted(rho.p, rho.d, mats)
 
 
 # -- 2-bridge presentation ---------------------------------------------------

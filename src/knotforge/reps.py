@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .algebra import _is_prime
-from .presentation import GroupPresentation
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -166,7 +165,9 @@ def companion_sl2(s, p):
 
 @dataclass(frozen=True)
 class Representation:
-    presentation: GroupPresentation
+    """d x d matrices over F_p, one per generator of some presentation; the
+    presentation is not stored, and verify_representation checks the two
+    where they meet."""
     p: int
     d: int
     matrices: tuple
@@ -177,8 +178,6 @@ class Representation:
         mats = tuple(tuple(tuple(v % self.p for v in row) for row in M)
                      for M in self.matrices)
         object.__setattr__(self, "matrices", mats)
-        if len(mats) != self.presentation.num_generators:
-            raise ValueError("need one matrix per generator")
         if self.d < 1:
             raise ValueError("representation dimension must be at least 1, "
                              "got d=%d" % self.d)
@@ -187,15 +186,14 @@ class Representation:
                 raise ValueError("matrix size does not match d=%d" % self.d)
 
     @classmethod
-    def _trusted(cls, presentation, p, d, matrices):
-        """A representation from a tuple of d x d matrices, one per
-        generator of presentation, that are nested tuples already reduced
-        mod p, built without the re-reduction and shape checks of
-        __post_init__ (for the package's own restrictions and pullbacks of
-        checked representations)."""
+    def _trusted(cls, p, d, matrices):
+        """A representation from a tuple of d x d matrices that are nested
+        tuples already reduced mod p, built without the re-reduction and
+        shape checks of __post_init__ (for enumerated classes and the
+        package's own restrictions and pullbacks of checked
+        representations)."""
         rho = object.__new__(cls)
-        for name, value in (("presentation", presentation), ("p", p),
-                            ("d", d), ("matrices", matrices)):
+        for name, value in (("p", p), ("d", d), ("matrices", matrices)):
             object.__setattr__(rho, name, value)
         return rho
 
@@ -217,9 +215,11 @@ class Representation:
 
 def verify_representation(pres, rho):
     """Check det 1 (d=2), that every matrix is invertible and that every
-    relator maps to the identity."""
+    relator maps to the identity; a ValueError when rho has not one matrix
+    per generator of pres."""
     if len(rho.matrices) != pres.num_generators:
-        raise ValueError("matrix count does not match the generator count")
+        raise ValueError("matrix count %d does not match the generator "
+                         "count %d" % (len(rho.matrices), pres.num_generators))
     if rho.d == 2:
         for M in rho.matrices:
             if mat_det2(M, rho.p) != 1:
@@ -239,7 +239,7 @@ def rep_to_json(rho):
                                       for M in rho.matrices]})
 
 
-def rep_from_json(text, pres):
+def rep_from_json(text):
     data = json.loads(text)
     if not isinstance(data, dict) or "p" not in data or "generators" not in data:
         raise ValueError("representation JSON needs 'p' and 'generators'")
@@ -251,7 +251,7 @@ def rep_from_json(text, pres):
     if not mats:
         raise ValueError("empty generator list")
     d = len(mats[0])
-    return Representation(presentation=pres, p=p, d=d, matrices=mats)
+    return Representation(p=p, d=d, matrices=mats)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -539,7 +539,7 @@ def enumerate_sl2(pres, cfg):
     vals = [None] * (2 * ng) + [(1, 0, 0, 1)]
 
     def mk(mats):
-        return Representation(presentation=pres, p=p, d=2, matrices=mats)
+        return Representation._trusted(p, 2, mats)
 
     if not cfg.nonabelian_only:
         for M in _abelian_class_reps(p):

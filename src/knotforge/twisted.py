@@ -46,8 +46,8 @@ from ._fastdet import Pencil, _int_pencil_det, pencil_det
 def trivial_rep(pres, p):
     """The rank-1 trivial representation over F_p: every generator maps to
     the 1x1 identity."""
-    return Representation(presentation=pres, p=p, d=1,
-                          matrices=((((1,),),) * pres.num_generators))
+    return Representation(p=p, d=1,
+                          matrices=(((1,),),) * pres.num_generators)
 
 
 class TwistedPolynomial:
@@ -249,7 +249,7 @@ def _twisted_alexander(pres, rho, drop_column="auto"):
         mats = [None] * pres.num_generators
         for g, c in enumerate(classes):
             mats[c] = rho.matrices[g]
-        rho = Representation._trusted(pres, rho.p, rho.d, tuple(mats))
+        rho = Representation._trusted(rho.p, rho.d, tuple(mats))
         j = classes[j]
     num = pencil_det(fox_matrix(pres, rho, drop=j))
     den = _gen_minus_one_det(rho, j)
@@ -444,12 +444,11 @@ def _symun_presentations(spec):
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _partial_target(pres, p, matrices):
-    """_factorization_target of a partial presentation under the
-    representation with these matrices, which verify_theorem has checked,
-    memoized: the twist vectors of one partial diagram share their partial
-    presentation."""
-    rho = Representation._trusted(pres, p, len(matrices[0]), matrices)
+def _partial_target(pres, rho):
+    """_factorization_target of a partial presentation under a
+    representation that verify_theorem has checked, memoized on the two (a
+    representation hashes by its prime and matrices): the twist vectors of
+    one partial diagram share their partial presentation."""
     return _factorization_target(pres, rho)
 
 
@@ -466,8 +465,7 @@ def verify_theorem(spec, rho_partial):
     # the one check of rho_partial; the pullback satisfies the union
     rho = lamm_pullback(phi, rho_partial)
     lhs = _twisted_alexander(union_pres, rho)
-    partial_tw, rhs_fr = _partial_target(partial_pres, rho_partial.p,
-                                         rho_partial.matrices)
+    partial_tw, rhs_fr = _partial_target(partial_pres, rho_partial)
     # both fractions are reduced and canonical, so unit equality is equality
     equal = lhs.value == rhs_fr
     deg_rhs = (None if partial_tw.degree is None
@@ -513,23 +511,19 @@ def even_symun_quick_obstructions(K, candidate_partial, genus=None):
     return checks
 
 
-def even_symun_obstruction(K, candidate_partial, p, rho_partial,
-                           search=None):
+def even_symun_obstruction(K, candidate_partial, rho_partial,
+                           max_nodes=None):
     """Enumerate all nonabelian SL(2, F_p) representations of G(K) up to
-    conjugacy and compare each twisted polynomial against the target
-    Delta_{cand, rho}^2 * det(rho(mu)t - I).  If none matches, K admits no
-    even symmetric-union presentation with this partial knot and this
-    representation (the pullback representation would have to appear).
-    rho_partial must be nonabelian SL(2, F_p): the pullback of any other is
-    never among the classes enumerated.
+    conjugacy, p the prime of rho_partial, and compare each twisted
+    polynomial against the target Delta_{cand, rho}^2 * det(rho(mu)t - I).
+    If none matches, K admits no even symmetric-union presentation with
+    this partial knot and this representation (the pullback representation
+    would have to appear).  rho_partial must be a nonabelian SL(2, F_p)
+    representation of the candidate's Wirtinger presentation: the pullback
+    of any other is never among the classes enumerated.  max_nodes bounds
+    the search (RepSearchConfig's budget when None).
     """
-    if rho_partial.p != p:
-        raise ValueError("representation is over F_%d, not F_%d"
-                         % (rho_partial.p, p))
     cand_pres = wirtinger(candidate_partial)
-    if len(rho_partial.matrices) != cand_pres.num_generators:
-        raise ValueError("representation does not fit the candidate's "
-                         "Wirtinger presentation")
     if not verify_representation(cand_pres, rho_partial):
         raise ValueError("representation fails the candidate's relators")
     if rho_partial.d != 2 or rho_partial.is_abelian:
@@ -538,9 +532,8 @@ def even_symun_obstruction(K, candidate_partial, p, rho_partial,
                          "classes of K are enumerated")
     _, target = _factorization_target(deficiency_one(cand_pres), rho_partial)
     pres = wirtinger(K)
-    cfg = search or RepSearchConfig(p=p)
-    if cfg.p != p:
-        raise ValueError("search config prime differs from p")
+    cfg = RepSearchConfig(p=rho_partial.p) if max_nodes is None else \
+        RepSearchConfig(p=rho_partial.p, max_nodes=max_nodes)
     reps = enumerate_sl2(pres, cfg)  # SearchBudgetExceeded propagates
     polys = _rep_polynomials(deficiency_one(pres), reps)
     evidence = []

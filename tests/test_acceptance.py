@@ -84,8 +84,7 @@ def test_criterion_3_rho0_on_6_1():
     # 6_1 is the 2-bridge knot b(9/2); since 2*5 = 1 (mod 9) the pair
     # (x, y) realizes it through the b(9/5) braid-word presentation
     pres = two_bridge_presentation(9, 5)
-    rho = Representation(presentation=pres, p=7, d=2,
-                         matrices=(RHO0_X, RHO0_Y))
+    rho = Representation(p=7, d=2, matrices=(RHO0_X, RHO0_Y))
     assert verify_representation(pres, rho)
     tw = twisted_alexander(pres, rho)
     one = RationalFn(LaurentPoly.one(GF(7)), LaurentPoly.one(GF(7)))
@@ -105,9 +104,9 @@ def test_criterion_4_obstruction_11a_201():
     t0 = time.monotonic()
     pres61 = wirtinger(t["6_1"])
     rep_text = (bundled_table_path().parent / "rho0.json").read_text()
-    rho0 = rep_from_json(rep_text, pres61)
+    rho0 = rep_from_json(rep_text)
     assert verify_representation(pres61, rho0)
-    out = even_symun_obstruction(t["11a_201"], t["6_1"], 7, rho0)
+    out = even_symun_obstruction(t["11a_201"], t["6_1"], rho0)
     # hard assertion: no nonabelian SL(2,F_7) rep of G(11a_201) matches the
     # target Delta_{6_1,rho_0}^2 * det(rho_0(mu) t - I) = t^2 + 3t + 1
     assert out["verdict"] == "obstructed"

@@ -154,6 +154,12 @@ class TestExitCodes:
         assert "1 nodes used" in err
         assert "reached trace 0 of 0..4" in err
 
+    def test_obstruct_budget_error(self, capsys, isolated_home):
+        # --max-nodes bounds the search over K's classes
+        assert main(["obstruct", "11a_201", "--candidate", "6_1", "--p", "7",
+                     "--rep", "rho0.json", "--max-nodes", "1"]) == 3
+        assert "1 nodes used" in capsys.readouterr().err
+
     def test_zero_budget_rejected(self, capsys, isolated_home):
         # a budget of 0 is rejected like a negative one, not read as unset
         for budget in ("0", "-5"):
@@ -402,6 +408,42 @@ class TestCommands:
         assert main(["talex", "3_1", "--p", "5", "--rep", str(rep)]) == 1
         err = capsys.readouterr().err
         assert "singular" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, arcs", [
+        (["obstruct", "11a_201", "--candidate", "6_1", "--p", "7"], 6),
+        (["talex", "3_1", "--p", "7"], 3)])
+    def test_rep_with_the_wrong_generator_count(self, capsys, isolated_home,
+                                                argv, arcs):
+        # the count is checked on the command's presentation, not on reading
+        rep = isolated_home / "short.json"
+        rep.write_text(json.dumps({"p": 7,
+                                   "generators": [[[1]]] * (arcs - 1)}))
+        assert main(argv + ["--rep", str(rep)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: matrix count %d does not match the "
+                                "generator count %d\n" % (arcs - 1, arcs))
+        assert captured.out == ""
+
+    def test_symun_verify_builds_the_template_once(self, capsys,
+                                                   isolated_home,
+                                                   monkeypatch):
+        # cmd_symun built it too, beside verify_theorem's memo
+        builds = []
+        build = knotforge.presentation.build_symun_presentation
+        for module in (knotforge.presentation, knotforge.twisted,
+                       knotforge.cli):
+            if hasattr(module, "build_symun_presentation"):
+                monkeypatch.setattr(module, "build_symun_presentation",
+                                    lambda spec: (builds.append(spec),
+                                                  build(spec))[1])
+        knotforge.twisted._symun_presentations.cache_clear()
+        argv = GOLDEN_REPORTS["symun-verify-4_1-p5"]
+        assert main(["--json"] + argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["timing_ms"]
+        assert json.dumps(report, indent=2, sort_keys=True) + "\n" == \
+            _golden("symun-verify-4_1-p5")
+        assert len(builds) == 1
 
     def test_composite_modulus_rep_is_rejected(self, capsys, isolated_home):
         # 3 has no inverse mod 9; the modulus is rejected before any inverse

@@ -134,7 +134,7 @@ class TestTwoBridge:
     def test_f7_pair_on_9_5(self):
         # an explicit SL(2,F_7) pair satisfying the b(9/5) braid relator
         pres = two_bridge_presentation(9, 5)
-        rho = Representation(presentation=pres, p=7, d=2,
+        rho = Representation(p=7, d=2,
                              matrices=(((0, 1), (6, 4)), ((0, 2), (3, 4))))
         assert verify_representation(pres, rho)
 
@@ -142,7 +142,7 @@ class TestTwoBridge:
         mats = (((0, 1), (6, 4)), ((0, 2), (3, 4)))
         for q in (1, 2, 7):
             pres = two_bridge_presentation(9, q)
-            rho = Representation(presentation=pres, p=7, d=2, matrices=mats)
+            rho = Representation(p=7, d=2, matrices=mats)
             assert not verify_representation(pres, rho)
 
 

@@ -533,34 +533,28 @@ class TestDeterminismAndBudget:
 
 class TestSerialization:
     def test_round_trip(self):
-        pres = two_bridge_presentation(9, 5)
-        rho = Representation(presentation=pres, p=7, d=2,
+        rho = Representation(p=7, d=2,
                              matrices=(((0, 1), (6, 4)), ((0, 2), (3, 4))))
-        back = rep_from_json(rep_to_json(rho), pres)
+        back = rep_from_json(rep_to_json(rho))
         assert back.matrices == rho.matrices
         assert back.p == rho.p and back.d == rho.d
 
     def test_bad_json(self):
-        pres = two_bridge_presentation(3, 1)
         with pytest.raises(ValueError):
-            rep_from_json(json.dumps({"p": 5}), pres)
+            rep_from_json(json.dumps({"p": 5}))
         with pytest.raises(ValueError):
-            rep_from_json(json.dumps({"p": 5, "generators": []}), pres)
+            rep_from_json(json.dumps({"p": 5, "generators": []}))
 
     def test_composite_modulus_rejected(self):
         # over Z/9 the entry 3 has no inverse for verify_representation
-        pres = two_bridge_presentation(3, 1)
         with pytest.raises(ValueError, match="9 is not prime"):
-            rep_from_json(json.dumps({"p": 9, "generators": [[[3]], [[3]]]}),
-                          pres)
+            rep_from_json(json.dumps({"p": 9, "generators": [[[3]], [[3]]]}))
 
     @pytest.mark.parametrize("p", [4, None, 7.0])
     def test_modulus_must_be_prime(self, p):
         # p = 4 was accepted, and p = None failed with a bare TypeError
-        pres = two_bridge_presentation(3, 1)
         with pytest.raises(ValueError, match="p must be prime"):
-            Representation(presentation=pres, p=p, d=1,
-                           matrices=(((1,),),) * 2)
+            Representation(p=p, d=1, matrices=(((1,),),) * 2)
 
     @pytest.mark.parametrize("p", [4, None, 7.0])
     def test_search_modulus_must_be_prime(self, p):
@@ -572,11 +566,10 @@ class TestSerialization:
     def test_dimension_below_one_rejected(self):
         # empty matrices used to pass as a d = 0 representation whose every
         # relator evaluates to the empty identity
-        pres = two_bridge_presentation(3, 1)
         with pytest.raises(ValueError, match="at least 1"):
-            Representation(presentation=pres, p=7, d=0, matrices=((), ()))
+            Representation(p=7, d=0, matrices=((), ()))
         with pytest.raises(ValueError, match="at least 1"):
-            rep_from_json(json.dumps({"p": 7, "generators": [[], []]}), pres)
+            rep_from_json(json.dumps({"p": 7, "generators": [[], []]}))
 
     @pytest.mark.parametrize("d, M", [
         (1, ((0,),)),
@@ -585,26 +578,26 @@ class TestSerialization:
     def test_singular_matrices_fail_verification(self, d, M):
         # mat_inv raised ZeroDivisionError out of verify_representation
         pres = wirtinger(parse_pd(TREFOIL))
-        rho = Representation(presentation=pres, p=5, d=d,
-                             matrices=(M,) * pres.num_generators)
+        rho = Representation(p=5, d=d, matrices=(M,) * pres.num_generators)
         assert not verify_representation(pres, rho)
 
     def test_public_constructor_reduces_and_checks_shapes(self):
-        pres = two_bridge_presentation(9, 5)
-        rho = Representation(presentation=pres, p=7, d=2,
+        rho = Representation(p=7, d=2,
                              matrices=[[[7, 8], [-1, 4]], [[0, 9], [3, 11]]])
         assert rho.matrices == (((0, 1), (6, 4)), ((0, 2), (3, 4)))
         assert rho == Representation(
-            presentation=pres, p=7, d=2,
-            matrices=(((0, 1), (6, 4)), ((0, 2), (3, 4))))
+            p=7, d=2, matrices=(((0, 1), (6, 4)), ((0, 2), (3, 4))))
         for d, mats in ((2, (((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0)))),
                         (2, (((1, 0), (0, 1)), ((1,), (0, 1)))),
                         (3, (((1, 0), (0, 1)),) * 2)):
             with pytest.raises(ValueError, match="does not match d="):
-                Representation(presentation=pres, p=7, d=d, matrices=mats)
+                Representation(p=7, d=d, matrices=mats)
 
     def test_matrix_count_enforced(self):
+        # a representation stores no presentation; the count is checked
+        # where the two meet
         pres = two_bridge_presentation(3, 1)
-        with pytest.raises(ValueError):
-            Representation(presentation=pres, p=5, d=2,
-                           matrices=(identity_matrix(2),))
+        rho = Representation(p=5, d=2, matrices=(identity_matrix(2),))
+        with pytest.raises(ValueError, match="^matrix count 1 does not "
+                           "match the generator count 2$"):
+            verify_representation(pres, rho)

@@ -275,14 +275,12 @@ def fox_oracle_cases():
     cases.append(("4_1 trivial F_11", pres, trivial_rep(pres, 11)))
     # GL(1, F_7): every meridian to the unit 3
     cases.append(("4_1 GL(1) F_7", pres, Representation(
-        presentation=pres, p=7, d=1,
-        matrices=(((3,),),) * pres.num_generators)))
+        p=7, d=1, matrices=(((3,),),) * pres.num_generators)))
     # d = 3: the symmetric square of a nonabelian SL(2, F_7) representation
     pres = deficiency_one(wirtinger(table["3_1"]))
     rho = enumerate_sl2(pres, RepSearchConfig(p=7))[0]
     cases.append(("3_1 Sym^2 F_7 d=3", pres, Representation(
-        presentation=pres, p=7, d=3,
-        matrices=tuple(symmetric_square(M) for M in rho.matrices))))
+        p=7, d=3, matrices=tuple(symmetric_square(M) for M in rho.matrices))))
     # a kink: a crossing relator x_a x_a x_b^-1 x_a^-1
     pres = deficiency_one(wirtinger(parse_pd(KINKED_TREFOIL)))
     for i, rho in enumerate(enumerate_sl2(pres, RepSearchConfig(p=5))[:2]):
@@ -416,8 +414,7 @@ def vanishing_case(p, d):
         ((0, 1), (1, -1))))
     one = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
     minus = tuple(tuple((p - 1) * x for x in row) for row in one)
-    rho = Representation(presentation=pres, p=p, d=d,
-                         matrices=(one, minus, one))
+    rho = Representation(p=p, d=d, matrices=(one, minus, one))
     return ("vanishing F_%d d=%d" % (p, d), pres, rho, 2)
 
 
@@ -440,7 +437,7 @@ def integer_pencil_cases():
                 tuple("a%d" % g for g in range(n)),
                 tuple(bounded_walk_word(rng, n, rng.randrange(4, 11))
                       for _ in range(n - 1)))
-            rho = Representation(presentation=pres, p=p, d=d, matrices=tuple(
+            rho = Representation(p=p, d=d, matrices=tuple(
                 random_invertible(rng, d, p) for _ in range(n)))
             cases.append(("random F_%d d=%d #%d" % (p, d, i), pres, rho,
                           rng.randrange(n)))
@@ -536,8 +533,7 @@ def live_range_case(p, d):
         ((1, 1),) * 3 + ((0, 1), (2, -1), (0, 1)) + ((2, -1),) * 4))
     one = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
     minus = tuple(tuple((p - 1) * x for x in row) for row in one)
-    rho = Representation(presentation=pres, p=p, d=d,
-                         matrices=(one, one, minus))
+    rho = Representation(p=p, d=d, matrices=(one, one, minus))
     return ("live range F_%d d=%d" % (p, d), pres, rho, 2)
 
 
@@ -560,8 +556,7 @@ def linearized_cases():
                           for _ in range(n - 1)))
                 mats = tuple(random_invertible(rng, d, p)
                              for _ in range(n))
-                rho = Representation(presentation=pres, p=p, d=d,
-                                     matrices=mats)
+                rho = Representation(p=p, d=d, matrices=mats)
                 cases.append(("random F_%d d=%d #%d" % (p, d, i),
                               pres, rho, rng.randrange(n)))
     return cases
@@ -703,8 +698,7 @@ class TestTietzeReduction:
         assert eliminate_identifications(pres) is None
         for p in (5, 7):
             for rho in enumerate_sl2(base, RepSearchConfig(p=p))[:2]:
-                ext = Representation(presentation=pres, p=p, d=2,
-                                     matrices=rho.matrices
+                ext = Representation(p=p, d=2, matrices=rho.matrices
                                      + (rho.matrices[0],))
                 tw = twisted_alexander(pres, ext)
                 assert tw.value == unreduced_wada(pres, ext)
@@ -769,8 +763,7 @@ class TestWadaInvariant:
         pres3 = deficiency_one(wirtinger(pd3))
         pres4 = deficiency_one(wirtinger(pd4))
         rho = enumerate_sl2(pres4, RepSearchConfig(p=5))[0]
-        bad = type(rho)(presentation=pres3, p=5, d=2,
-                        matrices=rho.matrices[:3])
+        bad = type(rho)(p=5, d=2, matrices=rho.matrices[:3])
         with pytest.raises(ValueError):
             twisted_alexander(pres3, bad)
 
@@ -858,8 +851,7 @@ class TestVerifyTheorem:
         split = [rho for rho in reps if rho.matrices[y1] != rho.matrices[y2]]
         assert split
         for rho in split[:3]:
-            bad = Representation(presentation=partial, p=5, d=2,
-                                 matrices=rho.matrices)
+            bad = Representation(p=5, d=2, matrices=rho.matrices)
             assert not verify_representation(partial, bad)
             with pytest.raises(ValueError, match="^representation is not "
                                "valid on the partial presentation produced "
@@ -875,8 +867,7 @@ class TestVerifyTheorem:
         assert twisted.format_fraction(twisted_alexander(union, rho).value) \
             == verify_theorem(spec, rho_partial)["lhs"]
         mats = rho.matrices
-        bad = Representation(presentation=union, p=5, d=2,
-                             matrices=(mats[1],) + mats[1:])
+        bad = Representation(p=5, d=2, matrices=(mats[1],) + mats[1:])
         assert mats[0] != mats[1]
         assert not verify_representation(union, bad)
         with pytest.raises(ValueError, match="does not satisfy the relators"):
@@ -900,13 +891,11 @@ class TestTrustedRepresentations:
         assert reps
         for rho in reps:
             up = lamm_pullback(phi, rho)
-            checked = Representation(presentation=union, p=p, d=2,
-                                     matrices=up.matrices)
+            checked = Representation(p=p, d=2, matrices=up.matrices)
             # entries given as other residues, reduced by the constructor
             shifted = Representation(
-                presentation=union, p=p, d=2,
-                matrices=[[[v - p for v in row] for row in M]
-                          for M in up.matrices])
+                p=p, d=2, matrices=[[[v - p for v in row] for row in M]
+                                    for M in up.matrices])
             assert up == checked == shifted
             assert hash(up) == hash(checked) == hash(shifted)
 
@@ -925,10 +914,8 @@ class TestTrustedRepresentations:
             mats = [None] * reduced.num_generators
             for g, c in enumerate(classes):
                 mats[c] = up.matrices[g]
-            want = Representation(presentation=reduced, p=5, d=2,
-                                  matrices=mats)
+            want = Representation(p=5, d=2, matrices=mats)
             assert seen[-1] == want and hash(seen[-1]) == hash(want)
-            assert seen[-1].presentation is reduced
 
     def test_verify_theorem_reruns_no_validation(self, monkeypatch):
         # with its memos warm, verify_theorem builds the pullback and the
@@ -947,7 +934,7 @@ class TestTrustedRepresentations:
         spec, union, partial, phi, reps = self.setup(5)
         A, B = reps[0].matrices[:2]
         bad = Representation(
-            presentation=partial, p=5, d=2,
+            p=5, d=2,
             matrices=(A,) + (B,) * (partial.num_generators - 1))
         with pytest.raises(ValueError, match="not valid on the partial"):
             verify_theorem(spec, bad)
@@ -1004,7 +991,7 @@ class TestVerifyTheoremMemos:
         verify_theorem(spec, reps[0])
         A, B = reps[0].matrices[0], reps[0].matrices[1]
         bad = Representation(
-            presentation=partial, p=5, d=2,
+            p=5, d=2,
             matrices=(A,) + (B,) * (partial.num_generators - 1))
         assert not verify_representation(partial, bad)
         assert twisted._symun_presentations.cache_info().currsize == 1
@@ -1074,7 +1061,7 @@ class TestObstructions:
         spec = SymUnionSpec(MarkedDiagram(pd, (1, 3)), (2,))
         K = symmetric_union_pd(spec)
         rho = enumerate_sl2(wirtinger(pd), RepSearchConfig(p=5))[0]
-        out = even_symun_obstruction(K, pd, 5, rho)
+        out = even_symun_obstruction(K, pd, rho)
         assert out["verdict"] == "inconclusive"
         assert out["evidence"]
 
@@ -1092,24 +1079,27 @@ class TestObstructions:
         for rho in [trivial_rep(pres, 5)] + abelian:
             with pytest.raises(ValueError, match="needs a nonabelian "
                                r"SL\(2, F_p\) representation"):
-                even_symun_obstruction(K, pd, 5, rho)
+                even_symun_obstruction(K, pd, rho)
 
-    def test_rep_over_another_prime_is_rejected(self):
+    def test_classes_are_searched_over_the_reps_prime(self, monkeypatch):
         # K is an even symmetric union with partial 3_1, so an F_5 class of
         # 3_1 must not obstruct it; compared with K's classes over F_7 it
-        # gave a false "obstructed"
+        # gave a false "obstructed".  The prime is the representation's.
         pd = parse_pd(TREFOIL)
         K = symmetric_union_pd(SymUnionSpec(MarkedDiagram(pd, (1, 3)), (2,)))
         rho = enumerate_sl2(wirtinger(pd), RepSearchConfig(p=5))[0]
-        assert even_symun_obstruction(K, pd, 5, rho)["verdict"] == \
-            "inconclusive"
-        with pytest.raises(ValueError, match="over F_5, not F_7"):
-            even_symun_obstruction(K, pd, 7, rho)
+        primes = []
+        search = twisted.enumerate_sl2
+        monkeypatch.setattr(twisted, "enumerate_sl2", lambda pres, cfg: (
+            primes.append(cfg.p), search(pres, cfg))[1])
+        out = even_symun_obstruction(K, pd, rho)
+        assert primes == [5]
+        assert out["verdict"] == "inconclusive" and out["evidence"]
 
     def test_negative_control_obstructs(self):
         pd = parse_pd(TREFOIL)
         rho = enumerate_sl2(wirtinger(pd), RepSearchConfig(p=5))[0]
-        out = even_symun_obstruction(parse_pd(FIG8), pd, 5, rho)
+        out = even_symun_obstruction(parse_pd(FIG8), pd, rho)
         assert out["verdict"] == "obstructed"
         assert out["evidence"] == []
         assert out["num_reps"] > 0
