@@ -39,10 +39,10 @@ from .presentation import (build_symun_presentation, deficiency_one,
 from .reps import (RepSearchConfig, SearchBudgetExceeded, enumerate_sl2,
                    rep_from_json)
 from .twisted import (_rep_polynomials, _symun_presentations,
-                      classical_alexander, even_symun_obstruction,
-                      even_symun_quick_obstructions, format_fraction,
-                      higher_alexander, knot_determinant, trivial_rep,
-                      twisted_alexander, verify_theorem)
+                      _wirtinger_alexander, classical_alexander,
+                      even_symun_obstruction, even_symun_quick_obstructions,
+                      format_fraction, higher_alexander, knot_determinant,
+                      trivial_rep, twisted_alexander, verify_theorem)
 from .algebra import format_poly
 
 
@@ -398,7 +398,7 @@ def cmd_obstruct(args, table):
         raise DomainError("--rep needs --p")
     inputs["p"] = args.p
     inputs["rep"] = args.rep
-    rho = _load_rep(args.rep, wirtinger(cand), args.p)
+    rho = _load_rep(args.rep, _wirtinger_alexander(cand)[0], args.p)
     try:
         verdict = even_symun_obstruction(K, cand, rho, args.max_nodes)
     except ValueError as exc:

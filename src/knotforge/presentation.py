@@ -264,47 +264,84 @@ def deficiency_one(pres):
                              is_wirtinger=pres.is_wirtinger)
 
 
-def eliminate_identifications(pres):
-    """Tietze-eliminate the generators that relators x_a x_b^-1 (in either
-    orientation) identify: each class of identified generators keeps its
-    lowest index, so generator 0 survives, and the other relators, the
-    meridian and the longitude are rewritten on the kept generators and
-    freely reduced.  Returns (reduced presentation, classes), classes[g]
-    the index of g's kept generator in the reduced presentation; None when
-    no relator is an identification or when one closes a cycle (it would
-    reduce to the empty word and change the deficiency)."""
-    n = pres.num_generators
-    root = list(range(n))
+def _fox_span(word, drop):
+    """How many powers of t the Fox row of word spans, column drop removed,
+    its exponents read as `twisted._fox_program` reads them."""
+    exps, e = set(), 0
+    for g, s in word:
+        if g != drop:
+            exps.add(e if s > 0 else e - 1)
+        e += s
+    return max(exps) - min(exps) + 1 if exps else 0
 
-    def find(g):
-        while root[g] != g:
-            g = root[g]
-        return g
 
-    rest = []
-    for r in pres.relators:
-        if len(r) == 2 and r[0][0] != r[1][0] and r[0][1] == -r[1][1]:
-            a, b = sorted((find(r[0][0]), find(r[1][0])))
-            if a == b:
-                return None
-            root[b] = a
+def _substitute(relator, g, image, inverse):
+    """relator with g replaced by image (g^-1 by inverse), freely and
+    cyclically reduced: a conjugate relator's Fox row differs by a unit."""
+    letters = []
+    for h, e in relator:
+        if h != g:
+            letters.append((h, e))
         else:
-            rest.append(r)
-    if len(rest) == len(pres.relators):
-        return None
-    roots = [find(g) for g in range(n)]
-    kept = sorted(set(roots))
-    index = {g: i for i, g in enumerate(kept)}
-    classes = tuple(index[g] for g in roots)
-    images = [((c, 1),) for c in classes]
-    reduced = GroupPresentation(
+            letters.extend(image if e > 0 else inverse)
+    w = reduce_word(letters)
+    while len(w) > 1 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
+        w = w[1:-1]
+    return w
+
+
+def eliminate_generators(pres, keep):
+    """Tietze-eliminate generators of pres other than keep and the meridian.
+    A generator g that occurs once in a relator r is replaced everywhere by
+    the rest of r, inverted as needed, and r is dropped, if every relator so
+    rewritten is nonempty and its Fox row, column keep removed, spans at
+    most two powers of t: so the deficiency is kept and the Fox pencil needs
+    no auxiliary rows.  The relators are scanned in order, each one's
+    letters in order, until nothing changes.  Returns (reduced presentation
+    without longitude, kept), kept the indices in pres of its generators."""
+    rels = list(pres.relators)
+    occurs = [set() for _ in pres.names]  # the relators each generator is in
+    for i, r in enumerate(rels):
+        for g, _ in r:
+            occurs[g].add(i)
+    gone, changed = set(), True
+    while changed:
+        changed = False
+        for i, r in enumerate(rels):
+            gens = [h for h, _ in r or ()]
+            for pos, (g, s) in enumerate(r or ()):
+                if g in (keep, pres.meridian) or gens.count(g) > 1:
+                    continue
+                image = r[pos + 1:] + r[:pos]
+                inverse = inverse_word(image)
+                if s > 0:
+                    image, inverse = inverse, image
+                new = [(i, None)]  # r is dropped, the others rewritten
+                for k in occurs[g] - {i}:
+                    w = _substitute(rels[k], g, image, inverse)
+                    if not w or _fox_span(w, keep) > 2:
+                        break
+                    new.append((k, w))
+                else:
+                    break  # g goes
+            else:
+                continue  # r keeps all its generators
+            for k, w in new:
+                for h, _ in rels[k]:
+                    occurs[h].discard(k)
+                for h, _ in w or ():
+                    occurs[h].add(k)
+                rels[k] = w
+            gone.add(g)
+            changed = True
+    kept = tuple(g for g in range(len(pres.names)) if g not in gone)
+    index = {g: c for c, g in enumerate(kept)}
+    return GroupPresentation(
         tuple(pres.names[g] for g in kept),
-        tuple(map_word(r, images) for r in rest),
-        meridian=classes[pres.meridian],
-        longitude=(None if pres.longitude is None
-                   else map_word(pres.longitude, images)),
-        is_wirtinger=pres.is_wirtinger)
-    return reduced, classes
+        tuple(tuple((index[h], e) for h, e in r)
+              for r in rels if r is not None),
+        meridian=index[pres.meridian],
+        is_wirtinger=pres.is_wirtinger), kept
 
 
 # -- symmetric-union template ------------------------------------------------

@@ -13,10 +13,9 @@ every generator going to t.  `_fox_pencil` turns these rows into the one
 kind of matrix, a `Pencil` (over F_p for `fox_matrix`, over Z for the
 Alexander pencil), linearizing the rows of higher degree in t with
 auxiliary rows and columns.
-`twisted_alexander` first eliminates the generators that relators
-x_a x_b^-1 identify (a Tietze move, which changes the invariant by a unit
-only), so the identification rows of the symmetric-union template never
-reach the determinant.  Every determinant, the Wada numerator and the
+`twisted_alexander` first runs the Tietze pass `eliminate_generators`, a
+unit change of the invariant that shrinks the pencil and adds no auxiliary
+rows.  Every determinant, the Wada numerator and the
 denominator det(rho(x_j)t - I) alike, goes through `pencil_det`.  The
 classical Alexander polynomial is a single maximal minor of the abelianized
 Fox matrix over Z[t, t^-1], an integer pencil deflated modulo one Mersenne
@@ -36,8 +35,7 @@ from functools import lru_cache
 from .algebra import (GF, QQ, ZZ, LaurentPoly, canonicalize, divmod_poly,
                       format_poly, reduce_fraction, unit_equal)
 from .presentation import (build_symun_presentation, deficiency_one,
-                           eliminate_identifications, lamm_pullback,
-                           wirtinger)
+                           eliminate_generators, lamm_pullback, wirtinger)
 from .reps import (Representation, RepSearchConfig, enumerate_sl2, inverses,
                    verify_representation, word_prefixes)
 from ._fastdet import Pencil, _int_pencil_det, pencil_det
@@ -212,8 +210,7 @@ def _gen_minus_one_det(rho, g):
         [list(row) for row in rho.matrices[g]]))
 
 
-_identifications_eliminated = lru_cache(maxsize=_MEMO_SIZE)(
-    eliminate_identifications)
+_generators_eliminated = lru_cache(maxsize=_MEMO_SIZE)(eliminate_generators)
 
 
 def twisted_alexander(pres, rho, drop_column="auto"):
@@ -221,11 +218,10 @@ def twisted_alexander(pres, rho, drop_column="auto"):
     a deficiency-1 presentation; drop_column "auto" removes the first
     generator's column (its denominator has unit leading coefficient, hence
     is never zero).  rho is checked on pres; the determinants are taken on
-    pres with the generators that its relators x_a x_b^-1 identify
-    eliminated (memoized), under rho restricted to the kept generators and
-    with column j moved to its class.  The invariant changes by a unit
-    +-t^k under Tietze moves (Wada 1994), which the canonical form of the
-    reduced fraction removes."""
+    the presentation that `eliminate_generators` leaves of pres with column
+    j kept (memoized), under rho restricted to the kept generators.  The
+    invariant changes by a unit under Tietze moves (Wada 1994), which the
+    canonical form of the reduced fraction removes."""
     if pres.deficiency != 1:
         raise ValueError("Wada's invariant needs a deficiency-1 presentation,"
                          " got deficiency %d" % pres.deficiency)
@@ -242,47 +238,45 @@ def _twisted_alexander(pres, rho, drop_column="auto"):
     j = 0 if drop_column == "auto" else drop_column
     if not (0 <= j < pres.num_generators):
         raise ValueError("drop_column out of range")
-    reduced = _identifications_eliminated(pres)
-    if reduced is not None:
-        pres, classes = reduced
-        # identified generators have equal images, as rho satisfies pres
-        mats = [None] * pres.num_generators
-        for g, c in enumerate(classes):
-            mats[c] = rho.matrices[g]
-        rho = Representation._trusted(rho.p, rho.d, tuple(mats))
-        j = classes[j]
+    pres, kept = _generators_eliminated(pres, j)
+    # rho satisfies pres, so it maps each eliminated generator to its word
+    rho = Representation._trusted(rho.p, rho.d,
+                                  tuple(rho.matrices[g] for g in kept))
+    j = kept.index(j)
     num = pencil_det(fox_matrix(pres, rho, drop=j))
     den = _gen_minus_one_det(rho, j)
     return TwistedPolynomial(reduce_fraction(num, den), rho.d)
 
 
-def _alexander_pencil(pd):
+def _alexander_pencil(pres):
     """Integer matrices (A0, A1) with det(A0 + t*A1) = Delta_K up to a unit:
-    the first N-1 relator rows of the abelianized Wirtinger Fox matrix with
-    column 0 dropped, each row shifted to be linear in t.
+    the first N-1 relator rows of the abelianized Fox matrix of a Wirtinger
+    presentation with column 0 dropped, each row shifted to be linear in t.
 
     Every Wirtinger relator r has exponent sum 0, so the fundamental formula
     sum_j (dr/dx_j)(x_j - 1) = r - 1 makes every row sum to 0; the N maximal
     minors of the (N-1) x N relator block are then equal up to sign, and
     this one is their GCD."""
-    ncols, rows = _fox_rows(wirtinger(pd), None, 0)
+    ncols, rows = _fox_rows(pres, None, 0)
     pencil = _fox_pencil(ncols, rows[:ncols], ZZ)
     return pencil.A0, pencil.A1
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _alexander_coefficients(pd):
-    """Integer coefficients, lowest first, of the determinant of pd's
-    Alexander pencil (Delta_K up to a unit), memoized on the diagram (a
-    `PDCode` hashes by its crossings), so that Delta_K and det K of one
-    diagram share one Wirtinger presentation and one modular deflation;
-    checked against Delta(1) = +-1, the sum of the coefficients."""
-    coeffs = tuple(_int_pencil_det(*_alexander_pencil(pd)))
+def _wirtinger_alexander(pd):
+    """pd's Wirtinger presentation and the integer coefficients, lowest
+    first, of the determinant of its Alexander pencil (Delta_K up to a
+    unit), memoized on the diagram (a `PDCode` hashes by its crossings), so
+    that Delta_K, det K, the higher polynomials and the obstruction of one
+    diagram share one presentation and Delta_K and det K one modular
+    deflation; checked against Delta(1) = +-1, the sum of the coefficients."""
+    pres = wirtinger(pd)
+    coeffs = tuple(_int_pencil_det(*_alexander_pencil(pres)))
     at_one = sum(coeffs)
     if at_one not in (1, -1):
         raise AssertionError("Alexander polynomial fails Delta(1) = +-1 "
                              "(got %s)" % at_one)
-    return coeffs
+    return pres, coeffs
 
 
 def classical_alexander(pd):
@@ -291,7 +285,7 @@ def classical_alexander(pd):
     of its integer pencil by one modular deflation (memoized per diagram);
     checked against Delta(1) = +-1."""
     return canonicalize(LaurentPoly(ZZ, dict(enumerate(
-        _alexander_coefficients(pd)))))
+        _wirtinger_alexander(pd)[1]))))
 
 
 def _smith_invariants(pencil):
@@ -394,7 +388,7 @@ def _alexander_invariants(pd):
     matrix: every row sums to zero, so column 0 is minus the sum of the
     other columns, and the dropped relator follows from the others, so its
     row lies in the span of the remaining rows."""
-    A0, A1 = _alexander_pencil(pd)
+    A0, A1 = _alexander_pencil(_wirtinger_alexander(pd)[0])
     return len(A0) + 1, tuple(_smith_invariants(Pencil(QQ, A0, A1)))
 
 
@@ -422,7 +416,7 @@ def knot_determinant(pd):
     cover: the alternating sum of the coefficients of the Alexander pencil's
     determinant, the same memoized determinant that classical_alexander
     reads; checked against Delta(1) = +-1."""
-    coeffs = _alexander_coefficients(pd)
+    coeffs = _wirtinger_alexander(pd)[1]
     return abs(sum(coeffs[0::2]) - sum(coeffs[1::2]))
 
 
@@ -443,13 +437,11 @@ def _symun_presentations(spec):
     return build_symun_presentation(spec)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _partial_target(pres, rho):
-    """_factorization_target of a partial presentation under a
-    representation that verify_theorem has checked, memoized on the two (a
-    representation hashes by its prime and matrices): the twist vectors of
-    one partial diagram share their partial presentation."""
-    return _factorization_target(pres, rho)
+# _factorization_target of a partial presentation under a representation
+# that verify_theorem has checked, memoized on the two (a representation
+# hashes by its prime and matrices): the twist vectors of one partial
+# diagram share their partial presentation
+_partial_target = lru_cache(maxsize=_MEMO_SIZE)(_factorization_target)
 
 
 def verify_theorem(spec, rho_partial):
@@ -521,9 +513,9 @@ def even_symun_obstruction(K, candidate_partial, rho_partial,
     would have to appear).  rho_partial must be a nonabelian SL(2, F_p)
     representation of the candidate's Wirtinger presentation: the pullback
     of any other is never among the classes enumerated.  max_nodes bounds
-    the search (RepSearchConfig's budget when None).
-    """
-    cand_pres = wirtinger(candidate_partial)
+    the search (RepSearchConfig's budget when None).  Both presentations
+    come from the diagrams' memo with Delta (`_wirtinger_alexander`)."""
+    cand_pres = _wirtinger_alexander(candidate_partial)[0]
     if not verify_representation(cand_pres, rho_partial):
         raise ValueError("representation fails the candidate's relators")
     if rho_partial.d != 2 or rho_partial.is_abelian:
@@ -531,7 +523,7 @@ def even_symun_obstruction(K, candidate_partial, rho_partial,
                          "representation of the candidate; only those "
                          "classes of K are enumerated")
     _, target = _factorization_target(deficiency_one(cand_pres), rho_partial)
-    pres = wirtinger(K)
+    pres = _wirtinger_alexander(K)[0]
     cfg = RepSearchConfig(p=rho_partial.p) if max_nodes is None else \
         RepSearchConfig(p=rho_partial.p, max_nodes=max_nodes)
     reps = enumerate_sl2(pres, cfg)  # SearchBudgetExceeded propagates

@@ -6,15 +6,19 @@ one-sided F_p deflation (the route `_fastdet._pencil_det_gf` took before it
 deflated both ends of the pencil), the Laurent-polynomial route of
 `reduce_fraction` and `split_pencil`, the reference row shift of
 `twisted._fox_pencil` for rows that are linear in t, the face count of a
-PD code's rotation system, and the Alexander polynomial of a presentation."""
+PD code's rotation system, the Alexander polynomial of a presentation, and
+the SL(2, F_p) classes of the bundled knots, enumerated once per test run."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 from knotforge._fastdet import (Pencil, _expand_constant_rows,
                                _int_pencil_det, _reduce_rows, _regular_det)
 from knotforge.algebra import (ZZ, LaurentPoly, RationalFn, canonicalize,
                                exact_div, gcd_pair)
 from knotforge.cli import KnotTable, bundled_table_path
+from knotforge.presentation import deficiency_one, wirtinger
+from knotforge.reps import RepSearchConfig, enumerate_sl2
 from knotforge.twisted import _alexander_pencil, _fox_pencil, _fox_rows
 
 # -- the symmetric-union grid -------------------------------------------------
@@ -143,7 +147,7 @@ def interpolated_alexander(pd):
     """Delta_K in canonical unit form from the Alexander pencil A0 + t*A1:
     its integer Bareiss determinant at the n + 1 points 0, 1, -1, 2, -2, ...
     (n the pencil's size, which bounds the degree), interpolated."""
-    A0, A1 = _alexander_pencil(pd)
+    A0, A1 = _alexander_pencil(wirtinger(pd))
     xs = [(i + 1) // 2 * (1 if i % 2 else -1) for i in range(len(A0) + 1)]
     ys = [pencil_value(A0, A1, x) for x in xs]
     coeffs = int_interpolate(xs, ys)
@@ -153,7 +157,7 @@ def interpolated_alexander(pd):
 def bareiss_determinant(pd):
     """det K = |Delta_K(-1)|: the integer Bareiss determinant of the
     Alexander pencil at t = -1."""
-    return abs(pencil_value(*_alexander_pencil(pd), -1))
+    return abs(pencil_value(*_alexander_pencil(wirtinger(pd)), -1))
 
 
 # -- the one-sided deflation and the Laurent-polynomial fraction route -------
@@ -234,3 +238,17 @@ def as_pencil(M):
     pencil = split_pencil(sparse_rows(M), M.cols, M.domain)
     assert pencil is not None, "a row is not linear in t"
     return pencil
+
+
+# -- the classes of the bundled knots ----------------------------------------
+
+BUNDLED = KnotTable.parse(bundled_table_path().read_text(), origin="bundled")
+
+
+@lru_cache(maxsize=None)
+def bundled_classes(name, p):
+    """Every SL(2, F_p) class, abelian ones included, of the bundled knot
+    name's deficiency-1 Wirtinger presentation; shared by the test modules,
+    so that each knot and prime is enumerated once."""
+    return enumerate_sl2(deficiency_one(wirtinger(BUNDLED[name])),
+                         RepSearchConfig(p=p, nonabelian_only=False))

@@ -29,7 +29,7 @@ def cold_alexander_memo():
     """Each command starts without memoized Alexander determinants or
     invariant factors, so what it builds does not depend on which tests ran
     before it."""
-    knotforge.twisted._alexander_coefficients.cache_clear()
+    knotforge.twisted._wirtinger_alexander.cache_clear()
     knotforge.twisted._alexander_invariants.cache_clear()
 
 
@@ -444,6 +444,31 @@ class TestCommands:
         assert json.dumps(report, indent=2, sort_keys=True) + "\n" == \
             _golden("symun-verify-4_1-p5")
         assert len(builds) == 1
+
+    def test_obstruct_builds_each_presentation_once(self, capsys,
+                                                    isolated_home,
+                                                    monkeypatch):
+        # Delta, det K, the rep check and the obstruction share one
+        # Wirtinger presentation per diagram, each build walking the arcs
+        # of its diagram once; the parent built the candidate's three times
+        # and K's twice.  A second run in the process builds neither again
+        for module in (knotforge.presentation, knotforge.twisted):
+            for memo in vars(module).values():
+                if hasattr(memo, "cache_clear"):
+                    memo.cache_clear()
+        walks = []
+        subarcs = PDCode.subarcs
+        monkeypatch.setattr(PDCode, "subarcs", lambda pd, *args, **kw: (
+            walks.append(pd), subarcs(pd, *args, **kw))[1])
+        table = default_table()
+        argv = ["obstruct", "11a_201", "--candidate", "6_1", "--p", "7",
+                "--rep", "rho0.json"]
+        for _ in range(2):
+            data = self.run_json(capsys, argv)
+            assert data["results"]["verdict"] == "obstructed"
+            assert len(walks) == 2
+            assert {walks.count(table[name])
+                    for name in ("11a_201", "6_1")} == {1}
 
     def test_composite_modulus_rep_is_rejected(self, capsys, isolated_home):
         # 3 has no inverse mod 9; the modulus is rejected before any inverse

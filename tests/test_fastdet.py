@@ -387,8 +387,8 @@ class TestTwoSidedDeflation:
 
     def test_grid_union_charpoly_runs_at_the_span(self, monkeypatch):
         # the widest union pencil of the symmetric-union grid: 6_1 with
-        # twists (4, 4, -4), 48 x 48 after the Tietze reduction; its
-        # determinant has degree 28 and lowest term t^20
+        # twists (4, 4, -4), 30 x 30 after the Tietze pass; its
+        # determinant has degree 30 and lowest term t^22
         table = KnotTable.parse(bundled_table_path().read_text())
         pd = table["6_1"]
         edges = sorted(pd.edges)
@@ -404,15 +404,15 @@ class TestTwoSidedDeflation:
                             lambda M: (pencils.append(M), pencil_det_(M))[1])
         twisted._twisted_alexander(union, rho)
         A = max(pencils, key=lambda M: M.rows)
-        assert A.rows == 48
+        assert A.rows == 30
         sizes = charpoly_sizes(monkeypatch)
         got = _fastdet._pencil_det_gf([list(r) for r in A.A0],
                                       [list(r) for r in A.A1], 5)
         assert sizes == [8]
-        assert len(got) == 29 and got[:20] == [0] * 20 and got[20]
+        assert len(got) == 31 and got[:22] == [0] * 22 and got[22]
         assert one_sided_pencil_det([list(r) for r in A.A0],
                                     [list(r) for r in A.A1], 5) == got
-        assert sizes == [8, 28]
+        assert sizes == [8, 30]
 
 
 def int_coeffs(f):
@@ -515,8 +515,9 @@ class TestIntPencilDet:
         # an abelianized Wirtinger pencil that 2^61 - 1 bounds
         seen = spy_moduli(monkeypatch)
         for _, pd, marks, ms in grid_cells():
-            A0, A1 = _alexander_pencil(symmetric_union_pd(SymUnionSpec(
-                MarkedDiagram(pd, marks), tuple(2 * m for m in ms))))
+            A0, A1 = _alexander_pencil(wirtinger(symmetric_union_pd(
+                SymUnionSpec(MarkedDiagram(pd, marks),
+                             tuple(2 * m for m in ms)))))
             _int_pencil_det(A0, A1)
         assert seen == [(1 << 61) - 1] * 36
 

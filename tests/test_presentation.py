@@ -7,8 +7,8 @@ from knotforge.diagram import (MarkedDiagram, SymUnionSpec, parse_pd,
                                symmetric_union_pd)
 from knotforge.presentation import (GroupPresentation, GroupRingElt,
                                     build_symun_presentation, concat,
-                                    deficiency_one,
-                                    eliminate_identifications, format_word,
+                                    deficiency_one, eliminate_generators,
+                                    format_word,
                                     fox_derivative, inverse_word,
                                     lamm_pullback, map_word, parse_word,
                                     reduce_word, two_bridge_presentation,
@@ -347,46 +347,68 @@ class TestTemplateAgainstUnionPD:
 
 
 class TestEliminateIdentifications:
-    def test_merges_into_the_lowest_index(self):
-        # x3 = x1 and x2 = x4 (either orientation); x0 x1 x0^-1 x4^-1 stays
+    """The Tietze pass, identifications x_a x_b^-1 being its two-letter
+    case."""
+
+    def test_eliminates_in_scan_order(self):
+        # x3 x1^-1 gives b = d (d is the meridian and stays), then
+        # a d a^-1 e^-1 gives e = a d a^-1, then c^-1 a d a^-1 drops c: the
+        # kept generator a and the meridian are left, with no relator
         pres = GroupPresentation(
             ("a", "b", "c", "d", "e"),
             (((3, 1), (1, -1)), ((0, 1), (1, 1), (0, -1), (4, -1)),
              ((2, -1), (4, 1))),
             meridian=3, longitude=((3, 1), (4, -1)))
-        reduced, classes = eliminate_identifications(pres)
-        assert classes == (0, 1, 2, 1, 2)
-        assert reduced.names == ("a", "b", "c")
-        assert reduced.relators == (((0, 1), (1, 1), (0, -1), (2, -1)),)
-        assert reduced.meridian == 1
-        assert reduced.longitude == ((1, 1), (2, -1))
+        reduced, kept = eliminate_generators(pres, 0)
+        assert kept == (0, 3)
+        assert reduced.names == ("a", "d") and reduced.relators == ()
+        assert reduced.meridian == 1 and reduced.longitude is None
         assert reduced.deficiency == pres.deficiency
+        # with b kept, the identification of b and the meridian d stays
+        reduced, kept = eliminate_generators(pres, 1)
+        assert kept == (0, 1, 3) and reduced.meridian == 2
+        assert reduced.relators == (((2, 1), (1, -1)),)
 
     def test_nothing_to_eliminate(self):
+        # each elimination would give a relator whose Fox row spans three
+        # powers of t
         pres = deficiency_one(wirtinger(parse_pd(TREFOIL)))
-        assert eliminate_identifications(pres) is None
+        reduced, kept = eliminate_generators(pres, 0)
+        assert kept == (0, 1, 2)
+        assert reduced.relators == pres.relators
 
     def test_cycle_falls_back(self):
-        # x1 = x2, x2 = x3, x3 = x1: the third closes a cycle
+        # x1 = x2, x2 = x3, x3 = x1: x2 goes, then the cycle x1 = x3 said
+        # twice stays, as eliminating x3 would empty the other relator
         pres = GroupPresentation(
             ("x1", "x2", "x3", "x4"),
             (((0, 1), (1, -1)), ((1, 1), (2, -1)), ((2, 1), (0, -1))))
-        assert eliminate_identifications(pres) is None
+        reduced, kept = eliminate_generators(pres, 0)
+        assert kept == (0, 2, 3)
+        assert reduced.relators == (((0, 1), (1, -1)), ((1, 1), (0, -1)))
+        assert reduced.deficiency == 1
+
+    def test_empty_relator_is_kept(self):
+        # a relator that reduces to 1 stays a (zero) Fox row: dropping it
+        # would change the deficiency
+        pres = GroupPresentation(("x1", "x2"), (((0, 1), (0, -1)),))
+        reduced, kept = eliminate_generators(pres, 0)
+        assert kept == (0, 1) and reduced.relators == ((),)
 
     def test_symmetric_unions_shrink_to_their_arcs(self):
-        # the template's cut points, v1 and the chain ends go; one generator
-        # more than the union diagram has arcs is left (deficiency 1 against
-        # the Wirtinger presentation's 0), and the partial knot keeps its arcs
-        # plus one likewise
+        # the template's cut points, v1 and the chain ends go, and so do
+        # crossing generators: a union keeps at most as many generators as
+        # its diagram has arcs, and the partial knot as many as its own
         pd = parse_pd(TREFOIL)
+        sizes = []
         for marks, twists in (((1, 3), (2,)), ((1, 3, 5), (2, -2)),
                               ((1, 2, 4, 5), (0, 2, -4))):
             spec = SymUnionSpec(MarkedDiagram(pd, marks), twists)
             union, partial, _ = build_symun_presentation(spec)
             for pres, arcs in ((union, wirtinger(symmetric_union_pd(spec))
                                 .num_generators), (partial, pd.n)):
-                reduced, classes = eliminate_identifications(pres)
-                assert reduced.num_generators == arcs + 1
+                reduced, kept = eliminate_generators(pres, 0)
+                sizes.append((reduced.num_generators, arcs))
                 assert reduced.deficiency == pres.deficiency == 1
-                assert classes[0] == 0 and reduced.is_wirtinger
-                assert all(len(r) == 4 for r in reduced.relators)
+                assert kept[0] == 0 and reduced.is_wirtinger
+        assert sizes == [(8, 8), (3, 3), (10, 10), (3, 3), (9, 12), (3, 3)]

@@ -19,6 +19,8 @@ from knotforge.reps import (RepSearchConfig, Representation,
                             verify_representation, word_prefixes)
 from knotforge.twisted import _rep_polynomials, twisted_alexander
 
+from support import bundled_classes
+
 BUNDLED = KnotTable.load(bundled_table_path())
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
@@ -469,8 +471,7 @@ class TestSignTwins:
         # twin of rho is SL(2, F_p)-conjugate to D(-rho)D^-1, and its
         # derived polynomial is twisted_alexander's
         pres = deficiency_one(wirtinger(BUNDLED[name]))
-        reps = enumerate_sl2(pres, RepSearchConfig(p=p,
-                                                   nonabelian_only=False))
+        reps = bundled_classes(name, p)
         twins = reps.twins
         assert len(twins) == len(reps)
         group = all_sl2(p)

@@ -16,8 +16,8 @@ from knotforge.diagram import (MarkedDiagram, PDCode, SymUnionSpec, parse_pd,
                                symmetric_union_pd)
 from knotforge.presentation import (GroupPresentation,
                                     build_symun_presentation, deficiency_one,
-                                    eliminate_identifications,
-                                    fox_derivative, lamm_pullback,
+                                    eliminate_generators, fox_derivative,
+                                    lamm_pullback,
                                     two_bridge_presentation, wirtinger,
                                     word_exponent_sum)
 from knotforge.reps import (RepSearchConfig, Representation, enumerate_sl2,
@@ -28,8 +28,9 @@ from knotforge.twisted import (classical_alexander, even_symun_obstruction,
                                knot_determinant, trivial_rep,
                                twisted_alexander, verify_theorem)
 
-from support import (bareiss_determinant, grid_cells, interpolated_alexander,
-                     sparse_rows, split_pencil)
+from support import (BUNDLED, bareiss_determinant, bundled_classes,
+                     grid_cells, interpolated_alexander, sparse_rows,
+                     split_pencil)
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
@@ -177,7 +178,7 @@ class TestClassicalAlexander:
             return call
         for name in calls:
             monkeypatch.setattr(twisted, name, counted(name))
-        twisted._alexander_coefficients.cache_clear()
+        twisted._wirtinger_alexander.cache_clear()
         pd = parse_pd(SIX_ONE)
         assert classical_alexander(pd) == P("2*t^2 - 5*t + 2")
         assert knot_determinant(pd) == 9
@@ -186,11 +187,11 @@ class TestClassicalAlexander:
     def test_delta_at_one_is_checked(self, monkeypatch):
         # 1 + 2t has Delta(1) = 3; neither entry point may return a value
         monkeypatch.setattr(twisted, "_int_pencil_det", lambda A0, A1: [1, 2])
-        twisted._alexander_coefficients.cache_clear()
+        twisted._wirtinger_alexander.cache_clear()
         for entry in (classical_alexander, knot_determinant):
             with pytest.raises(AssertionError, match="Delta\\(1\\)"):
                 entry(parse_pd(TREFOIL))
-        assert twisted._alexander_coefficients.cache_info().currsize == 0
+        assert twisted._wirtinger_alexander.cache_info().currsize == 0
 
     @over_oracle_diagrams
     def test_fox_rows_sum_to_zero(self, pd):
@@ -651,24 +652,67 @@ def tietze_oracle_cases():
 TIETZE_CASES = tietze_oracle_cases()
 
 
+def bundled_oracle_cases():
+    """(name, presentation, representation): every bundled knot's
+    deficiency-1 Wirtinger presentation under its first nonabelian
+    SL(2, F_p) class, p = 5 and 7."""
+    cases = []
+    for name in sorted(BUNDLED.entries):
+        pres = deficiency_one(wirtinger(BUNDLED[name]))
+        for p in (5, 7):
+            rho = next(r for r in bundled_classes(name, p)
+                       if not r.is_abelian)
+            cases.append(("%s F_%d" % (name, p), pres, rho))
+    return cases
+
+
+BUNDLED_CASES = bundled_oracle_cases()
+
+
+def check_pass(pres, rho, j):
+    """The Tietze pass keeps column j and the deficiency, its Fox pencil
+    has no auxiliary row, and the invariant equals the one computed on pres
+    itself."""
+    reduced, kept = twisted._generators_eliminated(pres, j)
+    assert j in kept and reduced.deficiency == 1
+    restricted = Representation(p=rho.p, d=rho.d,
+                                matrices=[rho.matrices[g] for g in kept])
+    A = fox_matrix(reduced, restricted, kept.index(j))
+    assert A.rows == len(A.A0[0]) == rho.d * (reduced.num_generators - 1)
+    drop = "auto" if j == 0 else j
+    assert twisted_alexander(pres, rho, drop_column=drop).value == \
+        unreduced_wada(pres, rho, j)
+    return reduced
+
+
 class TestTietzeReduction:
-    @pytest.mark.parametrize("pres, rho", [c[1:] for c in TIETZE_CASES],
+    @pytest.mark.parametrize("i, pres, rho",
+                             [(i, *c[1:]) for i, c in enumerate(TIETZE_CASES)],
                              ids=[c[0] for c in TIETZE_CASES])
-    def test_reduced_matches_unreduced(self, pres, rho):
-        reduced, classes = eliminate_identifications(pres)
+    def test_reduced_matches_unreduced(self, i, pres, rho):
+        reduced = check_pass(pres, rho, 0)
         assert reduced.num_generators < pres.num_generators
-        tw = twisted_alexander(pres, rho)
-        assert tw.value == unreduced_wada(pres, rho)
-        # an explicit column that names an eliminated generator
-        j = next(g for g, c in enumerate(classes)
-                 if classes.index(c) != g)
-        assert twisted_alexander(pres, rho, drop_column=j).value == \
-            unreduced_wada(pres, rho, j)
+        # every fourth explicit column: the four cases of each presentation
+        # (two classes over F_5 and F_7 each) cover all of its columns
+        for j in range(i % 4 or 4, pres.num_generators, 4):
+            check_pass(pres, rho, j)
+
+    @pytest.mark.parametrize("pres, rho", [c[1:] for c in BUNDLED_CASES],
+                             ids=[c[0] for c in BUNDLED_CASES])
+    def test_every_column_of_the_bundled_knots(self, pres, rho):
+        for j in range(pres.num_generators):
+            check_pass(pres, rho, j)
+
+    def test_bundled_knots_shrink(self):
+        sizes = {name: eliminate_generators(deficiency_one(wirtinger(
+            BUNDLED[name])), 0)[0].num_generators for name in BUNDLED.entries}
+        assert sizes == {"3_1": 3, "4_1": 3, "6_1": 5, "8_10": 8, "8_20": 7,
+                         "9_1": 9, "9_24": 8, "10_99": 9, "10_137": 7,
+                         "10_140": 9, "11a_201": 8}
 
     def test_determinants_are_taken_on_the_reduced_presentation(
             self, monkeypatch):
         pres, rho = TIETZE_CASES[-1][1:]
-        reduced, _ = eliminate_identifications(pres)
         sizes = []
 
         def spy(p, r, drop=None):
@@ -676,8 +720,7 @@ class TestTietzeReduction:
             return fox_matrix(p, r, drop)
         monkeypatch.setattr(twisted, "fox_matrix", spy)
         twisted_alexander(pres, rho)
-        n = reduced.num_generators
-        assert sizes == [(n, n, 0)]
+        assert (pres.num_generators, sizes) == (36, [(15, 15, 0)])
 
     def test_cases_cover_the_grid(self):
         names = {c[0].split()[0] for c in TIETZE_CASES}
@@ -687,15 +730,17 @@ class TestTietzeReduction:
 
     def test_repeated_identification_falls_back(self):
         # the trefoil's Wirtinger generators x1, x2, x3, one crossing
-        # relator, and x4 = x1 said twice: a cycle, so nothing is
-        # eliminated; the cycle's two rows are dependent and the invariant
-        # is 0 either way
+        # relator, and x4 = x1 said twice: the crossing relator eliminates
+        # x2, but the cycle is never emptied; its two rows are dependent
+        # and the invariant is 0
         base = deficiency_one(wirtinger(parse_pd(TREFOIL)))
         pres = GroupPresentation(
             base.names + ("x4",),
             base.relators[:1] + (((3, 1), (0, -1)), ((0, 1), (3, -1))))
         assert pres.deficiency == 1
-        assert eliminate_identifications(pres) is None
+        reduced, kept = eliminate_generators(pres, 0)
+        assert kept == (0, 2, 3)
+        assert reduced.relators == (((2, 1), (0, -1)), ((0, 1), (2, -1)))
         for p in (5, 7):
             for rho in enumerate_sl2(base, RepSearchConfig(p=p))[:2]:
                 ext = Representation(p=p, d=2, matrices=rho.matrices
@@ -705,8 +750,7 @@ class TestTietzeReduction:
                 assert tw.value.num.is_zero
 
     def test_memos_are_bounded(self):
-        for memo in (twisted._identifications_eliminated,
-                     twisted._fox_program):
+        for memo in (twisted._generators_eliminated, twisted._fox_program):
             assert memo.cache_info().maxsize == twisted._MEMO_SIZE
 
     def test_program_is_compiled_once_per_presentation(self):
@@ -832,9 +876,10 @@ class TestVerifyTheorem:
         for module in (knotforge.reps, twisted):
             monkeypatch.setattr(module, "inverses", counted)
         assert verify_theorem(spec, rho) == first
-        reduced, _ = twisted._identifications_eliminated(
-            build_symun_presentation(spec)[0])
-        assert sizes == [partial.num_generators, reduced.num_generators]
+        reduced, _ = twisted._generators_eliminated(
+            build_symun_presentation(spec)[0], 0)
+        assert sizes == [partial.num_generators, reduced.num_generators] \
+            == [5, 8]
 
     def test_failed_identification_is_rejected(self):
         # a representation of the cut trefoil's crossing relators alone that
@@ -902,7 +947,7 @@ class TestTrustedRepresentations:
     def test_restricted_rep_equals_the_validated_construction(
             self, monkeypatch):
         _, union, _, phi, reps = self.setup(5)
-        reduced, classes = twisted._identifications_eliminated(union)
+        reduced, kept = twisted._generators_eliminated(union, 0)
         seen = []
         fox = twisted.fox_matrix
         monkeypatch.setattr(twisted, "fox_matrix",
@@ -911,10 +956,8 @@ class TestTrustedRepresentations:
         for rho in reps:
             up = lamm_pullback(phi, rho)
             twisted._twisted_alexander(union, up)
-            mats = [None] * reduced.num_generators
-            for g, c in enumerate(classes):
-                mats[c] = up.matrices[g]
-            want = Representation(p=5, d=2, matrices=mats)
+            want = Representation(p=5, d=2,
+                                  matrices=[up.matrices[g] for g in kept])
             assert seen[-1] == want and hash(seen[-1]) == hash(want)
 
     def test_verify_theorem_reruns_no_validation(self, monkeypatch):
@@ -966,8 +1009,8 @@ class TestVerifyTheoremMemos:
         # found by introspection, so that a new unbounded memo fails here
         memos = {name: f for name, f in vars(twisted).items()
                  if callable(getattr(f, "cache_parameters", None))}
-        assert {"_alexander_coefficients", "_alexander_invariants",
-                "_fox_program", "_identifications_eliminated",
+        assert {"_wirtinger_alexander", "_alexander_invariants",
+                "_fox_program", "_generators_eliminated",
                 "_symun_presentations", "_partial_target"} <= set(memos)
         for name, memo in memos.items():
             assert memo.cache_parameters()["maxsize"] == twisted._MEMO_SIZE, \
