@@ -1,0 +1,43 @@
+"""Value records: plain __slots__ classes with a frozen dataclass's field-wise
+==, hash and repr, so that the package does not import dataclasses."""
+
+from operator import attrgetter
+
+
+class Record:
+    """Base of the package's value records.  A subclass names its fields in
+    _fields (its __slots__, or their leading entries) and sets every slot
+    once in __init__ through _init; assigning a field afterwards raises
+    AttributeError.  == and hash are those of the tuple of fields, as for a
+    frozen dataclass, and pickle and copy rebuild a record through its
+    constructor."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._astuple = property(attrgetter(*cls._fields))
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple == other._astuple
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return self.__class__, self._astuple
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))

@@ -29,9 +29,8 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
-from importlib import resources
 
+from ._record import Record
 from .diagram import (InvalidDiagram, MarkedDiagram, PDCode, SymUnionSpec,
                       format_pd, parse_pd, symmetric_union_pd)
 from .presentation import (build_symun_presentation, deficiency_one,
@@ -136,8 +135,20 @@ def _parse_table(text, origin):
     return tuple(entries.items()), "\n".join(provenance)
 
 
+# the bundled knots.csv and rho0.json, read from the package directory
+_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def _read_bundled(name):
+    with open(os.path.join(_DATA, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def bundled_table_path():
-    return resources.files("knotforge").joinpath("data", "knots.csv")
+    """The bundled knots.csv as a pathlib.Path, imported only here: the
+    commands read the bundled files with _read_bundled."""
+    from pathlib import Path
+    return Path(_DATA, "knots.csv")
 
 
 def user_table_path():
@@ -155,7 +166,7 @@ def default_table(explicit=None):
     user = user_table_path()
     if os.path.exists(user):
         return KnotTable.load(user)
-    return KnotTable.parse(bundled_table_path().read_text(),
+    return KnotTable.parse(_read_bundled("knots.csv"),
                            origin="bundled knots.csv")
 
 
@@ -174,12 +185,16 @@ def resolve_knot(spec, table):
 
 # -- run reports -------------------------------------------------------------
 
-@dataclass
-class RunReport:
-    command: list
-    inputs: dict
-    results: dict
-    timing_ms: float
+class RunReport(Record):
+    """A command's report; unlike the package's other records it is mutable
+    and unhashable."""
+    __slots__ = _fields = ("command", "inputs", "results", "timing_ms")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, command, inputs, results, timing_ms):
+        self._init(command, inputs, results, timing_ms)
 
     def to_json(self):
         payload = {"command": self.command, "inputs": self.inputs,
@@ -246,9 +261,8 @@ def _load_rep(rep_arg, pres, p):
         raise DomainError("rep file %r is not valid UTF-8: %s"
                           % (rep_arg, exc)) from exc
     except OSError as exc:
-        bundled = resources.files("knotforge").joinpath("data", rep_arg)
-        if bundled.is_file():
-            text = bundled.read_text()
+        if os.path.isfile(os.path.join(_DATA, rep_arg)):
+            text = _read_bundled(rep_arg)
         else:
             raise DomainError("cannot read rep file %r: %s" % (rep_arg, exc))
     try:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+
+from ._record import Record
 
 
 class InvalidDiagram(ValueError):
@@ -281,43 +282,41 @@ def pd_to_json(pd):
     return json.dumps([list(c) for c in pd.crossings])
 
 
-@dataclass(frozen=True)
-class MarkedDiagram:
+class MarkedDiagram(Record):
     """A base diagram with distinct marked edges e_0, e_1, ..., e_k; e_0
     hosts the infinity-tangle and each e_i a twist region."""
-    base: PDCode
-    marked_edges: tuple
+    __slots__ = _fields = ("base", "marked_edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "marked_edges", tuple(self.marked_edges))
-        marks = self.marked_edges
+    def __init__(self, base, marked_edges):
+        marks = tuple(marked_edges)
         if len(marks) == 0:
             raise InvalidDiagram("need at least the infinity-tangle mark e_0")
         if len(set(marks)) != len(marks):
             raise InvalidDiagram("marked edges must be distinct")
-        edges = set(self.base.edges)
-        if self.base.n == 0:
-            return  # unknot: marks denote abstract points on the circle
-        missing = [e for e in marks if e not in edges]
-        if missing:
-            raise InvalidDiagram("marked edges %s not in diagram" % missing)
+        # the unknot has no edges: its marks denote abstract points
+        if base.n:
+            edges = set(base.edges)
+            missing = [e for e in marks if e not in edges]
+            if missing:
+                raise InvalidDiagram("marked edges %s not in diagram"
+                                     % missing)
+        self._init(base, marks)
 
     @property
     def k(self):
         return len(self.marked_edges) - 1
 
 
-@dataclass(frozen=True)
-class SymUnionSpec:
+class SymUnionSpec(Record):
     """Partial diagram plus twist counts n_1..n_k (even: all n_i = 2 m_i)."""
-    partial: MarkedDiagram
-    twists: tuple
+    __slots__ = _fields = ("partial", "twists")
 
-    def __post_init__(self):
-        object.__setattr__(self, "twists", tuple(int(n) for n in self.twists))
-        if len(self.twists) != self.partial.k:
+    def __init__(self, partial, twists):
+        twists = tuple(int(n) for n in twists)
+        if len(twists) != partial.k:
             raise InvalidDiagram("got %d twist counts for %d twist regions"
-                                 % (len(self.twists), self.partial.k))
+                                 % (len(twists), partial.k))
+        self._init(partial, twists)
 
     @property
     def is_even(self):

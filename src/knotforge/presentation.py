@@ -11,8 +11,7 @@ crossing sign), which is trivial exactly when out = o^s . in . o^-s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .diagram import InvalidDiagram
 
 
@@ -139,25 +138,29 @@ def fox_derivative(w, j):
 
 # -- presentations -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    names: tuple
-    relators: tuple
-    meridian: int = 0
-    longitude: tuple | None = None
-    is_wirtinger: bool = True
+class GroupPresentation(Record):
+    """Generator names and freely reduced relators; the hash of the fields
+    is computed once, at construction, since every memo keyed on a
+    presentation looks it up."""
+    _fields = ("names", "relators", "meridian", "longitude", "is_wirtinger")
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "relators",
-                          tuple(reduce_word(r) for r in self.relators))
-        if not (0 <= self.meridian < len(self.names)):
+    def __init__(self, names, relators, meridian=0, longitude=None,
+                 is_wirtinger=True):
+        names = tuple(names)
+        relators = tuple(reduce_word(r) for r in relators)
+        if not (0 <= meridian < len(names)):
             raise ValueError("meridian index out of range")
-        if self.is_wirtinger:
-            for r in self.relators:
+        if is_wirtinger:
+            for r in relators:
                 if word_exponent_sum(r) != 0:
                     raise ValueError("relator %s has nonzero exponent sum"
-                                     % format_word(r, self.names))
+                                     % format_word(r, names))
+        self._init(names, relators, meridian, longitude, is_wirtinger,
+                   hash((names, relators, meridian, longitude, is_wirtinger)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def num_generators(self):
@@ -180,29 +183,27 @@ def format_presentation(pres):
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class GeneratorMap:
+class GeneratorMap(Record):
     """Generator-level homomorphism; images of all source relators must be
     target relators or freely reduce to 1 (checked at construction)."""
-    source: GroupPresentation
-    target: GroupPresentation
-    images: tuple
+    __slots__ = _fields = ("source", "target", "images")
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != self.source.num_generators:
+    def __init__(self, source, target, images):
+        images = tuple(images)
+        if len(images) != source.num_generators:
             raise ValueError("need one image per source generator")
         target_rels = set()
-        for r in self.target.relators:
+        for r in target.relators:
             for rr in (r, inverse_word(r)):
                 for i in range(len(rr)):
                     target_rels.add(rr[i:] + rr[:i])
-        for r in self.source.relators:
-            img = map_word(r, self.images)
+        for r in source.relators:
+            img = map_word(r, images)
             if img and img not in target_rels:
                 raise ValueError(
                     "relator image %s is neither trivial nor a target relator"
-                    % format_word(img, self.target.names))
+                    % format_word(img, target.names))
+        self._init(source, target, images)
 
     def __call__(self, w):
         return map_word(w, self.images)

@@ -42,9 +42,9 @@ their centralizers and first-branch orbit representatives are memoized per
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
+from ._record import Record
 from .algebra import _is_prime
 
 
@@ -52,17 +52,15 @@ class SearchBudgetExceeded(RuntimeError):
     """Raised when representation enumeration exceeds its node budget."""
 
 
-@dataclass(frozen=True)
-class RepSearchConfig:
-    p: int
-    nonabelian_only: bool = True
-    max_nodes: int = 2_000_000
+class RepSearchConfig(Record):
+    __slots__ = _fields = ("p", "nonabelian_only", "max_nodes")
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
+    def __init__(self, p, nonabelian_only=True, max_nodes=2_000_000):
+        if not _is_prime(p):
             raise ValueError("p must be prime")
-        if self.max_nodes < 1:
+        if max_nodes < 1:
             raise ValueError("budget must be at least 1")
+        self._init(p, nonabelian_only, max_nodes)
 
 
 # -- matrices over F_p -------------------------------------------------------
@@ -163,38 +161,34 @@ def companion_sl2(s, p):
 
 # -- representation container ------------------------------------------------
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """d x d matrices over F_p, one per generator of some presentation; the
     presentation is not stored, and verify_representation checks the two
     where they meet."""
-    p: int
-    d: int
-    matrices: tuple
+    __slots__ = _fields = ("p", "d", "matrices")
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
+    def __init__(self, p, d, matrices):
+        if not _is_prime(p):
             raise ValueError("p must be prime")
-        mats = tuple(tuple(tuple(v % self.p for v in row) for row in M)
-                     for M in self.matrices)
-        object.__setattr__(self, "matrices", mats)
-        if self.d < 1:
+        mats = tuple(tuple(tuple(v % p for v in row) for row in M)
+                     for M in matrices)
+        if d < 1:
             raise ValueError("representation dimension must be at least 1, "
-                             "got d=%d" % self.d)
+                             "got d=%d" % d)
         for M in mats:
-            if len(M) != self.d or any(len(r) != self.d for r in M):
-                raise ValueError("matrix size does not match d=%d" % self.d)
+            if len(M) != d or any(len(r) != d for r in M):
+                raise ValueError("matrix size does not match d=%d" % d)
+        self._init(p, d, mats)
 
     @classmethod
     def _trusted(cls, p, d, matrices):
         """A representation from a tuple of d x d matrices that are nested
         tuples already reduced mod p, built without the re-reduction and
-        shape checks of __post_init__ (for enumerated classes and the
-        package's own restrictions and pullbacks of checked
+        shape checks of the validating constructor __init__ (for enumerated
+        classes and the package's own restrictions and pullbacks of checked
         representations)."""
         rho = object.__new__(cls)
-        for name, value in (("p", p), ("d", d), ("matrices", matrices)):
-            object.__setattr__(rho, name, value)
+        rho._init(p, d, matrices)
         return rho
 
     def __call__(self, w):

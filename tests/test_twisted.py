@@ -962,13 +962,15 @@ class TestTrustedRepresentations:
 
     def test_verify_theorem_reruns_no_validation(self, monkeypatch):
         # with its memos warm, verify_theorem builds the pullback and the
-        # restriction without Representation.__post_init__
+        # restriction without the validating Representation.__init__
         spec, _, _, _, reps = self.setup(5)
         first = verify_theorem(spec, reps[0])
         calls = []
-        post_init = Representation.__post_init__
-        monkeypatch.setattr(Representation, "__post_init__",
-                            lambda rho: (calls.append(rho), post_init(rho)))
+        init = Representation.__init__
+        monkeypatch.setattr(Representation, "__init__",
+                            lambda rho, *args, **kwargs:
+                            (calls.append(args),
+                             init(rho, *args, **kwargs))[1])
         assert verify_theorem(spec, reps[0]) == first
         assert calls == []
 
