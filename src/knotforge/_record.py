@@ -12,7 +12,7 @@ class Record:
     frozen dataclass, and pickle and copy rebuild a record through its
     constructor."""
 
-    __slots__ = ()
+    __slots__ = ("_cache",)
 
     def __init_subclass__(cls):
         cls._astuple = property(attrgetter(*cls._fields))
@@ -34,6 +34,17 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % name)
+
+    def _derived(self, key, make, *args):
+        """make(*args), made once per key and kept in the _cache slot, which
+        is no field: ==, hash, repr, pickle and copy leave it out."""
+        cache = getattr(self, "_cache", None)
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_cache", cache)
+        if key not in cache:
+            cache[key] = make(*args)
+        return cache[key]
 
     def __reduce__(self):
         return self.__class__, self._astuple

@@ -14,8 +14,8 @@ Exit codes: 0 success (an "obstructed" verdict is a successful verdict),
 `main` and `run` build one argument parser per process and parse a knot
 table once per content: the table file is still read on every call, so an
 edited file or a changed KNOTFORGE_TABLE is seen, but the same text under
-the same origin is validated once.  Nothing computed (representations,
-polynomials, verdicts) is kept from one call to the next.
+the same origin is validated once; its diagrams keep their presentations
+and polynomials as long as that parse.  No representation or verdict is kept.
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ import time
 from ._record import Record
 from .diagram import (InvalidDiagram, MarkedDiagram, PDCode, SymUnionSpec,
                       format_pd, parse_pd, symmetric_union_pd)
-from .presentation import (build_symun_presentation, deficiency_one,
-                           format_presentation, wirtinger)
+from .presentation import build_symun_presentation, format_presentation
 from .reps import (RepSearchConfig, SearchBudgetExceeded, enumerate_sl2,
                    rep_from_json)
-from .twisted import (_rep_polynomials, _symun_presentations,
-                      _wirtinger_alexander, classical_alexander,
+from .twisted import (_deficiency_one, _rep_polynomials, _symun_presentations,
+                      _wirtinger, classical_alexander,
                       even_symun_obstruction, even_symun_quick_obstructions,
                       format_fraction, higher_alexander, knot_determinant,
                       trivial_rep, twisted_alexander, verify_theorem)
@@ -306,7 +305,7 @@ def cmd_alex(args, table):
 
 def cmd_talex(args, table):
     pd = resolve_knot(args.knot, table)
-    pres = deficiency_one(wirtinger(pd))
+    pres = _deficiency_one(_wirtinger(pd))
     inputs = {"knot": args.knot, "p": args.p, "crossings": pd.n}
     if args.enumerate:
         reps = enumerate_sl2(pres, _search_config(args))
@@ -367,7 +366,7 @@ def cmd_symun(args, table):
                           % args.trials)
     inputs["p"] = args.p
     inputs["trials"] = args.trials
-    # the memo verify_theorem reads, so the template is built once
+    # the template kept on spec, which verify_theorem reads
     _, partial_pres, _ = _symun_presentations(spec)
     reps = enumerate_sl2(partial_pres, _search_config(args))
     chosen = reps[:args.trials]  # deterministic: by enumeration index
@@ -412,7 +411,7 @@ def cmd_obstruct(args, table):
         raise DomainError("--rep needs --p")
     inputs["p"] = args.p
     inputs["rep"] = args.rep
-    rho = _load_rep(args.rep, _wirtinger_alexander(cand)[0], args.p)
+    rho = _load_rep(args.rep, _wirtinger(cand), args.p)
     try:
         verdict = even_symun_obstruction(K, cand, rho, args.max_nodes)
     except ValueError as exc:

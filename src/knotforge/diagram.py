@@ -30,7 +30,9 @@ class InvalidDiagram(ValueError):
 class PDCode:
     """Validated, orientation-normalized planar diagram code of a knot."""
 
-    __slots__ = ("crossings", "n", "_edge_order", "_slots", "_over_entry")
+    __slots__ = ("crossings", "n", "_edge_order", "_slots", "_over_entry",
+                 "_cache")
+    _derived = Record._derived
 
     def __init__(self, crossings):
         crossings = [tuple(int(x) for x in c) for c in crossings]
@@ -237,6 +239,9 @@ class PDCode:
 
     def __hash__(self):
         return hash(self.crossings)
+
+    def __reduce__(self):
+        return PDCode, (self.crossings,)
 
     def __repr__(self):
         return "PDCode(%s)" % format_pd(self)

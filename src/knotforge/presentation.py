@@ -139,11 +139,9 @@ def fox_derivative(w, j):
 # -- presentations -----------------------------------------------------------
 
 class GroupPresentation(Record):
-    """Generator names and freely reduced relators; the hash of the fields
-    is computed once, at construction, since every memo keyed on a
-    presentation looks it up."""
-    _fields = ("names", "relators", "meridian", "longitude", "is_wirtinger")
-    __slots__ = _fields + ("_hash",)
+    """Generator names and freely reduced relators."""
+    __slots__ = _fields = ("names", "relators", "meridian", "longitude",
+                           "is_wirtinger")
 
     def __init__(self, names, relators, meridian=0, longitude=None,
                  is_wirtinger=True):
@@ -156,11 +154,7 @@ class GroupPresentation(Record):
                 if word_exponent_sum(r) != 0:
                     raise ValueError("relator %s has nonzero exponent sum"
                                      % format_word(r, names))
-        self._init(names, relators, meridian, longitude, is_wirtinger,
-                   hash((names, relators, meridian, longitude, is_wirtinger)))
-
-    def __hash__(self):
-        return self._hash
+        self._init(names, relators, meridian, longitude, is_wirtinger)
 
     @property
     def num_generators(self):

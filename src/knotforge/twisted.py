@@ -5,7 +5,7 @@ The map Phi sends a free-group generator x_i to rho(x_i)*t and extends to the
 group ring; the Wada invariant of a deficiency-1 presentation is
 det A_{x_j} / det Phi(x_j - 1), where A is the Fox Jacobian of the relators
 with the j-th generator column removed.  Each presentation is compiled once
-(`_fox_program`, per dropped column) into a left-to-right pass over each
+per dropped column (`_fox_program`) into a left-to-right pass over each
 relator that names, per letter, the prefix product, sign, column block and
 power of t of its Fox coefficient; evaluating it (`_fox_rows`) gives every
 Fox coefficient, and without a representation it is the abelianization,
@@ -19,18 +19,17 @@ rows.  Every determinant, the Wada numerator and the
 denominator det(rho(x_j)t - I) alike, goes through `pencil_det`.  The
 classical Alexander polynomial is a single maximal minor of the abelianized
 Fox matrix over Z[t, t^-1], an integer pencil deflated modulo one Mersenne
-prime (`_fastdet._int_pencil_det`) once per diagram (memoized), and det K is
+prime (`_fastdet._int_pencil_det`) once per diagram, and det K is
 the same determinant's value at t = -1; the higher ones are the GCD of the
 (N-k)-minors over Q[t, t^-1], from the Smith normal form of the same
-pencil.  `verify_theorem` keeps the presentations of its last few specs and
-the targets of its last few partial representations in two bounded memos;
-the reduced presentations and the compiled programs are memoized likewise.
+pencil.  Each derived value is kept on the object it comes from, a diagram,
+presentation, marked diagram or spec (`Record._derived`), and lives and
+dies with the object the caller holds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import (GF, QQ, ZZ, LaurentPoly, canonicalize, divmod_poly,
                       format_poly, reduce_fraction, unit_equal)
@@ -75,18 +74,10 @@ def format_fraction(fr):
     return "(%s) / (%s)" % (format_poly(fr.num), format_poly(fr.den))
 
 
-# Entries kept by each memo of this module.  A fixed small bound: a caller
-# that works on a few presentations at a time (the specs of one partial
-# diagram, the representations of one knot) reuses the entries, and memory
-# stays bounded.
-_MEMO_SIZE = 16
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
 def _fox_program(pres, drop):
     """The Fox Jacobian of pres, generator column drop removed, compiled
-    once: the number of kept generators and, per relator, (word, lo, span,
-    terms).  The relator is read left to right with its running exponent
+    once (kept on pres): the number of kept generators and, per relator,
+    (word, lo, span, terms).  The relator is read left to right with its running exponent
     sum e (the fundamental formula): a letter x_g adds +rho(prefix before
     it)*t^e to the block of x_g, a letter x_g^-1 first lowers e and adds
     -rho(prefix through it)*t^e.  Each letter with a kept column is one term
@@ -119,7 +110,7 @@ def _fox_rows(pres, rho, drop):
     count and, per row of the matrix, (lo, slots): slots[j] is the dense row
     of coefficients of t^(lo + j), reduced mod p over F_p.  Entry (i, j) of
     the k-th kept generator's block is column d*k + j of row i."""
-    nblocks, program = _fox_program(pres, drop)
+    nblocks, program = pres._derived(("fox", drop), _fox_program, pres, drop)
     d = 1 if rho is None else rho.d
     ncols = d * nblocks
     if rho is not None:
@@ -210,16 +201,13 @@ def _gen_minus_one_det(rho, g):
         [list(row) for row in rho.matrices[g]]))
 
 
-_generators_eliminated = lru_cache(maxsize=_MEMO_SIZE)(eliminate_generators)
-
-
 def twisted_alexander(pres, rho, drop_column="auto"):
     """Wada's twisted Alexander polynomial det A_{x_j} / det Phi(x_j - 1) of
     a deficiency-1 presentation; drop_column "auto" removes the first
     generator's column (its denominator has unit leading coefficient, hence
     is never zero).  rho is checked on pres; the determinants are taken on
     the presentation that `eliminate_generators` leaves of pres with column
-    j kept (memoized), under rho restricted to the kept generators.  The
+    j kept (kept on pres), under rho restricted to the kept generators.  The
     invariant changes by a unit under Tietze moves (Wada 1994), which the
     canonical form of the reduced fraction removes."""
     if pres.deficiency != 1:
@@ -238,7 +226,7 @@ def _twisted_alexander(pres, rho, drop_column="auto"):
     j = 0 if drop_column == "auto" else drop_column
     if not (0 <= j < pres.num_generators):
         raise ValueError("drop_column out of range")
-    pres, kept = _generators_eliminated(pres, j)
+    pres, kept = pres._derived(("tietze", j), eliminate_generators, pres, j)
     # rho satisfies pres, so it maps each eliminated generator to its word
     rho = Representation._trusted(rho.p, rho.d,
                                   tuple(rho.matrices[g] for g in kept))
@@ -262,30 +250,36 @@ def _alexander_pencil(pres):
     return pencil.A0, pencil.A1
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _wirtinger_alexander(pd):
-    """pd's Wirtinger presentation and the integer coefficients, lowest
-    first, of the determinant of its Alexander pencil (Delta_K up to a
-    unit), memoized on the diagram (a `PDCode` hashes by its crossings), so
-    that Delta_K, det K, the higher polynomials and the obstruction of one
-    diagram share one presentation and Delta_K and det K one modular
-    deflation; checked against Delta(1) = +-1, the sum of the coefficients."""
-    pres = wirtinger(pd)
-    coeffs = tuple(_int_pencil_det(*_alexander_pencil(pres)))
+def _wirtinger(pd):
+    """pd's Wirtinger presentation, kept on pd: Delta_K, det K, the higher
+    polynomials and the obstruction of one diagram share it."""
+    return pd._derived("wirtinger", wirtinger, pd)
+
+
+def _deficiency_one(pres):
+    """deficiency_one(pres), built once and kept on pres."""
+    return pres._derived("deficiency_one", deficiency_one, pres)
+
+
+def _alexander_coefficients(pd):
+    """The integer coefficients, lowest first, of the determinant of pd's
+    Alexander pencil (Delta_K up to a unit), which Delta_K and det K read
+    from pd's cache; checked against Delta(1) = +-1, their sum."""
+    coeffs = tuple(_int_pencil_det(*_alexander_pencil(_wirtinger(pd))))
     at_one = sum(coeffs)
     if at_one not in (1, -1):
         raise AssertionError("Alexander polynomial fails Delta(1) = +-1 "
                              "(got %s)" % at_one)
-    return pres, coeffs
+    return coeffs
 
 
 def classical_alexander(pd):
     """Classical Alexander polynomial over Z, in canonical unit form: one
     maximal minor of the abelianized Wirtinger Fox matrix, the determinant
-    of its integer pencil by one modular deflation (memoized per diagram);
-    checked against Delta(1) = +-1."""
+    of its integer pencil by one modular deflation (kept on pd); checked
+    against Delta(1) = +-1."""
     return canonicalize(LaurentPoly(ZZ, dict(enumerate(
-        _wirtinger_alexander(pd)[1]))))
+        pd._derived("alexander", _alexander_coefficients, pd)))))
 
 
 def _smith_invariants(pencil):
@@ -377,29 +371,28 @@ def _smith_invariants(pencil):
     return invariants
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _alexander_invariants(pd):
     """(N, invariant factors): the generator count of pd's Wirtinger
     presentation and the Smith invariant factors over Q of its Alexander
-    pencil, memoized on the diagram, since they do not depend on k.
+    pencil, kept on pd by higher_alexander, since they do not depend on k.
 
     The (N-1) x (N-1) pencil, the first N-1 relator rows with column 0
     dropped, has the ideals of minors of the whole N x N abelianized Fox
     matrix: every row sums to zero, so column 0 is minus the sum of the
     other columns, and the dropped relator follows from the others, so its
     row lies in the span of the remaining rows."""
-    A0, A1 = _alexander_pencil(_wirtinger_alexander(pd)[0])
+    A0, A1 = _alexander_pencil(_wirtinger(pd))
     return len(A0) + 1, tuple(_smith_invariants(Pencil(QQ, A0, A1)))
 
 
 def higher_alexander(pd, k):
     """k-th Alexander polynomial over Q: GCD of the (N-k)-minors of the
     abelianized Fox matrix, i.e. the product of the first N-k invariant
-    factors of the Smith normal form of its Alexander pencil (memoized per
-    diagram); 1 when the minor size is not positive."""
+    factors of the Smith normal form of its Alexander pencil (kept on pd);
+    1 when the minor size is not positive."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    N, inv = _alexander_invariants(pd)
+    N, inv = pd._derived("smith", _alexander_invariants, pd)
     size = N - k
     if size <= 0:
         return LaurentPoly.one(QQ)
@@ -414,9 +407,9 @@ def higher_alexander(pd, k):
 def knot_determinant(pd):
     """|Delta_K(-1)|, the order of the first homology of the double branched
     cover: the alternating sum of the coefficients of the Alexander pencil's
-    determinant, the same memoized determinant that classical_alexander
-    reads; checked against Delta(1) = +-1."""
-    coeffs = _wirtinger_alexander(pd)[1]
+    determinant, the one kept on pd that classical_alexander reads;
+    checked against Delta(1) = +-1."""
+    coeffs = pd._derived("alexander", _alexander_coefficients, pd)
     return abs(sum(coeffs[0::2]) - sum(coeffs[1::2]))
 
 
@@ -430,34 +423,31 @@ def _factorization_target(pres, rho):
     return tw, reduce_fraction(num * num * mu, den * den)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _symun_presentations(spec):
-    """build_symun_presentation(spec), its GeneratorMap check included,
-    memoized on the frozen spec."""
-    return build_symun_presentation(spec)
-
-
-# _factorization_target of a partial presentation under a representation
-# that verify_theorem has checked, memoized on the two (a representation
-# hashes by its prime and matrices): the twist vectors of one partial
-# diagram share their partial presentation
-_partial_target = lru_cache(maxsize=_MEMO_SIZE)(_factorization_target)
+    """(union, partial, phi) of build_symun_presentation(spec), kept on
+    spec.  The partial presentation depends on the marks only: the specs of
+    one marked diagram share the first one built, and so its targets."""
+    def build():
+        union, partial, phi = build_symun_presentation(spec)
+        return union, spec.partial._derived("partial", lambda: partial), phi
+    return spec._derived("symun", build)
 
 
 def verify_theorem(spec, rho_partial):
     """Check the symmetric-union factorization: the twisted polynomial of the
     union under the pulled-back representation against
     Delta_partial^2 * det(rho(mu)t - I), with the degree law
-    deg lhs = 2 deg Delta_partial + d.  The union and partial presentations
-    and the partial target are memoized (see _MEMO_SIZE).  rho_partial is
-    checked once per call, on the partial presentation, by lamm_pullback;
-    the pulled-back representation, its Tietze restriction and the partial
-    target are built from it and not checked again."""
+    deg lhs = 2 deg Delta_partial + d.  The presentations are kept on spec
+    and the partial target, keyed on rho_partial, on its presentation.
+    rho_partial is checked once per call, on the partial presentation, by
+    lamm_pullback; the pulled-back representation, its Tietze restriction
+    and the partial target are built from it and not checked again."""
     union_pres, partial_pres, phi = _symun_presentations(spec)
     # the one check of rho_partial; the pullback satisfies the union
     rho = lamm_pullback(phi, rho_partial)
     lhs = _twisted_alexander(union_pres, rho)
-    partial_tw, rhs_fr = _partial_target(partial_pres, rho_partial)
+    partial_tw, rhs_fr = partial_pres._derived(
+        rho_partial, _factorization_target, partial_pres, rho_partial)
     # both fractions are reduced and canonical, so unit equality is equality
     equal = lhs.value == rhs_fr
     deg_rhs = (None if partial_tw.degree is None
@@ -514,20 +504,21 @@ def even_symun_obstruction(K, candidate_partial, rho_partial,
     representation of the candidate's Wirtinger presentation: the pullback
     of any other is never among the classes enumerated.  max_nodes bounds
     the search (RepSearchConfig's budget when None).  Both presentations
-    come from the diagrams' memo with Delta (`_wirtinger_alexander`)."""
-    cand_pres = _wirtinger_alexander(candidate_partial)[0]
+    are the ones kept on the diagrams (`_wirtinger`)."""
+    cand_pres = _wirtinger(candidate_partial)
     if not verify_representation(cand_pres, rho_partial):
         raise ValueError("representation fails the candidate's relators")
     if rho_partial.d != 2 or rho_partial.is_abelian:
         raise ValueError("the obstruction needs a nonabelian SL(2, F_p) "
                          "representation of the candidate; only those "
                          "classes of K are enumerated")
-    _, target = _factorization_target(deficiency_one(cand_pres), rho_partial)
-    pres = _wirtinger_alexander(K)[0]
+    _, target = _factorization_target(_deficiency_one(cand_pres),
+                                      rho_partial)
+    pres = _wirtinger(K)
     cfg = RepSearchConfig(p=rho_partial.p) if max_nodes is None else \
         RepSearchConfig(p=rho_partial.p, max_nodes=max_nodes)
     reps = enumerate_sl2(pres, cfg)  # SearchBudgetExceeded propagates
-    polys = _rep_polynomials(deficiency_one(pres), reps)
+    polys = _rep_polynomials(_deficiency_one(pres), reps)
     evidence = []
     for rho, tw in zip(reps, polys):
         if tw.value == target:

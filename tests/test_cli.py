@@ -26,11 +26,10 @@ GOOD_TABLE = (
 
 @pytest.fixture(autouse=True)
 def cold_alexander_memo():
-    """Each command starts without memoized Alexander determinants or
-    invariant factors, so what it builds does not depend on which tests ran
-    before it."""
-    knotforge.twisted._wirtinger_alexander.cache_clear()
-    knotforge.twisted._alexander_invariants.cache_clear()
+    """Each command starts from freshly parsed tables, so that no diagram
+    it reads keeps an Alexander determinant, invariant factors or a
+    presentation from the tests that ran before it."""
+    knotforge.cli._parse_table.cache_clear()
 
 
 @pytest.fixture
@@ -212,8 +211,7 @@ class TestCommands:
         def counted(pd):
             calls.append(pd)
             return wirtinger(pd)
-        for module in (knotforge.cli, knotforge.twisted):
-            monkeypatch.setattr(module, "wirtinger", counted)
+        monkeypatch.setattr(knotforge.twisted, "wirtinger", counted)
         data = self.run_json(capsys, ["alex", "6_1", "--det"])
         assert data["results"]["determinant"] == 9
         assert len(calls) == 1
@@ -221,7 +219,7 @@ class TestCommands:
     def test_alex_ideals_run_one_smith_form(self, capsys, isolated_home,
                                             monkeypatch):
         # the invariant factors do not depend on k: one Smith form for both
-        # ideals, and one Wirtinger build for them beside Delta's
+        # ideals, on the one Wirtinger presentation kept on the diagram
         builds, smith = [], []
 
         def counted(pd):
@@ -232,8 +230,7 @@ class TestCommands:
             smith.append(M)
             return invariants(M)
         invariants = knotforge.twisted._smith_invariants
-        for module in (knotforge.cli, knotforge.twisted):
-            monkeypatch.setattr(module, "wirtinger", counted)
+        monkeypatch.setattr(knotforge.twisted, "wirtinger", counted)
         monkeypatch.setattr(knotforge.twisted, "_smith_invariants",
                             counted_smith)
         data = self.run_json(capsys, ["alex", "6_1", "--det", "--ideal", "2",
@@ -242,7 +239,7 @@ class TestCommands:
         assert (res["determinant"], res["alexander_2"],
                 res["alexander_3"]) == (9, "1", "1")
         assert len(smith) == 1
-        assert len(builds) <= 2
+        assert len(builds) == 1
 
     def test_alex_unknot(self, capsys, isolated_home):
         data = self.run_json(capsys, ["alex", "unknot"])
@@ -427,7 +424,8 @@ class TestCommands:
     def test_symun_verify_builds_the_template_once(self, capsys,
                                                    isolated_home,
                                                    monkeypatch):
-        # cmd_symun built it too, beside verify_theorem's memo
+        # cmd_symun built it too, beside the template verify_theorem keeps
+        # on the spec
         builds = []
         build = knotforge.presentation.build_symun_presentation
         for module in (knotforge.presentation, knotforge.twisted,
@@ -436,7 +434,6 @@ class TestCommands:
                 monkeypatch.setattr(module, "build_symun_presentation",
                                     lambda spec: (builds.append(spec),
                                                   build(spec))[1])
-        knotforge.twisted._symun_presentations.cache_clear()
         argv = GOLDEN_REPORTS["symun-verify-4_1-p5"]
         assert main(["--json"] + argv) == 0
         report = json.loads(capsys.readouterr().out)
@@ -452,10 +449,6 @@ class TestCommands:
         # Wirtinger presentation per diagram, each build walking the arcs
         # of its diagram once; the parent built the candidate's three times
         # and K's twice.  A second run in the process builds neither again
-        for module in (knotforge.presentation, knotforge.twisted):
-            for memo in vars(module).values():
-                if hasattr(memo, "cache_clear"):
-                    memo.cache_clear()
         walks = []
         subarcs = PDCode.subarcs
         monkeypatch.setattr(PDCode, "subarcs", lambda pd, *args, **kw: (

@@ -1,8 +1,9 @@
 """The package's value records (RepSearchConfig, Representation,
 GroupPresentation, GeneratorMap, MarkedDiagram, SymUnionSpec, RunReport):
 the constructors, equality, hashing, immutability, pickling, copying, reprs
-and error texts of frozen dataclasses, and a CLI import that loads neither
-dataclasses nor importlib.resources."""
+and error texts of frozen dataclasses; the cache of derived values that a
+record and a PDCode keep, which none of these see; and a CLI import that
+loads neither dataclasses nor importlib.resources."""
 
 import copy
 import os
@@ -14,11 +15,12 @@ import pytest
 
 import knotforge.cli
 from knotforge.cli import RunReport
-from knotforge.diagram import (InvalidDiagram, MarkedDiagram, SymUnionSpec,
-                               parse_pd)
+from knotforge.diagram import (InvalidDiagram, MarkedDiagram, PDCode,
+                               SymUnionSpec, parse_pd)
 from knotforge.presentation import (GeneratorMap, GroupPresentation,
                                     build_symun_presentation, wirtinger)
-from knotforge.reps import Representation, RepSearchConfig
+from knotforge.reps import Representation, RepSearchConfig, enumerate_sl2
+from knotforge.twisted import classical_alexander, verify_theorem
 
 TREFOIL = "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"
 MATRICES = (((1, 1), (0, 1)), ((1, 0), (4, 1)))
@@ -148,8 +150,7 @@ class TestRecordSemantics:
     @pytest.mark.parametrize("name", NAMES)
     def test_pickle_and_copy_round_trip(self, name):
         record = RECORDS[name]()
-        # protocol 2 and later: a PDCode's slots pickle from protocol 2 on
-        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             back = pickle.loads(pickle.dumps(record, protocol))
             assert type(back) is type(record) and back == record
         for back in copy.copy(record), copy.deepcopy(record):
@@ -161,10 +162,48 @@ class TestRecordSemantics:
     def test_repr_is_unchanged(self, name):
         assert repr(RECORDS[name]()) == REPRS[name]
 
-    def test_group_presentation_stores_the_field_tuple_hash(self):
+    def test_group_presentation_hash_is_the_field_tuple_hash(self):
         for pres in (*trefoil_union()[:2], wirtinger(parse_pd(TREFOIL))):
-            assert pres._hash == hash(astuple(pres, "GroupPresentation"))
-            assert hash(pres) == pres._hash
+            assert hash(pres) == hash(astuple(pres, "GroupPresentation"))
+
+
+def warm_copies():
+    """(warm, cold) pairs of equal objects: the warm one keeps derived
+    values (a PDCode its Alexander determinant, a spec its template, the
+    presentations of its verify), the cold one was built afresh."""
+    warm = SymUnionSpec(MarkedDiagram(parse_pd(TREFOIL), (1, 3)), (2,))
+    union, partial, _ = build_symun_presentation(warm)
+    verify_theorem(warm, enumerate_sl2(partial, RepSearchConfig(5))[0])
+    classical_alexander(warm.partial.base)
+    cold = SymUnionSpec(MarkedDiagram(parse_pd(TREFOIL), (1, 3)), (2,))
+    return [(warm, cold), (warm.partial, cold.partial),
+            (warm.partial.base, cold.partial.base),
+            (warm._cache["symun"][0], union)]
+
+
+class TestDerivedCache:
+    def test_cache_is_left_out_of_eq_hash_and_repr(self):
+        for warm, cold in warm_copies():
+            assert warm._cache and not hasattr(cold, "_cache")
+            assert warm == cold and hash(warm) == hash(cold)
+            assert repr(warm) == repr(cold)
+
+    def test_no_pickle_or_copy_carries_the_cache(self):
+        for warm, _ in warm_copies():
+            backs = [pickle.loads(pickle.dumps(warm, protocol))
+                     for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            backs += [copy.copy(warm), copy.deepcopy(warm)]
+            for back in backs:
+                assert type(back) is type(warm) and back == warm
+                assert not hasattr(back, "_cache")
+
+    def test_pd_code_is_rebuilt_through_its_constructor(self):
+        pd = parse_pd(TREFOIL)
+        assert pd.__reduce__() == (PDCode, (pd.crossings,))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(pd, protocol))
+            assert back.crossings == pd.crossings
+            assert back.edges == pd.edges
 
 
 BAD_ARGUMENTS = [

@@ -1,11 +1,16 @@
+import copy
+import gc
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import knotforge.reps
-from knotforge import twisted
+from knotforge import algebra, diagram, presentation, twisted
 from knotforge._fastdet import Pencil, pencil_det
 from knotforge.algebra import (GF, QQ, ZZ, LaurentPoly, PolyMatrix,
                                RationalFn, canonicalize, det, gcd_polys,
@@ -178,20 +183,29 @@ class TestClassicalAlexander:
             return call
         for name in calls:
             monkeypatch.setattr(twisted, name, counted(name))
-        twisted._wirtinger_alexander.cache_clear()
         pd = parse_pd(SIX_ONE)
         assert classical_alexander(pd) == P("2*t^2 - 5*t + 2")
         assert knot_determinant(pd) == 9
         assert calls == {"wirtinger": 1, "_int_pencil_det": 1}
+        # a second call on the same diagram does no work; an equal diagram
+        # built afresh starts cold
+        assert classical_alexander(pd) == P("2*t^2 - 5*t + 2")
+        assert knot_determinant(pd) == 9
+        assert calls == {"wirtinger": 1, "_int_pencil_det": 1}
+        twin = parse_pd(SIX_ONE)
+        assert twin == pd and knot_determinant(twin) == 9
+        assert calls == {"wirtinger": 2, "_int_pencil_det": 2}
 
     def test_delta_at_one_is_checked(self, monkeypatch):
-        # 1 + 2t has Delta(1) = 3; neither entry point may return a value
+        # 1 + 2t has Delta(1) = 3; neither entry point may return a value,
+        # on the first call or on a second one on the same diagram
         monkeypatch.setattr(twisted, "_int_pencil_det", lambda A0, A1: [1, 2])
-        twisted._wirtinger_alexander.cache_clear()
-        for entry in (classical_alexander, knot_determinant):
+        pd = parse_pd(TREFOIL)
+        for entry in (classical_alexander, knot_determinant) * 2:
             with pytest.raises(AssertionError, match="Delta\\(1\\)"):
-                entry(parse_pd(TREFOIL))
-        assert twisted._wirtinger_alexander.cache_info().currsize == 0
+                entry(pd)
+        # the failed determinant is not kept; the presentation is
+        assert set(pd._cache) == {"wirtinger"}
 
     @over_oracle_diagrams
     def test_fox_rows_sum_to_zero(self, pd):
@@ -673,7 +687,7 @@ def check_pass(pres, rho, j):
     """The Tietze pass keeps column j and the deficiency, its Fox pencil
     has no auxiliary row, and the invariant equals the one computed on pres
     itself."""
-    reduced, kept = twisted._generators_eliminated(pres, j)
+    reduced, kept = eliminate_generators(pres, j)
     assert j in kept and reduced.deficiency == 1
     restricted = Representation(p=rho.p, d=rho.d,
                                 matrices=[rho.matrices[g] for g in kept])
@@ -749,18 +763,45 @@ class TestTietzeReduction:
                 assert tw.value == unreduced_wada(pres, ext)
                 assert tw.value.num.is_zero
 
-    def test_memos_are_bounded(self):
-        for memo in (twisted._generators_eliminated, twisted._fox_program):
-            assert memo.cache_info().maxsize == twisted._MEMO_SIZE
-
-    def test_program_is_compiled_once_per_presentation(self):
+    def test_memos_are_bounded(self, monkeypatch):
+        # a presentation keeps one Tietze reduction per kept column asked
+        # for, and each reduction one program per dropped column, no more;
+        # a copy (rebuilt through the constructor) starts cold
         pres, rho = TIETZE_CASES[0][1:]
-        twisted._fox_program.cache_clear()
-        fox_matrix(pres, rho, 0)
-        fox_matrix(pres, rho, 0)
+        pres = copy.copy(pres)
+        calls = []
+        monkeypatch.setattr(twisted, "eliminate_generators",
+                            lambda *args: (calls.append(args[1]),
+                                           eliminate_generators(*args))[1])
+        first = [twisted_alexander(pres, rho, drop_column=j).value
+                 for j in ("auto", 1)]
+        assert [twisted_alexander(pres, rho, drop_column=j).value
+                for j in ("auto", 1)] == first
+        assert calls == [0, 1]
+        assert set(pres._cache) == {("tietze", 0), ("tietze", 1)}
+        for j in (0, 1):
+            reduced, kept = pres._cache["tietze", j]
+            assert set(reduced._cache) == {("fox", kept.index(j))}
+        twin = copy.copy(pres)
+        assert twin == pres and not hasattr(twin, "_cache")
+        assert twisted_alexander(twin, rho).value == first[0]
+        assert calls == [0, 1, 0]
+
+    def test_program_is_compiled_once_per_presentation(self, monkeypatch):
+        pres, rho = TIETZE_CASES[0][1:]
+        pres = copy.copy(pres)
+        drops = []
+        program = twisted._fox_program
+        monkeypatch.setattr(twisted, "_fox_program", lambda p, drop: (
+            drops.append(drop), program(p, drop))[1])
+        first = fox_matrix(pres, rho, 0)
+        second = fox_matrix(pres, rho, 0)
         fox_matrix(pres, rho, 1)
-        info = twisted._fox_program.cache_info()
-        assert (info.hits, info.misses) == (1, 2)
+        assert drops == [0, 1]
+        assert (second.A0, second.A1) == (first.A0, first.A1)
+        # an equal presentation built afresh compiles its own
+        fox_matrix(copy.deepcopy(pres), rho, 0)
+        assert drops == [0, 1, 0]
 
 
 class TestWadaInvariant:
@@ -876,8 +917,8 @@ class TestVerifyTheorem:
         for module in (knotforge.reps, twisted):
             monkeypatch.setattr(module, "inverses", counted)
         assert verify_theorem(spec, rho) == first
-        reduced, _ = twisted._generators_eliminated(
-            build_symun_presentation(spec)[0], 0)
+        reduced, _ = eliminate_generators(build_symun_presentation(spec)[0],
+                                          0)
         assert sizes == [partial.num_generators, reduced.num_generators] \
             == [5, 8]
 
@@ -947,7 +988,7 @@ class TestTrustedRepresentations:
     def test_restricted_rep_equals_the_validated_construction(
             self, monkeypatch):
         _, union, _, phi, reps = self.setup(5)
-        reduced, kept = twisted._generators_eliminated(union, 0)
+        reduced, kept = eliminate_generators(union, 0)
         seen = []
         fox = twisted.fox_matrix
         monkeypatch.setattr(twisted, "fox_matrix",
@@ -975,63 +1016,81 @@ class TestTrustedRepresentations:
         assert calls == []
 
     def test_verify_theorem_still_rejects_bad_input(self):
-        clear_memos()
         spec, union, partial, phi, reps = self.setup(5)
+        assert not hasattr(spec, "_cache")  # a fresh spec starts cold
         A, B = reps[0].matrices[:2]
         bad = Representation(
             p=5, d=2,
             matrices=(A,) + (B,) * (partial.num_generators - 1))
-        with pytest.raises(ValueError, match="not valid on the partial"):
-            verify_theorem(spec, bad)
+        # on the cold spec, then with its template and a target kept
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not valid on the partial"):
+                verify_theorem(spec, bad)
+            assert verify_theorem(spec, reps[0])["equal"]
         # images that break a union relator make no generator map, so the
         # pullback of a checked representation satisfies the union
         with pytest.raises(ValueError, match="neither trivial nor a target"):
             type(phi)(union, partial, (((0, 1), (1, 1)),) + phi.images[1:])
 
 
-MEMOS = (twisted._symun_presentations, twisted._partial_target)
+def count_builds(monkeypatch):
+    """The specs whose template twisted builds from now on, in order."""
+    builds = []
+    monkeypatch.setattr(twisted, "build_symun_presentation", lambda spec: (
+        builds.append(spec), build_symun_presentation(spec))[1])
+    return builds
 
 
-def clear_memos():
-    for memo in MEMOS:
-        memo.cache_clear()
+def targets_kept(pres):
+    """The representations whose factorization target pres keeps."""
+    return [key for key in pres._cache if isinstance(key, Representation)]
 
 
 class TestVerifyTheoremMemos:
+    """verify_theorem keeps each template on its spec and each partial
+    target on the partial presentation: a second call on the same objects
+    does no work, an equal object built afresh starts cold, and a cache
+    holds one entry per value asked of its object."""
+
     def trefoil_setup(self, p):
         spec = SymUnionSpec(MarkedDiagram(parse_pd(TREFOIL), (1, 3)), (2,))
         _, partial, _ = build_symun_presentation(spec)
         return spec, partial, enumerate_sl2(partial, RepSearchConfig(p=p))
 
-    def test_bounds_are_small_and_fixed(self):
-        for memo in MEMOS:
-            assert memo.cache_info().maxsize == twisted._MEMO_SIZE < 36
+    def test_caches_hold_one_entry_per_value(self):
+        spec, _, reps = self.trefoil_setup(5)
+        for _ in range(2):
+            for rho in reps:
+                verify_theorem(spec, rho)
+        assert set(spec._cache) == {"symun"}
+        assert set(spec.partial._cache) == {"partial"}
+        partial = spec._cache["symun"][1]
+        assert partial is spec.partial._cache["partial"]
+        targets = targets_kept(partial)
+        assert len(targets) == len(reps) and set(targets) == set(reps)
+        # and the one Tietze reduction its targets were computed on
+        assert set(partial._cache) - set(targets) == {("tietze", 0)}
 
     def test_every_module_memo_is_bounded(self):
-        # found by introspection, so that a new unbounded memo fails here
-        memos = {name: f for name, f in vars(twisted).items()
-                 if callable(getattr(f, "cache_parameters", None))}
-        assert {"_wirtinger_alexander", "_alexander_invariants",
-                "_fox_program", "_generators_eliminated",
-                "_symun_presentations", "_partial_target"} <= set(memos)
-        for name, memo in memos.items():
-            assert memo.cache_parameters()["maxsize"] == twisted._MEMO_SIZE, \
-                name
+        # found by introspection: twisted has no module-level memo, so that
+        # a new one, bounded or not, fails here
+        memos = [name for name, f in vars(twisted).items()
+                 if callable(getattr(f, "cache_parameters", None))
+                 and f.__module__ == twisted.__name__]
+        assert memos == []
 
-    def test_equal_spec_hits_the_memo(self):
-        clear_memos()
+    def test_equal_spec_starts_cold(self, monkeypatch):
         spec, _, reps = self.trefoil_setup(5)
+        builds = count_builds(monkeypatch)
         twin = SymUnionSpec(MarkedDiagram(parse_pd(TREFOIL), (1, 3)), (2,))
         assert twin == spec and twin is not spec
         first = verify_theorem(spec, reps[0])
-        before = [memo.cache_info() for memo in MEMOS]
+        assert verify_theorem(spec, reps[0]) == first
+        assert builds == [spec] and builds[0] is spec
         assert verify_theorem(twin, reps[0]) == first
-        after = [memo.cache_info() for memo in MEMOS]
-        for b, a in zip(before, after):
-            assert (a.hits, a.misses) == (b.hits + 1, b.misses)
+        assert len(builds) == 2 and builds[1] is twin
 
     def test_invalid_rep_still_rejected_after_memo(self):
-        clear_memos()
         spec, partial, reps = self.trefoil_setup(5)
         verify_theorem(spec, reps[0])
         A, B = reps[0].matrices[0], reps[0].matrices[1]
@@ -1039,30 +1098,118 @@ class TestVerifyTheoremMemos:
             p=5, d=2,
             matrices=(A,) + (B,) * (partial.num_generators - 1))
         assert not verify_representation(partial, bad)
-        assert twisted._symun_presentations.cache_info().currsize == 1
+        assert set(spec._cache) == {"symun"}
         with pytest.raises(ValueError, match="not valid on the partial"):
             verify_theorem(spec, bad)
+        assert targets_kept(spec._cache["symun"][1]) == [reps[0]]
 
     def test_sizes_stay_bounded_and_results_match_cleared(self):
-        clear_memos()
-        pd = parse_pd(TREFOIL)
-        specs = [SymUnionSpec(MarkedDiagram(pd, (1, 3)), (2 * m,))
-                 for m in range(-9, 9)]
+        # 18 specs of one marked diagram under every class over F_11: each
+        # spec keeps one template, the shared partial presentation one
+        # target per class, and every result equals the one computed on
+        # equal objects built afresh, with empty caches
+        marked = MarkedDiagram(parse_pd(TREFOIL), (1, 3))
+        specs = [SymUnionSpec(marked, (2 * m,)) for m in range(-9, 9)]
         _, partial, reps = self.trefoil_setup(11)
-        assert len(specs) > twisted._MEMO_SIZE < len(reps)
+        assert len(reps) > 1
         sweep = [verify_theorem(spec, reps[0]) for spec in specs]
         sweep += [verify_theorem(specs[0], rho) for rho in reps]
-        for memo in MEMOS:
-            assert memo.cache_info().currsize <= twisted._MEMO_SIZE
-        fresh = []
+        shared = marked._cache["partial"]
         for spec in specs:
-            clear_memos()
-            fresh.append(verify_theorem(spec, reps[0]))
-        for rho in reps:
-            clear_memos()
-            fresh.append(verify_theorem(specs[0], rho))
+            assert set(spec._cache) == {"symun"}
+            assert spec._cache["symun"][1] is shared
+        assert len(targets_kept(shared)) == len(reps)
+        cold = [copy.deepcopy(spec) for spec in specs]
+        assert cold == specs
+        assert not any(hasattr(spec, "_cache") or
+                       hasattr(spec.partial, "_cache") for spec in cold)
+        fresh = [verify_theorem(spec, reps[0]) for spec in cold]
+        fresh += [verify_theorem(copy.deepcopy(specs[0]), rho)
+                  for rho in reps]
         assert sweep == fresh
         assert all(out["equal"] for out in sweep)
+
+
+WORKLOADS_PATH = (Path(__file__).resolve().parent.parent / "perfbench"
+                  / "workloads.py")
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCachesLiveOnObjects:
+    def test_a_warm_grid_pass_builds_nothing(self, monkeypatch):
+        # the seed-7 symun-grid workload of perfbench/workloads.py; its
+        # enumerate ops build their cut partial presentation themselves,
+        # outside twisted
+        kf = SimpleNamespace(algebra=algebra, diagram=diagram,
+                             presentation=presentation,
+                             reps=knotforge.reps, twisted=twisted)
+        cells = load_workloads().symun_cells(kf, BUNDLED, 7)
+        calls = dict.fromkeys(("build_symun_presentation",
+                               "eliminate_generators", "_fox_program"), 0)
+
+        def counted(name):
+            original = getattr(twisted, name)
+
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            return call
+        for name in calls:
+            monkeypatch.setattr(twisted, name, counted(name))
+        passes = []
+        for _ in range(2):
+            for cell in cells:
+                for op in cell:
+                    assert op.check(op.call())[1] is None, op.label
+            passes.append(dict(calls))
+            calls.update(dict.fromkeys(calls, 0))
+        # the first pass builds each of the 36 unions once and reduces and
+        # compiles each union and each of the 9 shared partials once
+        assert passes == [{"build_symun_presentation": 36,
+                           "eliminate_generators": 45, "_fox_program": 45},
+                          dict.fromkeys(calls, 0)]
+
+    def test_twist_vectors_share_the_partial_target(self, monkeypatch):
+        marked = MarkedDiagram(parse_pd(TREFOIL), (1, 3))
+        specs = [SymUnionSpec(marked, (2 * m,)) for m in (-2, -1, 0, 1, 2)]
+        _, partial, _ = build_symun_presentation(specs[0])
+        rho = enumerate_sl2(partial, RepSearchConfig(p=5))[0]
+        targets = []
+        target = twisted._factorization_target
+        monkeypatch.setattr(twisted, "_factorization_target", lambda p, r: (
+            targets.append(p), target(p, r))[1])
+        outs = [verify_theorem(spec, rho) for spec in specs]
+        assert all(out["equal"] for out in outs)
+        assert len({out["rhs"] for out in outs}) == 1
+        assert targets == [marked._cache["partial"]]
+
+    def test_dropping_a_spec_frees_its_presentations(self):
+        # GroupPresentation has no __weakref__, so its live instances are
+        # counted among the objects the garbage collector tracks
+        def live():
+            gc.collect()
+            return sum(type(o) is GroupPresentation for o in gc.get_objects())
+        spec = SymUnionSpec(MarkedDiagram(parse_pd(TREFOIL), (1, 3)), (2,))
+        _, partial, _ = build_symun_presentation(spec)
+        rho = enumerate_sl2(partial, RepSearchConfig(p=5))[0]
+        del partial
+        before = live()
+        assert verify_theorem(spec, rho)["equal"]
+        # union, partial, and the Tietze reduction of each
+        assert live() >= before + 4
+        del spec
+        assert live() == before
+
+    def test_twisted_source_has_no_lru_memo(self):
+        source = Path(twisted.__file__).read_text()
+        assert "lru_cache" not in source and "_MEMO_SIZE" not in source
 
 
 class TestObstructions:
