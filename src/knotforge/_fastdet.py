@@ -16,29 +16,30 @@ F_p, deflates it over F_p itself, which is exact for every square pencil:
    each constant row but for one pivot, and the determinant is expanded
    along it.  A constant row that is all zero makes the determinant 0.  The
    smaller pencil that is left goes back to step 1, until A1 is
-   nonsingular: the infinite eigenvalues are deflated.
-3. For a k x k pencil, det(A0 + t*A1) = t^k * det(A1 + s*A0) with s = 1/t.
-   With the roles of A0 and A1 swapped, steps 1 and 2 deflate the rows that
-   are t times a constant row, the eigenvalue 0, until A0 is nonsingular
-   too.  Each of these expansions divides det(A1 + s*A0) by a nonzero
-   scalar, so its constant term det(A1) stays nonzero: A1 stays
-   nonsingular and one swap is enough.  Every round of either phase removes
-   at least one row and column or ends its phase, so at most n + 2 rounds
-   run.
-4. What is left is exactly as wide as the determinant's span, and
-   det(A1 + s*A0) = det(A0) * det(sI + A0^-1 A1), the characteristic
-   polynomial of -A0^-1 A1 by back substitution and reduction to Hessenberg
-   form.  Its m + 1 coefficients, m the size left, are those of the
-   determinant from t^k down to t^(k-m).
+   nonsingular: the infinite eigenvalues are deflated.  Every round removes
+   at least one row and column or ends the deflation, so at most n + 1
+   rounds run.
+3. What is left is exactly as wide as the determinant's degree, and
+   det(A0 + t*A1) = det(A1) * det(tI + A1^-1 A0), the characteristic
+   polynomial of -A1^-1 A0 by back substitution and reduction to Hessenberg
+   form.  Its m + 1 coefficients, m the size left, times the expanded
+   pivots, are those of the determinant.
+4. The entry point fixes which end of the pencil is deflated.  For k x k,
+   det(A0 + t*A1) = t^k * det(A1 + s*A0) with s = 1/t, and `pencil_det`
+   hands the kernel (A1, A0), so that step 2 deflates the rows that are t
+   times a constant row, the eigenvalue 0.  Fox pencils are very
+   degenerate: many constant rows, a small rank of A1, and determinants
+   with a large power of t (the widest union pencil of the symmetric-union
+   grid, 30 x 30, has determinant t^22 times a polynomial of degree 8).  So
+   most of a twisted pencil is removed before any characteristic
+   polynomial is formed, and the infinite eigenvalues that are left are
+   roots s = 0 of it.  Their rows are sparse, and each elimination touches
+   the pivot row's nonzero entries only.
 
-Fox pencils are very degenerate (many constant rows, a small rank of A1,
-and determinants with a large power of t), so the two phases remove most of
-the matrix before any characteristic polynomial is formed.  Their rows are
-sparse, and each elimination touches the pivot row's nonzero entries only.
-The integer Alexander pencil is deflated by `_int_pencil_det`, modulo a
-Mersenne prime above twice a Hadamard bound on its coefficients, or, past
-the largest listed one, modulo several of them joined by the Chinese
-remainder theorem, which is exact.
+The integer Alexander pencil is deflated by `_int_pencil_det` as it is,
+from its infinite end, modulo a Mersenne prime above twice a Hadamard bound
+on its coefficients, or, past the largest listed one, modulo several of
+them joined by the Chinese remainder theorem, which is exact.
 """
 
 from __future__ import annotations
@@ -225,31 +226,20 @@ def _regular_det(A0, A1, pivots, p):
 def _pencil_det_gf(A0, A1, p):
     """Coefficients, low degree first, of det(A0 + t*A1) over F_p, for
     integer matrices mod p given as lists of rows (overwritten): the
-    constant rows are deflated first, then, with the roles of A0 and A1
-    swapped, the rows that are t times a constant row, and the
+    constant rows are deflated until A1 is nonsingular, and the
     characteristic polynomial is taken of what is left."""
-    scale, tpow, swapped = 1, 0, False
+    scale = 1
     while A0:
         pivots, free = _reduce_rows(A0, A1, p)
         if not free:
-            if swapped:
-                break
-            # det(A0 + t*A1) = t^k * det(A1 + s*A0) for k x k, s = 1/t
-            tpow = len(A0)
-            A0, A1, swapped = A1, A0, True
-            continue
+            return [v * scale % p for v in _regular_det(A0, A1, pivots, p)]
         factor, keep_rows, keep_cols = _expand_constant_rows(A0, A1, free, p)
         if not factor:
             return [0]
         scale = scale * factor % p
         A0 = [[A0[i][k] for k in keep_cols] for i in keep_rows]
         A1 = [[A1[i][k] for k in keep_cols] for i in keep_rows]
-    if not A0:
-        return [0] * tpow + [scale]
-    # the coefficients of det(A1 + s*A0), low degree in s first, are those
-    # of t^-tpow * det(A0 + t*A1) from the top degree in t down
-    coeffs = _regular_det(A0, A1, pivots, p)
-    return [0] * (tpow - len(A0)) + [v * scale % p for v in reversed(coeffs)]
+    return [scale]
 
 
 def _int_pencil_det(A0, A1):
@@ -286,14 +276,21 @@ def _int_pencil_det(A0, A1):
 # -- public entry ------------------------------------------------------------
 
 def pencil_det(M):
-    """Exact determinant of a square `Pencil` over F_p: the deflation of
-    `_pencil_det_gf`.  M is not modified.  An integer pencil goes to
-    `_int_pencil_det` instead."""
+    """Exact determinant of a square `Pencil` over F_p.  M is not modified.
+    For n x n, det(A0 + t*A1) = t^n * det(A1 + s*A0) with s = 1/t, and
+    `_pencil_det_gf` takes the latter, so that the rows that are t times a
+    constant row, the eigenvalue 0 that Fox pencils are full of, are the
+    ones deflated; coefficient i of it is that of t^(n + shift - i).  An
+    integer pencil goes to `_int_pencil_det` instead."""
     if M.domain.kind != "GF":
         raise ValueError("pencil_det works over F_p only")
-    if any(len(r) != M.rows for r in M.A0):
+    n = M.rows
+    if any(len(r) != n for r in M.A0):
         raise ValueError("determinant of a non-square matrix")
-    coeffs = _pencil_det_gf([list(r) for r in M.A0],
-                            [list(r) for r in M.A1], M.domain.p)
-    return LaurentPoly._raw(M.domain, {e + M.shift: c
-                                       for e, c in enumerate(coeffs) if c})
+    if len(M.A1) != n or any(len(r) != n for r in M.A1):
+        raise ValueError("A1 is not of the shape of A0")
+    coeffs = _pencil_det_gf([list(r) for r in M.A1],
+                            [list(r) for r in M.A0], M.domain.p)
+    top = n + M.shift
+    return LaurentPoly._raw(M.domain, {top - i: c
+                                       for i, c in enumerate(coeffs) if c})

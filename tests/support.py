@@ -2,8 +2,8 @@
 the integer Bareiss determinant, the evaluate-and-interpolate oracle for
 the classical Alexander polynomial (the route `classical_alexander` took
 before it deflated its integer pencil modulo a Mersenne prime), the
-one-sided F_p deflation (the route `_fastdet._pencil_det_gf` took before it
-deflated both ends of the pencil), the Laurent-polynomial route of
+two-sided F_p deflation (the route `_fastdet.pencil_det` took before it
+deflated the zero end of a pencil only), the Laurent-polynomial route of
 `reduce_fraction` and `split_pencil`, the reference row shift of
 `twisted._fox_pencil` for rows that are linear in t, the face count of a
 PD code's rotation system, the Alexander polynomial of a presentation, and
@@ -160,18 +160,24 @@ def bareiss_determinant(pd):
     return abs(pencil_value(*_alexander_pencil(wirtinger(pd)), -1))
 
 
-# -- the one-sided deflation and the Laurent-polynomial fraction route -------
+# -- the two-sided deflation and the Laurent-polynomial fraction route -------
 
-def one_sided_pencil_det(A0, A1, p):
+def two_sided_pencil_det(A0, A1, p):
     """Coefficients, low degree first, of det(A0 + t*A1) over F_p (A0, A1
-    overwritten): only the constant rows are expanded away, and the
-    characteristic polynomial is taken of everything else, the eigenvalue 0
-    included."""
-    scale = 1
+    overwritten): the constant rows are deflated first, then, with the roles
+    of A0 and A1 swapped, the rows that are t times a constant row, and the
+    characteristic polynomial is taken of what is left, exactly as wide as
+    the determinant's span."""
+    scale, tpow, swapped = 1, 0, False
     while A0:
         pivots, free = _reduce_rows(A0, A1, p)
         if not free:
-            break
+            if swapped:
+                break
+            # det(A0 + t*A1) = t^k * det(A1 + s*A0) for k x k, s = 1/t
+            tpow = len(A0)
+            A0, A1, swapped = A1, A0, True
+            continue
         factor, keep_rows, keep_cols = _expand_constant_rows(A0, A1, free, p)
         if not factor:
             return [0]
@@ -179,8 +185,11 @@ def one_sided_pencil_det(A0, A1, p):
         A0 = [[A0[i][k] for k in keep_cols] for i in keep_rows]
         A1 = [[A1[i][k] for k in keep_cols] for i in keep_rows]
     if not A0:
-        return [scale]
-    return [v * scale % p for v in _regular_det(A0, A1, pivots, p)]
+        return [0] * tpow + [scale]
+    # the coefficients of det(A1 + s*A0), low degree in s first, are those
+    # of t^-tpow * det(A0 + t*A1) from the top degree in t down
+    coeffs = _regular_det(A0, A1, pivots, p)
+    return [0] * (tpow - len(A0)) + [v * scale % p for v in reversed(coeffs)]
 
 
 def laurent_reduce_fraction(num, den):

@@ -19,8 +19,9 @@ from knotforge.presentation import (build_symun_presentation, deficiency_one,
 from knotforge.reps import RepSearchConfig, enumerate_sl2
 from knotforge.twisted import _alexander_pencil, _fox_pencil, fox_matrix
 
-from support import (as_pencil, grid_cells, one_sided_pencil_det,
-                     split_pencil)
+import support
+from support import (as_pencil, grid_cells, split_pencil,
+                     two_sided_pencil_det)
 
 
 def rand_pencil_matrix(rng, dom, n, density=0.85, singular=False):
@@ -229,6 +230,13 @@ class TestPencilDet:
         with pytest.raises(ValueError, match="non-square"):
             pencil_det(Pencil(GF(5), [[1, 2]], [[0, 1]]))
 
+    def test_a1_of_another_shape_is_refused(self):
+        # A1 is the matrix the kernel reduces first; a short one would end
+        # in an IndexError and a wide one in a wrong determinant
+        for A1 in ([[1, 0]], [[1, 0, 0], [0, 1, 0]], [[1], [0]]):
+            with pytest.raises(ValueError, match="shape"):
+                pencil_det(Pencil(GF(5), [[1, 0], [0, 1]], A1))
+
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(
         st.just(p),
@@ -359,60 +367,123 @@ def charpoly_sizes(monkeypatch):
     return sizes
 
 
+def widest_grid_union():
+    """The widest union of the symmetric-union grid, 6_1 with twists
+    (4, 4, -4), its partial presentation and pullback phi."""
+    table = KnotTable.parse(bundled_table_path().read_text())
+    pd = table["6_1"]
+    edges = sorted(pd.edges)
+    spec = SymUnionSpec(MarkedDiagram(pd, tuple(edges[i * 3]
+                                                for i in range(4))),
+                        (4, 4, -4))
+    return build_symun_presentation(spec)
+
+
+def numerator_pencils(monkeypatch, union, reps):
+    """The Wada numerator pencil of union under each representation."""
+    pencils = []
+    fox_matrix_ = twisted.fox_matrix
+    with monkeypatch.context() as m:
+        m.setattr(twisted, "fox_matrix", lambda *a, **k: (
+            pencils.append(fox_matrix_(*a, **k)), pencils[-1])[1])
+        for rho in reps:
+            twisted._twisted_alexander(union, rho)
+    return pencils
+
+
 class TestTwoSidedDeflation:
+    """The one-sided kernel and `pencil_det`'s orientation, against Bareiss
+    and against the two-sided deflation of `support`."""
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7, (1 << 31) - 1])
     def test_jordan_chains_at_zero_and_infinity(self, p, monkeypatch):
         rng = random.Random(20261118 + p % 1000)
+        shifts = random.Random(p)
         dom = GF(p)
         sizes = charpoly_sizes(monkeypatch)
         kinds = set()
         for _ in range(40):
             A0, A1 = jordan_pencil(rng, p)
+            n = len(A0)
             want = bareiss_det(Pencil(dom, A0, A1))
-            oracle = one_sided_pencil_det([list(r) for r in A0],
+            oracle = two_sided_pencil_det([list(r) for r in A0],
                                           [list(r) for r in A1], p)
             del sizes[:]
             got = _fastdet._pencil_det_gf([list(r) for r in A0],
                                           [list(r) for r in A1], p)
             assert got == oracle
             assert LaurentPoly(dom, dict(enumerate(got))) == want
-            # the characteristic polynomial is as wide as the determinant's
-            # span, the zero and infinite eigenvalues deflated
-            assert sizes == ([] if want.is_zero or not want.span
-                             else [want.span])
+            # the kernel deflates the infinite eigenvalues only: its
+            # characteristic polynomial is as wide as the degree
+            assert sizes == ([] if want.is_zero or not want.max_deg
+                             else [want.max_deg])
+            # pencil_det hands it (A1, A0): the eigenvalue 0 is deflated,
+            # and the characteristic polynomial is as wide as n - min_deg
+            shift = shifts.randrange(-5, 6)
+            del sizes[:]
+            assert pencil_det(Pencil(dom, A0, A1, shift)) == \
+                want.shift(shift)
+            assert sizes == ([] if want.is_zero or want.min_deg == n
+                             else [n - want.min_deg])
             kinds.add("zero" if want.is_zero else
                       "t^k" if want.min_deg > 0 else "constant term")
-        # the cases reach zero determinants and factors t^k, k > 0
-        assert kinds == {"zero", "t^k", "constant term"}
+            if not want.is_zero and want.max_deg < n:
+                kinds.add("degree < n")
+        # the cases reach zero determinants, factors t^k, k > 0, and
+        # infinite eigenvalues, which pencil_det leaves to the
+        # characteristic polynomial
+        assert kinds == {"zero", "t^k", "constant term", "degree < n"}
 
     def test_grid_union_charpoly_runs_at_the_span(self, monkeypatch):
-        # the widest union pencil of the symmetric-union grid: 6_1 with
-        # twists (4, 4, -4), 30 x 30 after the Tietze pass; its
-        # determinant has degree 30 and lowest term t^22
-        table = KnotTable.parse(bundled_table_path().read_text())
-        pd = table["6_1"]
-        edges = sorted(pd.edges)
-        spec = SymUnionSpec(MarkedDiagram(pd, tuple(edges[i * 3]
-                                                    for i in range(4))),
-                            (4, 4, -4))
-        union, partial, phi = build_symun_presentation(spec)
+        # the widest union pencil of the symmetric-union grid, 30 x 30
+        # after the Tietze pass; its determinant has degree 30 and lowest
+        # term t^22
+        union, partial, phi = widest_grid_union()
         rho = lamm_pullback(phi, enumerate_sl2(partial,
                                                RepSearchConfig(p=5))[0])
-        pencils = []
-        pencil_det_ = twisted.pencil_det
-        monkeypatch.setattr(twisted, "pencil_det",
-                            lambda M: (pencils.append(M), pencil_det_(M))[1])
-        twisted._twisted_alexander(union, rho)
-        A = max(pencils, key=lambda M: M.rows)
+        A = max(numerator_pencils(monkeypatch, union, [rho]),
+                key=lambda M: M.rows)
         assert A.rows == 30
         sizes = charpoly_sizes(monkeypatch)
-        got = _fastdet._pencil_det_gf([list(r) for r in A.A0],
-                                      [list(r) for r in A.A1], 5)
+        want = two_sided_pencil_det([list(r) for r in A.A0],
+                                    [list(r) for r in A.A1], 5)
+        assert len(want) == 31 and want[:22] == [0] * 22 and want[22]
+        del sizes[:]
+        assert pencil_det(A) == LaurentPoly(
+            GF(5), dict(enumerate(want))).shift(A.shift)
         assert sizes == [8]
-        assert len(got) == 31 and got[:22] == [0] * 22 and got[22]
-        assert one_sided_pencil_det([list(r) for r in A.A0],
-                                    [list(r) for r in A.A1], 5) == got
-        assert sizes == [8, 30]
+        # deflated from its infinite end, it runs at the full degree
+        del sizes[:]
+        assert _fastdet._pencil_det_gf([list(r) for r in A.A0],
+                                       [list(r) for r in A.A1], 5) == want
+        assert sizes == [30]
+
+    def test_grid_cell_reduction_count(self, monkeypatch):
+        # the union numerators of the grid cell 6_1, k = 3, twists
+        # (4, 4, -4), under both pulled-back F_5 classes, 30 x 30 each:
+        # pencil_det reduces rows exactly 10 times, on matrices whose sizes
+        # squared sum to 3696; the two-sided deflation, which deflates the
+        # infinite end first, takes 12 rounds and 5496
+        union, partial, phi = widest_grid_union()
+        reps = [lamm_pullback(phi, rho)
+                for rho in enumerate_sl2(partial, RepSearchConfig(p=5))]
+        pencils = numerator_pencils(monkeypatch, union, reps)
+        assert [A.rows for A in pencils] == [30, 30]
+        sizes = []
+        reduce_rows = _fastdet._reduce_rows
+
+        def spy(A0, A1, p):
+            sizes.append(len(A0))
+            return reduce_rows(A0, A1, p)
+        monkeypatch.setattr(_fastdet, "_reduce_rows", spy)
+        monkeypatch.setattr(support, "_reduce_rows", spy)
+        got = [pencil_det(A) for A in pencils]
+        assert (len(sizes), sum(n * n for n in sizes)) == (10, 3696)
+        del sizes[:]
+        assert got == [LaurentPoly(GF(5), dict(enumerate(two_sided_pencil_det(
+            [list(r) for r in A.A0], [list(r) for r in A.A1], 5)))).shift(
+                A.shift) for A in pencils]
+        assert (len(sizes), sum(n * n for n in sizes)) == (12, 5496)
 
 
 def int_coeffs(f):
