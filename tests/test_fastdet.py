@@ -441,8 +441,7 @@ class TestTwoSidedDeflation:
         union, partial, phi = widest_grid_union()
         rho = lamm_pullback(phi, enumerate_sl2(partial,
                                                RepSearchConfig(p=5))[0])
-        A = max(numerator_pencils(monkeypatch, union, [rho]),
-                key=lambda M: M.rows)
+        [A] = numerator_pencils(monkeypatch, union, [rho])
         assert A.rows == 30
         sizes = charpoly_sizes(monkeypatch)
         want = two_sided_pencil_det([list(r) for r in A.A0],
