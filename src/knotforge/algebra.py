@@ -1,7 +1,12 @@
 """
-Exact arithmetic for Laurent polynomials over Z, Q and prime fields F_p,
-matrices over them, fraction-free determinants, GCDs and canonical forms
-up to multiplication by units of the Laurent ring.
+Exact arithmetic for Laurent polynomials over Z, Q and prime fields F_p:
+reduced fractions, GCDs and canonical forms up to multiplication by units
+of the Laurent ring, and the fraction-free (Bareiss) determinant of a
+square matrix of them (anything with `domain`, `rows`, `cols` and
+`entries`, such as the tests' `PolyMatrix`).  The library's own
+determinants go through `_fastdet.pencil_det`; `det` and `gcd_polys` stay
+here for the tests' oracles and the benchmark's tracer, which looks them up
+by name.
 
 A Laurent polynomial is stored sparsely as {exponent: coefficient} with no
 zero coefficients.  Units of F[t,t^-1] are c*t^k (c a nonzero scalar, and
@@ -11,7 +16,6 @@ each unit orbit so that "equal up to units" becomes plain equality.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 
@@ -338,14 +342,6 @@ def exact_div(f, g):
     return LaurentPoly(d, q)
 
 
-def divides(g, f):
-    try:
-        exact_div(f, g)
-        return True
-    except ArithmeticError:
-        return False
-
-
 def _content(f):
     from math import gcd
     c = 0
@@ -527,39 +523,6 @@ def reduce_fraction(num, den):
         _list_monic(x, p)) if c}) for x in (a, b)), _reduced=True)
 
 
-def rational_unit_equal(a, b):
-    """Equality of two RationalFn up to units (cross-multiplied)."""
-    return unit_equal(a.num * b.den, b.num * a.den)
-
-
-class PolyMatrix:
-    """Dense matrix of LaurentPoly sharing one coefficient domain."""
-
-    __slots__ = ("domain", "rows", "cols", "entries")
-
-    def __init__(self, domain, entries):
-        entries = tuple(tuple(e for e in row) for row in entries)
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged matrix")
-            for e in row:
-                if e.domain is not domain and e.domain != domain:
-                    raise ValueError("mixed coefficient domains")
-        self.domain = domain
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-    def submatrix(self, rows, cols):
-        return PolyMatrix(self.domain, [
-            [self.entries[i][j] for j in cols] for i in rows])
-
-
 def det(M):
     """Exact determinant by fraction-free (Bareiss) elimination.
 
@@ -606,44 +569,6 @@ def det(M):
 
 # ---------------------------------------------------------------------------
 # text syntax:  terms `c*t^k` joined by + / -, e.g.  2*t^-1 - 5 + 2*t
-
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?: (?P<coef>\d+(?:/\d+)?) \s* (?:\*\s*)? )?
-        (?: (?P<t>t) (?:\s*\^\s*(?P<exp>-?\d+))? )?\s*""",
-    re.VERBOSE)
-
-
-def parse_poly(text, domain):
-    """Parse the polynomial text syntax into a LaurentPoly."""
-    s = text.strip()
-    if not s or s == "0":
-        return LaurentPoly.zero(domain)
-    coeffs = {}
-    pos = 0
-    first = True
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos or (m.group("coef") is None and m.group("t") is None):
-            raise ValueError("malformed polynomial %r at offset %d" % (text, pos))
-        if not first and m.group("sign") is None:
-            raise ValueError("missing +/- between terms in %r" % text)
-        sign = -1 if m.group("sign") == "-" else 1
-        coef = m.group("coef")
-        if coef is None:
-            c = Fraction(1)
-        else:
-            c = Fraction(coef)
-        e = 0
-        if m.group("t"):
-            e = int(m.group("exp")) if m.group("exp") is not None else 1
-        c = sign * c
-        prev = coeffs.get(e, Fraction(0))
-        coeffs[e] = prev + c
-        pos = m.end()
-        first = False
-    return LaurentPoly(domain, coeffs)
-
 
 def _fmt_coeff(c):
     if isinstance(c, Fraction) and c.denominator != 1:

@@ -143,13 +143,6 @@ def _read_bundled(name):
         return fh.read()
 
 
-def bundled_table_path():
-    """The bundled knots.csv as a pathlib.Path, imported only here: the
-    commands read the bundled files with _read_bundled."""
-    from pathlib import Path
-    return Path(_DATA, "knots.csv")
-
-
 def user_table_path():
     return os.path.join(os.path.expanduser("~"), ".knotforge", "knots.csv")
 

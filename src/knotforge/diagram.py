@@ -35,10 +35,14 @@ class PDCode:
     _derived = Record._derived
 
     def __init__(self, crossings):
-        crossings = [tuple(int(x) for x in c) for c in crossings]
+        crossings = [tuple(c) if isinstance(c, (tuple, list)) else c
+                     for c in crossings]
         for c in crossings:
-            if len(c) != 4:
-                raise InvalidDiagram("crossing %r is not a 4-tuple" % (c,))
+            # type(x) is int: a bool, float, str or None label is refused
+            if not (isinstance(c, tuple) and len(c) == 4
+                    and all(type(x) is int for x in c)):
+                raise InvalidDiagram("crossing %r is not four integer "
+                                     "edge labels" % (c,))
         occ = {}
         for ci, c in enumerate(crossings):
             for pos, e in enumerate(c):
@@ -281,10 +285,6 @@ def pd_from_json(text):
     if not isinstance(data, list):
         raise InvalidDiagram("JSON PD code must be an array of arrays")
     return PDCode(data)
-
-
-def pd_to_json(pd):
-    return json.dumps([list(c) for c in pd.crossings])
 
 
 class MarkedDiagram(Record):

@@ -1,8 +1,8 @@
 """
-Group presentations of knot groups: free-group words, Fox free differential
-calculus, Wirtinger presentations from PD codes, the symmetric-union
-presentation template with its epimorphism onto the partial knot's group,
-and the 2-bridge one-relator presentation.
+Group presentations of knot groups: free-group words, Wirtinger
+presentations from PD codes, the Tietze pass that shrinks a presentation
+before its Fox pencil, and the symmetric-union presentation template with
+its epimorphism onto the partial knot's group.
 
 Words are freely reduced tuples of (generator index, +-1).  Crossing
 relators are stored in the template form  in . o^-s . out^-1 . o^s  (s the
@@ -32,13 +32,6 @@ def inverse_word(w):
     return tuple((g, -e) for g, e in reversed(w))
 
 
-def concat(*words):
-    letters = []
-    for w in words:
-        letters.extend(w)
-    return reduce_word(letters)
-
-
 def word_exponent_sum(w):
     return sum(e for _, e in w)
 
@@ -59,81 +52,6 @@ def format_word(w, names):
     for g, e in w:
         parts.append(names[g] if e == 1 else names[g] + "^-1")
     return " ".join(parts)
-
-
-def parse_word(text, names):
-    index = {nm: i for i, nm in enumerate(names)}
-    letters = []
-    for tok in text.split():
-        if tok == "1":
-            continue
-        if tok.endswith("^-1"):
-            nm, e = tok[:-3], -1
-        else:
-            nm, e = tok, 1
-        if nm not in index:
-            raise ValueError("unknown generator %r" % nm)
-        letters.append((index[nm], e))
-    return reduce_word(letters)
-
-
-# -- free group ring ---------------------------------------------------------
-
-class GroupRingElt:
-    """Formal Z-linear combination of freely-reduced words."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for w, c in (terms or {}).items():
-            if c:
-                clean[w] = c
-        self.terms = clean
-
-    @classmethod
-    def from_word(cls, w, c=1):
-        return cls({reduce_word(w): c})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupRingElt(out)
-
-    def __neg__(self):
-        return GroupRingElt({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def left_mul_word(self, u):
-        return GroupRingElt({concat(u, w): c for w, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingElt) and self.terms == other.terms
-
-    def __repr__(self):
-        return "GroupRingElt(%r)" % (self.terms,)
-
-
-def fox_derivative(w, j):
-    """Fox free derivative d(w)/d(x_j) in the free group ring.
-
-    d(x_j)/d(x_j) = 1, d(uv) = du + u.dv, hence d(x_j^-1) = -x_j^-1.
-    """
-    out = {}
-    prefix = ()
-    for g, e in w:
-        if g == j:
-            if e == 1:
-                key = prefix
-                out[key] = out.get(key, 0) + 1
-            else:
-                key = concat(prefix, ((g, -1),))
-                out[key] = out.get(key, 0) - 1
-        prefix = concat(prefix, ((g, e),))
-    return GroupRingElt(out)
 
 
 # -- presentations -----------------------------------------------------------
@@ -482,22 +400,3 @@ def lamm_pullback(phi, rho):
     mats = tuple(word_prefixes(img, rho.matrices, rho.p)[-1]
                  for img in phi.images)
     return Representation._trusted(rho.p, rho.d, mats)
-
-
-# -- 2-bridge presentation ---------------------------------------------------
-
-def two_bridge_presentation(p, q):
-    """One-relator presentation of the 2-bridge knot group b(p, q):
-    <a, b | w a w^-1 b^-1> with w = a^e1 b^e2 a^e3 ... b^e_{p-1},
-    e_i = (-1)^floor(i*q/p)."""
-    from math import gcd
-    if p % 2 == 0 or p < 3 or not (0 < q < p) or gcd(p, q) != 1:
-        raise ValueError("b(%d, %d) is not a 2-bridge knot" % (p, q))
-    eps = [(-1) ** ((i * q) // p) for i in range(1, p)]
-    w = []
-    for i, e in enumerate(eps, start=1):
-        g = 0 if i % 2 == 1 else 1  # a for odd positions, b for even
-        w.append((g, e))
-    w = reduce_word(w)
-    relator = concat(w, ((0, 1),), inverse_word(w), ((1, -1),))
-    return GroupPresentation(("a", "b"), (relator,), meridian=0)

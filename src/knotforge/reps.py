@@ -233,14 +233,22 @@ def rep_to_json(rho):
                                       for M in rho.matrices]})
 
 
+def _json_int(v, what):
+    """v if it is a JSON integer; a float, bool or string is refused (int()
+    would truncate 7.9 to 7 or read true as 1)."""
+    if type(v) is not int:
+        raise ValueError("%s %s is not an integer" % (what, json.dumps(v)))
+    return v
+
+
 def rep_from_json(text):
     data = json.loads(text)
     if not isinstance(data, dict) or "p" not in data or "generators" not in data:
         raise ValueError("representation JSON needs 'p' and 'generators'")
-    p = int(data["p"])
+    p = _json_int(data["p"], "p =")
     if not _is_prime(p):
         raise ValueError("p = %d is not prime" % p)
-    mats = tuple(tuple(tuple(int(v) for v in row) for row in M)
+    mats = tuple(tuple(tuple(_json_int(v, "entry") for v in row) for row in M)
                  for M in data["generators"])
     if not mats:
         raise ValueError("empty generator list")

@@ -29,8 +29,6 @@ dies with the object the caller holds.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import (GF, QQ, ZZ, LaurentPoly, canonicalize, divmod_poly,
                       format_poly, reduce_fraction, unit_equal)
 from .presentation import (build_symun_presentation, deficiency_one,
@@ -460,14 +458,6 @@ def verify_theorem(spec, rho_partial):
         "deg_rhs": deg_rhs,
         "d": rho_partial.d,
     }
-
-
-def genus_lower_bound(tw):
-    """Exact rational (deg/d + 1)/2 from the degree inequality
-    d(2g - 1) >= deg; the genus bound is the ceiling of this value."""
-    if tw.degree is None:
-        raise ValueError("zero twisted polynomial has no degree")
-    return Fraction(tw.degree + tw.d, 2 * tw.d)
 
 
 def even_symun_quick_obstructions(K, candidate_partial, genus=None):

@@ -1,25 +1,263 @@
-"""Shared test helpers: the symmetric-union grid of the acceptance suite,
-the integer Bareiss determinant, the evaluate-and-interpolate oracle for
-the classical Alexander polynomial (the route `classical_alexander` took
-before it deflated its integer pencil modulo a Mersenne prime), the
-two-sided F_p deflation (the route `_fastdet.pencil_det` took before it
-deflated the zero end of a pencil only), the Laurent-polynomial route of
-`reduce_fraction` and `split_pencil`, the reference row shift of
-`twisted._fox_pencil` for rows that are linear in t, the face count of a
-PD code's rotation system, the Alexander polynomial of a presentation, and
-the SL(2, F_p) classes of the bundled knots, enumerated once per test run."""
+"""Shared test helpers: the definitions that only the tests use, moved out
+of the package unchanged (the matrices of Laurent polynomials, the
+polynomial text parser and unit equality of fractions from `algebra`; the
+free group ring, Fox derivatives and 2-bridge presentations from
+`presentation`; the genus bound from `twisted`; `pd_to_json` from
+`diagram`; the bundled table's path from `cli`), the loaders of the
+benchmark's tracer and of the README's library example, the
+symmetric-union grid of the acceptance suite, the integer Bareiss
+determinant, the evaluate-and-interpolate oracle for the classical
+Alexander polynomial (the route `classical_alexander` took before it
+deflated its integer pencil modulo a Mersenne prime), the two-sided F_p
+deflation (the route `_fastdet.pencil_det` took before it deflated the zero
+end of a pencil only), the Laurent-polynomial route of `reduce_fraction`
+and `split_pencil`, the reference row shift of `twisted._fox_pencil` for
+rows that are linear in t, the face count of a PD code's rotation system,
+the Alexander polynomial of a presentation, and the SL(2, F_p) classes of
+the bundled knots, enumerated once per test run."""
 
+import importlib.util
+import json
+import re
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 from knotforge._fastdet import (Pencil, _expand_constant_rows,
                                _int_pencil_det, _reduce_rows, _regular_det)
 from knotforge.algebra import (ZZ, LaurentPoly, RationalFn, canonicalize,
-                               exact_div, gcd_pair)
-from knotforge.cli import KnotTable, bundled_table_path
-from knotforge.presentation import deficiency_one, wirtinger
+                               exact_div, gcd_pair, unit_equal)
+from knotforge.cli import _DATA, KnotTable
+from knotforge.presentation import (GroupPresentation, deficiency_one,
+                                    inverse_word, reduce_word, wirtinger)
 from knotforge.reps import RepSearchConfig, enumerate_sl2
 from knotforge.twisted import _alexander_pencil, _fox_pencil, _fox_rows
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# -- moved from algebra: matrices, divisibility, unit equality, text syntax --
+
+class PolyMatrix:
+    """Dense matrix of LaurentPoly sharing one coefficient domain."""
+
+    __slots__ = ("domain", "rows", "cols", "entries")
+
+    def __init__(self, domain, entries):
+        entries = tuple(tuple(e for e in row) for row in entries)
+        rows = len(entries)
+        cols = len(entries[0]) if rows else 0
+        for row in entries:
+            if len(row) != cols:
+                raise ValueError("ragged matrix")
+            for e in row:
+                if e.domain is not domain and e.domain != domain:
+                    raise ValueError("mixed coefficient domains")
+        self.domain = domain
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    def __getitem__(self, ij):
+        return self.entries[ij[0]][ij[1]]
+
+    def submatrix(self, rows, cols):
+        return PolyMatrix(self.domain, [
+            [self.entries[i][j] for j in cols] for i in rows])
+
+
+def divides(g, f):
+    try:
+        exact_div(f, g)
+        return True
+    except ArithmeticError:
+        return False
+
+
+def rational_unit_equal(a, b):
+    """Equality of two RationalFn up to units (cross-multiplied)."""
+    return unit_equal(a.num * b.den, b.num * a.den)
+
+
+_TERM_RE = re.compile(
+    r"""\s*(?P<sign>[+-])?\s*
+        (?: (?P<coef>\d+(?:/\d+)?) \s* (?:\*\s*)? )?
+        (?: (?P<t>t) (?:\s*\^\s*(?P<exp>-?\d+))? )?\s*""",
+    re.VERBOSE)
+
+
+def parse_poly(text, domain):
+    """Parse the polynomial text syntax into a LaurentPoly."""
+    s = text.strip()
+    if not s or s == "0":
+        return LaurentPoly.zero(domain)
+    coeffs = {}
+    pos = 0
+    first = True
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        if not m or m.end() == pos or (m.group("coef") is None and m.group("t") is None):
+            raise ValueError("malformed polynomial %r at offset %d" % (text, pos))
+        if not first and m.group("sign") is None:
+            raise ValueError("missing +/- between terms in %r" % text)
+        sign = -1 if m.group("sign") == "-" else 1
+        coef = m.group("coef")
+        if coef is None:
+            c = Fraction(1)
+        else:
+            c = Fraction(coef)
+        e = 0
+        if m.group("t"):
+            e = int(m.group("exp")) if m.group("exp") is not None else 1
+        c = sign * c
+        prev = coeffs.get(e, Fraction(0))
+        coeffs[e] = prev + c
+        pos = m.end()
+        first = False
+    return LaurentPoly(domain, coeffs)
+
+
+# -- moved from presentation: words, the free group ring, 2-bridge knots -----
+
+def concat(*words):
+    letters = []
+    for w in words:
+        letters.extend(w)
+    return reduce_word(letters)
+
+
+def parse_word(text, names):
+    index = {nm: i for i, nm in enumerate(names)}
+    letters = []
+    for tok in text.split():
+        if tok == "1":
+            continue
+        if tok.endswith("^-1"):
+            nm, e = tok[:-3], -1
+        else:
+            nm, e = tok, 1
+        if nm not in index:
+            raise ValueError("unknown generator %r" % nm)
+        letters.append((index[nm], e))
+    return reduce_word(letters)
+
+
+class GroupRingElt:
+    """Formal Z-linear combination of freely-reduced words."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        clean = {}
+        for w, c in (terms or {}).items():
+            if c:
+                clean[w] = c
+        self.terms = clean
+
+    @classmethod
+    def from_word(cls, w, c=1):
+        return cls({reduce_word(w): c})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            out[w] = out.get(w, 0) + c
+        return GroupRingElt(out)
+
+    def __neg__(self):
+        return GroupRingElt({w: -c for w, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def left_mul_word(self, u):
+        return GroupRingElt({concat(u, w): c for w, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return isinstance(other, GroupRingElt) and self.terms == other.terms
+
+    def __repr__(self):
+        return "GroupRingElt(%r)" % (self.terms,)
+
+
+def fox_derivative(w, j):
+    """Fox free derivative d(w)/d(x_j) in the free group ring.
+
+    d(x_j)/d(x_j) = 1, d(uv) = du + u.dv, hence d(x_j^-1) = -x_j^-1.
+    """
+    out = {}
+    prefix = ()
+    for g, e in w:
+        if g == j:
+            if e == 1:
+                key = prefix
+                out[key] = out.get(key, 0) + 1
+            else:
+                key = concat(prefix, ((g, -1),))
+                out[key] = out.get(key, 0) - 1
+        prefix = concat(prefix, ((g, e),))
+    return GroupRingElt(out)
+
+
+def two_bridge_presentation(p, q):
+    """One-relator presentation of the 2-bridge knot group b(p, q):
+    <a, b | w a w^-1 b^-1> with w = a^e1 b^e2 a^e3 ... b^e_{p-1},
+    e_i = (-1)^floor(i*q/p)."""
+    from math import gcd
+    if p % 2 == 0 or p < 3 or not (0 < q < p) or gcd(p, q) != 1:
+        raise ValueError("b(%d, %d) is not a 2-bridge knot" % (p, q))
+    eps = [(-1) ** ((i * q) // p) for i in range(1, p)]
+    w = []
+    for i, e in enumerate(eps, start=1):
+        g = 0 if i % 2 == 1 else 1  # a for odd positions, b for even
+        w.append((g, e))
+    w = reduce_word(w)
+    relator = concat(w, ((0, 1),), inverse_word(w), ((1, -1),))
+    return GroupPresentation(("a", "b"), (relator,), meridian=0)
+
+
+# -- moved from twisted, diagram and cli --------------------------------------
+
+def genus_lower_bound(tw):
+    """Exact rational (deg/d + 1)/2 from the degree inequality
+    d(2g - 1) >= deg; the genus bound is the ceiling of this value."""
+    if tw.degree is None:
+        raise ValueError("zero twisted polynomial has no degree")
+    return Fraction(tw.degree + tw.d, 2 * tw.d)
+
+
+def pd_to_json(pd):
+    return json.dumps([list(c) for c in pd.crossings])
+
+
+def bundled_table_path():
+    """The bundled knots.csv as a pathlib.Path, imported only here: the
+    commands read the bundled files with _read_bundled."""
+    from pathlib import Path
+    return Path(_DATA, "knots.csv")
+
+
+# -- the benchmark's tracer and the README's library example ----------------
+
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+README = ROOT / "README.md"
+
+
+def library_example():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Library example", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
 
 # -- the symmetric-union grid -------------------------------------------------
 

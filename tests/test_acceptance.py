@@ -9,22 +9,21 @@ import random
 import time
 from fractions import Fraction
 
-from knotforge.algebra import (GF, QQ, ZZ, LaurentPoly, PolyMatrix,
-                               RationalFn, canonicalize, det, parse_poly,
-                               rational_unit_equal, unit_equal)
-from knotforge.cli import KnotTable, bundled_table_path
+from knotforge.algebra import (GF, QQ, ZZ, LaurentPoly, RationalFn,
+                               canonicalize, det, unit_equal)
+from knotforge.cli import KnotTable
 from knotforge.diagram import MarkedDiagram, SymUnionSpec, symmetric_union_pd
-from knotforge.presentation import (build_symun_presentation, concat,
-                                    deficiency_one, fox_derivative,
-                                    reduce_word, two_bridge_presentation,
-                                    wirtinger)
+from knotforge.presentation import (build_symun_presentation, deficiency_one,
+                                    reduce_word, wirtinger)
 from knotforge.reps import (RepSearchConfig, Representation, enumerate_sl2,
                             rep_from_json, verify_representation)
 from knotforge.twisted import (_gen_minus_one_det, classical_alexander,
                                even_symun_obstruction, higher_alexander,
                                knot_determinant, twisted_alexander)
 
-from support import M_VECTORS, PARTIALS, grid_cells, grid_marks
+from support import (M_VECTORS, PARTIALS, PolyMatrix, bundled_table_path,
+                     concat, fox_derivative, grid_cells, grid_marks,
+                     parse_poly, rational_unit_equal, two_bridge_presentation)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotforge.algebra import (ZZ, QQ, GF, LaurentPoly, PolyMatrix,
+from knotforge.algebra import (ZZ, QQ, GF, LaurentPoly,
                                canonicalize, det, gcd_polys, reduce_fraction,
-                               parse_poly, format_poly, unit_equal,
-                               exact_div, divides, rational_unit_equal,
-                               _is_prime)
+                               format_poly, unit_equal, exact_div, _is_prime)
 
-from support import int_det, int_interpolate, laurent_reduce_fraction
+from support import (PolyMatrix, divides, int_det, int_interpolate,
+                     laurent_reduce_fraction, parse_poly, rational_unit_equal)
 
 
 def P(text, domain=ZZ):

@@ -6,8 +6,6 @@ return type is caught here instead of in `--trace 1`.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
@@ -17,17 +15,9 @@ from knotforge.diagram import parse_pd
 from knotforge.presentation import deficiency_one, wirtinger
 from knotforge.reps import RepSearchConfig, enumerate_sl2
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from support import load_tracer
+
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 tracer = load_tracer()
 TARGETS = ({name: target[:2] for name, target in tracer.SPANS.items()}

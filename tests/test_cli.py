@@ -9,12 +9,13 @@ import pytest
 import knotforge._fastdet
 import knotforge.cli
 import knotforge.twisted
-from knotforge.cli import (DomainError, KnotTable, RunReport,
-                           bundled_table_path, default_table, main,
-                           resolve_knot, user_table_path)
+from knotforge.cli import (DomainError, KnotTable, RunReport, default_table,
+                           main, resolve_knot, user_table_path)
 from knotforge.diagram import PDCode, parse_pd
 from knotforge.presentation import wirtinger
 from knotforge.reps import RepSearchConfig, enumerate_sl2, rep_to_json
+
+from support import bundled_table_path
 
 GOOD_TABLE = (
     "# test provenance line\n"
@@ -22,6 +23,19 @@ GOOD_TABLE = (
     "3_1,\"X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]\"\n"
     "4_1,\"X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]\"\n"
 )
+# PD codes that are no diagram: each crossing must be four int labels.  The
+# JSON ones ended in a TypeError traceback, or int() read them as a trefoil
+MALFORMED_PDS = [
+    "X[1,2,3]",
+    "[1,2]",
+    "[null]",
+    "[[6,3,1,4],[2,5,3,6],[4,1,5,2.9]]",
+    "[[6,3,true,4],[2,5,3,6],[4,true,5,2]]",
+    '[[6,3,1,4],[2,5,3,6],[4,1,5,"2"]]',
+    '[[6,3,1,4],[2,5,3,6],"4152"]',
+]
+MALFORMED_IDS = ["short-crossing", "number", "null", "float-label",
+                 "bool-label", "string-label", "string-crossing"]
 
 
 @pytest.fixture(autouse=True)
@@ -58,8 +72,9 @@ class TestKnotTable:
             KnotTable.parse("knot,code\nfoo,bar\n", origin="h.csv")
         assert "h.csv:1" in str(exc.value)
 
-    def test_invalid_pd_reports_line(self):
-        text = "name,pd\nbad,\"X[1,2,3]\"\n"
+    @pytest.mark.parametrize("pd", MALFORMED_PDS, ids=MALFORMED_IDS)
+    def test_invalid_pd_reports_line(self, pd):
+        text = "name,pd\nbad,\"%s\"\n" % pd.replace('"', '""')
         with pytest.raises(DomainError) as exc:
             KnotTable.parse(text, origin="t.csv")
         assert "t.csv:2" in str(exc.value)
@@ -98,10 +113,15 @@ class TestResolveKnot:
         pd = resolve_knot("X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]", table)
         assert pd.n == 3
 
-    def test_inline_pd_malformed(self):
+    @pytest.mark.parametrize("pd", MALFORMED_PDS, ids=MALFORMED_IDS)
+    def test_inline_pd_malformed(self, capsys, isolated_home, pd):
         table = KnotTable.parse(GOOD_TABLE)
         with pytest.raises(DomainError):
-            resolve_knot("X[1,2,3]", table)
+            resolve_knot(pd, table)
+        assert main(["alex", pd]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: malformed PD code: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_named(self):
         table = KnotTable.parse(GOOD_TABLE)
@@ -470,6 +490,27 @@ class TestCommands:
         assert main(["talex", "3_1", "--p", "9", "--rep", str(rep)]) == 1
         err = capsys.readouterr().err
         assert "9 is not prime" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("p", 7.9), ("entry", 0.5)])
+    def test_rep_value_that_is_no_integer(self, capsys, isolated_home, key,
+                                          value):
+        # int() truncated both, and obstruct said "obstructed" for a
+        # representation that the file does not hold
+        data = json.loads((bundled_table_path().parent
+                           / "rho0.json").read_text())
+        if key == "p":
+            data["p"] = value
+        else:
+            data["generators"][0][0][0] = value
+        rep = isolated_home / "rho.json"
+        rep.write_text(json.dumps(data))
+        argv = ["obstruct", "11a_201", "--candidate", "6_1", "--p", "7",
+                "--rep", str(rep)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: invalid rep file %r: %s %s is not an " \
+            "integer\n" % (str(rep), "p =" if key == "p" else key, value)
+        assert captured.out == ""
 
     def test_json_byte_identical_round_trip(self, capsys, isolated_home):
         assert main(["--json", "alex", "3_1"]) == 0

@@ -5,8 +5,10 @@ import pytest
 from knotforge.algebra import unit_equal
 from knotforge.diagram import (InvalidDiagram, MarkedDiagram, PDCode,
                                SymUnionSpec, format_pd, parse_pd, pd_from_json,
-                               pd_to_json, symmetric_union_pd)
+                               symmetric_union_pd)
 from knotforge.twisted import classical_alexander, knot_determinant
+
+from support import pd_to_json
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from knotforge import _fastdet, twisted
 from knotforge._fastdet import (_MERSENNE_EXPONENTS, _MERSENNE_PRIMES, Pencil,
                                 _int_pencil_det, pencil_det)
-from knotforge.algebra import GF, QQ, ZZ, LaurentPoly, PolyMatrix, det
-from knotforge.cli import KnotTable, bundled_table_path
+from knotforge.algebra import GF, QQ, ZZ, LaurentPoly, det
+from knotforge.cli import KnotTable
 from knotforge.diagram import (MarkedDiagram, SymUnionSpec, parse_pd,
                                symmetric_union_pd)
 from knotforge.presentation import (build_symun_presentation, deficiency_one,
@@ -20,8 +20,8 @@ from knotforge.reps import RepSearchConfig, enumerate_sl2
 from knotforge.twisted import _alexander_pencil, _fox_pencil, fox_matrix
 
 import support
-from support import (as_pencil, grid_cells, split_pencil,
-                     two_sided_pencil_det)
+from support import (PolyMatrix, as_pencil, bundled_table_path, grid_cells,
+                     split_pencil, two_sided_pencil_det)
 
 
 def rand_pencil_matrix(rng, dom, n, density=0.85, singular=False):
@@ -189,9 +189,10 @@ class TestPencilDet:
         assert pencil_det(as_pencil(M)) == z
 
     def test_only_pencils(self):
-        # a Laurent-polynomial matrix is not a pencil; the Bareiss oracles
-        # are bound by algebra, which defines them, and the package's public
-        # names only, and _fastdet takes LaurentPoly alone from algebra
+        # a Laurent-polynomial matrix is not a pencil; no module of the
+        # package but algebra binds the Bareiss oracles (det and gcd_polys
+        # there, PolyMatrix in the tests' support module), and _fastdet
+        # takes LaurentPoly alone from algebra
         with pytest.raises(AttributeError):
             pencil_det(PolyMatrix(GF(5), [[LaurentPoly.one(GF(5))]]))
         oracles = {"PolyMatrix", "det", "gcd_polys"}

@@ -5,20 +5,19 @@ import pytest
 
 from knotforge.diagram import (MarkedDiagram, SymUnionSpec, parse_pd,
                                symmetric_union_pd)
-from knotforge.presentation import (GroupPresentation, GroupRingElt,
-                                    build_symun_presentation, concat,
-                                    deficiency_one, eliminate_generators,
-                                    format_word,
-                                    fox_derivative, inverse_word,
-                                    lamm_pullback, map_word, parse_word,
-                                    reduce_word, two_bridge_presentation,
-                                    wirtinger, word_exponent_sum)
+from knotforge.presentation import (GroupPresentation,
+                                    build_symun_presentation, deficiency_one,
+                                    eliminate_generators, format_word,
+                                    inverse_word, lamm_pullback, map_word,
+                                    reduce_word, wirtinger, word_exponent_sum)
 from knotforge.reps import (RepSearchConfig, Representation, enumerate_sl2,
                             evaluate_word, identity_matrix, mat_mul,
                             verify_representation)
 from knotforge.twisted import classical_alexander
 
-from support import grid_cells, pd_faces, presentation_alexander
+from support import (GroupRingElt, concat, fox_derivative, grid_cells,
+                     parse_word, pd_faces, presentation_alexander,
+                     two_bridge_presentation)
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"

@@ -2,18 +2,8 @@
 
 import contextlib
 import io
-import os
-import re
 
-README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                      "README.md")
-
-
-def library_example():
-    with open(README, encoding="utf-8") as fh:
-        text = fh.read()
-    section = text.split("## Library example", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+from support import library_example
 
 
 def test_library_example_runs():

@@ -1,14 +1,14 @@
 import json
 import random
+import re
 
 import pytest
 
 import knotforge.reps
-from knotforge.cli import KnotTable, bundled_table_path
+from knotforge.cli import KnotTable
 from knotforge.diagram import MarkedDiagram, SymUnionSpec, parse_pd
 from knotforge.presentation import (build_symun_presentation,
-                                    deficiency_one, two_bridge_presentation,
-                                    wirtinger)
+                                    deficiency_one, wirtinger)
 from knotforge.reps import (RepSearchConfig, Representation,
                             SearchBudgetExceeded, _abelian_class_reps,
                             _commute_with_first, _compile_plans,
@@ -19,7 +19,8 @@ from knotforge.reps import (RepSearchConfig, Representation,
                             verify_representation, word_prefixes)
 from knotforge.twisted import _rep_polynomials, twisted_alexander
 
-from support import bundled_classes
+from support import (bundled_classes, bundled_table_path,
+                     two_bridge_presentation)
 
 BUNDLED = KnotTable.load(bundled_table_path())
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
@@ -545,6 +546,18 @@ class TestSerialization:
             rep_from_json(json.dumps({"p": 5}))
         with pytest.raises(ValueError):
             rep_from_json(json.dumps({"p": 5, "generators": []}))
+
+    @pytest.mark.parametrize("p, entry", [
+        (7.9, 1), ("7", 1), (True, 1), (7, 0.5), (7, False), (7, "1"),
+        (7, 1.0)], ids=["p-float", "p-string", "p-bool", "entry-float",
+                        "entry-bool", "entry-string", "entry-float-1.0"])
+    def test_values_must_be_json_integers(self, p, entry):
+        # int() truncated 7.9 to 7 and 0.5 to 0, and read true as 1
+        text = json.dumps({"p": p, "generators": [[[entry]]] * 3})
+        bad = json.dumps(entry if p == 7 else p)
+        with pytest.raises(ValueError, match="^(p =|entry) %s is not an "
+                           "integer$" % re.escape(bad)):
+            rep_from_json(text)
 
     def test_composite_modulus_rejected(self):
         # over Z/9 the entry 3 has no inverse for verify_representation

@@ -7,7 +7,7 @@ polynomials, higher Alexander polynomials and determinants through
 import importlib.util
 from pathlib import Path
 
-from knotforge.cli import bundled_table_path
+from support import bundled_table_path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_table.py"
 

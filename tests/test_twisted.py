@@ -12,30 +12,29 @@ import pytest
 import knotforge.reps
 from knotforge import algebra, diagram, presentation, twisted
 from knotforge._fastdet import Pencil, pencil_det
-from knotforge.algebra import (GF, QQ, ZZ, LaurentPoly, PolyMatrix,
-                               RationalFn, canonicalize, det, gcd_polys,
-                               parse_poly, rational_unit_equal,
-                               reduce_fraction, unit_equal)
-from knotforge.cli import KnotTable, bundled_table_path
+from knotforge.algebra import (GF, QQ, ZZ, LaurentPoly, RationalFn,
+                               canonicalize, det, gcd_polys, reduce_fraction,
+                               unit_equal)
+from knotforge.cli import KnotTable
 from knotforge.diagram import (MarkedDiagram, PDCode, SymUnionSpec, parse_pd,
                                symmetric_union_pd)
 from knotforge.presentation import (GroupPresentation,
                                     build_symun_presentation, deficiency_one,
-                                    eliminate_generators, fox_derivative,
-                                    lamm_pullback,
-                                    two_bridge_presentation, wirtinger,
-                                    word_exponent_sum)
+                                    eliminate_generators, lamm_pullback,
+                                    wirtinger, word_exponent_sum)
 from knotforge.reps import (RepSearchConfig, Representation, enumerate_sl2,
                             mat_inv, verify_representation)
 from knotforge.twisted import (classical_alexander, even_symun_obstruction,
                                even_symun_quick_obstructions, fox_matrix,
-                               genus_lower_bound, higher_alexander,
+                               higher_alexander,
                                knot_determinant, trivial_rep,
                                twisted_alexander, verify_theorem)
 
-from support import (BUNDLED, bareiss_determinant, bundled_classes,
-                     grid_cells, interpolated_alexander, sparse_rows,
-                     split_pencil)
+from support import (BUNDLED, PolyMatrix, bareiss_determinant,
+                     bundled_classes, bundled_table_path, fox_derivative,
+                     genus_lower_bound, grid_cells, interpolated_alexander,
+                     parse_poly, rational_unit_equal, sparse_rows,
+                     split_pencil, two_bridge_presentation)
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
