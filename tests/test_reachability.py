@@ -162,12 +162,19 @@ def test_every_definition_in_src_is_reached():
     assert not unreached, "reached by no root: " + ", ".join(unreached)
 
 
-def test_the_roots_include_every_kind_of_use():
-    # the command line, the benchmark's lookups on its namespace of
-    # modules, a script's import, the README example and the tracer
-    found = roots(Package(PACKAGE))
-    assert {("cli", "main"), ("cli", "run"), ("cli", "default_table"),
-            ("twisted", "verify_theorem"), ("reps", "rep_to_json"),
-            ("twisted", "higher_alexander"), ("twisted", "trivial_rep"),
-            ("algebra", "det"), ("algebra", "gcd_polys"),
-            ("reps", "evaluate_word")} <= found
+def test_an_unused_or_reexported_helper_is_found(tmp_path):
+    # on a copy of the package: a helper that nothing calls, and a moved
+    # definition put back with an __init__ re-export, which is no use
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"),
+                                          encoding="utf-8")
+    added = {"reps.py": "def _unused(x):\n    return x\n",
+             "diagram.py": "def pd_to_json(pd):\n"
+                           "    return json.dumps(pd.crossings)\n",
+             "__init__.py": "from .diagram import pd_to_json\n"}
+    for name, text in added.items():
+        with open(tmp_path / name, "a", encoding="utf-8") as fh:
+            fh.write("\n\n" + text)
+    package = Package(tmp_path)
+    assert package.unreached(roots(package)) == ["diagram.pd_to_json",
+                                                  "reps._unused"]
