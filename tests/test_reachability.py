@@ -19,10 +19,6 @@ from support import ROOT, library_example, load_tracer
 PACKAGE = ROOT / "src" / "knotforge"
 
 
-def is_dunder(name):
-    return name.startswith("__") and name.endswith("__")
-
-
 class Package:
     """The top-level definitions, knotforge imports and import-time
     statements of each module of a package directory."""
@@ -109,8 +105,8 @@ class Package:
             elif isinstance(sub, ast.Attribute):
                 base = sub.value
                 if isinstance(base, ast.Name):
-                    source, name = imports.get(base.id, (None, ""))
-                    if name is None:
+                    source, name = imports.get(base.id, (None, None))
+                    if source is not None and name is None:  # a module
                         target = self.resolve(source, sub.attr)
                 elif isinstance(base, ast.Attribute):
                     target = self.resolve(base.attr, sub.attr)
@@ -131,7 +127,8 @@ class Package:
                     todo.extend(self.uses(module, node))
         return sorted("%s.%s" % (module, name)
                       for module, defs in self.defs.items() for name in defs
-                      if (module, name) not in reached and not is_dunder(name))
+                      if (module, name) not in reached
+                      and not (name.startswith("__") and name.endswith("__")))
 
 
 def roots(package):
