@@ -281,7 +281,10 @@ def format_pd(pd):
 
 
 def pd_from_json(text):
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidDiagram("invalid JSON: %s" % exc) from exc
     if not isinstance(data, list):
         raise InvalidDiagram("JSON PD code must be an array of arrays")
     return PDCode(data)

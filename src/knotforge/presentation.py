@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .diagram import InvalidDiagram
+from .reps import Representation, verify_representation, word_prefixes
 
 
 # -- free-group words --------------------------------------------------------
@@ -392,11 +393,20 @@ def lamm_pullback(phi, rho):
     """rho o phi for a representation rho of phi.target, checked there once:
     GeneratorMap proved at construction that every source relator maps to a
     target relator or to 1, so rho o phi satisfies the source unchecked."""
-    from .reps import Representation, verify_representation, word_prefixes
+    return _pullback(phi, _checked(phi.target, rho), range(len(phi.images)))
 
-    if not verify_representation(phi.target, rho):
+
+def _checked(partial, rho):
+    """rho, once it satisfies the partial presentation of a template."""
+    if not verify_representation(partial, rho):
         raise ValueError("representation is not valid on the partial "
                          "presentation produced by this construction")
-    mats = tuple(word_prefixes(img, rho.matrices, rho.p)[-1]
-                 for img in phi.images)
-    return Representation._trusted(rho.p, rho.d, mats)
+    return rho
+
+
+def _pullback(phi, rho, gens):
+    """rho o phi on the source generators gens, rho checked on phi.target."""
+    return Representation._trusted(rho.p, rho.d, tuple(
+        rho.matrices[w[0][0]] if len(w) == 1 and w[0][1] == 1
+        else word_prefixes(w, rho.matrices, rho.p)[-1]
+        for w in map(phi.images.__getitem__, gens)))

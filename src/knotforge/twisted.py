@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from .algebra import (GF, QQ, ZZ, LaurentPoly, canonicalize, divmod_poly,
                       format_poly, reduce_fraction, unit_equal)
-from .presentation import (build_symun_presentation, deficiency_one,
-                           eliminate_generators, lamm_pullback, wirtinger)
+from .presentation import (_checked, _pullback, build_symun_presentation,
+                           deficiency_one, eliminate_generators, wirtinger)
 from .reps import (Representation, RepSearchConfig, enumerate_sl2, inverses,
                    verify_representation, word_prefixes)
 from ._fastdet import Pencil, _int_pencil_det, pencil_det
@@ -219,16 +219,20 @@ def twisted_alexander(pres, rho, drop_column="auto"):
 
 def _twisted_alexander(pres, rho, drop_column="auto"):
     """twisted_alexander for a deficiency-1 pres and a rho already known to
-    satisfy it (the pullback of a checked representation), without checking
-    rho again."""
+    satisfy it, unchecked: so rho maps each generator the Tietze pass
+    eliminates to its word, and is restricted to the ones it keeps."""
     j = 0 if drop_column == "auto" else drop_column
     if not (0 <= j < pres.num_generators):
         raise ValueError("drop_column out of range")
+    return _wada(pres, j, lambda kept: Representation._trusted(
+        rho.p, rho.d, tuple(rho.matrices[g] for g in kept)))
+
+
+def _wada(pres, j, restrict):
+    """det A_{x_j} / det Phi(x_j - 1) on the Tietze reduction of pres that
+    keeps x_j (kept on pres), under restrict(kept), unchecked."""
     pres, kept = pres._derived(("tietze", j), eliminate_generators, pres, j)
-    # rho satisfies pres, so it maps each eliminated generator to its word
-    rho = Representation._trusted(rho.p, rho.d,
-                                  tuple(rho.matrices[g] for g in kept))
-    j = kept.index(j)
+    rho, j = restrict(kept), kept.index(j)
     num = pencil_det(fox_matrix(pres, rho, drop=j))
     den = _gen_minus_one_det(rho, j)
     return TwistedPolynomial(reduce_fraction(num, den), rho.d)
@@ -412,13 +416,14 @@ def knot_determinant(pd):
 
 
 def _factorization_target(pres, rho):
-    """The twisted polynomial Delta_{pres,rho} and the factorization target
+    """The twisted polynomial Delta_{pres,rho}, the factorization target
     Delta_{pres,rho}^2 * det(rho(mu)t - I), mu the meridian of pres, for
-    a rho that the caller has checked on pres."""
+    a rho that the caller has checked on pres, and the target's text."""
     tw = _twisted_alexander(pres, rho)
     num, den = tw.value.num, tw.value.den
     mu = _gen_minus_one_det(rho, pres.meridian)
-    return tw, reduce_fraction(num * num * mu, den * den)
+    target = reduce_fraction(num * num * mu, den * den)
+    return tw, target, format_fraction(target)
 
 
 def _symun_presentations(spec):
@@ -435,29 +440,21 @@ def verify_theorem(spec, rho_partial):
     """Check the symmetric-union factorization: the twisted polynomial of the
     union under the pulled-back representation against
     Delta_partial^2 * det(rho(mu)t - I), with the degree law
-    deg lhs = 2 deg Delta_partial + d.  The presentations are kept on spec
-    and the partial target, keyed on rho_partial, on its presentation.
-    rho_partial is checked once per call, on the partial presentation, by
-    lamm_pullback; the pulled-back representation, its Tietze restriction
-    and the partial target are built from it and not checked again."""
+    deg lhs = 2 deg Delta_partial + d.  rho_partial is checked once per
+    value, on the partial presentation the specs of one marked diagram
+    share, which keeps the target; the pullback satisfies the union
+    (GeneratorMap) and is built on its Tietze-kept generators only."""
     union_pres, partial_pres, phi = _symun_presentations(spec)
-    # the one check of rho_partial; the pullback satisfies the union
-    rho = lamm_pullback(phi, rho_partial)
-    lhs = _twisted_alexander(union_pres, rho)
-    partial_tw, rhs_fr = partial_pres._derived(
-        rho_partial, _factorization_target, partial_pres, rho_partial)
-    # both fractions are reduced and canonical, so unit equality is equality
-    equal = lhs.value == rhs_fr
+    partial_tw, rhs_fr, rhs = partial_pres._derived(
+        rho_partial, lambda: _factorization_target(
+            partial_pres, _checked(partial_pres, rho_partial)))
+    lhs = _wada(union_pres, 0, lambda kept: _pullback(phi, rho_partial, kept))
     deg_rhs = (None if partial_tw.degree is None
                else 2 * partial_tw.degree + rho_partial.d)
-    return {
-        "lhs": format_fraction(lhs.value),
-        "rhs": format_fraction(rhs_fr),
-        "equal": equal,
-        "deg_lhs": lhs.degree,
-        "deg_rhs": deg_rhs,
-        "d": rho_partial.d,
-    }
+    # both fractions are reduced and canonical, so unit equality is equality
+    return {"lhs": format_fraction(lhs.value), "rhs": rhs,
+            "equal": lhs.value == rhs_fr, "deg_lhs": lhs.degree,
+            "deg_rhs": deg_rhs, "d": rho_partial.d}
 
 
 def even_symun_quick_obstructions(K, candidate_partial, genus=None):
@@ -502,8 +499,8 @@ def even_symun_obstruction(K, candidate_partial, rho_partial,
         raise ValueError("the obstruction needs a nonabelian SL(2, F_p) "
                          "representation of the candidate; only those "
                          "classes of K are enumerated")
-    _, target = _factorization_target(_deficiency_one(cand_pres),
-                                      rho_partial)
+    _, target, _ = _factorization_target(_deficiency_one(cand_pres),
+                                         rho_partial)
     pres = _wirtinger(K)
     cfg = RepSearchConfig(p=rho_partial.p) if max_nodes is None else \
         RepSearchConfig(p=rho_partial.p, max_nodes=max_nodes)

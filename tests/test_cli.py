@@ -33,9 +33,12 @@ MALFORMED_PDS = [
     "[[6,3,true,4],[2,5,3,6],[4,true,5,2]]",
     '[[6,3,1,4],[2,5,3,6],[4,1,5,"2"]]',
     '[[6,3,1,4],[2,5,3,6],"4152"]',
+    "[[6,3,1,4],[2,5,3,6],[4,1,5,2]",
+    "[1,",
 ]
 MALFORMED_IDS = ["short-crossing", "number", "null", "float-label",
-                 "bool-label", "string-label", "string-crossing"]
+                 "bool-label", "string-label", "string-crossing",
+                 "unclosed-json", "truncated-json"]
 
 
 @pytest.fixture(autouse=True)
@@ -536,6 +539,16 @@ class TestTableManagement:
                           "X[2,5,3,6]\"\n")
         assert main(["--table", str(custom), "--json", "alex", "only"]) == 0
         assert main(["--table", str(custom), "alex", "3_1"]) == 1
+
+    def test_table_row_with_bad_json_names_its_line(self, capsys, tmp_path,
+                                                    isolated_home):
+        custom = tmp_path / "broken.csv"
+        custom.write_text('name,pd\nk,"[1,"\n')
+        assert main(["alex", "k", "--table", str(custom)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: %s:2: invalid PD for 'k': " % custom)
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     @pytest.mark.parametrize("source", ["flag", "env"])
     def test_missing_table_is_an_error(self, capsys, tmp_path, isolated_home,

@@ -880,28 +880,25 @@ class TestVerifyTheorem:
             verify_theorem(spec, None)
 
     def test_pullback_is_not_checked_twice(self, monkeypatch):
-        # lamm_pullback checks rho_partial on the partial presentation, the
-        # one check of the call; no union relator is evaluated, since the
-        # GeneratorMap proved at construction that they map to partial
-        # relators or to 1 (the partial target is memoized)
-        pd = parse_pd(TREFOIL)
-        spec = SymUnionSpec(MarkedDiagram(pd, (1, 3)), (2,))
+        # rho_partial is checked once per value, on the partial presentation
+        # that the specs of one marked diagram share; no union relator is
+        # evaluated, since the GeneratorMap proved at construction that they
+        # map to partial relators or to 1
+        marked = MarkedDiagram(parse_pd(TREFOIL), (1, 3))
+        spec, other = SymUnionSpec(marked, (2,)), SymUnionSpec(marked, (-2,))
         _, partial, _ = build_symun_presentation(spec)
         rho = enumerate_sl2(partial, RepSearchConfig(p=5))[0]
+        checked = count_checks(monkeypatch)
         first = verify_theorem(spec, rho)
-        checked = []
-
-        def counted(pres, rho):
-            checked.append(pres)
-            return verify_representation(pres, rho)
-        monkeypatch.setattr(knotforge.reps, "verify_representation", counted)
+        assert checked == [partial]
+        assert verify_theorem(other, rho)["equal"]
         assert verify_theorem(spec, rho) == first
         assert checked == [partial]
 
     def test_union_matrices_are_inverted_once(self, monkeypatch):
-        # with warm memos: once for the check of rho_partial, once in the
-        # Fox pass over the restricted union (the pullback inverted the
-        # union matrices a third time before)
+        # with warm memos: once, in the Fox pass over the reduced union;
+        # rho_partial was checked on the first call, and the pullback reads
+        # one-letter images, so neither inverts a matrix
         pd = parse_pd(TREFOIL)
         spec = SymUnionSpec(MarkedDiagram(pd, (1, 3)), (2,))
         _, partial, _ = build_symun_presentation(spec)
@@ -918,8 +915,56 @@ class TestVerifyTheorem:
         assert verify_theorem(spec, rho) == first
         reduced, _ = eliminate_generators(build_symun_presentation(spec)[0],
                                           0)
-        assert sizes == [partial.num_generators, reduced.num_generators] \
-            == [5, 8]
+        assert sizes == [reduced.num_generators] == [8]
+
+    def test_second_spec_checks_and_evaluates_no_word(self, monkeypatch):
+        # on another spec of the same marked diagram, with the target of
+        # rho_partial kept: no check, and no word evaluated outside the Fox
+        # pass, which alone calls word_prefixes through twisted
+        marked = MarkedDiagram(parse_pd(FIG8), (1, 3, 5))
+        spec, other = (SymUnionSpec(marked, (2, -2)),
+                       SymUnionSpec(marked, (4, 2)))
+        _, partial, _ = build_symun_presentation(spec)
+        rho = enumerate_sl2(partial, RepSearchConfig(p=7))[0]
+        verify_theorem(spec, rho)
+        checked = count_checks(monkeypatch)
+        words, fox = [], []
+        word_prefixes = knotforge.reps.word_prefixes
+        for module, seen in ((knotforge.reps, words), (presentation, words),
+                             (twisted, fox)):
+            monkeypatch.setattr(module, "word_prefixes",
+                                lambda *args, seen=seen: (
+                                    seen.append(args[0]),
+                                    word_prefixes(*args))[1])
+        assert verify_theorem(other, rho)["equal"]
+        assert checked == [] and words == [] and fox
+
+    def test_failing_rep_raises_on_every_call_and_keeps_nothing(
+            self, monkeypatch):
+        spec = SymUnionSpec(MarkedDiagram(parse_pd(TREFOIL), (1, 3)), (2,))
+        _, partial, _ = build_symun_presentation(spec)
+        A, B = enumerate_sl2(partial, RepSearchConfig(p=5))[0].matrices[:2]
+        bad = Representation(
+            p=5, d=2, matrices=(A,) + (B,) * (partial.num_generators - 1))
+        checked = count_checks(monkeypatch)
+        for calls in (1, 2):
+            with pytest.raises(ValueError, match="^representation is not "
+                               "valid on the partial presentation produced "
+                               "by this construction$"):
+                verify_theorem(spec, bad)
+            assert checked == [partial] * calls
+            assert targets_kept(spec._cache["symun"][1]) == []
+
+    def test_wrong_matrix_count_is_refused(self):
+        spec = SymUnionSpec(MarkedDiagram(parse_pd(TREFOIL), (1, 3)), (2,))
+        _, partial, _ = build_symun_presentation(spec)
+        rho = enumerate_sl2(partial, RepSearchConfig(p=5))[0]
+        short = Representation(p=5, d=2, matrices=rho.matrices[:-1])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^matrix count 4 does not "
+                               "match the generator count 5$"):
+                verify_theorem(spec, short)
+            assert targets_kept(spec._cache["symun"][1]) == []
 
     def test_failed_identification_is_rejected(self):
         # a representation of the cut trefoil's crossing relators alone that
@@ -957,6 +1002,34 @@ class TestVerifyTheorem:
         assert not verify_representation(union, bad)
         with pytest.raises(ValueError, match="does not satisfy the relators"):
             twisted_alexander(union, bad)
+
+
+def test_verify_theorem_matches_the_checked_route():
+    # every grid cell under two nonabelian classes over F_5 and F_7, each
+    # call on fresh objects with empty caches: lhs against the public
+    # checked route (lamm_pullback onto every union generator, then
+    # twisted_alexander on the whole union), rhs against a target computed
+    # afresh on its own partial presentation
+    runs = 0
+    for name, pd, marks, ms in grid_cells():
+        def fresh():
+            return SymUnionSpec(MarkedDiagram(copy.deepcopy(pd), marks),
+                                tuple(2 * m for m in ms))
+        _, partial, _ = build_symun_presentation(fresh())
+        for p in (5, 7):
+            reps = enumerate_sl2(partial, RepSearchConfig(p=p))[:2]
+            assert len(reps) == 2, (name, ms, p)
+            for rho in reps:
+                out = verify_theorem(fresh(), rho)
+                union, own_partial, phi = build_symun_presentation(fresh())
+                lhs = twisted_alexander(union, lamm_pullback(phi, rho))
+                _, target, _ = twisted._factorization_target(own_partial,
+                                                             rho)
+                assert out["lhs"] == twisted.format_fraction(lhs.value)
+                assert out["rhs"] == twisted.format_fraction(target)
+                assert out["equal"] and out["deg_lhs"] == lhs.degree
+                runs += 1
+    assert runs == 36 * 2 * 2
 
 
 class TestTrustedRepresentations:
@@ -1032,6 +1105,20 @@ class TestTrustedRepresentations:
             type(phi)(union, partial, (((0, 1), (1, 1)),) + phi.images[1:])
 
 
+def count_checks(monkeypatch):
+    """The presentations verify_representation checks a representation on
+    from now on, in order, through any module that binds it."""
+    checked = []
+    check = knotforge.reps.verify_representation
+
+    def counted(pres, rho):
+        checked.append(pres)
+        return check(pres, rho)
+    for module in (knotforge.reps, presentation, twisted):
+        monkeypatch.setattr(module, "verify_representation", counted)
+    return checked
+
+
 def count_builds(monkeypatch):
     """The specs whose template twisted builds from now on, in order."""
     builds = []
@@ -1042,7 +1129,8 @@ def count_builds(monkeypatch):
 
 def targets_kept(pres):
     """The representations whose factorization target pres keeps."""
-    return [key for key in pres._cache if isinstance(key, Representation)]
+    return [key for key in getattr(pres, "_cache", ())
+            if isinstance(key, Representation)]
 
 
 class TestVerifyTheoremMemos:
