@@ -34,9 +34,17 @@ propagation plan once from the relators alone: per depth, a straight-line
 list of force steps (one product over a cyclic rotation of a relator) and
 check steps (each relator checked once, at the depth it becomes complete),
 then the generator to branch on.  Every node runs its depth's plan with the
-2x2 arithmetic mod p written out.  The trace slices, pinned classes with
-their centralizers and first-branch orbit representatives are memoized per
-(trace, p) in a bounded cache.
+2x2 arithmetic mod p written out.  A force step is the Wirtinger colouring
+move (Blair, Kjuchukova, Velazquez and Villanueva, Comm. Anal. Geom. 28,
+2020); the same colouring argument fixes the over-arc g of a crossing
+in . g^e . out^-1 . g^-e whose under-arcs are known up to the linear
+equation in . N = N . out, N = g^e.  The plan records each such crossing
+with the branch on g, and the branch tests it on every candidate before it
+recurses: a candidate it rejects is the node the next depth's check step of
+that relator would reject, so it is counted as one against the budget and
+the results and node totals are those of the plain search.  The trace
+slices, pinned classes with their centralizers and first-branch orbit
+representatives are memoized per (trace, p) in a bounded cache.
 """
 
 from __future__ import annotations
@@ -58,6 +66,9 @@ class RepSearchConfig(Record):
     def __init__(self, p, nonabelian_only=True, max_nodes=2_000_000):
         if not _is_prime(p):
             raise ValueError("p must be prime")
+        if type(max_nodes) is not int:
+            # not a bool either, which would read True as a budget of 1
+            raise ValueError("budget %r is not an integer" % (max_nodes,))
         if max_nodes < 1:
             raise ValueError("budget must be at least 1")
         self._init(p, nonabelian_only, max_nodes)
@@ -363,8 +374,14 @@ def _compile_plans(relators, ng):
     used once on every path, as a force or as a check.  Letters are slots
     of the search's value array: x_h^1 is h, x_h^-1 is ng + h, and an empty
     product is the identity's slot 2 * ng.
-    Returns (plans, gens): plans[k] the steps of depth k, gens[k] the
-    generator branched on after them (None at the leaves, the last depth).
+    A crossing relator in . g^e . out^-1 . g^-e whose over-arc g is the
+    generator branched on, with in and out assigned, is complete once g is
+    and is checked at the next depth; it holds exactly when in . N = N . out
+    for N = g^e, which the branch tests on each candidate first.
+    Returns (plans, gens, crossings): plans[k] the steps of depth k,
+    gens[k] the generator branched on after them (None at the leaves, the
+    last depth) and crossings[k] the (in, out, e) of each such relator of
+    gens[k], in relator order.
     """
     def slots(letters):
         out = tuple(h if f > 0 else ng + h for h, f in letters) or (2 * ng,)
@@ -373,7 +390,7 @@ def _compile_plans(relators, ng):
     assigned = [False] * ng
     assigned[0] = True
     used = [False] * len(relators)
-    plans, gens = [], []
+    plans, gens, crossings = [], [], []
     while True:
         steps = []
         changed = True
@@ -400,7 +417,12 @@ def _compile_plans(relators, ng):
         g = _next_branch_gen(relators, assigned)
         gens.append(g)
         if g is None:
-            return tuple(plans), tuple(gens)
+            return tuple(plans), tuple(gens), tuple(crossings)
+        crossings.append(tuple(
+            (r[0][0], r[2][0], r[1][1]) for r in relators
+            if len(r) == 4 and r[1][0] == r[3][0] == g
+            and r[0][1] == 1 == -r[2][1] and r[1][1] == -r[3][1]
+            and assigned[r[0][0]] and assigned[r[2][0]]))
         assigned[g] = True
 
 
@@ -490,11 +512,13 @@ def _canonical(mats, zpairs, branched, p):
 class RepList(list):
     """The list of representations enumerate_sl2 returns, with `twins`:
     per listed class the index of its sign twin in the list (possibly its
-    own), or None for an abelian class and over F_2."""
+    own), or None for an abelian class and over F_2; and `nodes`: the
+    search nodes it visited, what max_nodes bounds."""
 
-    def __init__(self, reps, twins):
+    def __init__(self, reps, twins, nodes):
         super().__init__(reps)
         self.twins = tuple(twins)
+        self.nodes = nodes
 
 
 def enumerate_sl2(pres, cfg):
@@ -529,11 +553,12 @@ def enumerate_sl2(pres, cfg):
     if not pres.is_wirtinger:
         raise ValueError("enumeration needs a Wirtinger-type presentation")
     ng = pres.num_generators
-    plans, gens = _compile_plans(pres.relators, ng)
+    plans, gens, crossings = _compile_plans(pres.relators, ng)
     # every leaf is at the last depth, and the search meets leaves in
     # lexicographic order of their values on the branched generators
     branched = gens[:-1]
     reps, twins = [], []
+    budget = cfg.max_nodes
     nodes = 0
     # the slots of _compile_plans: x_h, then x_h^-1, then I, each a flat
     # (a, b, c, d).  One array serves the whole search, since a node's plan
@@ -548,13 +573,16 @@ def enumerate_sl2(pres, cfg):
             reps.append(mk((M,) * ng))
             twins.append(None)
 
+    def exceeded(s):
+        return SearchBudgetExceeded(
+            "representation search exceeded its budget: %d nodes used, "
+            "reached trace %d of 0..%d" % (budget, s, p - 1))
+
     def branch(depth, s, cands):
         nonlocal nodes
         nodes += 1
-        if nodes > cfg.max_nodes:
-            raise SearchBudgetExceeded(
-                "representation search exceeded its budget: %d nodes used, "
-                "reached trace %d of 0..%d" % (cfg.max_nodes, s, p - 1))
+        if nodes > budget:
+            raise exceeded(s)
         # every value lies in SL2(F_p), so a forced product has det 1 and
         # needs only the trace and scalar checks
         for g, e, first, rest in plans[depth]:
@@ -575,9 +603,25 @@ def enumerate_sl2(pres, cfg):
         if g is None:
             leaf(vals[:ng])
             return
+        # each crossing over g is tested here, as in . N = N . out for
+        # N = g^e; a candidate it rejects is the node whose check step
+        # would reject it, and is counted as one
+        tests = crossings[depth] and [(vals[i], vals[o], e > 0)
+                                      for i, o, e in crossings[depth]]
         for M, Mi in cands:
-            vals[g], vals[ng + g] = M, Mi
-            branch(depth + 1, s, trace_slice)
+            for (a, b, c, d), (x, y, z, w), direct in tests:
+                n0, n1, n2, n3 = M if direct else Mi
+                if ((a * n0 + b * n2 - n0 * x - n1 * z) % p
+                        or (a * n1 + b * n3 - n0 * y - n1 * w) % p
+                        or (c * n0 + d * n2 - n2 * x - n3 * z) % p
+                        or (c * n1 + d * n3 - n2 * y - n3 * w) % p):
+                    nodes += 1
+                    if nodes > budget:
+                        raise exceeded(s)
+                    break
+            else:
+                vals[g], vals[ng + g] = M, Mi
+                branch(depth + 1, s, trace_slice)
 
     def leaf(mats):
         # x_0 is not scalar, so its centralizer is commutative and the
@@ -625,7 +669,7 @@ def enumerate_sl2(pres, cfg):
             index = {canon: j for j, canon in enumerate(order, start)}
             for j, mats in enumerate(listed[s][1], start):
                 twins[j] = index[twin_class(mats, s)[0]]
-    return RepList(reps, twins)
+    return RepList(reps, twins, nodes)
 
 
 def _abelian_class_reps(p):

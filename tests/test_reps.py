@@ -364,21 +364,23 @@ class TestCompiledPlan:
         # x1 x0 x1^-1 x0^-1 has one unassigned generator, x1, but twice:
         # nothing is forced, x1 is branched on and the relator checked
         rels = (((1, 1), (0, 1), (1, -1), (0, -1)),)
-        plans, gens = _compile_plans(rels, 2)
+        plans, gens, crossings = _compile_plans(rels, 2)
         assert plans[0] == () and gens == (1, None)
         assert plans[1] == ((None, 0, 1, (0, 3, 2)),)
+        # x1 x0 x1^-1 x0^-1 is no crossing over x1: x1 is not its 2nd letter
+        assert crossings == ((),)
 
     def test_relator_complete_at_the_root_is_checked_there(self):
         # x0 x0^-1 is complete once x0 is pinned; x0 x1 x0^-1 then forces x1
         rels = (((0, 1), (1, 1), (0, -1)), ((0, 1), (0, -1)))
-        plans, gens = _compile_plans(rels, 2)
-        assert gens == (None,)
+        plans, gens, crossings = _compile_plans(rels, 2)
+        assert gens == (None,) and crossings == ()
         assert plans == (((1, 1, 2, (0,)), (None, 0, 0, (2,))),)
 
     def test_forced_and_checked_in_the_rescan_order(self):
         # r0 waits for x2; r1 forces x1 = x0, which lets r0 force x2
         rels = (((2, 1), (1, -1), (0, -1)), ((1, 1), (0, -1)))
-        plans, gens = _compile_plans(rels, 3)
+        plans, gens, _ = _compile_plans(rels, 3)
         assert gens == (None,)
         assert [(g, e) for g, e, _, _ in plans[0]] == [(1, 1), (2, 1)]
 
@@ -387,11 +389,39 @@ class TestCompiledPlan:
         # every node of a depth runs the same plan, so a path from the root
         # to a leaf runs all of them, one after another
         pres = REFERENCE_PRESENTATIONS[name]()
-        plans, gens = _compile_plans(pres.relators, pres.num_generators)
+        plans, gens, _ = _compile_plans(pres.relators, pres.num_generators)
         assert sorted(plan_words(plans, pres.num_generators)) == sorted(
             least_rotation(r) for r in pres.relators)
         assert gens[-1] is None and None not in gens[:-1]
         assert len(set(gens[:-1])) == len(gens) - 1
+
+    @pytest.mark.parametrize("name, depths", [
+        # 8_20 branches on x2 at depth 1, the over-arc of x6 x2^-1 x7^-1 x2
+        # (generators counted from 0)
+        ("8_20", {1: ((6, 7, -1),)}), ("10_137", {1, 2}), ("10_99", {1, 3}),
+        ("3_1", set()), ("4_1", set()), ("6_1", set()), ("11a_201", set()),
+        ("10_140", set())])
+    def test_crossings_over_the_branched_generator(self, name, depths):
+        # a crossing x_i x_g^e x_o^-1 x_g^-e over the generator g branched
+        # on at depth k, with x_i and x_o assigned there, is recorded at k,
+        # and is still checked by a check step of depth k + 1
+        pres = wirtinger(BUNDLED[name])
+        ng = pres.num_generators
+        plans, gens, crossings = _compile_plans(pres.relators, ng)
+        assert len(crossings) == len(gens) - 1
+        recorded = {k: c for k, c in enumerate(crossings) if c}
+        if isinstance(depths, dict):
+            assert recorded == depths and gens[1] == 2
+        else:
+            assert set(recorded) == depths
+        for k, records in recorded.items():
+            g = gens[k]
+            checks = plan_words([[step for step in plans[k + 1]
+                                  if step[0] is None]], ng)
+            for i, o, e in records:
+                word = ((i, 1), (g, e), (o, -1), (g, -e))
+                assert word in pres.relators
+                assert least_rotation(word) in checks
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_commute_with_first_matches_products(self, p):
@@ -412,6 +442,34 @@ class TestCompiledPlan:
         pres = wirtinger(parse_pd(FIG8))
         reps = enumerate_sl2(pres, RepSearchConfig(p=7))
         assert reps and calls == [4]
+
+
+def without_crossing_tests(relators, ng):
+    """_compile_plans with no crossing recorded: every candidate is left to
+    the next depth's check step, as before the branch tested crossings."""
+    plans, gens, crossings = _compile_plans(relators, ng)
+    return plans, gens, ((),) * len(crossings)
+
+
+class TestCrossingTests:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("name", sorted(BUNDLED.entries))
+    def test_same_search_without_crossing_tests(self, name, p, monkeypatch):
+        # the crossing test is the relator its check step tests, so the
+        # lists, sign twins and node totals are those of the search that
+        # leaves every candidate to the check step
+        knot = wirtinger(BUNDLED[name])
+        cfgs = [RepSearchConfig(p=p, nonabelian_only=flag)
+                for flag in (True, False)]
+
+        def run():
+            return [(tuple(r.matrices for r in reps), reps.twins, reps.nodes)
+                    for pres in (knot, deficiency_one(knot))
+                    for reps in (enumerate_sl2(pres, cfg) for cfg in cfgs)]
+        tested = run()
+        monkeypatch.setattr(knotforge.reps, "_compile_plans",
+                            without_crossing_tests)
+        assert run() == tested
 
 
 class TestTraceTables:
@@ -510,13 +568,17 @@ class TestDeterminismAndBudget:
             enumerate_sl2(pres, RepSearchConfig(p=7, max_nodes=1))
 
     @pytest.mark.parametrize("name,p,nodes", [
-        ("4_1", 7, 73), ("11a_201", 7, 3353), ("10_137", 5, 2152)])
+        ("4_1", 7, 73), ("11a_201", 7, 3353), ("10_137", 5, 2152),
+        # the crossing test rejects candidates at one and two depths
+        ("8_20", 7, 3353), ("10_99", 5, 30768)])
     def test_exact_node_count(self, name, p, nodes):
         # the search visits exactly these nodes: N suffices, N - 1 does not.
         # Only the traces s <= -s mod p are searched; the others are sign
-        # twins and visit none
+        # twins and visit none.  A candidate the crossing test rejects
+        # counts as a node, as it did when the check step rejected it
         pres = wirtinger(BUNDLED[name])
-        assert enumerate_sl2(pres, RepSearchConfig(p=p, max_nodes=nodes))
+        reps = enumerate_sl2(pres, RepSearchConfig(p=p, max_nodes=nodes))
+        assert reps and reps.nodes == nodes
         with pytest.raises(SearchBudgetExceeded):
             enumerate_sl2(pres, RepSearchConfig(p=p, max_nodes=nodes - 1))
 
@@ -525,6 +587,14 @@ class TestDeterminismAndBudget:
             RepSearchConfig(p=6)
         with pytest.raises(ValueError):
             RepSearchConfig(p=5, max_nodes=0)
+
+    @pytest.mark.parametrize("budget", [True, 2.5, "100", None, 100.0])
+    def test_budget_must_be_an_integer(self, budget):
+        # True was read as 1 and 2.5 ran, reporting "2 nodes used"; "100"
+        # and None ended in a TypeError from <
+        with pytest.raises(ValueError, match="^budget %s is not an integer$"
+                           % re.escape(repr(budget))):
+            RepSearchConfig(p=5, max_nodes=budget)
 
     def test_non_wirtinger_rejected(self):
         from knotforge.presentation import GroupPresentation
