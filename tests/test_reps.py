@@ -446,7 +446,7 @@ class TestCompiledPlan:
 
 def without_crossing_tests(relators, ng):
     """_compile_plans with no crossing recorded: every candidate is left to
-    the next depth's check step, as before the branch tested crossings."""
+    the next depth's check step."""
     plans, gens, crossings = _compile_plans(relators, ng)
     return plans, gens, ((),) * len(crossings)
 
