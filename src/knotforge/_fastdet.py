@@ -30,7 +30,7 @@ F_p, deflates it over F_p itself, which is exact for every square pencil:
    times a constant row, the eigenvalue 0.  Fox pencils are very
    degenerate: many constant rows, a small rank of A1, and determinants
    with a large power of t (the widest union pencil of the symmetric-union
-   grid, 30 x 30, has determinant t^22 times a polynomial of degree 8).  So
+   grid, 28 x 28, has determinant t^20 times a polynomial of degree 8).  So
    most of a twisted pencil is removed before any characteristic
    polynomial is formed, and the infinite eigenvalues that are left are
    roots s = 0 of it.  Their rows are sparse, and each elimination touches

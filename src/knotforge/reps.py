@@ -71,6 +71,10 @@ class RepSearchConfig(Record):
             raise ValueError("budget %r is not an integer" % (max_nodes,))
         if max_nodes < 1:
             raise ValueError("budget must be at least 1")
+        if type(nonabelian_only) is not bool:
+            # "no" was true, and 1 hashed like True yet was not it
+            raise ValueError("nonabelian_only %r is not a bool"
+                             % (nonabelian_only,))
         self._init(p, nonabelian_only, max_nodes)
 
 

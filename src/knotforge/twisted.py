@@ -15,8 +15,9 @@ Alexander pencil), linearizing the rows of higher degree in t with
 auxiliary rows and columns.
 `twisted_alexander` first runs the Tietze pass `eliminate_generators`, a
 unit change of the invariant that shrinks the pencil and adds no auxiliary
-rows.  Every determinant, the Wada numerator and the
-denominator det(rho(x_j)t - I) alike, goes through `pencil_det`.  The
+rows, keeping the column that `_column` chooses.  Every determinant, the
+Wada numerator and the denominator det(rho(x_j)t - I) alike, goes through
+`pencil_det`.  The
 classical Alexander polynomial is a single maximal minor of the abelianized
 Fox matrix over Z[t, t^-1], an integer pencil deflated modulo one Mersenne
 prime (`_fastdet._int_pencil_det`) once per diagram, and det K is
@@ -201,13 +202,15 @@ def _gen_minus_one_det(rho, g):
 
 def twisted_alexander(pres, rho, drop_column="auto"):
     """Wada's twisted Alexander polynomial det A_{x_j} / det Phi(x_j - 1) of
-    a deficiency-1 presentation; drop_column "auto" removes the first
-    generator's column (its denominator has unit leading coefficient, hence
-    is never zero).  rho is checked on pres; the determinants are taken on
-    the presentation that `eliminate_generators` leaves of pres with column
-    j kept (kept on pres), under rho restricted to the kept generators.  The
-    invariant changes by a unit under Tietze moves (Wada 1994), which the
-    canonical form of the reduced fraction removes."""
+    a deficiency-1 presentation; drop_column "auto" removes the column of
+    `_column(pres)`, the generator whose Tietze reduction is smallest for
+    an is_wirtinger pres and the first generator otherwise (the
+    denominator, of constant term +-1, is never zero).  rho is checked on
+    pres; the determinants are taken on the presentation that
+    `eliminate_generators` leaves of pres with column j kept (kept on pres),
+    under rho restricted to the kept generators.  The invariant changes by
+    a unit under Tietze moves and with the column dropped (Wada 1994),
+    which the canonical form of the reduced fraction removes."""
     if pres.deficiency != 1:
         raise ValueError("Wada's invariant needs a deficiency-1 presentation,"
                          " got deficiency %d" % pres.deficiency)
@@ -221,11 +224,34 @@ def _twisted_alexander(pres, rho, drop_column="auto"):
     """twisted_alexander for a deficiency-1 pres and a rho already known to
     satisfy it, unchecked: so rho maps each generator the Tietze pass
     eliminates to its word, and is restricted to the ones it keeps."""
-    j = 0 if drop_column == "auto" else drop_column
+    j = _column(pres) if drop_column == "auto" else drop_column
     if not (0 <= j < pres.num_generators):
         raise ValueError("drop_column out of range")
     return _wada(pres, j, lambda kept: Representation._trusted(
         rho.p, rho.d, tuple(rho.matrices[g] for g in kept)))
+
+
+def _column(pres):
+    """The column "auto" drops, kept on pres.  For an is_wirtinger pres it
+    is the generator j whose `eliminate_generators(pres, j)` keeps the
+    fewest generators, ties to the lowest j, and only that reduction is
+    kept, as ("tietze", j).  The passes tried are the meridian's and those
+    of the generators it eliminates: keeping a generator that the
+    meridian's pass keeps anyway kept as many on every grid union, partial
+    and bundled knot measured.  Any other pres drops column 0."""
+    if not pres.is_wirtinger:
+        return 0
+
+    def choose():
+        m = pres.meridian
+        reductions = {m: eliminate_generators(pres, m)}
+        for j in range(pres.num_generators):
+            if j not in reductions[m][1]:
+                reductions[j] = eliminate_generators(pres, j)
+        j = min(reductions, key=lambda j: (len(reductions[j][1]), j))
+        pres._derived(("tietze", j), reductions.get, j)
+        return j
+    return pres._derived("column", choose)
 
 
 def _wada(pres, j, restrict):
@@ -448,7 +474,8 @@ def verify_theorem(spec, rho_partial):
     partial_tw, rhs_fr, rhs = partial_pres._derived(
         rho_partial, lambda: _factorization_target(
             partial_pres, _checked(partial_pres, rho_partial)))
-    lhs = _wada(union_pres, 0, lambda kept: _pullback(phi, rho_partial, kept))
+    lhs = _wada(union_pres, _column(union_pres),
+                lambda kept: _pullback(phi, rho_partial, kept))
     deg_rhs = (None if partial_tw.degree is None
                else 2 * partial_tw.degree + rho_partial.d)
     # both fractions are reduced and canonical, so unit equality is equality

@@ -13,8 +13,9 @@ deflation (the route `_fastdet.pencil_det` took before it deflated the zero
 end of a pencil only), the Laurent-polynomial route of `reduce_fraction`
 and `split_pencil`, the reference row shift of `twisted._fox_pencil` for
 rows that are linear in t, the face count of a PD code's rotation system,
-the Alexander polynomial of a presentation, and the SL(2, F_p) classes of
-the bundled knots, enumerated once per test run."""
+the Alexander polynomial of a presentation, the brute-force oracle of the
+column that `twisted_alexander` drops, and the SL(2, F_p) classes of the
+bundled knots, enumerated once per test run."""
 
 import importlib.util
 import json
@@ -29,7 +30,8 @@ from knotforge.algebra import (ZZ, LaurentPoly, RationalFn, canonicalize,
                                exact_div, gcd_pair, unit_equal)
 from knotforge.cli import _DATA, KnotTable
 from knotforge.presentation import (GroupPresentation, deficiency_one,
-                                    inverse_word, reduce_word, wirtinger)
+                                    eliminate_generators, inverse_word,
+                                    reduce_word, wirtinger)
 from knotforge.reps import RepSearchConfig, enumerate_sl2
 from knotforge.twisted import _alexander_pencil, _fox_pencil, _fox_rows
 
@@ -323,6 +325,15 @@ def presentation_alexander(pres):
     pencil = _fox_pencil(ncols, rows[:ncols], ZZ)
     coeffs = _int_pencil_det(pencil.A0, pencil.A1)
     return canonicalize(LaurentPoly(ZZ, dict(enumerate(coeffs))))
+
+
+def smallest_column(pres):
+    """The generator j whose Tietze reduction `eliminate_generators(pres,
+    j)` keeps the fewest generators, ties to the lowest j, by running the
+    pass for every j."""
+    sizes = [eliminate_generators(pres, j)[0].num_generators
+             for j in range(pres.num_generators)]
+    return sizes.index(min(sizes))
 
 
 # -- the integer Bareiss determinant and the evaluate-and-interpolate oracle --

@@ -436,18 +436,18 @@ class TestTwoSidedDeflation:
         assert kinds == {"zero", "t^k", "constant term", "degree < n"}
 
     def test_grid_union_charpoly_runs_at_the_span(self, monkeypatch):
-        # the widest union pencil of the symmetric-union grid, 30 x 30
-        # after the Tietze pass; its determinant has degree 30 and lowest
-        # term t^22
+        # the widest union pencil of the symmetric-union grid, 28 x 28
+        # after the Tietze pass that keeps the chosen column; its
+        # determinant has degree 28 and lowest term t^20
         union, partial, phi = widest_grid_union()
         rho = lamm_pullback(phi, enumerate_sl2(partial,
                                                RepSearchConfig(p=5))[0])
         [A] = numerator_pencils(monkeypatch, union, [rho])
-        assert A.rows == 30
+        assert A.rows == 28
         sizes = charpoly_sizes(monkeypatch)
         want = two_sided_pencil_det([list(r) for r in A.A0],
                                     [list(r) for r in A.A1], 5)
-        assert len(want) == 31 and want[:22] == [0] * 22 and want[22]
+        assert len(want) == 29 and want[:20] == [0] * 20 and want[20]
         del sizes[:]
         assert pencil_det(A) == LaurentPoly(
             GF(5), dict(enumerate(want))).shift(A.shift)
@@ -456,19 +456,19 @@ class TestTwoSidedDeflation:
         del sizes[:]
         assert _fastdet._pencil_det_gf([list(r) for r in A.A0],
                                        [list(r) for r in A.A1], 5) == want
-        assert sizes == [30]
+        assert sizes == [28]
 
     def test_grid_cell_reduction_count(self, monkeypatch):
         # the union numerators of the grid cell 6_1, k = 3, twists
-        # (4, 4, -4), under both pulled-back F_5 classes, 30 x 30 each:
+        # (4, 4, -4), under both pulled-back F_5 classes, 28 x 28 each:
         # pencil_det reduces rows exactly 10 times, on matrices whose sizes
-        # squared sum to 3696; the two-sided deflation, which deflates the
-        # infinite end first, takes 12 rounds and 5496
+        # squared sum to 3464; the two-sided deflation, which deflates the
+        # infinite end first, takes 12 rounds and 5032
         union, partial, phi = widest_grid_union()
         reps = [lamm_pullback(phi, rho)
                 for rho in enumerate_sl2(partial, RepSearchConfig(p=5))]
         pencils = numerator_pencils(monkeypatch, union, reps)
-        assert [A.rows for A in pencils] == [30, 30]
+        assert [A.rows for A in pencils] == [28, 28]
         sizes = []
         reduce_rows = _fastdet._reduce_rows
 
@@ -478,12 +478,12 @@ class TestTwoSidedDeflation:
         monkeypatch.setattr(_fastdet, "_reduce_rows", spy)
         monkeypatch.setattr(support, "_reduce_rows", spy)
         got = [pencil_det(A) for A in pencils]
-        assert (len(sizes), sum(n * n for n in sizes)) == (10, 3696)
+        assert (len(sizes), sum(n * n for n in sizes)) == (10, 3464)
         del sizes[:]
         assert got == [LaurentPoly(GF(5), dict(enumerate(two_sided_pencil_det(
             [list(r) for r in A.A0], [list(r) for r in A.A1], 5)))).shift(
                 A.shift) for A in pencils]
-        assert (len(sizes), sum(n * n for n in sizes)) == (12, 5496)
+        assert (len(sizes), sum(n * n for n in sizes)) == (12, 5032)
 
 
 def int_coeffs(f):

@@ -596,6 +596,16 @@ class TestDeterminismAndBudget:
                            % re.escape(repr(budget))):
             RepSearchConfig(p=5, max_nodes=budget)
 
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None, 1.0])
+    def test_nonabelian_only_must_be_a_bool(self, flag):
+        # "no" searched the nonabelian classes only, yet compared unequal
+        # to the default; 1 hashed like True
+        with pytest.raises(ValueError, match="^nonabelian_only %s is not a "
+                           "bool$" % re.escape(repr(flag))):
+            RepSearchConfig(5, nonabelian_only=flag)
+        for ok in (True, False):
+            assert RepSearchConfig(5, nonabelian_only=ok).nonabelian_only is ok
+
     def test_non_wirtinger_rejected(self):
         from knotforge.presentation import GroupPresentation
         pres = GroupPresentation(("a",), (((0, 1),),), is_wirtinger=False)

@@ -33,8 +33,8 @@ from knotforge.twisted import (classical_alexander, even_symun_obstruction,
 from support import (BUNDLED, PolyMatrix, bareiss_determinant,
                      bundled_classes, bundled_table_path, fox_derivative,
                      genus_lower_bound, grid_cells, interpolated_alexander,
-                     parse_poly, rational_unit_equal, sparse_rows,
-                     split_pencil, two_bridge_presentation)
+                     parse_poly, rational_unit_equal, smallest_column,
+                     sparse_rows, split_pencil, two_bridge_presentation)
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
@@ -723,6 +723,18 @@ class TestTietzeReduction:
                          "9_1": 9, "9_24": 8, "10_99": 9, "10_137": 7,
                          "10_140": 9, "11a_201": 8}
 
+    def test_bundled_knots_shrink_at_the_chosen_column(self):
+        # "auto" keeps one generator fewer of 11a_201 and of 10_137, and as
+        # many as column 0 of the others
+        sizes = {}
+        for name in BUNDLED.entries:
+            pres = deficiency_one(wirtinger(BUNDLED[name]))
+            j = twisted._column(pres)
+            sizes[name] = pres._cache["tietze", j][0].num_generators
+        assert sizes == {"3_1": 3, "4_1": 3, "6_1": 5, "8_10": 8, "8_20": 7,
+                         "9_1": 9, "9_24": 8, "10_99": 9, "10_137": 6,
+                         "10_140": 9, "11a_201": 7}
+
     def test_determinants_are_taken_on_the_reduced_presentation(
             self, monkeypatch):
         pres, rho = TIETZE_CASES[-1][1:]
@@ -733,7 +745,8 @@ class TestTietzeReduction:
             return fox_matrix(p, r, drop)
         monkeypatch.setattr(twisted, "fox_matrix", spy)
         twisted_alexander(pres, rho)
-        assert (pres.num_generators, sizes) == (36, [(15, 15, 0)])
+        # "auto" keeps the chosen column, x2_2* (29), and drops it
+        assert (pres.num_generators, sizes) == (36, [(13, 13, 10)])
 
     def test_cases_cover_the_grid(self):
         names = {c[0].split()[0] for c in TIETZE_CASES}
@@ -763,9 +776,11 @@ class TestTietzeReduction:
                 assert tw.value.num.is_zero
 
     def test_memos_are_bounded(self, monkeypatch):
-        # a presentation keeps one Tietze reduction per kept column asked
-        # for, and each reduction one program per dropped column, no more;
-        # a copy (rebuilt through the constructor) starts cold
+        # a presentation keeps its chosen column and one Tietze reduction
+        # per kept column asked for, and each reduction one program per
+        # dropped column, no more; a copy (rebuilt through the constructor)
+        # starts cold.  "auto" tries the meridian's pass and that of x3, the
+        # one generator it eliminates, and keeps column 0
         pres, rho = TIETZE_CASES[0][1:]
         pres = copy.copy(pres)
         calls = []
@@ -776,15 +791,15 @@ class TestTietzeReduction:
                  for j in ("auto", 1)]
         assert [twisted_alexander(pres, rho, drop_column=j).value
                 for j in ("auto", 1)] == first
-        assert calls == [0, 1]
-        assert set(pres._cache) == {("tietze", 0), ("tietze", 1)}
+        assert calls == [0, 2, 1]
+        assert set(pres._cache) == {"column", ("tietze", 0), ("tietze", 1)}
         for j in (0, 1):
             reduced, kept = pres._cache["tietze", j]
             assert set(reduced._cache) == {("fox", kept.index(j))}
         twin = copy.copy(pres)
         assert twin == pres and not hasattr(twin, "_cache")
         assert twisted_alexander(twin, rho).value == first[0]
-        assert calls == [0, 1, 0]
+        assert calls == [0, 2, 1, 0, 2]
 
     def test_program_is_compiled_once_per_presentation(self, monkeypatch):
         pres, rho = TIETZE_CASES[0][1:]
@@ -801,6 +816,107 @@ class TestTietzeReduction:
         # an equal presentation built afresh compiles its own
         fox_matrix(copy.deepcopy(pres), rho, 0)
         assert drops == [0, 1, 0]
+
+
+def seed7_grid_specs():
+    """The 36 specs of the seed-7 symun-grid workload of
+    perfbench/workloads.py."""
+    kf = SimpleNamespace(diagram=diagram)
+    return [spec for _, _, specs in load_workloads().grid_specs(kf, BUNDLED, 7)
+            for spec in specs]
+
+
+def first_classes(pres, p, n=2):
+    """The first n nonabelian SL(2, F_p) classes of pres."""
+    return enumerate_sl2(pres, RepSearchConfig(p=p))[:n]
+
+
+class TestChosenColumn:
+    """drop_column "auto" drops the column of the generator whose Tietze
+    reduction is smallest, against the brute-force oracle, and gives the
+    polynomial of column 0."""
+
+    def test_chosen_column_is_the_smallest(self):
+        specs = seed7_grid_specs()
+        assert len(set(specs)) == 36
+        for spec in specs:
+            union = build_symun_presentation(spec)[0]
+            assert twisted._column(union) == smallest_column(union), spec
+        for name in BUNDLED.entries:
+            pres = deficiency_one(wirtinger(BUNDLED[name]))
+            assert twisted._column(pres) == smallest_column(pres), name
+
+    def test_verify_theorem_takes_the_smallest_pencil(self, monkeypatch):
+        # each union's pencil under the first F_5 class of its partial: 598
+        # rows over the seed-7 grid, where column 0 would give 676
+        rows, total = [], 0
+        fox = twisted.fox_matrix
+
+        def spy(*args, **kwargs):
+            A = fox(*args, **kwargs)
+            rows.append(A.rows)
+            return A
+        for spec in seed7_grid_specs():
+            union, partial, _ = build_symun_presentation(spec)
+            rho = first_classes(partial, 5, 1)[0]
+            # with the partial target kept, the second call takes only the
+            # union's pencil
+            verify_theorem(spec, rho)
+            with monkeypatch.context() as m:
+                m.setattr(twisted, "fox_matrix", spy)
+                assert verify_theorem(spec, rho)["equal"]
+            smallest = eliminate_generators(union, smallest_column(union))[0]
+            assert rows[-1] == 2 * (smallest.num_generators - 1)
+            total += 2 * (eliminate_generators(union, 0)[0].num_generators
+                          - 1)
+        assert len(rows) == 36 and (sum(rows), total) == (598, 676)
+
+    def test_polynomial_is_that_of_column_zero(self):
+        # on every cell of the acceptance grid and of the seed-7 grid, under
+        # two classes of the partial over F_5 and over F_7, and on every
+        # bundled knot under two classes over each
+        specs = {SymUnionSpec(MarkedDiagram(pd, marks),
+                              tuple(2 * m for m in ms))
+                 for _, pd, marks, ms in grid_cells()}
+        specs.update(seed7_grid_specs())
+        cases = []
+        for spec in specs:
+            union, partial, phi = build_symun_presentation(spec)
+            cases.append((union, [lamm_pullback(phi, rho) for p in (5, 7)
+                                  for rho in first_classes(partial, p)]))
+        for name in BUNDLED.entries:
+            cases.append((deficiency_one(wirtinger(BUNDLED[name])), [
+                rho for p in (5, 7) for rho in [
+                    r for r in bundled_classes(name, p) if not r.is_abelian
+                ][:2]]))
+        assert len(cases) > 36 + 11
+        assert all(len(rhos) == 4 for _, rhos in cases)
+        for pres, rhos in cases:
+            for rho in rhos:
+                assert twisted_alexander(pres, rho).value == \
+                    twisted_alexander(pres, rho, 0).value
+            assert twisted._column(pres) == smallest_column(pres)
+
+    def test_other_presentations_keep_column_zero(self, monkeypatch):
+        # 11a_201's presentation, whose smallest reduction keeps column 2,
+        # read as not of Wirtinger type: "auto" runs the pass of column 0
+        # only and drops column 0
+        base = deficiency_one(wirtinger(BUNDLED["11a_201"]))
+        assert smallest_column(base) == 2
+        pres = GroupPresentation(base.names, base.relators,
+                                 is_wirtinger=False)
+        calls, drops = [], []
+        monkeypatch.setattr(twisted, "eliminate_generators",
+                            lambda *args: (calls.append(args[1]),
+                                           eliminate_generators(*args))[1])
+        fox = twisted.fox_matrix
+        monkeypatch.setattr(twisted, "fox_matrix", lambda p, r, drop=None: (
+            drops.append(drop), fox(p, r, drop))[1])
+        rho = first_classes(base, 5, 1)[0]
+        tw = twisted_alexander(pres, rho)
+        assert (calls, drops) == ([0], [0])
+        assert set(pres._cache) == {("tietze", 0)}
+        assert tw.value == twisted_alexander(base, rho).value
 
 
 class TestWadaInvariant:
@@ -913,9 +1029,9 @@ class TestVerifyTheorem:
         for module in (knotforge.reps, twisted):
             monkeypatch.setattr(module, "inverses", counted)
         assert verify_theorem(spec, rho) == first
-        reduced, _ = eliminate_generators(build_symun_presentation(spec)[0],
-                                          0)
-        assert sizes == [reduced.num_generators] == [8]
+        union = build_symun_presentation(spec)[0]
+        reduced, _ = eliminate_generators(union, twisted._column(union))
+        assert sizes == [reduced.num_generators] == [6]
 
     def test_second_spec_checks_and_evaluates_no_word(self, monkeypatch):
         # on another spec of the same marked diagram, with the target of
@@ -1060,7 +1176,8 @@ class TestTrustedRepresentations:
     def test_restricted_rep_equals_the_validated_construction(
             self, monkeypatch):
         _, union, _, phi, reps = self.setup(5)
-        reduced, kept = eliminate_generators(union, 0)
+        reduced, kept = eliminate_generators(union, twisted._column(union))
+        assert (union.num_generators, len(kept)) == (24, 9)
         seen = []
         fox = twisted.fox_matrix
         monkeypatch.setattr(twisted, "fox_matrix",
@@ -1155,8 +1272,10 @@ class TestVerifyTheoremMemos:
         assert partial is spec.partial._cache["partial"]
         targets = targets_kept(partial)
         assert len(targets) == len(reps) and set(targets) == set(reps)
-        # and the one Tietze reduction its targets were computed on
-        assert set(partial._cache) - set(targets) == {("tietze", 0)}
+        # and the chosen column, 0, and the one Tietze reduction its
+        # targets were computed on
+        assert set(partial._cache) - set(targets) == {"column",
+                                                      ("tietze", 0)}
 
     def test_every_module_memo_is_bounded(self):
         # found by introspection: twisted has no module-level memo, so that
@@ -1257,10 +1376,11 @@ class TestCachesLiveOnObjects:
                     assert op.check(op.call())[1] is None, op.label
             passes.append(dict(calls))
             calls.update(dict.fromkeys(calls, 0))
-        # the first pass builds each of the 36 unions once and reduces and
-        # compiles each union and each of the 9 shared partials once
+        # the first pass builds each of the 36 unions once and compiles
+        # each union and each of the 9 shared partials once; choosing their
+        # columns runs 592 Tietze passes, one per generator tried
         assert passes == [{"build_symun_presentation": 36,
-                           "eliminate_generators": 45, "_fox_program": 45},
+                           "eliminate_generators": 592, "_fox_program": 45},
                           dict.fromkeys(calls, 0)]
 
     def test_twist_vectors_share_the_partial_target(self, monkeypatch):
