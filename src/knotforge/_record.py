@@ -9,13 +9,16 @@ class Record:
     _fields (its __slots__, or their leading entries) and sets every slot
     once in __init__ through _init; assigning a field afterwards raises
     AttributeError.  == and hash are those of the tuple of fields, as for a
-    frozen dataclass, and pickle and copy rebuild a record through its
-    constructor."""
+    frozen dataclass (a 1-tuple for a record of one field, such as PDCode),
+    and pickle and copy rebuild a record through its constructor."""
 
     __slots__ = ("_cache",)
 
     def __init_subclass__(cls):
-        cls._astuple = property(attrgetter(*cls._fields))
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        fields = cls._fields
+        cls._astuple = property(attrgetter(*fields) if len(fields) > 1 else
+                                lambda self: (getattr(self, fields[0]),))
 
     def _init(self, *values):
         for name, value in zip(self.__slots__, values):

@@ -5,9 +5,12 @@ symmetric-union surgery.
 A PD code lists each crossing as a 4-tuple (a, b, c, d) of edge labels read
 counterclockwise starting from the incoming under-strand, so a -> c is the
 under-strand and b, d carry the over-strand.  Validation walks the closed
-circuit, checks that the diagram is a single-component knot, and rotates
+circuit once, checks that the diagram is a single-component knot, and rotates
 tuples by two positions where needed so that position 0 really is the
-incoming under-edge for one consistent global orientation.
+incoming under-edge for one consistent global orientation.  A PDCode is a
+value record (`_record.Record`) whose one field is its normalized
+crossings: == and hash compare them, and assigning any of its attributes
+raises AttributeError.
 
 Crossing sign convention: a crossing is positive when its over-strand is
 traversed from position 3 to position 1 (d -> b).  A positive twist region
@@ -27,12 +30,12 @@ class InvalidDiagram(ValueError):
     pass
 
 
-class PDCode:
-    """Validated, orientation-normalized planar diagram code of a knot."""
+class PDCode(Record):
+    """Validated, orientation-normalized planar diagram code of a knot; a
+    value record whose one field is crossings."""
 
-    __slots__ = ("crossings", "n", "_edge_order", "_slots", "_over_entry",
-                 "_cache")
-    _derived = Record._derived
+    __slots__ = ("crossings", "n", "_edge_order", "_slots", "_over_entry")
+    _fields = ("crossings",)
 
     def __init__(self, crossings):
         crossings = [tuple(c) if isinstance(c, (tuple, list)) else c
@@ -50,78 +53,53 @@ class PDCode:
         bad = sorted(e for e, slots in occ.items() if len(slots) != 2)
         if bad:
             raise InvalidDiagram("edge labels %s do not appear exactly twice" % bad)
-        self.crossings = tuple(crossings)
-        self.n = len(crossings)
-        self._normalize_and_walk()
-
-    def _normalize_and_walk(self):
-        """Walk the circuit; rotate tuples so under-in sits at position 0."""
-        n = self.n
-        if n == 0:
-            self._edge_order = ()
-            self._slots = {}
-            self._over_entry = ()
-            return
-        for _ in range(2):  # second pass re-walks after rotation fixes
-            occ = {}
-            for ci, c in enumerate(self.crossings):
-                for pos, e in enumerate(c):
-                    occ.setdefault(e, []).append((ci, pos))
-            start = (0, 2)  # leave crossing 0 along its under-out edge
-            edge_order = []
-            slots = {}  # edge -> (source_slot, target_slot)
-            entries = {}  # crossing -> set of entry positions
-            cur = start
-            steps = 0
+        n = len(crossings)
+        slots = {}  # edge -> (source_slot, target_slot), in circuit order
+        over_entry = [None] * n
+        rotate = set()  # crossings whose under-strand is entered at 2
+        if n:
+            # Walk the circuit once, leaving crossing 0 along position 2 and
+            # each crossing at the slot opposite the one it was entered at.
+            # That step is f = step . other (other: the far end of a slot's
+            # edge; step: the opposite slot), a bijection on the slots, and
+            # other . f . other = f^-1.  An orbit that other kept would hold
+            # a fixed point of other or of step, and neither has one, so the
+            # walk runs along distinct edges and closes within 2n steps.
+            # When it covers all 2n edges, each crossing is entered once at
+            # an even position and once at an odd one: only a link is refused.
+            cur = start = (0, 2)
             while True:
-                e = self.crossings[cur[0]][cur[1]]
+                e = crossings[cur[0]][cur[1]]
                 s1, s2 = occ[e]
                 nxt = s2 if s1 == cur else s1
-                edge_order.append(e)
                 slots[e] = (cur, nxt)
-                entries.setdefault(nxt[0], set()).add(nxt[1])
-                cur = (nxt[0], (nxt[1] + 2) % 4)
-                steps += 1
+                ci, pos = nxt
+                if pos % 2:
+                    over_entry[ci] = pos
+                elif pos == 2:
+                    rotate.add(ci)
+                cur = (ci, (pos + 2) % 4)
                 if cur == start:
                     break
-                if steps > 2 * n:
-                    raise InvalidDiagram("traversal does not close properly")
-            if steps != 2 * n or len(slots) != 2 * n:
+            if len(slots) != 2 * n:
                 raise InvalidDiagram("diagram is not a single-component knot")
-            rotated = []
-            needs_fix = False
-            over_entry = []
-            for ci, c in enumerate(self.crossings):
-                ent = entries.get(ci, set())
-                und = ent & {0, 2}
-                ovr = ent & {1, 3}
-                if len(und) != 1 or len(ovr) != 1:
-                    raise InvalidDiagram("inconsistent strand orientation at "
-                                         "crossing %d" % ci)
-                if und == {2}:
-                    rotated.append(c[2:] + c[:2])
-                    needs_fix = True
-                else:
-                    rotated.append(c)
-                over_entry.append(ovr.pop())
-            if not needs_fix:
-                self._edge_order = tuple(edge_order)
-                self._slots = slots
-                self._over_entry = tuple(over_entry)
-                return
-            self.crossings = tuple(rotated)
-        raise InvalidDiagram("orientation normalization failed to converge")
+        # rotate by two each tuple whose under-strand is entered at 2, so
+        # that position 0 is the incoming under-edge, and shift its slots
+        for ci in rotate:
+            c = crossings[ci]
+            crossings[ci] = c[2:] + c[:2]
+            over_entry[ci] ^= 2  # 1 <-> 3
+        for e, ends in slots.items():
+            slots[e] = tuple((ci, (pos + 2) % 4 if ci in rotate else pos)
+                             for ci, pos in ends)
+        self._init(tuple(crossings), n, tuple(slots), slots,
+                   tuple(over_entry))
 
     # -- traversal accessors -------------------------------------------------
 
     @property
     def edges(self):
-        return sorted({e for c in self.crossings for e in c})
-
-    @property
-    def edge_order(self):
-        """Edge labels in circuit order."""
-        return self._edge_order
+        return sorted(self._slots)
 
     def source_slot(self, e):
         return self._slots[e][0]
@@ -166,7 +144,7 @@ class PDCode:
                 events.append(("cut", nxt))
             return arcs, arc_of, events
         cuts = set(cut_edges)
-        unknown = cuts - set(self.edges)
+        unknown = cuts.difference(self._slots)
         if unknown:
             raise InvalidDiagram("cut edges %s not in diagram" % sorted(unknown))
         # circuit of halves; a cut breaks between the tail and head halves of
@@ -237,15 +215,6 @@ class PDCode:
             return self
         lab = {e: i + 1 for i, e in enumerate(self._edge_order)}
         return PDCode([tuple(lab[e] for e in c) for c in self.crossings])
-
-    def __eq__(self, other):
-        return isinstance(other, PDCode) and self.crossings == other.crossings
-
-    def __hash__(self):
-        return hash(self.crossings)
-
-    def __reduce__(self):
-        return PDCode, (self.crossings,)
 
     def __repr__(self):
         return "PDCode(%s)" % format_pd(self)

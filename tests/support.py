@@ -3,9 +3,11 @@ of the package unchanged (the matrices of Laurent polynomials, the
 polynomial text parser and unit equality of fractions from `algebra`; the
 free group ring, Fox derivatives and 2-bridge presentations from
 `presentation`; the genus bound from `twisted`; `pd_to_json` from
-`diagram`; the bundled table's path from `cli`), the loaders of the
-benchmark's tracer and of the README's library example, the
-symmetric-union grid of the acceptance suite, the integer Bareiss
+`diagram`; the bundled table's path from `cli`), the two-pass reference
+walk of a PD code (the route `PDCode` took before it walked each circuit
+once), the loaders of the benchmark's tracer and workloads and of the
+README's library example, the 36 specs of the seed-7 symun-grid workload,
+the symmetric-union grid of the acceptance suite, the integer Bareiss
 determinant, the evaluate-and-interpolate oracle for the classical
 Alexander polynomial (the route `classical_alexander` took before it
 deflated its integer pencil modulo a Mersenne prime), the two-sided F_p
@@ -23,12 +25,15 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from knotforge._fastdet import (Pencil, _expand_constant_rows,
                                _int_pencil_det, _reduce_rows, _regular_det)
 from knotforge.algebra import (ZZ, LaurentPoly, RationalFn, canonicalize,
                                exact_div, gcd_pair, unit_equal)
 from knotforge.cli import _DATA, KnotTable
+from knotforge import diagram
+from knotforge.diagram import InvalidDiagram
 from knotforge.presentation import (GroupPresentation, deficiency_one,
                                     eliminate_generators, inverse_word,
                                     reduce_word, wirtinger)
@@ -231,6 +236,65 @@ def pd_to_json(pd):
     return json.dumps([list(c) for c in pd.crossings])
 
 
+def reference_walk(crossings):
+    """The two-pass walk that PDCode took before it walked each circuit
+    once: walk the circuit, rotate by two each tuple whose under-strand is
+    entered at position 2, then walk the rotated tuples again.  crossings
+    are 4-tuples in which each label occurs exactly twice; returns the
+    normalized (crossings, edge_order, slots, over_entry), or raises
+    InvalidDiagram."""
+    crossings = tuple(crossings)
+    n = len(crossings)
+    if n == 0:
+        return (), (), {}, ()
+    for _ in range(2):  # second pass re-walks after rotation fixes
+        occ = {}
+        for ci, c in enumerate(crossings):
+            for pos, e in enumerate(c):
+                occ.setdefault(e, []).append((ci, pos))
+        start = (0, 2)  # leave crossing 0 along its under-out edge
+        edge_order = []
+        slots = {}  # edge -> (source_slot, target_slot)
+        entries = {}  # crossing -> set of entry positions
+        cur = start
+        steps = 0
+        while True:
+            e = crossings[cur[0]][cur[1]]
+            s1, s2 = occ[e]
+            nxt = s2 if s1 == cur else s1
+            edge_order.append(e)
+            slots[e] = (cur, nxt)
+            entries.setdefault(nxt[0], set()).add(nxt[1])
+            cur = (nxt[0], (nxt[1] + 2) % 4)
+            steps += 1
+            if cur == start:
+                break
+            if steps > 2 * n:
+                raise InvalidDiagram("traversal does not close properly")
+        if steps != 2 * n or len(slots) != 2 * n:
+            raise InvalidDiagram("diagram is not a single-component knot")
+        rotated = []
+        needs_fix = False
+        over_entry = []
+        for ci, c in enumerate(crossings):
+            ent = entries.get(ci, set())
+            und = ent & {0, 2}
+            ovr = ent & {1, 3}
+            if len(und) != 1 or len(ovr) != 1:
+                raise InvalidDiagram("inconsistent strand orientation at "
+                                     "crossing %d" % ci)
+            if und == {2}:
+                rotated.append(c[2:] + c[:2])
+                needs_fix = True
+            else:
+                rotated.append(c)
+            over_entry.append(ovr.pop())
+        if not needs_fix:
+            return crossings, tuple(edge_order), slots, tuple(over_entry)
+        crossings = tuple(rotated)
+    raise InvalidDiagram("orientation normalization failed to converge")
+
+
 def bundled_table_path():
     """The bundled knots.csv as a pathlib.Path, imported only here: the
     commands read the bundled files with _read_bundled."""
@@ -243,9 +307,20 @@ def bundled_table_path():
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
+WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
+
+
 def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -501,6 +576,14 @@ def as_pencil(M):
 # -- the classes of the bundled knots ----------------------------------------
 
 BUNDLED = KnotTable.parse(bundled_table_path().read_text(), origin="bundled")
+
+
+def seed7_grid_specs():
+    """The 36 specs of the seed-7 symun-grid workload of
+    perfbench/workloads.py."""
+    kf = SimpleNamespace(diagram=diagram)
+    return [spec for _, _, specs in load_workloads().grid_specs(kf, BUNDLED, 7)
+            for spec in specs]
 
 
 @lru_cache(maxsize=None)

@@ -35,10 +35,11 @@ MALFORMED_PDS = [
     '[[6,3,1,4],[2,5,3,6],"4152"]',
     "[[6,3,1,4],[2,5,3,6],[4,1,5,2]",
     "[1,",
+    "X[1,3,2,4] X[3,1,4,2]",
 ]
 MALFORMED_IDS = ["short-crossing", "number", "null", "float-label",
                  "bool-label", "string-label", "string-crossing",
-                 "unclosed-json", "truncated-json"]
+                 "unclosed-json", "truncated-json", "two-components"]
 
 
 @pytest.fixture(autouse=True)
@@ -688,6 +689,18 @@ class TestModuleEntryPoint:
             assert "t^2 - t + 1" in proc.stdout
         else:
             assert proc.stderr.startswith("error: unknown knot name")
+
+    def test_two_component_code_exits_1(self, isolated_home):
+        # the one error the walk of a PD code can raise
+        src = os.path.dirname(os.path.dirname(knotforge.cli.__file__))
+        env = dict(os.environ, HOME=str(isolated_home), PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "knotforge", "alex",
+                               "X[1,3,2,4] X[3,1,4,2]"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("error: malformed PD code: diagram is not a "
+                               "single-component knot\n")
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")

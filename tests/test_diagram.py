@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from knotforge import diagram
 from knotforge.algebra import unit_equal
 from knotforge.diagram import (InvalidDiagram, MarkedDiagram, PDCode,
                                SymUnionSpec, format_pd, parse_pd, pd_from_json,
                                symmetric_union_pd)
 from knotforge.twisted import classical_alexander, knot_determinant
 
-from support import pd_to_json
+from support import BUNDLED, pd_to_json, reference_walk, seed7_grid_specs
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
@@ -68,6 +69,86 @@ class TestNormalization:
     def test_relabeled_idempotent(self):
         pd = fig8().relabeled()
         assert pd.relabeled() == pd
+
+
+def walk_of(crossings):
+    """PDCode's normalized crossings, circuit, slots, over-entries and
+    writhe, or the text of its InvalidDiagram."""
+    try:
+        pd = PDCode(crossings)
+    except InvalidDiagram as exc:
+        return str(exc)
+    return pd.crossings, pd._edge_order, pd._slots, pd._over_entry, pd.writhe
+
+
+def reference_of(crossings):
+    """The same, from the two-pass reference walk."""
+    try:
+        normalized, order, slots, over_entry = reference_walk(crossings)
+    except InvalidDiagram as exc:
+        return str(exc)
+    writhe = sum(1 if o == 3 else -1 for o in over_entry)
+    return normalized, order, slots, over_entry, writhe
+
+
+def random_pairings(rng, count, max_n=8):
+    """count PD inputs of 1..max_n crossings: the labels 1..2n, each twice,
+    dealt at random into the 4n slots."""
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        labels = [e for e in range(1, 2 * n + 1) for _ in (0, 1)]
+        rng.shuffle(labels)
+        yield [tuple(labels[i:i + 4]) for i in range(0, 4 * n, 4)]
+
+
+class TestSingleWalk:
+    """PDCode walks each circuit once and shifts the slots of the tuples it
+    rotates; the two-pass reference walk re-walks the rotated tuples."""
+
+    def test_random_pairings_match_the_reference_walk(self):
+        texts = []
+        for crossings in random_pairings(random.Random(20261020), 10000):
+            got = walk_of(crossings)
+            assert got == reference_of(crossings), crossings
+            if isinstance(got, str):
+                texts.append(got)
+        # 3573 are knots, and a walk fails only on a link
+        assert len(texts) == 10000 - 3573
+        assert set(texts) == {"diagram is not a single-component knot"}
+
+    def test_bundled_knots_match_the_reference_walk(self):
+        rng = random.Random(27)
+        for name in sorted(BUNDLED.entries):
+            crossings = BUNDLED[name].crossings
+            mirrored = [c[1:] + c[:1] for c in crossings]
+            rotated = [c[2:] + c[:2] if rng.random() < 0.5 else c
+                       for c in crossings]
+            for variant in crossings, mirrored, rotated:
+                assert walk_of(variant) == reference_of(variant), name
+
+    def test_grid_unions_match_the_reference_walk(self, monkeypatch):
+        built = []  # the tuples symmetric_union_pd hands to PDCode
+
+        def record(tuples):
+            built.append(tuples)
+            return PDCode(tuples)
+
+        monkeypatch.setattr(diagram, "PDCode", record)
+        for spec in seed7_grid_specs():
+            symmetric_union_pd(spec)
+        rotated = []  # per union, the tuples the walk rotates
+        for tuples in built:
+            got = walk_of(tuples)
+            assert got == reference_of(tuples)
+            rotated.append(sum(a != b for a, b in zip(got[0], tuples)))
+        # every union rotates some tuples: 156 of the 486 crossings
+        assert len(built) == 36 and sum(map(len, built)) == 486
+        assert sum(rotated) == 156 and min(rotated) == 3
+
+    def test_two_component_code_is_refused(self):
+        with pytest.raises(InvalidDiagram) as info:
+            PDCode([(1, 3, 2, 4), (3, 1, 4, 2)])
+        assert str(info.value) == "diagram is not a single-component knot"
 
 
 class TestSignsAndWrithe:

@@ -1,8 +1,9 @@
 """The package's value records (RepSearchConfig, Representation,
-GroupPresentation, GeneratorMap, MarkedDiagram, SymUnionSpec, RunReport):
+GroupPresentation, GeneratorMap, MarkedDiagram, SymUnionSpec, RunReport,
+PDCode):
 the constructors, equality, hashing, immutability, pickling, copying, reprs
 and error texts of frozen dataclasses; the cache of derived values that a
-record and a PDCode keep, which none of these see; and a CLI import that
+record keeps, which none of these see; and a CLI import that
 loads neither dataclasses nor importlib.resources."""
 
 import copy
@@ -23,6 +24,7 @@ from knotforge.reps import Representation, RepSearchConfig, enumerate_sl2
 from knotforge.twisted import classical_alexander, verify_theorem
 
 TREFOIL = "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"
+FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
 MATRICES = (((1, 1), (0, 1)), ((1, 0), (4, 1)))
 
 
@@ -42,6 +44,7 @@ RECORDS = {
     "GroupPresentation": lambda: wirtinger(parse_pd(TREFOIL)),
     "GeneratorMap": lambda: trefoil_union()[2],
     "MarkedDiagram": lambda: MarkedDiagram(parse_pd(TREFOIL), [1, 3]),
+    "PDCode": lambda: parse_pd(TREFOIL),
     "SymUnionSpec": lambda: SymUnionSpec(
         MarkedDiagram(parse_pd(TREFOIL), (1, 3)), ["2"]),
     "RunReport": lambda: RunReport(["knotforge", "alex", "3_1"],
@@ -54,6 +57,7 @@ FIELDS = {
                           "is_wirtinger"),
     "GeneratorMap": ("source", "target", "images"),
     "MarkedDiagram": ("base", "marked_edges"),
+    "PDCode": ("crossings",),
     "SymUnionSpec": ("partial", "twists"),
     "RunReport": ("command", "inputs", "results", "timing_ms"),
 }
@@ -70,6 +74,7 @@ REPRS = {
         + "((4, 1),), ((0, 1),), " + "((1, 1),), " * 3 + "((1, 1),)))",
     "MarkedDiagram":
         "MarkedDiagram(base=%s, marked_edges=(1, 3))" % PD_REPR,
+    "PDCode": PD_REPR,
     "SymUnionSpec": "SymUnionSpec(partial=MarkedDiagram(base=%s, "
                     "marked_edges=(1, 3)), twists=(2,))" % PD_REPR,
     "RunReport": "RunReport(command=['knotforge', 'alex', '3_1'], "
@@ -139,6 +144,18 @@ class TestRecordSemantics:
             assert getattr(record, field) is before
         with pytest.raises(AttributeError):
             record.extra = 1
+
+    def test_no_pd_code_attribute_can_be_assigned(self):
+        # assigning crossings and n once gave a PDCode that printed as the
+        # figure-eight but kept the trefoil's walk and cached invariants
+        pd, fig8 = parse_pd(TREFOIL), parse_pd(FIG8)
+        before = classical_alexander(pd)
+        for name in (*PDCode.__slots__, "_cache"):
+            for value in (getattr(fig8, name, None), None):
+                with pytest.raises(AttributeError):
+                    setattr(pd, name, value)
+        assert pd == parse_pd(TREFOIL) and pd.n == 3
+        assert classical_alexander(pd) == before
 
     def test_run_report_is_mutable_and_unhashable(self):
         report = RECORDS["RunReport"]()

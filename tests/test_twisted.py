@@ -1,6 +1,5 @@
 import copy
 import gc
-import importlib.util
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -33,8 +32,9 @@ from knotforge.twisted import (classical_alexander, even_symun_obstruction,
 from support import (BUNDLED, PolyMatrix, bareiss_determinant,
                      bundled_classes, bundled_table_path, fox_derivative,
                      genus_lower_bound, grid_cells, interpolated_alexander,
-                     parse_poly, rational_unit_equal, smallest_column,
-                     sparse_rows, split_pencil, two_bridge_presentation)
+                     load_workloads, parse_poly, rational_unit_equal,
+                     seed7_grid_specs, smallest_column, sparse_rows,
+                     split_pencil, two_bridge_presentation)
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
@@ -818,14 +818,6 @@ class TestTietzeReduction:
         assert drops == [0, 1, 0]
 
 
-def seed7_grid_specs():
-    """The 36 specs of the seed-7 symun-grid workload of
-    perfbench/workloads.py."""
-    kf = SimpleNamespace(diagram=diagram)
-    return [spec for _, _, specs in load_workloads().grid_specs(kf, BUNDLED, 7)
-            for spec in specs]
-
-
 def first_classes(pres, p, n=2):
     """The first n nonabelian SL(2, F_p) classes of pres."""
     return enumerate_sl2(pres, RepSearchConfig(p=p))[:n]
@@ -1334,18 +1326,6 @@ class TestVerifyTheoremMemos:
                   for rho in reps]
         assert sweep == fresh
         assert all(out["equal"] for out in sweep)
-
-
-WORKLOADS_PATH = (Path(__file__).resolve().parent.parent / "perfbench"
-                  / "workloads.py")
-
-
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  WORKLOADS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestCachesLiveOnObjects:
