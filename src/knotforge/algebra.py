@@ -66,24 +66,12 @@ class Domain:
                 return x.numerator * pow(x.denominator, -1, self.p) % self.p
             return int(x) % self.p
         if self.kind == "QQ":
-            return Fraction(x)
+            return x if isinstance(x, Fraction) else Fraction(x)
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise ValueError("non-integer coefficient %r over Z" % (x,))
             return x.numerator
         return int(x)
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "GF" else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "GF" else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "GF" else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "GF" else -a
 
     def inv(self, a):
         if self.kind == "GF":
@@ -202,37 +190,34 @@ class LaurentPoly:
             return self
         return LaurentPoly(self.domain, {e + k: c for e, c in self.coeffs.items()})
 
+    # the arithmetic computes with plain +, - and *, and the constructor
+    # reduces each coefficient once (mod p over F_p)
+
     def scale(self, c):
-        d = self.domain
-        c = d.coerce(c)
-        return LaurentPoly(d, {e: d.mul(v, c) for e, v in self.coeffs.items()})
+        c = self.domain.coerce(c)
+        return LaurentPoly(self.domain,
+                           {e: v * c for e, v in self.coeffs.items()})
 
     def __add__(self, other):
-        d = self.domain
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = d.add(out.get(e, 0), c) if e in out else c
-        return LaurentPoly(d, out)
+            out[e] = out[e] + c if e in out else c
+        return LaurentPoly(self.domain, out)
 
     def __neg__(self):
-        d = self.domain
-        return LaurentPoly(d, {e: d.neg(c) for e, c in self.coeffs.items()})
+        return LaurentPoly(self.domain,
+                           {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        d = self.domain
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                v = d.mul(c1, c2)
-                if e in out:
-                    out[e] = d.add(out[e], v)
-                else:
-                    out[e] = v
-        return LaurentPoly(d, out)
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return LaurentPoly(self.domain, out)
 
     def __pow__(self, n):
         assert n >= 0
@@ -260,17 +245,18 @@ class LaurentPoly:
         if self.is_zero:
             return d.coerce(0)
         lo = self.min_deg
+        x = d.coerce(x)
         acc = d.coerce(0)
         # Horner on the ordinary polynomial t^-lo * self, then shift back
         for e in range(self.max_deg, lo - 1, -1):
-            acc = d.add(d.mul(acc, d.coerce(x)), self.coeff(e))
+            acc = d.coerce(acc * x + self.coeff(e))
         if lo > 0:
             for _ in range(lo):
-                acc = d.mul(acc, d.coerce(x))
+                acc = d.coerce(acc * x)
         elif lo < 0:
-            xinv = d.inv(d.coerce(x))
+            xinv = d.inv(x)
             for _ in range(-lo):
-                acc = d.mul(acc, xinv)
+                acc = d.coerce(acc * xinv)
         return acc
 
     def leading(self):
@@ -295,11 +281,11 @@ def divmod_poly(f, g):
     gmax = G.max_deg
     while F and max(F) >= gmax:
         e = max(F)
-        c = d.mul(F[e], ginv)
+        c = d.coerce(F[e] * ginv)
         q[e - gmax] = c
         for eg, cg in G.coeffs.items():
             k = e - gmax + eg
-            v = d.sub(F.get(k, 0), d.mul(c, cg))
+            v = d.coerce(F.get(k, 0) - c * cg)
             if v:
                 F[k] = v
             elif k in F:

@@ -155,9 +155,9 @@ class PDCode(Record):
             seq.append(((e, "tail"), ("cut", e) if e in cuts else None))
             under = tgt[1] == 0
             seq.append(((e, "head"), ("under", tgt[0]) if under else None))
+        # n >= 1 here, and the walk puts each crossing's incoming under-edge
+        # at position 0, so that edge breaks an arc and breaks is not empty
         breaks = [i for i, (_, brk) in enumerate(seq) if brk is not None]
-        if not breaks:
-            raise InvalidDiagram("no arc breaks found")
         if start_cut is not None:
             want = None
             for i in breaks:

@@ -68,7 +68,7 @@ class TwistedPolynomial:
 
 
 def format_fraction(fr):
-    if fr.den == LaurentPoly.one(fr.den.domain):
+    if fr.is_polynomial:
         return format_poly(fr.num)
     return "(%s) / (%s)" % (format_poly(fr.num), format_poly(fr.den))
 
@@ -312,91 +312,51 @@ def classical_alexander(pd):
 
 def _smith_invariants(pencil):
     """Invariant factors of a pencil's matrix over a field, d_1 | d_2 | ...
-    (ordinary Smith normal form over F[t], computed up to units), read as
-    the Laurent rows A0 + t*A1: the row shifts are units."""
+    (ordinary Smith normal form over F[t], in canonical form), read as the
+    Laurent rows A0 + t*A1: the row shifts are units.  Each round moves an
+    entry of least span to the corner and multiplies its row by the unit
+    that makes it canonical, so that every remainder by it has a smaller
+    span, and divides its column and its row by it.  A nonzero remainder,
+    or an entry of the rest that it does not divide (whose row is added to
+    its own), starts the next round at an entry of smaller span; otherwise
+    it is the next invariant factor, and its row and column are dropped."""
     dom = pencil.domain
     grid = [[LaurentPoly(dom, {0: a, 1: b}) for a, b in zip(r0, r1)]
             for r0, r1 in zip(pencil.A0, pencil.A1)]
-    nr, nc = len(grid), len(pencil.A0[0]) if grid else 0
     invariants = []
-
-    def scale_pivot_row(top):
-        # multiply the whole pivot row by the unit that makes the pivot
-        # canonical (unit row scaling preserves invariant factors up to units)
-        p = grid[top][top]
-        if p.is_zero:
-            return
-        unit = LaurentPoly(dom, {-p.min_deg: dom.inv(p.coeffs[p.max_deg])})
-        if unit != LaurentPoly.one(dom):
-            grid[top] = [f * unit for f in grid[top]]
-
-    top = 0
-    while top < min(nr, nc):
-        pivot = None
-        for i in range(top, nr):
-            for j in range(top, nc):
-                f = grid[i][j]
-                if not f.is_zero and (pivot is None or f.span <
-                                      grid[pivot[0]][pivot[1]].span):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        grid[top], grid[i0] = grid[i0], grid[top]
+    while True:
+        live = [(f.span, i, j) for i, row in enumerate(grid)
+                for j, f in enumerate(row) if not f.is_zero]
+        if not live:
+            return invariants
+        _, i, j = min(live)
+        grid[0], grid[i] = grid[i], grid[0]
         for row in grid:
-            row[top], row[j0] = row[j0], row[top]
-        while True:
-            scale_pivot_row(top)
-            p = grid[top][top]
-            # a nonzero remainder becomes the new (strictly smaller) pivot
-            # and the pass restarts, so the pivot span decreases monotonically
-            swapped = False
-            for i in range(top + 1, nr):
-                f = grid[i][top]
-                if f.is_zero:
-                    continue
-                q, _ = divmod_poly(f, p)
-                for j in range(top, nc):
-                    grid[i][j] = grid[i][j] - q * grid[top][j]
-                if not grid[i][top].is_zero:
-                    grid[top], grid[i] = grid[i], grid[top]
-                    swapped = True
-                    break
-            if swapped:
-                continue
-            for j in range(top + 1, nc):
-                f = grid[top][j]
-                if f.is_zero:
-                    continue
-                q, _ = divmod_poly(f, p)
-                for i in range(top, nr):
-                    grid[i][j] = grid[i][j] - grid[i][top] * q
-                if not grid[top][j].is_zero:
-                    for row in grid:
-                        row[top], row[j] = row[j], row[top]
-                    swapped = True
-                    break
-            if not swapped:
-                break
-        # every remaining entry must be divisible by the pivot; if not, mix
-        # the offending row in and continue reducing
-        p = grid[top][top]
-        bad = None
-        for i in range(top + 1, nr):
-            for j in range(top + 1, nc):
-                _, r = divmod_poly(grid[i][j], p)
-                if not r.is_zero:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for j in range(top, nc):
-                grid[top][j] = grid[top][j] + grid[bad][j]
+            row[0], row[j] = row[j], row[0]
+        p = grid[0][0]
+        unit = LaurentPoly(dom, {-p.min_deg: dom.inv(p.leading())})
+        top = grid[0] = [f * unit for f in grid[0]]
+        p = top[0]
+        for row in grid[1:]:
+            if not row[0].is_zero:
+                q = divmod_poly(row[0], p)[0]
+                row[:] = [f - q * g for f, g in zip(row, top)]
+        for j in range(1, len(top)):
+            if not top[j].is_zero:
+                q = divmod_poly(top[j], p)[0]
+                for row in grid:
+                    if not row[0].is_zero:
+                        row[j] = row[j] - row[0] * q
+        if any(not row[0].is_zero for row in grid[1:]) or any(
+                not f.is_zero for f in top[1:]):
             continue
-        invariants.append(canonicalize(p))
-        top += 1
-    return invariants
+        bad = next((row for row in grid[1:] if any(
+            not divmod_poly(f, p)[1].is_zero for f in row[1:])), None)
+        if bad is not None:
+            grid[0] = [f + g for f, g in zip(top, bad)]
+            continue
+        invariants.append(p)
+        grid = [row[1:] for row in grid[1:]]
 
 
 def _alexander_invariants(pd):

@@ -13,8 +13,10 @@ Alexander polynomial (the route `classical_alexander` took before it
 deflated its integer pencil modulo a Mersenne prime), the two-sided F_p
 deflation (the route `_fastdet.pencil_det` took before it deflated the zero
 end of a pencil only), the Laurent-polynomial route of `reduce_fraction`
-and `split_pencil`, the reference row shift of `twisted._fox_pencil` for
-rows that are linear in t, the face count of a PD code's rotation system,
+and `split_pencil`, the Smith form of `twisted._smith_invariants` with
+three restart rules (before it restarted by one), the reference row shift
+of `twisted._fox_pencil` for rows that are linear in t, the face count of
+a PD code's rotation system,
 the Alexander polynomial of a presentation, the brute-force oracle of the
 column that `twisted_alexander` drops, and the SL(2, F_p) classes of the
 bundled knots, enumerated once per test run."""
@@ -30,7 +32,7 @@ from types import SimpleNamespace
 from knotforge._fastdet import (Pencil, _expand_constant_rows,
                                _int_pencil_det, _reduce_rows, _regular_det)
 from knotforge.algebra import (ZZ, LaurentPoly, RationalFn, canonicalize,
-                               exact_div, gcd_pair, unit_equal)
+                               divmod_poly, exact_div, gcd_pair, unit_equal)
 from knotforge.cli import _DATA, KnotTable
 from knotforge import diagram
 from knotforge.diagram import InvalidDiagram
@@ -526,6 +528,102 @@ def laurent_reduce_fraction(num, den):
     g = gcd_pair(num, den)
     return RationalFn(canonicalize(exact_div(num, g)),
                       canonicalize(exact_div(den, g)), _reduced=True)
+
+
+# -- the three-rule Smith form --------------------------------------------
+
+def reference_smith_invariants(pencil):
+    """The Smith form that `twisted._smith_invariants` computed before it
+    restarted by one rule, with three restart rules: a column remainder is
+    swapped into the pivot row, a row remainder into the pivot column, and
+    a row that the pivot does not divide is mixed in.
+
+    Invariant factors of a pencil's matrix over a field, d_1 | d_2 | ...
+    (ordinary Smith normal form over F[t], computed up to units), read as
+    the Laurent rows A0 + t*A1: the row shifts are units."""
+    dom = pencil.domain
+    grid = [[LaurentPoly(dom, {0: a, 1: b}) for a, b in zip(r0, r1)]
+            for r0, r1 in zip(pencil.A0, pencil.A1)]
+    nr, nc = len(grid), len(pencil.A0[0]) if grid else 0
+    invariants = []
+
+    def scale_pivot_row(top):
+        # multiply the whole pivot row by the unit that makes the pivot
+        # canonical (unit row scaling preserves invariant factors up to units)
+        p = grid[top][top]
+        if p.is_zero:
+            return
+        unit = LaurentPoly(dom, {-p.min_deg: dom.inv(p.coeffs[p.max_deg])})
+        if unit != LaurentPoly.one(dom):
+            grid[top] = [f * unit for f in grid[top]]
+
+    top = 0
+    while top < min(nr, nc):
+        pivot = None
+        for i in range(top, nr):
+            for j in range(top, nc):
+                f = grid[i][j]
+                if not f.is_zero and (pivot is None or f.span <
+                                      grid[pivot[0]][pivot[1]].span):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        i0, j0 = pivot
+        grid[top], grid[i0] = grid[i0], grid[top]
+        for row in grid:
+            row[top], row[j0] = row[j0], row[top]
+        while True:
+            scale_pivot_row(top)
+            p = grid[top][top]
+            # a nonzero remainder becomes the new (strictly smaller) pivot
+            # and the pass restarts, so the pivot span decreases monotonically
+            swapped = False
+            for i in range(top + 1, nr):
+                f = grid[i][top]
+                if f.is_zero:
+                    continue
+                q, _ = divmod_poly(f, p)
+                for j in range(top, nc):
+                    grid[i][j] = grid[i][j] - q * grid[top][j]
+                if not grid[i][top].is_zero:
+                    grid[top], grid[i] = grid[i], grid[top]
+                    swapped = True
+                    break
+            if swapped:
+                continue
+            for j in range(top + 1, nc):
+                f = grid[top][j]
+                if f.is_zero:
+                    continue
+                q, _ = divmod_poly(f, p)
+                for i in range(top, nr):
+                    grid[i][j] = grid[i][j] - grid[i][top] * q
+                if not grid[top][j].is_zero:
+                    for row in grid:
+                        row[top], row[j] = row[j], row[top]
+                    swapped = True
+                    break
+            if not swapped:
+                break
+        # every remaining entry must be divisible by the pivot; if not, mix
+        # the offending row in and continue reducing
+        p = grid[top][top]
+        bad = None
+        for i in range(top + 1, nr):
+            for j in range(top + 1, nc):
+                _, r = divmod_poly(grid[i][j], p)
+                if not r.is_zero:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            for j in range(top, nc):
+                grid[top][j] = grid[top][j] + grid[bad][j]
+            continue
+        invariants.append(canonicalize(p))
+        top += 1
+    return invariants
 
 
 # -- the reference row shift --------------------------------------------------

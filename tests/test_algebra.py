@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotforge.algebra import (ZZ, QQ, GF, LaurentPoly,
+from knotforge.algebra import (ZZ, QQ, GF, LaurentPoly, divmod_poly,
                                canonicalize, det, gcd_polys, reduce_fraction,
                                format_poly, unit_equal, exact_div, _is_prime)
 
@@ -371,6 +371,133 @@ class TestRingAxioms:
             if g.is_zero:
                 continue
             assert exact_div(f * g, g) == f
+
+
+def dense_value(domain, c):
+    """The int or Fraction c as an element of domain (F_7 for GF)."""
+    if domain.kind == "GF":
+        return c % 7
+    return Fraction(c) if domain.kind == "QQ" else c
+
+
+def dense_coeffs(domain, lo, cs):
+    """{exponent: element} of the dense list cs of t^lo, t^(lo+1), ..."""
+    out = {}
+    for i, c in enumerate(cs):
+        c = dense_value(domain, c)
+        if c:
+            out[lo + i] = c
+    return out
+
+
+def dense_sum(f, g):
+    (lf, cf), (lg, cg) = f, g
+    lo = min(lf, lg)
+    out = [0] * (max(lf + len(cf), lg + len(cg)) - lo)
+    for l, cs in (f, g):
+        for i, c in enumerate(cs):
+            out[l - lo + i] += c
+    return lo, out
+
+
+def dense_product(f, g):
+    (lf, cf), (lg, cg) = f, g
+    out = [0] * max(len(cf) + len(cg) - 1, 0)
+    for i, a in enumerate(cf):
+        for j, b in enumerate(cg):
+            out[i + j] += a * b
+    return lf + lg, out
+
+
+def dense_evaluate(domain, lo, cs, x):
+    if domain.kind == "GF":
+        return sum(c * pow(x, lo + i, 7) for i, c in enumerate(cs)) % 7
+    v = sum(c * Fraction(x) ** (lo + i) for i, c in enumerate(cs))
+    return Fraction(v) if domain.kind == "QQ" else int(v)
+
+
+def dense_divmod(domain, f, g):
+    """divmod_poly's (q, r) as {exponent: element} dicts, f and g given as
+    such dicts (g nonzero): both are multiplied by the power of t that makes
+    their lowest exponent 0 when it is negative, divided as polynomials by
+    long division, and shifted back."""
+    sf = max(-min(f), 0) if f else 0
+    sg = max(-min(g), 0)
+    R = [f.get(e - sf, 0) for e in range(max(f) + sf + 1)] if f else []
+    G = [g.get(e - sg, 0) for e in range(max(g) + sg + 1)]
+    inv = pow(G[-1], -1, 7) if domain.kind == "GF" else 1 / G[-1]
+    Q = [0] * max(len(R) - len(G) + 1, 0)
+    for k in range(len(Q) - 1, -1, -1):
+        Q[k] = c = dense_value(domain, R[k + len(G) - 1] * inv)
+        for i, b in enumerate(G):
+            R[k + i] = dense_value(domain, R[k + i] - c * b)
+    return ({e + sg - sf: c for e, c in enumerate(Q) if c},
+            {e - sf: c for e, c in enumerate(R) if c})
+
+
+class TestLaurentArithmetic:
+    """+, -, *, scale, evaluate and divmod_poly against dense coefficient
+    lists computed with plain ints and Fractions, reduced mod 7 over F_7
+    only when they are compared: a reduction that is consistently wrong
+    fails here, not only one that disagrees with itself."""
+
+    @staticmethod
+    def is_element(domain, c):
+        if domain.kind == "GF":
+            return type(c) is int and 0 < c < 7
+        return type(c) is (Fraction if domain.kind == "QQ" else int)
+
+    def check(self, domain, f, want):
+        assert f.coeffs == want
+        assert all(self.is_element(domain, c) for c in f.coeffs.values())
+
+    @pytest.mark.parametrize("domain", [ZZ, QQ, GF(7)], ids=repr)
+    def test_against_dense_lists(self, domain):
+        rng = random.Random(2828)
+
+        def coefficient():
+            if domain.kind == "QQ":
+                return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+            return rng.randrange(-30, 31)
+
+        def dense():
+            n = rng.randrange(0, 6)
+            return rng.randrange(-3, 3), [coefficient() if rng.random() < 0.8
+                                          else 0 for _ in range(n)]
+        divisions = 0
+        for _ in range(400):
+            (lf, cf), (lg, cg) = fd, gd = dense(), dense()
+            f = LaurentPoly(domain, dict(zip(range(lf, lf + len(cf)), cf)))
+            g = LaurentPoly(domain, dict(zip(range(lg, lg + len(cg)), cg)))
+            self.check(domain, f + g,
+                       dense_coeffs(domain, *dense_sum(fd, gd)))
+            self.check(domain, f - g, dense_coeffs(domain, *dense_sum(
+                fd, (lg, [-c for c in cg]))))
+            self.check(domain, -f, dense_coeffs(domain, lf,
+                                                [-c for c in cf]))
+            self.check(domain, f * g,
+                       dense_coeffs(domain, *dense_product(fd, gd)))
+            k = coefficient()
+            self.check(domain, f.scale(k),
+                       dense_coeffs(domain, lf, [c * k for c in cf]))
+            if domain.kind == "GF":
+                x = rng.choice([-20, -8, -1, 1, 3, 6, 9, 15])
+            elif domain.kind == "ZZ" and lf < 0:
+                x = rng.choice([-1, 1])
+            else:
+                x = rng.choice([-3, -1, 1, 2, 5])
+            got = f.evaluate(x)
+            assert got == dense_evaluate(domain, lf, cf, x)
+            assert got == 0 or self.is_element(domain, got)
+            if domain.is_field and not g.is_zero:
+                q, r = divmod_poly(f, g)
+                want_q, want_r = dense_divmod(
+                    domain, dense_coeffs(domain, lf, cf),
+                    dense_coeffs(domain, lg, cg))
+                self.check(domain, q, want_q)
+                self.check(domain, r, want_r)
+                divisions += 1
+        assert divisions > 200 or not domain.is_field
 
 
 class TestTextFormat:

@@ -33,8 +33,9 @@ from support import (BUNDLED, PolyMatrix, bareiss_determinant,
                      bundled_classes, bundled_table_path, fox_derivative,
                      genus_lower_bound, grid_cells, interpolated_alexander,
                      load_workloads, parse_poly, rational_unit_equal,
-                     seed7_grid_specs, smallest_column, sparse_rows,
-                     split_pencil, two_bridge_presentation)
+                     reference_smith_invariants, seed7_grid_specs,
+                     smallest_column, sparse_rows, split_pencil,
+                     two_bridge_presentation)
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
@@ -258,6 +259,40 @@ class TestHigherAlexander:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             higher_alexander(parse_pd(TREFOIL), 0)
+
+
+class TestSmithForm:
+    def test_alexander_pencils_match_the_reference(self):
+        # the Alexander pencils over Q of the 11 bundled knots and the 36
+        # seed-7 grid unions: invariant factors are unique up to units and
+        # returned canonical, so the pivot order cannot change the list
+        pds = [BUNDLED[name] for name in sorted(BUNDLED.entries)]
+        pds += [symmetric_union_pd(spec) for spec in seed7_grid_specs()]
+        assert len(pds) == 47
+        for pd in pds:
+            pencil = Pencil(QQ, *twisted._alexander_pencil(wirtinger(pd)))
+            assert (twisted._smith_invariants(pencil)
+                    == reference_smith_invariants(pencil)), pd
+
+    @pytest.mark.parametrize("A0, A1, want", [
+        # t - 1 does not divide t - 2: the divisibility step adds a row
+        ([[-1, 0], [0, -2]], [[1, 0], [0, 1]], ["1", "t^2 - 3*t + 2"]),
+        # the least-span entry t has lowest exponent 1
+        ([[0, 1], [1, 0]], [[1, 0], [0, 1]], ["1", "t^2 - 1"]),
+        # t*I plus 2 above the diagonal: its determinant t^2 is a unit
+        ([[0, 2], [0, 0]], [[1, 0], [0, 1]], ["1", "1"]),
+        # 3 x 2 and 2 x 3: the 2-minors have GCD t - 1
+        ([[-1, 0], [0, -1], [1, 1]], [[1, 0], [0, 1], [0, 0]],
+         ["1", "t - 1"]),
+        ([[-1, 0, 1], [0, -1, 1]], [[1, 0, 0], [0, 1, 0]], ["1", "t - 1"]),
+        ([[0, 0], [0, 0]], [[0, 0], [0, 0]], []),
+    ], ids=["diagonal", "t-corner", "t-corner-unit-det", "3x2", "2x3",
+            "zero"])
+    def test_hand_built_pencils(self, A0, A1, want):
+        pencil = Pencil(QQ, A0, A1)
+        got = twisted._smith_invariants(pencil)
+        assert got == [canonicalize(P(text, QQ)) for text in want]
+        assert got == reference_smith_invariants(pencil)
 
 
 def fox_oracle_cases():
