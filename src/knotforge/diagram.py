@@ -32,7 +32,8 @@ class InvalidDiagram(ValueError):
 
 class PDCode(Record):
     """Validated, orientation-normalized planar diagram code of a knot; a
-    value record whose one field is crossings."""
+    value record whose one field is crossings.  `subarcs` is the one walk
+    from it to the crossing roles that every presentation is built from."""
 
     __slots__ = ("crossings", "n", "_edge_order", "_slots", "_over_entry")
     _fields = ("crossings",)
@@ -115,85 +116,50 @@ class PDCode(Record):
     def writhe(self):
         return sum(self.sign(ci) for ci in range(self.n))
 
-    def subarcs(self, cut_edges=(), start_cut=None):
-        """Partition the strand into sub-arcs broken at undercrossings and at
-        the midpoints of cut_edges.
+    def subarcs(self, cuts=()):
+        """The one walk from the diagram to its sub-arcs: the strand broken
+        at each undercrossing and at the midpoint of each cut edge.
 
-        Returns (arcs, arc_of, events) where arcs is a list of arcs in circuit
-        order (each arc a list of edge-halves (edge, 'tail'|'head')), arc_of
-        maps each half to its arc index, and events[i] describes the break
-        ending arc i: ('under', crossing) or ('cut', edge).  When start_cut is
-        given (a cut edge), arc 0 is the arc beginning just after that cut.
-        """
+        Returns (roles, events).  events[i] is the break that ends sub-arc
+        i, ('under', crossing) or ('cut', edge), so there are len(events)
+        sub-arcs; roles[ci] is crossing ci's (in, out, over, sign) by
+        sub-arc.  Sub-arc 0 begins just after cuts[0], or, with no cuts,
+        just after the walk's first undercrossing.  On the unknot the cuts
+        are abstract marks, and with none there is one closed arc and no
+        break."""
         if self.n == 0:
-            # closed circle: abstract marks play the role of cut edges
-            if not cut_edges:
-                return [[("*", "tail"), ("*", "head")]], \
-                    {("*", "tail"): 0, ("*", "head"): 0}, []
-            order = list(dict.fromkeys(cut_edges))
-            if start_cut is not None:
-                i = order.index(start_cut)
-                order = order[i:] + order[:i]
-            arcs, arc_of, events = [], {}, []
-            for k, e in enumerate(order):
-                half_h = (e, "head")
-                nxt = order[(k + 1) % len(order)]
-                half_t = (nxt, "tail")
-                arcs.append([half_h, half_t])
-                arc_of[half_h] = arc_of[half_t] = k
-                events.append(("cut", nxt))
-            return arcs, arc_of, events
-        cuts = set(cut_edges)
-        unknown = cuts.difference(self._slots)
+            return [], [("cut", e) for e in cuts[1:] + cuts[:1]]
+        cut = set(cuts)
+        unknown = cut.difference(self._slots)
         if unknown:
             raise InvalidDiagram("cut edges %s not in diagram" % sorted(unknown))
-        # circuit of halves; a cut breaks between the tail and head halves of
-        # its edge, an undercrossing breaks after the head half
-        seq = []  # (half, break_after: None | event)
-        for e in self._edge_order:
-            tgt = self.target_slot(e)
-            seq.append(((e, "tail"), ("cut", e) if e in cuts else None))
-            under = tgt[1] == 0
-            seq.append(((e, "head"), ("under", tgt[0]) if under else None))
-        # n >= 1 here, and the walk puts each crossing's incoming under-edge
-        # at position 0, so that edge breaks an arc and breaks is not empty
-        breaks = [i for i, (_, brk) in enumerate(seq) if brk is not None]
-        if start_cut is not None:
-            want = None
-            for i in breaks:
-                if seq[i][1] == ("cut", start_cut):
-                    want = i
-                    break
-            if want is None:
-                raise InvalidDiagram("start_cut %r is not a cut edge" % (start_cut,))
+        # half-edge h is the tail (h even) or head (h odd) of order[h // 2];
+        # a cut breaks after its edge's tail, an undercrossing after the head
+        # of the edge entering it at position 0.  The walk starts at the head
+        # of cuts[0], or at the tail after the first edge that ends under,
+        # and so ends at that break
+        order, slots = self._edge_order, self._slots
+        if cuts:
+            start = 2 * order.index(cuts[0]) + 1
         else:
-            want = breaks[0]
-        # rotate the circuit so it begins just after the chosen break
-        k = (want + 1) % len(seq)
-        seq = seq[k:] + seq[:k]
-        arcs, arc_of, events = [], {}, []
-        cur = []
-        for half, brk in seq:
-            cur.append(half)
-            if brk is not None:
-                idx = len(arcs)
-                for h in cur:
-                    arc_of[h] = idx
-                arcs.append(cur)
-                events.append(brk)
-                cur = []
-        assert not cur
-        return arcs, arc_of, events
-
-    def crossing_roles(self, arc_of):
-        """Per crossing: (in_arc, out_arc, over_arc, sign) under a sub-arc
-        partition produced by subarcs()."""
-        roles = []
-        for ci, (a, b, c, d) in enumerate(self.crossings):
-            over_in = self.crossings[ci][self._over_entry[ci]]
-            roles.append((arc_of[(a, "head")], arc_of[(c, "tail")],
-                          arc_of[(over_in, "head")], self.sign(ci)))
-        return roles
+            start = 2 * next(i for i, e in enumerate(order)
+                             if slots[e][1][1] == 0) + 2
+        ins, overs, events = [None] * self.n, [None] * self.n, []
+        for h in range(start, start + 2 * len(order)):
+            e = order[h // 2 % len(order)]
+            if h % 2 == 0:
+                if e in cut:
+                    events.append(("cut", e))
+            else:
+                ci, pos = slots[e][1]
+                if pos:
+                    overs[ci] = len(events)
+                else:
+                    ins[ci] = len(events)
+                    events.append(("under", ci))
+        # the edge leaving an undercrossing starts the sub-arc after it
+        return [(i, (i + 1) % len(events), o, self.sign(ci))
+                for ci, (i, o) in enumerate(zip(ins, overs))], events
 
     # -- transforms ----------------------------------------------------------
 

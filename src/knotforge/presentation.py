@@ -11,6 +11,8 @@ crossing sign), which is trivial exactly when out = o^s . in . o^-s.
 
 from __future__ import annotations
 
+from itertools import count
+
 from ._record import Record
 from .diagram import InvalidDiagram
 from .reps import Representation, verify_representation, word_prefixes
@@ -132,7 +134,7 @@ class GeneratorMap(Record):
 
 def _crossing_relators(roles):
     """One relator per crossing role (in, out, over, sign) of
-    PDCode.crossing_roles; each is trivial exactly when
+    PDCode.subarcs; each is trivial exactly when
     out = over^sign . in . over^-sign."""
     return [reduce_word(((i, 1), (o, -sign), (out, -1), (o, sign)))
             for i, out, o, sign in roles]
@@ -151,15 +153,16 @@ def _closed_longitude(letters, meridian):
 
 
 def wirtinger(pd):
-    """Wirtinger presentation: one generator per arc, one conjugation relator
-    per crossing; meridian is the first arc's generator; the longitude is the
-    signed product of over-arc generators along the knot, corrected by
-    meridian^-writhe (the exponent sum) so its exponent sum is zero."""
+    """Wirtinger presentation from the uncut walk `PDCode.subarcs`: one
+    generator per arc (an arc ends at each undercrossing), one conjugation
+    relator per crossing role; meridian is the first arc's generator; the
+    longitude is the signed product of over-arc generators along the knot,
+    corrected by meridian^-writhe (the exponent sum) so its exponent sum is
+    zero."""
     if pd.n == 0:
         return GroupPresentation(("x1",), (), meridian=0, longitude=())
-    arcs, arc_of, events = pd.subarcs()
-    names = tuple("x%d" % (i + 1) for i in range(len(arcs)))
-    roles = pd.crossing_roles(arc_of)
+    roles, events = pd.subarcs()
+    names = tuple("x%d" % (i + 1) for i in range(len(events)))
     longitude = _closed_longitude([roles[ci][2:] for _, ci in events], 0)
     return GroupPresentation(names, tuple(_crossing_relators(roles)),
                              meridian=0, longitude=longitude)
@@ -261,32 +264,23 @@ def eliminate_generators(pres, keep):
 # -- symmetric-union template ------------------------------------------------
 
 def _role_names(base, marks):
-    """Assign role-based names to the sub-arcs of the cut diagram."""
-    arcs, arc_of, events = base.subarcs(cut_edges=marks, start_cut=marks[0])
-    A = len(arcs)
-    z1 = next(i for i, ev in enumerate(events) if ev == ("cut", marks[0]))
-    z2 = (z1 + 1) % A
-    assert z2 == 0
-    y1, y2 = {}, {}
-    for l, e in enumerate(marks[1:], start=1):
-        i = next(i for i, ev in enumerate(events) if ev == ("cut", e))
-        y1[l] = i
-        y2[l] = (i + 1) % A
-    names = [None] * A
-    names[z1] = "z1"
-    if names[z2] is None:
-        names[z2] = "z2"
-    for l in range(1, len(marks)):
-        if names[y1[l]] is None:
-            names[y1[l]] = "y%d_1" % l
-        if names[y2[l]] is None:
-            names[y2[l]] = "y%d_2" % l
-    u = 0
-    for i in range(A):
-        if names[i] is None:
-            u += 1
-            names[i] = "u%d" % u
-    return arcs, arc_of, events, names, z1, z2, y1, y2
+    """The crossing roles and breaks of base cut at marks, and role-based
+    names of its sub-arcs: sub-arc 0 begins just after marks[0], so it is
+    z2 and the last sub-arc, which ends there, is z1; the sub-arcs that end
+    at and begin after marks[l] are y_l,1 and y_l,2."""
+    roles, events = base.subarcs(marks)
+    A = len(events)
+    z1, z2 = A - 1, 0
+    y1 = {l: events.index(("cut", e)) for l, e in enumerate(marks[1:], 1)}
+    y2 = {l: (i + 1) % A for l, i in y1.items()}
+    # a sub-arc keeps the first name it is given, in this order; the rest
+    # are u1, u2, ... in walk order
+    given = [(z1, "z1"), (z2, "z2")] + [
+        named for l in y1
+        for named in ((y1[l], "y%d_1" % l), (y2[l], "y%d_2" % l))]
+    first, u = dict(reversed(given)), count(1)
+    names = [first.get(i) or "u%d" % next(u) for i in range(A)]
+    return roles, events, names, z1, z2, y1, y2
 
 
 def _twist_roles(a, b):
@@ -312,9 +306,8 @@ def build_symun_presentation(spec):
     marks = spec.partial.marked_edges
     k = spec.partial.k
     ms = [n // 2 for n in spec.twists]
-    arcs, arc_of, events, arc_names, z1, z2, y1, y2 = _role_names(base, marks)
-    A = len(arcs)
-    roles = base.crossing_roles(arc_of)
+    roles, events, arc_names, z1, z2, y1, y2 = _role_names(base, marks)
+    A = len(events)
 
     # partial-knot presentation: all sub-arcs, crossing relators,
     # y_{l,1} = y_{l,2} identifications; the z1 = z2 relator is dropped

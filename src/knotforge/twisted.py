@@ -200,15 +200,15 @@ def _gen_minus_one_det(rho, g):
         [list(row) for row in rho.matrices[g]]))
 
 
-def twisted_alexander(pres, rho, drop_column="auto"):
+def twisted_alexander(pres, rho):
     """Wada's twisted Alexander polynomial det A_{x_j} / det Phi(x_j - 1) of
-    a deficiency-1 presentation; drop_column "auto" removes the column of
-    `_column(pres)`, the generator whose Tietze reduction is smallest for
-    an is_wirtinger pres and the first generator otherwise (the
-    denominator, of constant term +-1, is never zero).  rho is checked on
-    pres; the determinants are taken on the presentation that
-    `eliminate_generators` leaves of pres with column j kept (kept on pres),
-    under rho restricted to the kept generators.  The invariant changes by
+    a deficiency-1 presentation, with the column of j = `_column(pres)`
+    removed: the generator whose Tietze reduction is smallest for an
+    is_wirtinger pres and the first generator otherwise (the denominator,
+    of constant term +-1, is never zero).  rho is checked on pres; the
+    determinants are taken on the presentation that `eliminate_generators`
+    leaves of pres with column j kept (kept on pres), under rho restricted
+    to the kept generators.  The invariant changes by
     a unit under Tietze moves and with the column dropped (Wada 1994),
     which the canonical form of the reduced fraction removes."""
     if pres.deficiency != 1:
@@ -217,28 +217,26 @@ def twisted_alexander(pres, rho, drop_column="auto"):
     if not verify_representation(pres, rho):
         raise ValueError("representation is singular or does not satisfy "
                          "the relators")
-    return _twisted_alexander(pres, rho, drop_column)
+    return _twisted_alexander(pres, rho)
 
 
-def _twisted_alexander(pres, rho, drop_column="auto"):
+def _twisted_alexander(pres, rho):
     """twisted_alexander for a deficiency-1 pres and a rho already known to
     satisfy it, unchecked: so rho maps each generator the Tietze pass
     eliminates to its word, and is restricted to the ones it keeps."""
-    j = _column(pres) if drop_column == "auto" else drop_column
-    if not (0 <= j < pres.num_generators):
-        raise ValueError("drop_column out of range")
-    return _wada(pres, j, lambda kept: Representation._trusted(
+    return _wada(pres, _column(pres), lambda kept: Representation._trusted(
         rho.p, rho.d, tuple(rho.matrices[g] for g in kept)))
 
 
 def _column(pres):
-    """The column "auto" drops, kept on pres.  For an is_wirtinger pres it
-    is the generator j whose `eliminate_generators(pres, j)` keeps the
-    fewest generators, ties to the lowest j, and only that reduction is
-    kept, as ("tietze", j).  The passes tried are the meridian's and those
-    of the generators it eliminates: keeping a generator that the
-    meridian's pass keeps anyway kept as many on every grid union, partial
-    and bundled knot measured.  Any other pres drops column 0."""
+    """The column twisted_alexander drops, kept on pres.  For an
+    is_wirtinger pres it is the generator j whose
+    `eliminate_generators(pres, j)` keeps the fewest generators, ties to
+    the lowest j, and only that reduction is kept, as ("tietze", j).  The
+    passes tried are the meridian's and those of the generators it
+    eliminates: keeping a generator that the meridian's pass keeps anyway
+    kept as many on every grid union, partial and bundled knot measured.
+    Any other pres drops column 0."""
     if not pres.is_wirtinger:
         return 0
 
@@ -350,7 +348,8 @@ def _smith_invariants(pencil):
         if any(not row[0].is_zero for row in grid[1:]) or any(
                 not f.is_zero for f in top[1:]):
             continue
-        bad = next((row for row in grid[1:] if any(
+        # a pivot of span 0 is 1 by now, and 1 divides every entry
+        bad = None if p.span == 0 else next((row for row in grid[1:] if any(
             not divmod_poly(f, p)[1].is_zero for f in row[1:])), None)
         if bad is not None:
             grid[0] = [f + g for f, g in zip(top, bad)]

@@ -7,7 +7,9 @@ free group ring, Fox derivatives and 2-bridge presentations from
 walk of a PD code (the route `PDCode` took before it walked each circuit
 once), the loaders of the benchmark's tracer and workloads and of the
 README's library example, the 36 specs of the seed-7 symun-grid workload,
-the symmetric-union grid of the acceptance suite, the integer Bareiss
+the sub-arc walk of `PDCode.subarcs` before it returned crossing roles
+(half-edge arc lists, a start_cut and a separate crossing_roles), the
+symmetric-union grid of the acceptance suite, the integer Bareiss
 determinant, the evaluate-and-interpolate oracle for the classical
 Alexander polynomial (the route `classical_alexander` took before it
 deflated its integer pencil modulo a Mersenne prime), the two-sided F_p
@@ -18,7 +20,8 @@ three restart rules (before it restarted by one), the reference row shift
 of `twisted._fox_pencil` for rows that are linear in t, the face count of
 a PD code's rotation system,
 the Alexander polynomial of a presentation, the brute-force oracle of the
-column that `twisted_alexander` drops, and the SL(2, F_p) classes of the
+column that `twisted_alexander` drops, Wada's invariant with any column
+dropped, and the SL(2, F_p) classes of the
 bundled knots, enumerated once per test run."""
 
 import importlib.util
@@ -39,8 +42,9 @@ from knotforge.diagram import InvalidDiagram
 from knotforge.presentation import (GroupPresentation, deficiency_one,
                                     eliminate_generators, inverse_word,
                                     reduce_word, wirtinger)
-from knotforge.reps import RepSearchConfig, enumerate_sl2
-from knotforge.twisted import _alexander_pencil, _fox_pencil, _fox_rows
+from knotforge.reps import RepSearchConfig, Representation, enumerate_sl2
+from knotforge.twisted import (_alexander_pencil, _fox_pencil, _fox_rows,
+                               _wada)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -297,6 +301,90 @@ def reference_walk(crossings):
     raise InvalidDiagram("orientation normalization failed to converge")
 
 
+def reference_subarcs(pd, cut_edges=(), start_cut=None):
+    """`PDCode.subarcs` as it was before it returned crossing roles,
+    unchanged but for its name: partition the strand into sub-arcs broken
+    at undercrossings and at the midpoints of cut_edges.
+
+    Returns (arcs, arc_of, events) where arcs is a list of arcs in circuit
+    order (each arc a list of edge-halves (edge, 'tail'|'head')), arc_of
+    maps each half to its arc index, and events[i] describes the break
+    ending arc i: ('under', crossing) or ('cut', edge).  When start_cut is
+    given (a cut edge), arc 0 is the arc beginning just after that cut.
+    """
+    if pd.n == 0:
+        # closed circle: abstract marks play the role of cut edges
+        if not cut_edges:
+            return [[("*", "tail"), ("*", "head")]], \
+                {("*", "tail"): 0, ("*", "head"): 0}, []
+        order = list(dict.fromkeys(cut_edges))
+        if start_cut is not None:
+            i = order.index(start_cut)
+            order = order[i:] + order[:i]
+        arcs, arc_of, events = [], {}, []
+        for k, e in enumerate(order):
+            half_h = (e, "head")
+            nxt = order[(k + 1) % len(order)]
+            half_t = (nxt, "tail")
+            arcs.append([half_h, half_t])
+            arc_of[half_h] = arc_of[half_t] = k
+            events.append(("cut", nxt))
+        return arcs, arc_of, events
+    cuts = set(cut_edges)
+    unknown = cuts.difference(pd._slots)
+    if unknown:
+        raise InvalidDiagram("cut edges %s not in diagram" % sorted(unknown))
+    # circuit of halves; a cut breaks between the tail and head halves of
+    # its edge, an undercrossing breaks after the head half
+    seq = []  # (half, break_after: None | event)
+    for e in pd._edge_order:
+        tgt = pd.target_slot(e)
+        seq.append(((e, "tail"), ("cut", e) if e in cuts else None))
+        under = tgt[1] == 0
+        seq.append(((e, "head"), ("under", tgt[0]) if under else None))
+    # n >= 1 here, and the walk puts each crossing's incoming under-edge
+    # at position 0, so that edge breaks an arc and breaks is not empty
+    breaks = [i for i, (_, brk) in enumerate(seq) if brk is not None]
+    if start_cut is not None:
+        want = None
+        for i in breaks:
+            if seq[i][1] == ("cut", start_cut):
+                want = i
+                break
+        if want is None:
+            raise InvalidDiagram("start_cut %r is not a cut edge" % (start_cut,))
+    else:
+        want = breaks[0]
+    # rotate the circuit so it begins just after the chosen break
+    k = (want + 1) % len(seq)
+    seq = seq[k:] + seq[:k]
+    arcs, arc_of, events = [], {}, []
+    cur = []
+    for half, brk in seq:
+        cur.append(half)
+        if brk is not None:
+            idx = len(arcs)
+            for h in cur:
+                arc_of[h] = idx
+            arcs.append(cur)
+            events.append(brk)
+            cur = []
+    assert not cur
+    return arcs, arc_of, events
+
+
+def reference_crossing_roles(pd, arc_of):
+    """The `PDCode.crossing_roles` that went with reference_subarcs,
+    unchanged but for its name.  Per crossing: (in_arc, out_arc, over_arc, sign) under a sub-arc
+    partition produced by subarcs()."""
+    roles = []
+    for ci, (a, b, c, d) in enumerate(pd.crossings):
+        over_in = pd.crossings[ci][pd._over_entry[ci]]
+        roles.append((arc_of[(a, "head")], arc_of[(c, "tail")],
+                      arc_of[(over_in, "head")], pd.sign(ci)))
+    return roles
+
+
 def bundled_table_path():
     """The bundled knots.csv as a pathlib.Path, imported only here: the
     commands read the bundled files with _read_bundled."""
@@ -411,6 +499,14 @@ def smallest_column(pres):
     sizes = [eliminate_generators(pres, j)[0].num_generators
              for j in range(pres.num_generators)]
     return sizes.index(min(sizes))
+
+
+def wada_column(pres, rho, j):
+    """Wada's invariant of pres under rho with column j dropped, through
+    `twisted._wada` and rho unchecked: `twisted_alexander` always drops
+    the column of `_column(pres)`, and the tests that vary it call this."""
+    return _wada(pres, j, lambda kept: Representation._trusted(
+        rho.p, rho.d, tuple(rho.matrices[g] for g in kept)))
 
 
 # -- the integer Bareiss determinant and the evaluate-and-interpolate oracle --

@@ -9,7 +9,8 @@ from knotforge.diagram import (InvalidDiagram, MarkedDiagram, PDCode,
                                symmetric_union_pd)
 from knotforge.twisted import classical_alexander, knot_determinant
 
-from support import BUNDLED, pd_to_json, reference_walk, seed7_grid_specs
+from support import (BUNDLED, pd_to_json, reference_crossing_roles,
+                     reference_subarcs, reference_walk, seed7_grid_specs)
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
@@ -188,28 +189,59 @@ class TestSignsAndWrithe:
 class TestSubarcs:
     def test_no_cuts_gives_wirtinger_arcs(self):
         pd = trefoil()
-        arcs, arc_of, events = pd.subarcs()
-        assert len(arcs) == 3
+        roles, events = pd.subarcs()
+        assert len(events) == 3
         assert all(kind == "under" for kind, _ in events)
-        assert {e for e, _ in arc_of} == set(pd.edges)
+        assert sorted(ci for _, ci in events) == list(range(pd.n))
 
     def test_cut_increases_arc_count(self):
         pd = trefoil()
-        arcs0, _, _ = pd.subarcs()
-        arcs1, _, events1 = pd.subarcs(cut_edges=(1, 3))
-        assert len(arcs1) == len(arcs0) + 2
+        _, events0 = pd.subarcs()
+        _, events1 = pd.subarcs((1, 3))
+        assert len(events1) == len(events0) + 2
         assert sum(1 for kind, _ in events1 if kind == "cut") == 2
+        # sub-arc 0 begins just after the first cut, so the last ends there
+        assert events1[-1] == ("cut", 1)
 
     def test_crossing_roles_consistent(self):
         pd = fig8()
-        arcs, arc_of, _ = pd.subarcs()
-        roles = pd.crossing_roles(arc_of)
+        roles, events = pd.subarcs()
         assert len(roles) == len(pd.crossings)
         for in_arc, out_arc, over_arc, sign in roles:
             assert sign in (-1, 1)
-            assert 0 <= in_arc < len(arcs)
-            assert 0 <= out_arc < len(arcs)
-            assert 0 <= over_arc < len(arcs)
+            assert 0 <= in_arc < len(events)
+            assert 0 <= out_arc < len(events)
+            assert 0 <= over_arc < len(events)
+
+    def test_matches_the_reference(self):
+        # roles, breaks and sub-arc count against the half-edge walk with
+        # start_cut and crossing_roles, uncut and cut at seeded edges
+        def check(pd, cuts):
+            arcs, arc_of, events = reference_subarcs(
+                pd, cuts, cuts[0] if cuts else None)
+            want = reference_crossing_roles(pd, arc_of), events
+            assert pd.subarcs(cuts) == want, (pd, cuts)
+            assert len(want[1]) == len(arcs)
+
+        rng = random.Random(29)
+        knots = 0
+        for crossings in random_pairings(random.Random(20261020), 10000):
+            try:
+                pd = PDCode(crossings)
+            except InvalidDiagram:
+                continue
+            knots += 1
+            check(pd, ())
+            size = rng.randint(1, min(4, 2 * pd.n))
+            check(pd, tuple(rng.sample(pd.edges, size)))
+        assert knots == 3573
+        for name in sorted(BUNDLED.entries):
+            pd = BUNDLED[name]
+            check(pd, ())
+            for size in (1, 2, 3, 5):
+                check(pd, tuple(rng.sample(pd.edges, size)))
+        for marks in ((1,), (2, 1), (1, 3, 2)):
+            check(PDCode([]), marks)
 
 
 class TestMarkedDiagram:

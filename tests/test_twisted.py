@@ -35,7 +35,7 @@ from support import (BUNDLED, PolyMatrix, bareiss_determinant,
                      load_workloads, parse_poly, rational_unit_equal,
                      reference_smith_invariants, seed7_grid_specs,
                      smallest_column, sparse_rows, split_pencil,
-                     two_bridge_presentation)
+                     two_bridge_presentation, wada_column)
 
 TREFOIL = "X[6,3,1,4] X[2,5,3,6] X[4,1,5,2]"
 FIG8 = "X[8,4,1,3] X[4,8,5,7] X[6,1,7,2] X[2,5,3,6]"
@@ -293,6 +293,19 @@ class TestSmithForm:
         got = twisted._smith_invariants(pencil)
         assert got == [canonicalize(P(text, QQ)) for text in want]
         assert got == reference_smith_invariants(pencil)
+
+    def test_unit_pivot_skips_the_divisibility_scan(self, monkeypatch):
+        # every pivot of I_3 is 1, which divides every entry of the rest,
+        # and every entry beside a pivot is already 0: no division is made
+        calls = []
+        divmod_poly = twisted.divmod_poly
+        monkeypatch.setattr(twisted, "divmod_poly", lambda f, g: (
+            calls.append((f, g)), divmod_poly(f, g))[1])
+        identity = [[int(i == j) for j in range(3)] for i in range(3)]
+        zero = [[0] * 3 for _ in range(3)]
+        got = twisted._smith_invariants(Pencil(QQ, identity, zero))
+        assert got == [canonicalize(P("1", QQ))] * 3
+        assert calls == []
 
 
 def fox_oracle_cases():
@@ -727,9 +740,8 @@ def check_pass(pres, rho, j):
                                 matrices=[rho.matrices[g] for g in kept])
     A = fox_matrix(reduced, restricted, kept.index(j))
     assert A.rows == len(A.A0[0]) == rho.d * (reduced.num_generators - 1)
-    drop = "auto" if j == 0 else j
-    assert twisted_alexander(pres, rho, drop_column=drop).value == \
-        unreduced_wada(pres, rho, j)
+    tw = twisted_alexander(pres, rho) if j == 0 else wada_column(pres, rho, j)
+    assert tw.value == unreduced_wada(pres, rho, j)
     return reduced
 
 
@@ -759,7 +771,7 @@ class TestTietzeReduction:
                          "10_140": 9, "11a_201": 8}
 
     def test_bundled_knots_shrink_at_the_chosen_column(self):
-        # "auto" keeps one generator fewer of 11a_201 and of 10_137, and as
+        # the chosen column keeps one generator fewer of 11a_201 and of 10_137, and as
         # many as column 0 of the others
         sizes = {}
         for name in BUNDLED.entries:
@@ -780,7 +792,7 @@ class TestTietzeReduction:
             return fox_matrix(p, r, drop)
         monkeypatch.setattr(twisted, "fox_matrix", spy)
         twisted_alexander(pres, rho)
-        # "auto" keeps the chosen column, x2_2* (29), and drops it
+        # the pass keeps the chosen column, x2_2* (29), and drops it
         assert (pres.num_generators, sizes) == (36, [(13, 13, 10)])
 
     def test_cases_cover_the_grid(self):
@@ -814,18 +826,18 @@ class TestTietzeReduction:
         # a presentation keeps its chosen column and one Tietze reduction
         # per kept column asked for, and each reduction one program per
         # dropped column, no more; a copy (rebuilt through the constructor)
-        # starts cold.  "auto" tries the meridian's pass and that of x3, the
-        # one generator it eliminates, and keeps column 0
+        # starts cold.  The chosen column tries the meridian's pass and that
+        # of x3, the one generator it eliminates, and keeps column 0
         pres, rho = TIETZE_CASES[0][1:]
         pres = copy.copy(pres)
         calls = []
         monkeypatch.setattr(twisted, "eliminate_generators",
                             lambda *args: (calls.append(args[1]),
                                            eliminate_generators(*args))[1])
-        first = [twisted_alexander(pres, rho, drop_column=j).value
-                 for j in ("auto", 1)]
-        assert [twisted_alexander(pres, rho, drop_column=j).value
-                for j in ("auto", 1)] == first
+        first = [twisted_alexander(pres, rho).value,
+                 wada_column(pres, rho, 1).value]
+        assert [twisted_alexander(pres, rho).value,
+                wada_column(pres, rho, 1).value] == first
         assert calls == [0, 2, 1]
         assert set(pres._cache) == {"column", ("tietze", 0), ("tietze", 1)}
         for j in (0, 1):
@@ -859,7 +871,7 @@ def first_classes(pres, p, n=2):
 
 
 class TestChosenColumn:
-    """drop_column "auto" drops the column of the generator whose Tietze
+    """twisted_alexander drops the column of the generator whose Tietze
     reduction is smallest, against the brute-force oracle, and gives the
     polynomial of column 0."""
 
@@ -921,13 +933,13 @@ class TestChosenColumn:
         for pres, rhos in cases:
             for rho in rhos:
                 assert twisted_alexander(pres, rho).value == \
-                    twisted_alexander(pres, rho, 0).value
+                    wada_column(pres, rho, 0).value
             assert twisted._column(pres) == smallest_column(pres)
 
     def test_other_presentations_keep_column_zero(self, monkeypatch):
         # 11a_201's presentation, whose smallest reduction keeps column 2,
-        # read as not of Wirtinger type: "auto" runs the pass of column 0
-        # only and drops column 0
+        # read as not of Wirtinger type: twisted_alexander runs the pass of
+        # column 0 only and drops column 0
         base = deficiency_one(wirtinger(BUNDLED["11a_201"]))
         assert smallest_column(base) == 2
         pres = GroupPresentation(base.names, base.relators,
@@ -975,7 +987,7 @@ class TestWadaInvariant:
             for rho in rhos:
                 base = twisted_alexander(pres, rho)
                 for j in range(1, pres.num_generators):
-                    other = twisted_alexander(pres, rho, drop_column=j)
+                    other = wada_column(pres, rho, j)
                     assert rational_unit_equal(base.value, other.value)
                     assert base.degree == other.degree
 
