@@ -135,8 +135,8 @@ class GeneratorMap(Record):
 def _crossing_relators(roles):
     """One relator per crossing role (in, out, over, sign) of
     PDCode.subarcs; each is trivial exactly when
-    out = over^sign . in . over^-sign."""
-    return [reduce_word(((i, 1), (o, -sign), (out, -1), (o, sign)))
+    out = over^sign . in . over^-sign.  GroupPresentation reduces it."""
+    return [((i, 1), (o, -sign), (out, -1), (o, sign))
             for i, out, o, sign in roles]
 
 
@@ -313,7 +313,7 @@ def build_symun_presentation(spec):
     # y_{l,1} = y_{l,2} identifications; the z1 = z2 relator is dropped
     p_rels = _crossing_relators(roles)
     for l in range(1, k + 1):
-        p_rels.append(reduce_word(((y1[l], 1), (y2[l], -1))))
+        p_rels.append(((y1[l], 1), (y2[l], -1)))
     partial_pres = GroupPresentation(tuple(arc_names), tuple(p_rels),
                                      meridian=z2)
 
@@ -345,13 +345,13 @@ def build_symun_presentation(spec):
         under = {role[0]: role for role in region}
         region_walks[marks[l]] = ([under[g] for g in xc[:-1]],
                                   [under[g] for g in sc[:-1]])
-        rels.append(reduce_word(((xc[0], 1), (y1[l], -1))))
-        rels.append(reduce_word(((sc[0], 1), (star[y1[l]], -1))))
-        rels.append(reduce_word(((xc[-1], 1), (y2[l], -1))))
-        rels.append(reduce_word(((sc[-1], 1), (star[y2[l]], -1))))
-    rels.append(reduce_word(((v1, 1), (z1, -1))))
-    rels.append(reduce_word(((v1, 1), (star[z1], -1))))
-    rels.append(reduce_word(((v2, 1), (z2, -1))))
+        rels.append(((xc[0], 1), (y1[l], -1)))
+        rels.append(((sc[0], 1), (star[y1[l]], -1)))
+        rels.append(((xc[-1], 1), (y2[l], -1)))
+        rels.append(((sc[-1], 1), (star[y2[l]], -1)))
+    rels.append(((v1, 1), (z1, -1)))
+    rels.append(((v1, 1), (star[z1], -1)))
+    rels.append(((v2, 1), (z2, -1)))
     # final relator v2 (z2*)^-1 dropped for deficiency 1
 
     # longitude carried through the template: walk D from z2, across each

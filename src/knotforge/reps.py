@@ -28,6 +28,20 @@ leaf's canonicalization again.  The twin's twisted polynomial is
 Delta_rho(-t) (Wada, Topology 33, 1994; Kirk and Livingston, Topology 38,
 1999).
 
+Over F_p with p odd the classes come in pairs one level down as well.  The
+GL2 partner of rho is g rho g^-1 for any g of GL(2, F_p) whose determinant
+is a non-square; it is another SL(2, F_p) class unless rho is GL2-stable
+(irreducible but not absolutely irreducible), and its twisted polynomial is
+rho's, since Wada's invariant does not change under conjugation by
+GL(2, F_p).  For a trace other than +-2 the g is taken in the GL2
+centralizer C of the companion matrix, so the first branch tries one
+matrix per C-orbit of the slice, and meets one class of each pair; for the
+traces +-2, g = diag(e, 1), e a non-square, takes the pinned unipotent
+class with c = 1 to the one with c = e, so only the first is searched.
+The partner of each class met is derived by one conjugation and put
+through the leaf's canonicalization (compare Riley's normal forms, Proc.
+LMS 24, 1972).
+
 Which relator forces which generator, and which relators become complete,
 depends only on which generators are assigned, so each search compiles its
 propagation plan once from the relators alone: per depth, a straight-line
@@ -44,7 +58,8 @@ recurses: a candidate it rejects is the node the next depth's check step of
 that relator would reject, so it is counted as one against the budget and
 the results and node totals are those of the plain search.  The trace
 slices, pinned classes with their centralizers and first-branch orbit
-representatives are memoized per (trace, p) in a bounded cache.
+representatives and partner conjugators are memoized per (trace, p) in a
+bounded cache.
 """
 
 from __future__ import annotations
@@ -301,8 +316,13 @@ def _centralizer_of_companion(s, p):
     return out
 
 
+def _is_nonsquare(n, p):
+    """Whether n is a non-square mod p (Euler's criterion); F_2 has none."""
+    return p > 2 and pow(n, (p - 1) // 2, p) == p - 1
+
+
 def least_nonsquare(p):
-    return next(e for e in range(2, p) if pow(e, (p - 1) // 2, p) == p - 1)
+    return next(e for e in range(2, p) if _is_nonsquare(e, p))
 
 
 def _class_reps(s, p):
@@ -479,18 +499,59 @@ def _class_tables(s, p):
                  for M0, zs in _pinned_class_reps(s, p))
 
 
+def _gl2_pairs(mats, p):
+    """(g, g^-1) for each flat g = (a, b, c, d) of mats in GL2(F_p)."""
+    out = []
+    for a, b, c, d in mats:
+        r = pow(a * d - b * c, -1, p)
+        out.append(((a, b, c, d),
+                    (d * r % p, -b * r % p, -c * r % p, a * r % p)))
+    return out
+
+
+def _flat_mul(A, B, p):
+    """The product of the flat 2x2 matrices A and B mod p."""
+    a, b, c, d = A
+    e, f, g, h = B
+    return ((a * e + b * g) % p, (a * f + b * h) % p,
+            (c * e + d * g) % p, (c * f + d * h) % p)
+
+
 @lru_cache(maxsize=_TABLE_MEMO)
 def _trace_tables(s, p):
     """The search's tables for trace s over F_p, as immutable tuples of
-    flat (M, M^-1) pairs: the trace slice, and per pinned class (M0, its
-    centralizer Z, the first branch's candidates: the least member of each
-    Z-orbit of the slice).  Flat and nested matrices sort alike."""
+    flat (M, M^-1) pairs: the trace slice; the one pinned class searched,
+    M0, with its centralizer Z in SL2(F_p); the first branch's candidates;
+    and the partner pairs, (z g, (z g)^-1) for z in the centralizer of
+    g M0 g^-1, which map a class of M0 to its GL2 partner's Z-orbit, with
+    g of non-square determinant (empty over F_2).  For traces other than
+    +-2, g lies in the GL2 centralizer C of the companion matrix M0, the
+    invertible a*I + b*M0 taken modulo scalars (I and each invertible
+    a*I + M0), and the candidates are the least member of each C-orbit of
+    the slice.  For the unipotent traces +-2, M0 is the pinned class with
+    c = 1, g = diag(e, 1) takes it to the one with c = e, and the
+    candidates are the least members of the Z-orbits.  Flat and nested
+    matrices sort alike."""
     pairs = {pair[0]: pair for pair in _flat_pairs(_trace_slice(s, p), p)}
-    classes = []
-    for M0, zpairs in _class_tables(s, p):
-        first = _orbit_reps(pairs, zpairs, p)
-        classes.append((pairs[M0], zpairs, tuple(pairs[M] for M in first)))
-    return tuple(pairs.values()), tuple(classes)
+    (M0, zpairs), *other = _class_tables(s, p)
+    if (s - 2) % p and (s + 2) % p:
+        # a*I + M0 has determinant a^2 + s*a + 1
+        group = _gl2_pairs([(1, 0, 0, 1)] + [
+            (a, p - 1, 1, (a + s) % p) for a in range(p)
+            if (a * a + s * a + 1) % p], p)
+        g = next((z for z, _ in group
+                  if _is_nonsquare(z[0] * z[3] - z[1] * z[2], p)), None)
+        target = zpairs
+    else:
+        # one unipotent class over F_2, which has no non-square
+        group = zpairs
+        g = (least_nonsquare(p), 0, 0, 1) if other else None
+        target = other[0][1] if other else ()
+    first = _orbit_reps(pairs, group, p)
+    partner = _gl2_pairs([_flat_mul(z, g, p) for z, _ in target], p) \
+        if g else ()
+    return (tuple(pairs.values()), pairs[M0], zpairs,
+            tuple(pairs[M] for M in first), tuple(partner))
 
 
 def _sign_twin(mats, p):
@@ -516,12 +577,16 @@ def _canonical(mats, zpairs, branched, p):
 class RepList(list):
     """The list of representations enumerate_sl2 returns, with `twins`:
     per listed class the index of its sign twin in the list (possibly its
-    own), or None for an abelian class and over F_2; and `nodes`: the
-    search nodes it visited, what max_nodes bounds."""
+    own), or None for an abelian class and over F_2; `partners`: per listed
+    class the index of its GL2 partner, its conjugate by a matrix of
+    non-square determinant (its own for a GL2-stable class), or None for
+    an abelian class and over F_2; and `nodes`: the search nodes it
+    visited, what max_nodes bounds."""
 
-    def __init__(self, reps, twins, nodes):
+    def __init__(self, reps, twins, partners, nodes):
         super().__init__(reps)
         self.twins = tuple(twins)
+        self.partners = tuple(partners)
         self.nodes = nodes
 
 
@@ -531,14 +596,21 @@ def enumerate_sl2(pres, cfg):
 
     Representations are listed up to conjugacy.  Nonabelian ones are found
     per trace value by pinning the first generator to a representative of
-    each non-scalar conjugacy class (the companion matrix; for traces +-2
-    both unipotent classes), propagating forced values through the
+    a non-scalar conjugacy class (the companion matrix; for traces +-2 the
+    unipotent class with c = 1), propagating forced values through the
     relators, branching over the remaining trace slice, and deduplicating
     under the pinned matrix's centralizer Z.  The first branch tries one
-    matrix per Z-orbit of the slice (its least member), since every class
-    has a member there; each class is listed by the member the unpruned
-    search would visit last, the Z-conjugate whose tuple of
-    branched-generator values is largest.  With nonabelian_only=False
+    matrix per orbit of the slice (its least member) under the pinned
+    matrix's centralizer in GL(2, F_p) modulo scalars, so every GL2 pair
+    of classes has a member there; each class the search meets gives its
+    GL2 partner, g rho g^-1 with det g a non-square, canonicalized as a leaf
+    is (for traces +-2, g = diag(e, 1) gives the classes of the unipotent
+    class with c = e).  Over F_2, where every unit is a square, the first
+    branch tries one matrix per Z-orbit and no class has a partner.  Each
+    class is listed by the member the unpruned search would visit last, the
+    Z-conjugate whose tuple of branched-generator values is largest, so the
+    list is the one the search of every pinned class would give; max_nodes
+    bounds the nodes the smaller search visits.  With nonabelian_only=False
     abelian representations are included first: one per SL2 conjugacy
     class, all generators equal.
 
@@ -551,7 +623,10 @@ def enumerate_sl2(pres, cfg):
     twin of every class, so that the twisted polynomial of one class of a
     pair gives the other's, Delta_{eps rho}(t) = Delta_rho(-t) (Wada, 1994;
     Kirk and Livingston, 1999).  Trace-0 classes are paired by
-    canonicalizing their sign twins.
+    canonicalizing their sign twins.  It carries the GL2 partner of every
+    class as well, whose twisted polynomial is the class's own; a class of
+    trace -s > s takes the sign twin of its twin's partner, with no further
+    canonicalization.
     """
     p = cfg.p
     if not pres.is_wirtinger:
@@ -561,7 +636,7 @@ def enumerate_sl2(pres, cfg):
     # every leaf is at the last depth, and the search meets leaves in
     # lexicographic order of their values on the branched generators
     branched = gens[:-1]
-    reps, twins = [], []
+    reps, twins, partners = [], [], []
     budget = cfg.max_nodes
     nodes = 0
     # the slots of _compile_plans: x_h, then x_h^-1, then I, each a flat
@@ -576,6 +651,7 @@ def enumerate_sl2(pres, cfg):
         for M in _abelian_class_reps(p):
             reps.append(mk((M,) * ng))
             twins.append(None)
+            partners.append(None)
 
     def exceeded(s):
         return SearchBudgetExceeded(
@@ -647,6 +723,7 @@ def enumerate_sl2(pres, cfg):
     for s in range(p):
         found = {}
         source = {}  # a derived class's canon -> its sign twin's index
+        mate = {}  # a searched class's canon -> its GL2 partner's canon
         t = -s % p
         if p > 2 and t < s:
             start, keeps = listed[t]
@@ -654,12 +731,20 @@ def enumerate_sl2(pres, cfg):
                 canon, keep = twin_class(mats, s)
                 found[canon], source[canon] = keep, i
         else:
-            trace_slice, classes = _trace_tables(s, p)
-            for (vals[0], vals[ng]), zpairs, first in classes:
-                branch(0, s, first)
+            trace_slice, (vals[0], vals[ng]), zpairs, first, partner = \
+                _trace_tables(s, p)
+            branch(0, s, first)
+            # the search met a class of each GL2 pair; the partner of each
+            # class it met has trace s too, and it may have met that as well
+            for canon in list(found) if partner else ():
+                if canon not in mate:
+                    c2, k2 = _canonical(found[canon], partner, branched, p)
+                    found[c2] = k2
+                    mate[canon], mate[c2] = c2, canon
         order = sorted(found)
         start = len(reps)
         listed[s] = start, [found[canon] for canon in order]
+        index = {canon: j for j, canon in enumerate(order, start)}
         for j, canon in enumerate(order, start):
             # flat and nested matrices sort alike
             reps.append(mk(tuple(((a, b), (c, d))
@@ -668,12 +753,17 @@ def enumerate_sl2(pres, cfg):
             twins.append(i)
             if i is not None:
                 twins[i] = j
+        for canon in order:
+            if source:
+                # the sign twin of a GL2 partner is the twin's partner
+                partners.append(twins[partners[source[canon]]])
+            else:
+                partners.append(index[mate[canon]] if mate else None)
         if p > 2 and t == s:
             # trace 0 is its own twin trace
-            index = {canon: j for j, canon in enumerate(order, start)}
             for j, mats in enumerate(listed[s][1], start):
                 twins[j] = index[twin_class(mats, s)[0]]
-    return RepList(reps, twins, nodes)
+    return RepList(reps, twins, partners, nodes)
 
 
 def _abelian_class_reps(p):

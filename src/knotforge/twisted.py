@@ -516,10 +516,15 @@ def _rep_polynomials(pres, reps):
     33, 1994; Kirk and Livingston, Topology 38, 1999), so a representation
     whose twin comes before it takes its twin's polynomial with the odd
     coefficients of the numerator and the denominator negated, reduced
-    again.  The others go through the Fox pencil."""
+    again.  reps.partners[i] is the index of the class of g rho_i g^-1, g
+    of non-square determinant in GL(2, F_p), or None; Wada's invariant does
+    not change under conjugation by GL(2, F_p), so a representation whose
+    partner comes before it takes its partner's polynomial as it is.  The
+    others go through the Fox pencil."""
     out = []
-    for rho, j in zip(reps, reps.twins):
-        out.append(_at_minus_t(out[j]) if j is not None and j < len(out)
+    for i, (rho, j, k) in enumerate(zip(reps, reps.twins, reps.partners)):
+        out.append(out[k] if k is not None and k < i
+                   else _at_minus_t(out[j]) if j is not None and j < i
                    else _twisted_alexander(pres, rho))
     return out
 

@@ -21,8 +21,11 @@ of `twisted._fox_pencil` for rows that are linear in t, the face count of
 a PD code's rotation system,
 the Alexander polynomial of a presentation, the brute-force oracle of the
 column that `twisted_alexander` drops, Wada's invariant with any column
-dropped, and the SL(2, F_p) classes of the
-bundled knots, enumerated once per test run."""
+dropped, the SL(2, F_p) classes of the
+bundled knots, enumerated once per test run, and the SL(2, F_p) search of
+`reps.enumerate_sl2` and its `_trace_tables` before the search derived each
+class's GL2 partner (both pinned unipotent classes searched, and the first
+branch's candidates one per orbit of the SL2 centralizer)."""
 
 import importlib.util
 import json
@@ -42,7 +45,11 @@ from knotforge.diagram import InvalidDiagram
 from knotforge.presentation import (GroupPresentation, deficiency_one,
                                     eliminate_generators, inverse_word,
                                     reduce_word, wirtinger)
-from knotforge.reps import RepSearchConfig, Representation, enumerate_sl2
+from knotforge.reps import (_TABLE_MEMO, RepSearchConfig, Representation,
+                            SearchBudgetExceeded, _abelian_class_reps,
+                            _canonical, _class_tables, _commute_with_first,
+                            _compile_plans, _flat_pairs, _orbit_reps,
+                            _sign_twin, _trace_slice, enumerate_sl2)
 from knotforge.twisted import (_alexander_pencil, _fox_pencil, _fox_rows,
                                _wada)
 
@@ -787,3 +794,183 @@ def bundled_classes(name, p):
     so that each knot and prime is enumerated once."""
     return enumerate_sl2(deficiency_one(wirtinger(BUNDLED[name])),
                          RepSearchConfig(p=p, nonabelian_only=False))
+
+
+# -- the SL(2, F_p) search before GL2 partners -------------------------------
+
+@lru_cache(maxsize=_TABLE_MEMO)
+def reference_trace_tables(s, p):
+    """The search's tables for trace s over F_p, as immutable tuples of
+    flat (M, M^-1) pairs: the trace slice, and per pinned class (M0, its
+    centralizer Z, the first branch's candidates: the least member of each
+    Z-orbit of the slice).  Flat and nested matrices sort alike."""
+    pairs = {pair[0]: pair for pair in _flat_pairs(_trace_slice(s, p), p)}
+    classes = []
+    for M0, zpairs in _class_tables(s, p):
+        first = _orbit_reps(pairs, zpairs, p)
+        classes.append((pairs[M0], zpairs, tuple(pairs[M] for M in first)))
+    return tuple(pairs.values()), tuple(classes)
+
+
+
+class ReferenceRepList(list):
+    """The list of representations enumerate_sl2 returns, with `twins`:
+    per listed class the index of its sign twin in the list (possibly its
+    own), or None for an abelian class and over F_2; and `nodes`: the
+    search nodes it visited, what max_nodes bounds."""
+
+    def __init__(self, reps, twins, nodes):
+        super().__init__(reps)
+        self.twins = tuple(twins)
+        self.nodes = nodes
+
+
+def reference_enumerate_sl2(pres, cfg):
+    """All SL(2, F_p) representations of a Wirtinger-type presentation, as a
+    deterministically ordered list.
+
+    Representations are listed up to conjugacy.  Nonabelian ones are found
+    per trace value by pinning the first generator to a representative of
+    each non-scalar conjugacy class (the companion matrix; for traces +-2
+    both unipotent classes), propagating forced values through the
+    relators, branching over the remaining trace slice, and deduplicating
+    under the pinned matrix's centralizer Z.  The first branch tries one
+    matrix per Z-orbit of the slice (its least member), since every class
+    has a member there; each class is listed by the member the unpruned
+    search would visit last, the Z-conjugate whose tuple of
+    branched-generator values is largest.  With nonabelian_only=False
+    abelian representations are included first: one per SL2 conjugacy
+    class, all generators equal.
+
+    For p odd only the traces s <= -s mod p are searched.  The classes of a
+    trace -s > s are the sign twins of those of trace s (eps (x) rho
+    conjugated by D = diag(1, -1), eps the character sending every meridian
+    to -1, which the relators' exponent sums 0 allow), canonicalized as a
+    leaf is, so the list is the one the search would give; such a trace
+    visits no node of the budget.  The returned RepList carries the sign
+    twin of every class, so that the twisted polynomial of one class of a
+    pair gives the other's, Delta_{eps rho}(t) = Delta_rho(-t) (Wada, 1994;
+    Kirk and Livingston, 1999).  Trace-0 classes are paired by
+    canonicalizing their sign twins.
+    """
+    p = cfg.p
+    if not pres.is_wirtinger:
+        raise ValueError("enumeration needs a Wirtinger-type presentation")
+    ng = pres.num_generators
+    plans, gens, crossings = _compile_plans(pres.relators, ng)
+    # every leaf is at the last depth, and the search meets leaves in
+    # lexicographic order of their values on the branched generators
+    branched = gens[:-1]
+    reps, twins = [], []
+    budget = cfg.max_nodes
+    nodes = 0
+    # the slots of _compile_plans: x_h, then x_h^-1, then I, each a flat
+    # (a, b, c, d).  One array serves the whole search, since a node's plan
+    # reads only slots assigned on its own path.
+    vals = [None] * (2 * ng) + [(1, 0, 0, 1)]
+
+    def mk(mats):
+        return Representation._trusted(p, 2, mats)
+
+    if not cfg.nonabelian_only:
+        for M in _abelian_class_reps(p):
+            reps.append(mk((M,) * ng))
+            twins.append(None)
+
+    def exceeded(s):
+        return SearchBudgetExceeded(
+            "representation search exceeded its budget: %d nodes used, "
+            "reached trace %d of 0..%d" % (budget, s, p - 1))
+
+    def branch(depth, s, cands):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise exceeded(s)
+        # every value lies in SL2(F_p), so a forced product has det 1 and
+        # needs only the trace and scalar checks
+        for g, e, first, rest in plans[depth]:
+            a, b, c, d = vals[first]
+            for h in rest:
+                x, y, z, w = vals[h]
+                a, b, c, d = ((a * x + b * z) % p, (a * y + b * w) % p,
+                              (c * x + d * z) % p, (c * y + d * w) % p)
+            if g is None:
+                if a != 1 or b or c or d != 1:
+                    return
+                continue
+            if (a + d) % p != s or (b == c == 0 and a == d):
+                return
+            P, Pi = (a, b, c, d), (d, -b % p, -c % p, a)
+            vals[g], vals[ng + g] = (Pi, P) if e > 0 else (P, Pi)
+        g = gens[depth]
+        if g is None:
+            leaf(vals[:ng])
+            return
+        # each crossing over g is tested here, as in . N = N . out for
+        # N = g^e; a candidate it rejects is the node whose check step
+        # would reject it, and is counted as one
+        tests = crossings[depth] and [(vals[i], vals[o], e > 0)
+                                      for i, o, e in crossings[depth]]
+        for M, Mi in cands:
+            for (a, b, c, d), (x, y, z, w), direct in tests:
+                n0, n1, n2, n3 = M if direct else Mi
+                if ((a * n0 + b * n2 - n0 * x - n1 * z) % p
+                        or (a * n1 + b * n3 - n0 * y - n1 * w) % p
+                        or (c * n0 + d * n2 - n2 * x - n3 * z) % p
+                        or (c * n1 + d * n3 - n2 * y - n3 * w) % p):
+                    nodes += 1
+                    if nodes > budget:
+                        raise exceeded(s)
+                    break
+            else:
+                vals[g], vals[ng + g] = M, Mi
+                branch(depth + 1, s, trace_slice)
+
+    def leaf(mats):
+        # x_0 is not scalar, so its centralizer is commutative and the
+        # leaf is abelian when every value commutes with x_0
+        if _commute_with_first(mats, p):
+            return  # abelian classes are listed up front
+        canon, keep = _canonical(mats, zpairs, branched, p)
+        found[canon] = keep
+
+    def twin_class(mats, s):
+        # (canon, keep) of the sign twin of a class, a class of trace s: it
+        # keeps x_0 on its pinned matrix, M0(-s) -> M0(s)
+        twin = _sign_twin(mats, p)
+        zs = dict(_class_tables(s, p))[twin[0]]
+        return _canonical(twin, zs, branched, p)
+
+    # trace -> (index of its first class, the flat classes in list order)
+    listed = {}
+    for s in range(p):
+        found = {}
+        source = {}  # a derived class's canon -> its sign twin's index
+        t = -s % p
+        if p > 2 and t < s:
+            start, keeps = listed[t]
+            for i, mats in enumerate(keeps, start):
+                canon, keep = twin_class(mats, s)
+                found[canon], source[canon] = keep, i
+        else:
+            trace_slice, classes = reference_trace_tables(s, p)
+            for (vals[0], vals[ng]), zpairs, first in classes:
+                branch(0, s, first)
+        order = sorted(found)
+        start = len(reps)
+        listed[s] = start, [found[canon] for canon in order]
+        for j, canon in enumerate(order, start):
+            # flat and nested matrices sort alike
+            reps.append(mk(tuple(((a, b), (c, d))
+                                 for a, b, c, d in found[canon])))
+            i = source.get(canon)
+            twins.append(i)
+            if i is not None:
+                twins[i] = j
+        if p > 2 and t == s:
+            # trace 0 is its own twin trace
+            index = {canon: j for j, canon in enumerate(order, start)}
+            for j, mats in enumerate(listed[s][1], start):
+                twins[j] = index[twin_class(mats, s)[0]]
+    return ReferenceRepList(reps, twins, nodes)

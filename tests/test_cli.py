@@ -12,10 +12,11 @@ import knotforge.twisted
 from knotforge.cli import (DomainError, KnotTable, RunReport, default_table,
                            main, resolve_knot, user_table_path)
 from knotforge.diagram import PDCode, parse_pd
-from knotforge.presentation import wirtinger
-from knotforge.reps import RepSearchConfig, enumerate_sl2, rep_to_json
+from knotforge.presentation import deficiency_one, wirtinger
+from knotforge.reps import (RepSearchConfig, SearchBudgetExceeded,
+                            enumerate_sl2, rep_to_json)
 
-from support import bundled_table_path
+from support import BUNDLED, bundled_table_path, reference_enumerate_sl2
 
 GOOD_TABLE = (
     "# test provenance line\n"
@@ -281,6 +282,17 @@ class TestCommands:
                                       "--enumerate"])
         res = data["results"]
         assert res["num_reps"] == len(res["polynomials"]) > 0
+
+    def test_talex_10_99_over_f11_within_the_default_budget(
+            self, capsys, isolated_home):
+        # the search of both classes of each GL2 pair needs 2,437,591 nodes
+        # here, past the default budget of 2,000,000, and exits 3
+        data = self.run_json(capsys, ["talex", "10_99", "--p", "11",
+                                      "--enumerate"])
+        assert data["results"]["num_reps"] == 736
+        pres = deficiency_one(wirtinger(BUNDLED["10_99"]))
+        with pytest.raises(SearchBudgetExceeded):
+            reference_enumerate_sl2(pres, RepSearchConfig(p=11))
 
     def test_jobs_option_is_gone(self, capsys, isolated_home):
         # the process pool was never faster than the serial loop

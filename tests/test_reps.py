@@ -14,12 +14,13 @@ from knotforge.reps import (RepSearchConfig, Representation,
                             _commute_with_first, _compile_plans,
                             _pinned_class_reps, _trace_tables, enumerate_sl2,
                             evaluate_word, identity_matrix, inverses,
-                            is_scalar, mat_det2, mat_inv, mat_mul,
-                            rep_from_json, rep_to_json,
+                            is_scalar, least_nonsquare, mat_det2, mat_inv,
+                            mat_mul, rep_from_json, rep_to_json,
                             verify_representation, word_prefixes)
 from knotforge.twisted import _rep_polynomials, twisted_alexander
 
 from support import (bundled_classes, bundled_table_path,
+                     reference_enumerate_sl2, seed7_grid_specs,
                      two_bridge_presentation)
 
 BUNDLED = KnotTable.load(bundled_table_path())
@@ -555,6 +556,85 @@ class TestSignTwins:
         assert reps and reps.twins == (None,) * len(reps)
 
 
+def gl2_partner_by_definition(mats, p):
+    """g M g^-1 for each nested matrix M, g = diag(e, 1) with e the least
+    non-square mod p, from the definition of the product."""
+    e = least_nonsquare(p)
+    g, gi = ((e, 0), (0, 1)), ((pow(e, -1, p), 0), (0, 1))
+    return tuple(sum_product(sum_product(g, M, p), gi, p) for M in mats)
+
+
+class TestGL2Partners:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("name", sorted(BUNDLED.entries))
+    def test_partners_against_the_definition(self, name, p):
+        # GL2 partners pair classes of one trace, the map is an involution
+        # that commutes with the sign twins, the partner of rho is
+        # SL(2, F_p)-conjugate to g rho g^-1 for g = diag(e, 1) of
+        # non-square determinant e, and its derived polynomial is
+        # twisted_alexander's
+        pres = deficiency_one(wirtinger(BUNDLED[name]))
+        reps = bundled_classes(name, p)
+        partners, twins = reps.partners, reps.twins
+        assert len(partners) == len(reps)
+        group = all_sl2(p)
+        for i, (rho, k) in enumerate(zip(reps, partners)):
+            if rho.is_abelian:
+                assert k is None
+                continue
+            assert partners[k] == i
+            assert twins[k] == partners[twins[i]]
+            assert reps[k].trace() == rho.trace()
+            assert conjugate_in_group(gl2_partner_by_definition(
+                rho.matrices, p), reps[k].matrices, group, p), (i, k)
+        polys = _rep_polynomials(pres, reps)
+        for i, k in enumerate(partners):
+            if k is not None and k < i:
+                assert polys[i].value == twisted_alexander(
+                    pres, reps[i]).value, i
+
+    def test_no_partners_over_f2(self):
+        pres = wirtinger(BUNDLED["4_1"])
+        reps = enumerate_sl2(pres, RepSearchConfig(p=2,
+                                                   nonabelian_only=False))
+        assert reps and reps.partners == (None,) * len(reps)
+
+
+def grid_partials():
+    """The cut partial presentation of each marked diagram of the seed-7
+    symun-grid specs, once each, as that workload enumerates it."""
+    out = {}
+    for spec in seed7_grid_specs():
+        zero = SymUnionSpec(spec.partial, (0,) * spec.partial.k)
+        out.setdefault(spec.partial, build_symun_presentation(zero)[1])
+    return list(out.values())
+
+
+class TestSearchWithoutPartners:
+    def same_search(self, pres, cfg):
+        got = enumerate_sl2(pres, cfg)
+        want = reference_enumerate_sl2(pres, cfg)
+        assert [r.matrices for r in got] == [r.matrices for r in want], cfg
+        assert got.twins == want.twins, cfg
+        assert got.nodes <= want.nodes, cfg
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("name", sorted(BUNDLED.entries))
+    def test_bundled_knots(self, name, p):
+        # the same classes, representatives, order and sign twins as the
+        # search of both classes of each GL2 pair, in no more nodes
+        pres = wirtinger(BUNDLED[name])
+        for flag in (True, False):
+            self.same_search(pres, RepSearchConfig(p=p, nonabelian_only=flag))
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_grid_partials(self, p):
+        partials = grid_partials()
+        assert len(partials) > 1
+        for pres in partials:
+            self.same_search(pres, RepSearchConfig(p=p, nonabelian_only=False))
+
+
 class TestDeterminismAndBudget:
     def test_deterministic(self):
         pres = wirtinger(parse_pd(FIG8))
@@ -568,14 +648,16 @@ class TestDeterminismAndBudget:
             enumerate_sl2(pres, RepSearchConfig(p=7, max_nodes=1))
 
     @pytest.mark.parametrize("name,p,nodes", [
-        ("4_1", 7, 73), ("11a_201", 7, 3353), ("10_137", 5, 2152),
+        ("4_1", 7, 41), ("11a_201", 7, 1821), ("10_137", 5, 1239),
         # the crossing test rejects candidates at one and two depths
-        ("8_20", 7, 3353), ("10_99", 5, 30768)])
+        ("8_20", 7, 1821), ("10_99", 5, 18647)])
     def test_exact_node_count(self, name, p, nodes):
         # the search visits exactly these nodes: N suffices, N - 1 does not.
         # Only the traces s <= -s mod p are searched; the others are sign
-        # twins and visit none.  A candidate the crossing test rejects
-        # counts as a node, as it did when the check step rejected it
+        # twins and visit none.  Only one class of each GL2 pair is
+        # searched; the other is its partner and visits none.  A candidate
+        # the crossing test rejects counts as a node, as it did when the
+        # check step rejected it
         pres = wirtinger(BUNDLED[name])
         reps = enumerate_sl2(pres, RepSearchConfig(p=p, max_nodes=nodes))
         assert reps and reps.nodes == nodes

@@ -1533,20 +1533,22 @@ class TestObstructions:
 
 class TestRepPolynomials:
     @pytest.mark.parametrize("pd,p,nreps,ndirect", [
-        pytest.param(TREFOIL, 5, 10, 5, id="3_1 F_5"),
-        pytest.param(TREFOIL, 7, 14, 8, id="3_1 F_7"),
-        pytest.param(FIG8, 7, 20, 10, id="4_1 F_7"),
-        pytest.param(SIX_ONE, 11, 10, 5, id="6_1 F_11"),
+        pytest.param(TREFOIL, 5, 10, 3, id="3_1 F_5"),
+        pytest.param(TREFOIL, 7, 14, 4, id="3_1 F_7"),
+        pytest.param(FIG8, 7, 20, 5, id="4_1 F_7"),
+        pytest.param(SIX_ONE, 11, 10, 3, id="6_1 F_11"),
     ])
     def test_twins_skip_the_pencil_and_nothing_is_verified(
             self, monkeypatch, pd, p, nreps, ndirect):
-        # of the nreps reps, those with a sign twin earlier in the list take
-        # their polynomial from their twin's: only the other ndirect reach
-        # the Fox pencil, and enumerate_sl2 has checked all of them already
+        # of the nreps reps, those with a GL2 partner or a sign twin earlier
+        # in the list take their polynomial from it: only the other ndirect
+        # reach the Fox pencil, and enumerate_sl2 has checked all of them
+        # already
         pres = deficiency_one(wirtinger(parse_pd(pd)))
         reps = enumerate_sl2(pres, RepSearchConfig(p=p))
         want = [twisted_alexander(pres, rho).value for rho in reps]
-        direct = [rho for i, rho in enumerate(reps) if reps.twins[i] >= i]
+        direct = [rho for i, rho in enumerate(reps)
+                  if reps.twins[i] >= i and reps.partners[i] >= i]
         assert len(direct) == ndirect and len(reps) == nreps
         pencil, verified = [], []
         core = twisted._twisted_alexander
