@@ -812,7 +812,6 @@ def reference_trace_tables(s, p):
     return tuple(pairs.values()), tuple(classes)
 
 
-
 class ReferenceRepList(list):
     """The list of representations enumerate_sl2 returns, with `twins`:
     per listed class the index of its sign twin in the list (possibly its
