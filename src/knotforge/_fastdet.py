@@ -37,9 +37,13 @@ F_p, deflates it over F_p itself, which is exact for every square pencil:
    the pivot row's nonzero entries only.
 
 The integer Alexander pencil is deflated by `_int_pencil_det` as it is,
-from its infinite end, modulo a Mersenne prime above twice a Hadamard bound
-on its coefficients, or, past the largest listed one, modulo several of
-them joined by the Chinese remainder theorem, which is exact.
+from its infinite end, modulo the smallest listed prime above twice a
+Hadamard bound on its coefficients, or, past the largest, modulo several of
+them joined by the Chinese remainder theorem, which is exact.  The first
+listed prime is the largest below 2^30, a one-digit CPython int, so that
+every reduction modulo it takes CPython's one-digit division; it bounds
+every abelianized Wirtinger pencil of up to 19 rows.  The Mersenne primes
+2^e - 1 follow.
 """
 
 from __future__ import annotations
@@ -49,9 +53,10 @@ from math import prod
 
 from .algebra import LaurentPoly
 
-# exponents e of the Mersenne primes 2^e - 1 for integer pencils
+# the primes for integer pencils, in increasing order: the largest prime
+# below 2^30, one CPython digit, then the Mersenne primes 2^e - 1
 _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217)
-_MERSENNE_PRIMES = tuple((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
+_MODULI = ((1 << 30) - 35,) + tuple((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
 
 
 class Pencil:
@@ -246,19 +251,19 @@ def _int_pencil_det(A0, A1):
     """Integer coefficients, low degree first, of det(A0 + t*A1) (A0, A1 not
     modified).  On |t| = 1 Hadamard gives |det|^2 <= prod_i 2(|A0_i|^2 +
     |A1_i|^2) = H^2, and by Parseval no coefficient exceeds H.  Deflation mod
-    the smallest listed Mersenne prime M above 2H, or else mod the listed
-    primes from the largest down until their product M is above 2H, joined
-    by the Chinese remainder theorem (their exponents are distinct primes,
-    so they are coprime); lifted to (-M/2, M/2].  ValueError past them all."""
+    the smallest listed prime M above 2H, or else mod the listed primes from
+    the largest down until their product M is above 2H, joined by the
+    Chinese remainder theorem (they are distinct primes, so coprime); lifted
+    to (-M/2, M/2].  ValueError past them all."""
     h2 = 1
     for r0, r1 in zip(A0, A1):
         h2 *= 2 * sum(a * a + b * b for a, b in zip(r0, r1))
     # M > 2H, that is M^2 > 4H^2
-    primes = _MERSENNE_PRIMES
+    primes = _MODULI
     moduli = [next((P for P in primes if P * P > 4 * h2), primes[-1])]
     while prod(moduli) ** 2 <= 4 * h2:
         if len(moduli) == len(primes):
-            raise ValueError("determinant past the listed Mersenne primes")
+            raise ValueError("determinant past the listed primes")
         moduli.append(primes[-1 - len(moduli)])
     coeffs, M = [], 1
     for P in moduli:

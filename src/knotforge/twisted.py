@@ -19,8 +19,9 @@ rows, keeping the column that `_column` chooses.  Every determinant, the
 Wada numerator and the denominator det(rho(x_j)t - I) alike, goes through
 `pencil_det`.  The
 classical Alexander polynomial is a single maximal minor of the abelianized
-Fox matrix over Z[t, t^-1], an integer pencil deflated modulo one Mersenne
-prime (`_fastdet._int_pencil_det`) once per diagram, and det K is
+Fox matrix over Z[t, t^-1], an integer pencil deflated modulo a listed
+prime, 2^30 - 35 for up to 19 rows (`_fastdet._int_pencil_det`), once per
+diagram, and det K is
 the same determinant's value at t = -1; the higher ones are the GCD of the
 (N-k)-minors over Q[t, t^-1], from the Smith normal form of the same
 pencil.  Each derived value is kept on the object it comes from, a diagram,

@@ -12,7 +12,7 @@ the sub-arc walk of `PDCode.subarcs` before it returned crossing roles
 symmetric-union grid of the acceptance suite, the integer Bareiss
 determinant, the evaluate-and-interpolate oracle for the classical
 Alexander polynomial (the route `classical_alexander` took before it
-deflated its integer pencil modulo a Mersenne prime), the two-sided F_p
+deflated its integer pencil modulo a listed prime), the two-sided F_p
 deflation (the route `_fastdet.pencil_det` took before it deflated the zero
 end of a pencil only), the Laurent-polynomial route of `reduce_fraction`
 and `split_pencil`, the Smith form of `twisted._smith_invariants` with

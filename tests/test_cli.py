@@ -193,12 +193,12 @@ class TestExitCodes:
 
     def test_pencil_past_the_listed_primes(self, capsys, isolated_home,
                                            monkeypatch):
-        # with only 2^2 - 1 and 2^3 - 1 listed, the 11-crossing Alexander
-        # pencil's Hadamard bound is past their product: an error line
-        monkeypatch.setattr(knotforge._fastdet, "_MERSENNE_PRIMES", (3, 7))
+        # with only 3 and 7 listed, the 11-crossing Alexander pencil's
+        # Hadamard bound is past their product: an error line
+        monkeypatch.setattr(knotforge._fastdet, "_MODULI", (3, 7))
         assert main(["alex", "11a_201"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Mersenne" in err
+        assert err.startswith("error: ") and "past the listed primes" in err
         assert "Traceback" not in err
 
     def test_memory_error_is_one_error_line(self, capsys, isolated_home,

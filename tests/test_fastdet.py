@@ -1,6 +1,6 @@
 import ast
 import random
-from math import prod
+from math import isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotforge import _fastdet, twisted
-from knotforge._fastdet import (_MERSENNE_EXPONENTS, _MERSENNE_PRIMES, Pencil,
+from knotforge._fastdet import (_MERSENNE_EXPONENTS, _MODULI, Pencil,
                                 _int_pencil_det, pencil_det)
 from knotforge.algebra import GF, QQ, ZZ, LaurentPoly, det
 from knotforge.cli import KnotTable
@@ -512,16 +512,56 @@ def lucas_lehmer(e):
     return s == 0
 
 
+def trial_prime(n):
+    """True when n > 1 has no divisor from 2 up to its square root."""
+    return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
+# the prime below 2^30 that leads the list, and the smallest Mersenne prime
+WORD = (1 << 30) - 35
+M61 = (1 << 61) - 1
+
+
 class TestIntPencilDet:
-    def test_listed_exponents_give_mersenne_primes(self):
+    def test_listed_moduli_are_primes(self):
+        # the largest prime below 2^30, one CPython digit, by trial division
+        # up to 2^15, then the Mersenne primes in increasing order
+        assert _MODULI[0] == WORD < 1 << 30
+        assert trial_prime(WORD)
+        assert not any(trial_prime(n) for n in range(WORD + 1, 1 << 30))
         assert list(_MERSENNE_EXPONENTS) == sorted(set(_MERSENNE_EXPONENTS))
-        assert _MERSENNE_PRIMES == tuple((1 << e) - 1
-                                         for e in _MERSENNE_EXPONENTS)
+        assert _MODULI[1:] == tuple((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
         for e in _MERSENNE_EXPONENTS:
             assert all(e % q for q in range(2, e)), e
             assert lucas_lehmer(e), e
-        # the test itself tells composites apart: 2^11 - 1 = 23 * 89
+        # the tests themselves tell composites apart: 2^11 - 1 = 23 * 89
         assert not lucas_lehmer(11)
+        assert not trial_prime(23 * 89)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_switch_from_the_word_prime(self, monkeypatch, sign):
+        # [[a]] + t*[[0]]: H^2 = 2a^2, so the word prime takes it while
+        # 8a^2 < WORD^2, and 2^61 - 1 from the next a on
+        seen = spy_moduli(monkeypatch)
+        a = isqrt((WORD * WORD - 1) // 8)
+        for c, p in ((sign * a, WORD), (sign * (a + 1), M61)):
+            del seen[:]
+            assert _int_pencil_det([[c]], [[0]]) == int_coeffs(
+                bareiss_det(Pencil(ZZ, [[c]], [[0]])))
+            assert seen == [p]
+
+    def test_symmetric_lift_under_the_word_prime(self, monkeypatch):
+        # det = -(a^2 + 1) + t, with 2H = 4 sqrt((a^2 + 1)(a^2 + 2)) just
+        # below WORD: the constant's residue WORD - (a^2 + 1) is near
+        # 3 WORD / 4, which only the lift to (-WORD/2, WORD/2] reads as
+        # negative
+        seen = spy_moduli(monkeypatch)
+        a = isqrt(WORD // 4) - 1
+        A0, A1 = [[a, 1], [1, -a]], [[0, 0], [-1, 0]]
+        want = int_coeffs(bareiss_det(Pencil(ZZ, A0, A1)))
+        assert want == [-(a * a + 1), 1] and want[0] < -(WORD // 5)
+        assert _int_pencil_det(A0, A1) == want
+        assert seen == [WORD]
 
     @pytest.mark.parametrize("s,exponent", [
         (2 ** 40, 89), (-(2 ** 40), 89), (2 ** 58, 127), (-(2 ** 58), 127)])
@@ -564,7 +604,7 @@ class TestIntPencilDet:
         # 1 x 1 pencils a + b*t: H^2 = 2(a^2 + b^2), so the primes run until
         # their product passes 2H; the symmetric lift keeps the signs
         seen = spy_moduli(monkeypatch)
-        primes = [(1 << e) - 1 for e in reversed(_MERSENNE_EXPONENTS)]
+        primes = list(reversed(_MODULI))
         for count in range(2, len(primes) + 1):
             a = prod(primes[:count - 1]) // 3
             for A0, A1, want in (([[a]], [[-a]], [a, -a]),
@@ -576,21 +616,23 @@ class TestIntPencilDet:
 
     def test_past_every_listed_prime_raises(self, monkeypatch):
         seen = spy_moduli(monkeypatch)
-        big = prod((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
-        with pytest.raises(ValueError, match="Mersenne"):
+        big = prod(_MODULI)
+        with pytest.raises(ValueError, match="past the listed primes"):
             _int_pencil_det([[big]], [[0]])
         assert seen == []
 
     def test_alexander_pencils_use_the_smallest_prime(self, monkeypatch):
-        # the grid unions have up to 24 generators, far below the 41 of
-        # an abelianized Wirtinger pencil that 2^61 - 1 bounds
+        # an abelianized Wirtinger row gives a factor of at most 8 to H^2,
+        # so the word prime bounds the pencils of up to 19 rows and
+        # 2^61 - 1 those of up to 39; the grid unions have up to 24
+        # generators, and only the 23-row pencil is past 19 rows
         seen = spy_moduli(monkeypatch)
         for _, pd, marks, ms in grid_cells():
             A0, A1 = _alexander_pencil(wirtinger(symmetric_union_pd(
                 SymUnionSpec(MarkedDiagram(pd, marks),
                              tuple(2 * m for m in ms)))))
             _int_pencil_det(A0, A1)
-        assert seen == [(1 << 61) - 1] * 36
+        assert sorted(seen) == [WORD] * 35 + [M61]
 
     def test_inputs_are_not_modified_and_empty_is_one(self):
         A0, A1 = [[3, -1], [0, 2]], [[-2, 0], [5, -7]]
