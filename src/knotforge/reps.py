@@ -494,9 +494,13 @@ _TABLE_MEMO = 32  # (s, p) keys: every trace of the primes up to 11
 @lru_cache(maxsize=_TABLE_MEMO)
 def _class_tables(s, p):
     """Per pinned class of trace s over F_p (_pinned_class_reps), the flat
-    matrix M0 and its centralizer Z as a tuple of flat (z, z^-1) pairs."""
-    return tuple((M0[0] + M0[1], tuple(_flat_pairs(zs, p)))
-                 for M0, zs in _pinned_class_reps(s, p))
+    matrix M0 and its centralizer Z modulo +-I as a tuple of flat
+    (z, z^-1) pairs: z and -z conjugate alike, so only the lesser of each
+    {z, -z} is kept (both are the same at p = 2)."""
+    return tuple((M0[0] + M0[1], tuple(
+        (z, zi) for z, zi in _flat_pairs(zs, p)
+        if z <= tuple(-x % p for x in z)))
+        for M0, zs in _pinned_class_reps(s, p))
 
 
 def _gl2_pairs(mats, p):
@@ -521,10 +525,11 @@ def _flat_mul(A, B, p):
 def _trace_tables(s, p):
     """The search's tables for trace s over F_p, as immutable tuples of
     flat (M, M^-1) pairs: the trace slice; the one pinned class searched,
-    M0, with its centralizer Z in SL2(F_p); the first branch's candidates;
-    and the partner pairs, (z g, (z g)^-1) for z in the centralizer of
-    g M0 g^-1, which map a class of M0 to its GL2 partner's Z-orbit, with
-    g of non-square determinant (empty over F_2).  For traces other than
+    M0, with its centralizer Z in SL2(F_p) modulo +-I (`_class_tables`);
+    the first branch's candidates; and the partner pairs, (z g, (z g)^-1)
+    for z in the centralizer of g M0 g^-1 modulo +-I, which map a class of
+    M0 to its GL2 partner's Z-orbit, with g of non-square determinant
+    (empty over F_2).  For traces other than
     +-2, g lies in the GL2 centralizer C of the companion matrix M0, the
     invertible a*I + b*M0 taken modulo scalars (I and each invertible
     a*I + M0), and the candidates are the least member of each C-orbit of

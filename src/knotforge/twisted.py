@@ -470,11 +470,18 @@ def even_symun_quick_obstructions(K, candidate_partial, genus=None):
 def even_symun_obstruction(K, candidate_partial, rho_partial,
                            max_nodes=None):
     """Enumerate all nonabelian SL(2, F_p) representations of G(K) up to
-    conjugacy, p the prime of rho_partial, and compare each twisted
-    polynomial against the target Delta_{cand, rho}^2 * det(rho(mu)t - I).
-    If none matches, K admits no even symmetric-union presentation with
-    this partial knot and this representation (the pullback representation
-    would have to appear).  rho_partial must be a nonabelian SL(2, F_p)
+    conjugacy, p the prime of rho_partial, and compare the twisted
+    polynomial of each class of meridian trace s = tr rho_partial(mu)
+    against the target Delta_{cand, rho}^2 * det(rho(mu)t - I).  Lamm's
+    epimorphism phi: G(K) -> G(cand) sends meridians to meridians, so the
+    pullback rho o phi that the obstruction looks for has trace s on every
+    meridian of K, and a class of another trace cannot be it.  If no
+    trace-s class matches, K admits no even symmetric-union presentation
+    with this partial knot and this representation (the pullback
+    representation would have to appear).  Only the trace-s classes and
+    the twins and partners they take their polynomials from reach a Fox
+    pencil (`_rep_polynomials`); num_reps still counts every class the
+    search lists.  rho_partial must be a nonabelian SL(2, F_p)
     representation of the candidate's Wirtinger presentation: the pullback
     of any other is never among the classes enumerated.  max_nodes bounds
     the search (RepSearchConfig's budget when None).  Both presentations
@@ -492,11 +499,13 @@ def even_symun_obstruction(K, candidate_partial, rho_partial,
     cfg = RepSearchConfig(p=rho_partial.p) if max_nodes is None else \
         RepSearchConfig(p=rho_partial.p, max_nodes=max_nodes)
     reps = enumerate_sl2(pres, cfg)  # SearchBudgetExceeded propagates
-    polys = _rep_polynomials(_deficiency_one(pres), reps)
+    s = rho_partial.trace()
+    wanted = [rho.trace() == s for rho in reps]
+    polys = _rep_polynomials(_deficiency_one(pres), reps, wanted)
     evidence = []
-    for rho, tw in zip(reps, polys):
-        if tw.value == target:
-            evidence.append({"matrices": rho.matrices, "trace": rho.trace(),
+    for rho, tw, w in zip(reps, polys, wanted):
+        if w and tw.value == target:
+            evidence.append({"matrices": rho.matrices, "trace": s,
                              "polynomial": format_fraction(tw.value)})
     return {
         "verdict": "obstructed" if not evidence else "inconclusive",
@@ -506,7 +515,7 @@ def even_symun_obstruction(K, candidate_partial, rho_partial,
     }
 
 
-def _rep_polynomials(pres, reps):
+def _rep_polynomials(pres, reps, wanted=None):
     """The twisted polynomial of each representation of reps, the RepList
     of enumerate_sl2 on pres, in order.  enumerate_sl2 has checked every
     relator, so no representation is checked again.
@@ -521,12 +530,26 @@ def _rep_polynomials(pres, reps):
     of non-square determinant in GL(2, F_p), or None; Wada's invariant does
     not change under conjugation by GL(2, F_p), so a representation whose
     partner comes before it takes its partner's polynomial as it is.  The
-    others go through the Fox pencil."""
-    out = []
-    for i, (rho, j, k) in enumerate(zip(reps, reps.twins, reps.partners)):
-        out.append(out[k] if k is not None and k < i
-                   else _at_minus_t(out[j]) if j is not None and j < i
-                   else _twisted_alexander(pres, rho))
+    others go through the Fox pencil.
+
+    With a mask wanted, one flag per representation, only the wanted ones
+    and the earlier twins and partners they take their polynomials from,
+    whatever their trace, are computed, each on first use; every other
+    entry is None.  Each computed entry is the one the unmasked call gives.
+    A partner's twin is the twin's partner, so a chain of sources visits at
+    most four classes."""
+    out = [None] * len(reps)
+
+    def poly(i):
+        if out[i] is None:
+            j, k = reps.twins[i], reps.partners[i]
+            out[i] = (poly(k) if k is not None and k < i
+                      else _at_minus_t(poly(j)) if j is not None and j < i
+                      else _twisted_alexander(pres, reps[i]))
+        return out[i]
+    for i in range(len(reps)):
+        if wanted is None or wanted[i]:
+            poly(i)
     return out
 
 

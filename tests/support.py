@@ -47,11 +47,13 @@ from knotforge.presentation import (GroupPresentation, deficiency_one,
                                     reduce_word, wirtinger)
 from knotforge.reps import (_TABLE_MEMO, RepSearchConfig, Representation,
                             SearchBudgetExceeded, _abelian_class_reps,
-                            _canonical, _class_tables, _commute_with_first,
-                            _compile_plans, _flat_pairs, _orbit_reps,
+                            _canonical, _commute_with_first, _compile_plans,
+                            _flat_pairs, _orbit_reps, _pinned_class_reps,
                             _sign_twin, _trace_slice, enumerate_sl2)
-from knotforge.twisted import (_alexander_pencil, _fox_pencil, _fox_rows,
-                               _wada)
+from knotforge.twisted import (_alexander_pencil, _deficiency_one,
+                               _factorization_target, _fox_pencil, _fox_rows,
+                               _wada, _wirtinger, format_fraction,
+                               twisted_alexander)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -799,14 +801,23 @@ def bundled_classes(name, p):
 # -- the SL(2, F_p) search before GL2 partners -------------------------------
 
 @lru_cache(maxsize=_TABLE_MEMO)
+def reference_class_tables(s, p):
+    """Per pinned class of trace s over F_p, the flat matrix M0 and its
+    whole centralizer Z in SL2(F_p), -I included, as flat (z, z^-1) pairs:
+    the table `reps._class_tables` kept before it took Z modulo +-I."""
+    return tuple((M0[0] + M0[1], tuple(_flat_pairs(zs, p)))
+                 for M0, zs in _pinned_class_reps(s, p))
+
+
+@lru_cache(maxsize=_TABLE_MEMO)
 def reference_trace_tables(s, p):
     """The search's tables for trace s over F_p, as immutable tuples of
     flat (M, M^-1) pairs: the trace slice, and per pinned class (M0, its
-    centralizer Z, the first branch's candidates: the least member of each
-    Z-orbit of the slice).  Flat and nested matrices sort alike."""
+    whole centralizer Z, the first branch's candidates: the least member of
+    each Z-orbit of the slice).  Flat and nested matrices sort alike."""
     pairs = {pair[0]: pair for pair in _flat_pairs(_trace_slice(s, p), p)}
     classes = []
-    for M0, zpairs in _class_tables(s, p):
+    for M0, zpairs in reference_class_tables(s, p):
         first = _orbit_reps(pairs, zpairs, p)
         classes.append((pairs[M0], zpairs, tuple(pairs[M] for M in first)))
     return tuple(pairs.values()), tuple(classes)
@@ -938,7 +949,7 @@ def reference_enumerate_sl2(pres, cfg):
         # (canon, keep) of the sign twin of a class, a class of trace s: it
         # keeps x_0 on its pinned matrix, M0(-s) -> M0(s)
         twin = _sign_twin(mats, p)
-        zs = dict(_class_tables(s, p))[twin[0]]
+        zs = dict(reference_class_tables(s, p))[twin[0]]
         return _canonical(twin, zs, branched, p)
 
     # trace -> (index of its first class, the flat classes in list order)
@@ -973,3 +984,30 @@ def reference_enumerate_sl2(pres, cfg):
             for j, mats in enumerate(listed[s][1], start):
                 twins[j] = index[twin_class(mats, s)[0]]
     return ReferenceRepList(reps, twins, nodes)
+
+
+# -- the obstruction before it compared only the classes at the meridian trace
+
+@lru_cache(maxsize=None)
+def every_class_polynomial(K, p):
+    """The nonabelian SL(2, F_p) classes of the knot K, enumerated on its
+    Wirtinger presentation, and the twisted polynomial of every one of them,
+    each by twisted_alexander, with no twin or partner reuse."""
+    pres = _wirtinger(K)
+    reps = enumerate_sl2(pres, RepSearchConfig(p=p))
+    return reps, [twisted_alexander(_deficiency_one(pres), rho).value
+                  for rho in reps]
+
+
+def reference_obstruction(K, candidate_partial, rho_partial):
+    """even_symun_obstruction before it compared only the classes of K at
+    the meridian trace of rho_partial: the twisted polynomial of every
+    class of K, of any trace, compared with the target."""
+    _, target, text = _factorization_target(
+        _deficiency_one(_wirtinger(candidate_partial)), rho_partial)
+    reps, polys = every_class_polynomial(K, rho_partial.p)
+    evidence = [{"matrices": rho.matrices, "trace": rho.trace(),
+                 "polynomial": format_fraction(tw)}
+                for rho, tw in zip(reps, polys) if tw == target]
+    return {"verdict": "obstructed" if not evidence else "inconclusive",
+            "target": text, "num_reps": len(reps), "evidence": evidence}

@@ -11,8 +11,9 @@ from knotforge.presentation import (build_symun_presentation,
                                     deficiency_one, wirtinger)
 from knotforge.reps import (RepSearchConfig, Representation,
                             SearchBudgetExceeded, _abelian_class_reps,
-                            _commute_with_first, _compile_plans,
-                            _pinned_class_reps, _trace_tables, enumerate_sl2,
+                            _class_tables, _commute_with_first,
+                            _compile_plans, _pinned_class_reps,
+                            _trace_tables, enumerate_sl2,
                             evaluate_word, identity_matrix, inverses,
                             is_scalar, least_nonsquare, mat_det2, mat_inv,
                             mat_mul, rep_from_json, rep_to_json,
@@ -325,6 +326,28 @@ class TestEnumerationOracle:
                                       mat_mul(M0, z, p)]
 
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_class_tables_take_the_centralizers_modulo_minus_one(self, p):
+        # z and -z conjugate alike: the tables list one of each {z, -z},
+        # with its inverse, and with their negatives they make up the whole
+        # centralizer of the pinned matrix (z = -z over F_2)
+        G = all_sl2(p)
+        for s in range(p):
+            tables = _class_tables(s, p)
+            pinned = _pinned_class_reps(s, p)
+            assert [M0 for M0, _ in tables] == [M[0] + M[1] for M, _ in pinned]
+            for (_, zpairs), (M0, _) in zip(tables, pinned):
+                zs = [((a, b), (c, d)) for (a, b, c, d), _ in zpairs]
+                minus = [mat_mul(((p - 1, 0), (0, p - 1)), z, p) for z in zs]
+                assert len(set(zs + minus)) == (len(zs) if p == 2
+                                                else 2 * len(zs)), (s, p)
+                assert sorted(set(zs + minus)) == [
+                    z for z in G if mat_mul(z, M0, p) == mat_mul(M0, z, p)]
+                for z, zi in zpairs:
+                    z, zi = ((z[:2], z[2:]), (zi[:2], zi[2:]))
+                    assert mat_mul(z, zi, p) == identity_matrix(2)
+
+
 class TestReferenceSearch:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     @pytest.mark.parametrize("name", sorted(REFERENCE_PRESENTATIONS))
@@ -598,6 +621,34 @@ class TestGL2Partners:
         reps = enumerate_sl2(pres, RepSearchConfig(p=2,
                                                    nonabelian_only=False))
         assert reps and reps.partners == (None,) * len(reps)
+
+
+class TestMaskedPolynomials:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("name", sorted(BUNDLED.entries))
+    def test_a_mask_computes_the_wanted_classes_and_their_sources(
+            self, name, p):
+        # with the classes of one trace wanted, an entry is None exactly
+        # when the class is not wanted and no computed entry takes its
+        # polynomial from it, as partner or as sign twin; every other entry
+        # is twisted_alexander's
+        pres = deficiency_one(wirtinger(BUNDLED[name]))
+        reps = bundled_classes(name, p)
+        want = [twisted_alexander(pres, rho).value for rho in reps]
+
+        def source(i):
+            j, k = reps.twins[i], reps.partners[i]
+            return (k if k is not None and k < i
+                    else j if j is not None and j < i else None)
+        for s in range(p):
+            wanted = [rho.trace() == s for rho in reps]
+            got = _rep_polynomials(pres, reps, wanted)
+            sources = {source(i) for i, tw in enumerate(got)
+                       if tw is not None}
+            assert [tw is not None for tw in got] == [
+                w or i in sources for i, w in enumerate(wanted)], s
+            assert [tw.value for tw in got if tw is not None] == [
+                v for v, tw in zip(want, got) if tw is not None], s
 
 
 def grid_partials():

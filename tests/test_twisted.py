@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import knotforge.cli
 import knotforge.reps
 from knotforge import algebra, diagram, presentation, twisted
 from knotforge._fastdet import Pencil, pencil_det
@@ -33,7 +34,8 @@ from support import (BUNDLED, PolyMatrix, bareiss_determinant,
                      bundled_classes, bundled_table_path, fox_derivative,
                      genus_lower_bound, grid_cells, interpolated_alexander,
                      load_workloads, parse_poly, rational_unit_equal,
-                     reference_smith_invariants, seed7_grid_specs,
+                     reference_obstruction, reference_smith_invariants,
+                     seed7_grid_specs,
                      smallest_column, sparse_rows, split_pencil,
                      two_bridge_presentation, wada_column)
 
@@ -1529,6 +1531,79 @@ class TestObstructions:
         assert out["verdict"] == "obstructed"
         assert out["evidence"] == []
         assert out["num_reps"] > 0
+
+
+class TestMeridianTrace:
+    """The obstruction compares only the classes of K whose meridian trace
+    is tr rho_partial(mu): phi sends meridians to meridians, so the
+    pullback has that trace."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("cand", ["3_1", "4_1", "6_1"])
+    def test_evidence_equals_the_all_trace_loop_at_trace_s(self, cand, p):
+        # the all-trace loop, each class's polynomial by twisted_alexander,
+        # keeps the same evidence once it is restricted to trace s; over
+        # these queries only 10_140 / 4_1 / F_3 had evidence of another
+        # trace alone, and it fails the quick checks (Delta and det K)
+        moved = []
+        D = BUNDLED[cand]
+        for i, rho in enumerate(enumerate_sl2(wirtinger(D),
+                                              RepSearchConfig(p=p))):
+            s = rho.trace()
+            for name in sorted(BUNDLED.entries):
+                K = BUNDLED[name]
+                got = even_symun_obstruction(K, D, rho)
+                want = reference_obstruction(K, D, rho)
+                if got["verdict"] != want["verdict"]:
+                    moved.append((name, i))
+                    assert got["verdict"] == "obstructed"
+                    assert not even_symun_quick_obstructions(
+                        K, D)["all_pass"]
+                want["evidence"] = [e for e in want["evidence"]
+                                    if e["trace"] == s]
+                want["verdict"] = ("inconclusive" if want["evidence"]
+                                   else "obstructed")
+                assert got == want, (name, i)
+        assert moved == ([("10_140", i) for i in range(4)]
+                         if (cand, p) == ("4_1", 3) else [])
+
+    def test_pencils_per_benchmark_query(self, monkeypatch, tmp_path):
+        # the seed-7 obstruct workload of perfbench/workloads.py, each query
+        # through cli.run: the candidate's own target and the trace-s
+        # classes of K that take no earlier twin's or partner's polynomial
+        # reach a Fox pencil (7, 9, 7, 8 and 4 when every class did); the
+        # quick-check exit reaches none
+        workloads = load_workloads()
+        monkeypatch.setattr(workloads, "TABLE", str(bundled_table_path()))
+        monkeypatch.setattr(workloads, "WORK_DIR", str(tmp_path))
+        kf = SimpleNamespace(cli=knotforge.cli, presentation=presentation,
+                             reps=knotforge.reps)
+        cells = workloads.obstruct_cells(kf, BUNDLED, 7)
+        calls = []
+        core = twisted._twisted_alexander
+        monkeypatch.setattr(twisted, "_twisted_alexander",
+                            lambda pres, rho: (calls.append(rho),
+                                               core(pres, rho))[1])
+        counts = []
+        for cell in cells:
+            for op in cell:
+                calls.clear()
+                assert op.check(op.call())[1] is None, op.label
+                counts.append(len(calls))
+        assert counts == [3, 3, 2, 2, 3, 0]
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_a_genuine_union_stays_inconclusive(self, p):
+        # K is an even symmetric union with partial 3_1, so the pullback of
+        # every class of 3_1 appears among K's classes of its trace
+        pd = parse_pd(TREFOIL)
+        K = symmetric_union_pd(SymUnionSpec(MarkedDiagram(pd, (1, 3)), (2,)))
+        reps = enumerate_sl2(wirtinger(pd), RepSearchConfig(p=p))
+        assert reps
+        for rho in reps:
+            out = even_symun_obstruction(K, pd, rho)
+            assert out["verdict"] == "inconclusive" and out["evidence"]
+            assert {e["trace"] for e in out["evidence"]} == {rho.trace()}
 
 
 class TestRepPolynomials:
