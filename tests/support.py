@@ -25,7 +25,10 @@ dropped, the SL(2, F_p) classes of the
 bundled knots, enumerated once per test run, and the SL(2, F_p) search of
 `reps.enumerate_sl2` and its `_trace_tables` before the search derived each
 class's GL2 partner (both pinned unipotent classes searched, and the first
-branch's candidates one per orbit of the SL2 centralizer)."""
+branch's candidates one per orbit of the SL2 centralizer), its centralizers
+whole, -I included, as `_pinned_class_reps` lists them, and the obstruction
+before it compared only the classes of K at the meridian trace (every
+class's polynomial compared with the target)."""
 
 import importlib.util
 import json

@@ -325,7 +325,6 @@ class TestEnumerationOracle:
                 assert sorted(zs) == [z for z in G if mat_mul(z, M0, p) ==
                                       mat_mul(M0, z, p)]
 
-
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_class_tables_take_the_centralizers_modulo_minus_one(self, p):
         # z and -z conjugate alike: the tables list one of each {z, -z},
