@@ -719,6 +719,11 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_REPORTS = {
     "talex-%s-p%d" % (knot, p): ["talex", knot, "--p", str(p), "--enumerate"]
     for knot in ("3_1", "4_1", "10_137", "11a_201") for p in (5, 7)}
+# F_3, where trace 0 is its own sign twin's trace, and F_11, where five
+# traces take their classes from the sign twins of the others
+GOLDEN_REPORTS.update({
+    "talex-%s-p%d" % (knot, p): ["talex", knot, "--p", str(p), "--enumerate"]
+    for knot, p in (("8_20", 3), ("10_137", 11))})
 GOLDEN_REPORTS["obstruct"] = ["obstruct", "11a_201", "--candidate", "6_1",
                               "--p", "7", "--rep", "rho0.json"]
 GOLDEN_REPORTS.update({
