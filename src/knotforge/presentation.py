@@ -390,10 +390,11 @@ def lamm_pullback(phi, rho):
 
 
 def _checked(partial, rho):
-    """rho, once it satisfies the partial presentation of a template."""
+    """rho, once it satisfies the presentation of a partial knot: the one
+    of a template, or a candidate's in the obstruction."""
     if not verify_representation(partial, rho):
         raise ValueError("representation is not valid on the partial "
-                         "presentation produced by this construction")
+                         "knot's presentation")
     return rho
 
 

@@ -17,30 +17,31 @@ class is listed by the member the unpruned search would keep, the last one
 it visits: the Z-conjugate whose tuple of branched-generator values is
 largest.
 
-Over F_p with p odd only the traces s <= -s mod p are searched.  Every
-relator of a Wirtinger-type presentation has exponent sum 0, so twisting by
-the character eps that sends every meridian to -1 is a bijection between the
-nonabelian classes of trace s and those of trace -s.  The sign twin of rho,
-eps (x) rho conjugated by D = diag(1, -1), sends the pinned companion (or
-unipotent) matrix of trace s to the pinned one of trace -s, so the classes
-of trace -s are the sign twins of those of trace s, each put through the
-leaf's canonicalization again.  The twin's twisted polynomial is
-Delta_rho(-t) (Wada, Topology 33, 1994; Kirk and Livingston, Topology 38,
-1999).
-
-Over F_p with p odd the classes come in pairs one level down as well.  The
-GL2 partner of rho is g rho g^-1 for any g of GL(2, F_p) whose determinant
-is a non-square; it is another SL(2, F_p) class unless rho is GL2-stable
-(irreducible but not absolutely irreducible), and its twisted polynomial is
-rho's, since Wada's invariant does not change under conjugation by
-GL(2, F_p).  For a trace other than +-2 the g is taken in the GL2
-centralizer C of the companion matrix, so the first branch tries one
-matrix per C-orbit of the slice, and meets one class of each pair; for the
-traces +-2, g = diag(e, 1), e a non-square, takes the pinned unipotent
-class with c = 1 to the one with c = e, so only the first is searched.
-The partner of each class met is derived by one conjugation and put
-through the leaf's canonicalization (compare Riley's normal forms, Proc.
-LMS 24, 1972).
+Over F_p with p odd the classes come in pairs twice over, and the list is
+made in three steps.  (1) Only the traces s <= -s mod p are searched, and
+only one class of each GL2 pair.  The GL2 partner of rho is g rho g^-1
+for any g of GL(2, F_p) whose determinant is a non-square; it is another
+SL(2, F_p) class unless rho is GL2-stable (irreducible but not absolutely
+irreducible), and its twisted polynomial is rho's, since Wada's invariant
+does not change under conjugation by GL(2, F_p).  For a trace other than
++-2 the g is taken in the GL2 centralizer C of the companion matrix, so
+the first branch tries one matrix per C-orbit of the slice, and meets one
+class of each pair; for the traces +-2, g = diag(e, 1), e a non-square,
+takes the pinned unipotent class with c = 1 to the one with c = e, so
+only the first is searched.  The partner of each class met is derived by
+one conjugation and put through the leaf's canonicalization (compare
+Riley's normal forms, Proc. LMS 24, 1972).  (2) Every relator of a
+Wirtinger-type presentation has exponent sum 0, so twisting by the
+character eps that sends every meridian to -1 is a bijection between the
+nonabelian classes of trace s and those of trace -s.  The sign twin of
+rho, eps (x) rho conjugated by D = diag(1, -1), sends the pinned
+companion (or unipotent) matrix of trace s to the pinned one of trace -s;
+each class found in step 1 gives its twin, put through the leaf's
+canonicalization again: a new class for -s != s, a class already found
+at trace 0.  The twin's twisted polynomial is Delta_rho(-t) (Wada,
+Topology 33, 1994; Kirk and Livingston, Topology 38, 1999), and the
+partner of a twin is the twin of the partner.  (3) The classes, keyed by
+their trace and least Z-conjugate, are laid out once in that order.
 
 Which relator forces which generator, and which relators become complete,
 depends only on which generators are assigned, so each search compiles its
@@ -604,34 +605,35 @@ def enumerate_sl2(pres, cfg):
     a non-scalar conjugacy class (the companion matrix; for traces +-2 the
     unipotent class with c = 1), propagating forced values through the
     relators, branching over the remaining trace slice, and deduplicating
-    under the pinned matrix's centralizer Z.  The first branch tries one
-    matrix per orbit of the slice (its least member) under the pinned
-    matrix's centralizer in GL(2, F_p) modulo scalars, so every GL2 pair
-    of classes has a member there; each class the search meets gives its
-    GL2 partner, g rho g^-1 with det g a non-square, canonicalized as a leaf
-    is (for traces +-2, g = diag(e, 1) gives the classes of the unipotent
-    class with c = e).  Over F_2, where every unit is a square, the first
-    branch tries one matrix per Z-orbit and no class has a partner.  Each
-    class is listed by the member the unpruned search would visit last, the
-    Z-conjugate whose tuple of branched-generator values is largest, so the
-    list is the one the search of every pinned class would give; max_nodes
-    bounds the nodes the smaller search visits.  With nonabelian_only=False
-    abelian representations are included first: one per SL2 conjugacy
-    class, all generators equal.
+    under the pinned matrix's centralizer Z.  Each class is listed by the
+    member the unpruned search would visit last, its keep: the Z-conjugate
+    whose tuple of branched-generator values is largest, so the list is the
+    one the search of every pinned class would give; max_nodes bounds the
+    nodes the smaller search visits.  With nonabelian_only=False abelian
+    representations are included first: one per SL2 conjugacy class, all
+    generators equal.
 
-    For p odd only the traces s <= -s mod p are searched.  The classes of a
-    trace -s > s are the sign twins of those of trace s (eps (x) rho
+    The nonabelian classes are made in three steps, each class keyed by its
+    trace and canon, its least Z-conjugate.  (1) Each trace s <= -s mod p
+    is searched (every trace over F_2).  The first branch tries one matrix
+    per orbit of the slice (its least member) under the pinned matrix's
+    centralizer in GL(2, F_p) modulo scalars, so every GL2 pair of classes
+    has a member there, and each class the search meets gives its GL2
+    partner, g rho g^-1 with det g a non-square, canonicalized as a leaf is
+    (for traces +-2, g = diag(e, 1) gives the classes of the unipotent
+    class with c = e).  Over F_2, where every unit is a square, the first
+    branch tries one matrix per Z-orbit, and no class has a partner or a
+    twin.  (2) For p odd every class found gives its sign twin, eps (x) rho
     conjugated by D = diag(1, -1), eps the character sending every meridian
-    to -1, which the relators' exponent sums 0 allow), canonicalized as a
-    leaf is, so the list is the one the search would give; such a trace
-    visits no node of the budget.  The returned RepList carries the sign
-    twin of every class, so that the twisted polynomial of one class of a
-    pair gives the other's, Delta_{eps rho}(t) = Delta_rho(-t) (Wada, 1994;
-    Kirk and Livingston, 1999).  Trace-0 classes are paired by
-    canonicalizing their sign twins.  It carries the GL2 partner of every
-    class as well, whose twisted polynomial is the class's own; a class of
-    trace -s > s takes the sign twin of its twin's partner, with no further
-    canonicalization.
+    to -1, which the relators' exponent sums 0 allow, canonicalized as a
+    leaf is: a new class of trace -s != s, which visits no node of the
+    budget, or a class found at trace 0.  A derived class's GL2 partner is
+    the twin of its twin's partner.  (3) The list is laid out once, sorted
+    by (trace, canon).  The returned RepList carries the sign twin of every
+    class, so that the twisted polynomial of one class of a pair gives the
+    other's, Delta_{eps rho}(t) = Delta_rho(-t) (Wada, 1994; Kirk and
+    Livingston, 1999), and its GL2 partner, whose twisted polynomial is the
+    class's own.
     """
     p = cfg.p
     if not pres.is_wirtinger:
@@ -716,58 +718,47 @@ def enumerate_sl2(pres, cfg):
         canon, keep = _canonical(mats, zpairs, branched, p)
         found[canon] = keep
 
-    def twin_class(mats, s):
-        # (canon, keep) of the sign twin of a class, a class of trace s: it
-        # keeps x_0 on its pinned matrix, M0(-s) -> M0(s)
-        twin = _sign_twin(mats, p)
-        zs = dict(_class_tables(s, p))[twin[0]]
-        return _canonical(twin, zs, branched, p)
-
-    # trace -> (index of its first class, the flat classes in list order)
-    listed = {}
+    # (trace, canon) -> keep for every class, and for each its sign twin's
+    # and its GL2 partner's (trace, canon)
+    classes, twin, mate = {}, {}, {}
+    # 1. search each trace s <= -s and close its classes under GL2 partners
     for s in range(p):
+        if p > 2 and -s % p < s:
+            continue
         found = {}
-        source = {}  # a derived class's canon -> its sign twin's index
-        mate = {}  # a searched class's canon -> its GL2 partner's canon
-        t = -s % p
-        if p > 2 and t < s:
-            start, keeps = listed[t]
-            for i, mats in enumerate(keeps, start):
-                canon, keep = twin_class(mats, s)
-                found[canon], source[canon] = keep, i
-        else:
-            trace_slice, (vals[0], vals[ng]), zpairs, first, partner = \
-                _trace_tables(s, p)
-            branch(0, s, first)
-            # the search met a class of each GL2 pair; the partner of each
-            # class it met has trace s too, and it may have met that as well
-            for canon in list(found) if partner else ():
-                if canon not in mate:
-                    c2, k2 = _canonical(found[canon], partner, branched, p)
-                    found[c2] = k2
-                    mate[canon], mate[c2] = c2, canon
-        order = sorted(found)
-        start = len(reps)
-        listed[s] = start, [found[canon] for canon in order]
-        index = {canon: j for j, canon in enumerate(order, start)}
-        for j, canon in enumerate(order, start):
-            # flat and nested matrices sort alike
-            reps.append(mk(tuple(((a, b), (c, d))
-                                 for a, b, c, d in found[canon])))
-            i = source.get(canon)
-            twins.append(i)
-            if i is not None:
-                twins[i] = j
-        for canon in order:
-            if source:
-                # the sign twin of a GL2 partner is the twin's partner
-                partners.append(twins[partners[source[canon]]])
-            else:
-                partners.append(index[mate[canon]] if mate else None)
-        if p > 2 and t == s:
-            # trace 0 is its own twin trace
-            for j, mats in enumerate(listed[s][1], start):
-                twins[j] = index[twin_class(mats, s)[0]]
+        trace_slice, (vals[0], vals[ng]), zpairs, first, partner = \
+            _trace_tables(s, p)
+        branch(0, s, first)
+        # the search met a class of each GL2 pair; the partner of each
+        # class it met has trace s too, and it may have met that as well
+        for canon in list(found) if partner else ():
+            if (s, canon) not in mate:
+                c2, k2 = _canonical(found[canon], partner, branched, p)
+                found[c2] = k2
+                mate[s, canon], mate[s, c2] = (s, c2), (s, canon)
+        classes.update(((s, canon), keep) for canon, keep in found.items())
+    # 2. the sign twin of each class keeps x_0 on a pinned matrix of trace
+    # t = -s: a new class for t != s, one found by the search at trace 0
+    if p > 2:
+        centralizers = {M0: zs for t in {-s % p for s, _ in classes}
+                        for M0, zs in _class_tables(t, p)}
+        for (s, canon), mats in list(classes.items()):
+            mats, t = _sign_twin(mats, p), -s % p
+            c2, k2 = _canonical(mats, centralizers[mats[0]], branched, p)
+            classes[t, c2] = k2
+            twin[s, canon], twin[t, c2] = (t, c2), (s, canon)
+        # the GL2 partner of a derived class is its twin's partner's twin
+        mate.update({twin[key]: twin[other] for key, other in mate.items()
+                     if twin[key][0] != key[0]})
+    # 3. lay the list out once, by trace, then by canon; flat and nested
+    # matrices sort alike
+    order = sorted(classes)
+    index = {key: j for j, key in enumerate(order, len(reps))}
+    for key in order:
+        reps.append(mk(tuple(((a, b), (c, d))
+                             for a, b, c, d in classes[key])))
+        twins.append(index[twin[key]] if twin else None)
+        partners.append(index[mate[key]] if mate else None)
     return RepList(reps, twins, partners, nodes)
 
 

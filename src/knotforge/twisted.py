@@ -403,13 +403,16 @@ def knot_determinant(pd):
 
 def _factorization_target(pres, rho):
     """The twisted polynomial Delta_{pres,rho}, the factorization target
-    Delta_{pres,rho}^2 * det(rho(mu)t - I), mu the meridian of pres, for
-    a rho that the caller has checked on pres, and the target's text."""
-    tw = _twisted_alexander(pres, rho)
-    num, den = tw.value.num, tw.value.den
-    mu = _gen_minus_one_det(rho, pres.meridian)
-    target = reduce_fraction(num * num * mu, den * den)
-    return tw, target, format_fraction(target)
+    Delta_{pres,rho}^2 * det(rho(mu)t - I), mu the meridian of pres, and
+    the target's text, kept on pres per value of rho, which is checked on
+    pres (`_checked`) when they are first built."""
+    def build():
+        tw = _twisted_alexander(pres, _checked(pres, rho))
+        num, den = tw.value.num, tw.value.den
+        mu = _gen_minus_one_det(rho, pres.meridian)
+        target = reduce_fraction(num * num * mu, den * den)
+        return tw, target, format_fraction(target)
+    return pres._derived(rho, build)
 
 
 def _symun_presentations(spec):
@@ -431,9 +434,8 @@ def verify_theorem(spec, rho_partial):
     share, which keeps the target; the pullback satisfies the union
     (GeneratorMap) and is built on its Tietze-kept generators only."""
     union_pres, partial_pres, phi = _symun_presentations(spec)
-    partial_tw, rhs_fr, rhs = partial_pres._derived(
-        rho_partial, lambda: _factorization_target(
-            partial_pres, _checked(partial_pres, rho_partial)))
+    partial_tw, rhs_fr, rhs = _factorization_target(partial_pres,
+                                                    rho_partial)
     lhs = _wada(union_pres, _column(union_pres),
                 lambda kept: _pullback(phi, rho_partial, kept))
     deg_rhs = (None if partial_tw.degree is None
@@ -485,16 +487,16 @@ def even_symun_obstruction(K, candidate_partial, rho_partial,
     representation of the candidate's Wirtinger presentation: the pullback
     of any other is never among the classes enumerated.  max_nodes bounds
     the search (RepSearchConfig's budget when None).  Both presentations
-    are the ones kept on the diagrams (`_wirtinger`)."""
-    cand_pres = _wirtinger(candidate_partial)
-    if not verify_representation(cand_pres, rho_partial):
-        raise ValueError("representation fails the candidate's relators")
+    are the ones kept on the diagrams (`_wirtinger`).  The target is kept
+    on the candidate's deficiency-one presentation, per value of
+    rho_partial, which is checked there first (`_factorization_target`):
+    the relator it drops follows from the others."""
+    _, target, _ = _factorization_target(
+        _deficiency_one(_wirtinger(candidate_partial)), rho_partial)
     if rho_partial.d != 2 or rho_partial.is_abelian:
         raise ValueError("the obstruction needs a nonabelian SL(2, F_p) "
                          "representation of the candidate; only those "
                          "classes of K are enumerated")
-    _, target, _ = _factorization_target(_deficiency_one(cand_pres),
-                                         rho_partial)
     pres = _wirtinger(K)
     cfg = RepSearchConfig(p=rho_partial.p) if max_nodes is None else \
         RepSearchConfig(p=rho_partial.p, max_nodes=max_nodes)

@@ -1106,8 +1106,7 @@ class TestVerifyTheorem:
         checked = count_checks(monkeypatch)
         for calls in (1, 2):
             with pytest.raises(ValueError, match="^representation is not "
-                               "valid on the partial presentation produced "
-                               "by this construction$"):
+                               "valid on the partial knot's presentation$"):
                 verify_theorem(spec, bad)
             assert checked == [partial] * calls
             assert targets_kept(spec._cache["symun"][1]) == []
@@ -1141,8 +1140,7 @@ class TestVerifyTheorem:
             bad = Representation(p=5, d=2, matrices=rho.matrices)
             assert not verify_representation(partial, bad)
             with pytest.raises(ValueError, match="^representation is not "
-                               "valid on the partial presentation produced "
-                               "by this construction$"):
+                               "valid on the partial knot's presentation$"):
                 verify_theorem(spec, bad)
 
     def test_direct_call_on_the_union_still_checks(self):
@@ -1417,14 +1415,16 @@ class TestCachesLiveOnObjects:
         specs = [SymUnionSpec(marked, (2 * m,)) for m in (-2, -1, 0, 1, 2)]
         _, partial, _ = build_symun_presentation(specs[0])
         rho = enumerate_sl2(partial, RepSearchConfig(p=5))[0]
-        targets = []
-        target = twisted._factorization_target
-        monkeypatch.setattr(twisted, "_factorization_target", lambda p, r: (
-            targets.append(p), target(p, r))[1])
+        # each target build takes one twisted polynomial of its
+        # presentation; the unions' go through _wada
+        builds = []
+        core = twisted._twisted_alexander
+        monkeypatch.setattr(twisted, "_twisted_alexander", lambda p, r: (
+            builds.append(p), core(p, r))[1])
         outs = [verify_theorem(spec, rho) for spec in specs]
         assert all(out["equal"] for out in outs)
         assert len({out["rhs"] for out in outs}) == 1
-        assert targets == [marked._cache["partial"]]
+        assert builds == [marked._cache["partial"]]
 
     def test_dropping_a_spec_frees_its_presentations(self):
         # GroupPresentation has no __weakref__, so its live instances are
@@ -1572,7 +1572,10 @@ class TestMeridianTrace:
         # through cli.run: the candidate's own target and the trace-s
         # classes of K that take no earlier twin's or partner's polynomial
         # reach a Fox pencil (7, 9, 7, 8 and 4 when every class did); the
-        # quick-check exit reaches none
+        # quick-check exit reaches none.  The target is kept on the
+        # candidate's presentation, which the parsed table keeps, so a
+        # second pass builds the classes' pencils alone
+        knotforge.cli._parse_table.cache_clear()
         workloads = load_workloads()
         monkeypatch.setattr(workloads, "TABLE", str(bundled_table_path()))
         monkeypatch.setattr(workloads, "WORK_DIR", str(tmp_path))
@@ -1584,13 +1587,16 @@ class TestMeridianTrace:
         monkeypatch.setattr(twisted, "_twisted_alexander",
                             lambda pres, rho: (calls.append(rho),
                                                core(pres, rho))[1])
-        counts = []
-        for cell in cells:
-            for op in cell:
-                calls.clear()
-                assert op.check(op.call())[1] is None, op.label
-                counts.append(len(calls))
-        assert counts == [3, 3, 2, 2, 3, 0]
+        passes = []
+        for _ in range(2):
+            counts = []
+            for cell in cells:
+                for op in cell:
+                    calls.clear()
+                    assert op.check(op.call())[1] is None, op.label
+                    counts.append(len(calls))
+            passes.append(counts)
+        assert passes == [[3, 3, 2, 2, 3, 0], [2, 2, 1, 1, 2, 0]]
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_a_genuine_union_stays_inconclusive(self, p):
